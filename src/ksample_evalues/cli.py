@@ -94,9 +94,40 @@ def _report(args, payload: dict, cfg: dict) -> None:
         sys.stdout.write(text)
 
 
-def _load_mixture(path: str) -> ripr.MixtureNull:
+def _multiplicities(args) -> list[int] | None:
+    if not args.multiplicities:
+        return None
+    return [int(m) for m in args.multiplicities.split(",")]
+
+
+def _load_mixture(path: str, spec, alt, multiplicities=None) -> ripr.MixtureNull:
+    """Read a mixture file and refuse it unless it was projected for this run.
+
+    The file's family, fixed params and means must equal the run's, with
+    means compared after the --beta-means conversion and, when blocks carry
+    multiplicities, after their expansion (the statistic's alternative).
+    """
+    if multiplicities:
+        alt = sq.expand_multiplicities(spec, alt, multiplicities)
     with open(path, "r", encoding="utf-8") as fh:
-        return ripr.MixtureNull.from_json_dict(json.load(fh))
+        payload = json.load(fh)
+    if not {"family", "mean_params"} <= set(payload.get("config", {})):
+        raise SystemExit(
+            f"{path}: mixture file has no 'config' with family and mean_params, "
+            "so the problem it was certified for is unknown; produce it with "
+            "'ksev project'"
+        )
+    sides = [
+        (s.family_id, s.fixed_params(), [float(m) for m in a.mu])
+        for s, a in (_spec_alt(payload["config"]), (spec, alt))
+    ]
+    if sides[0] != sides[1]:
+        theirs, ours = (f"family {f}, fixed params {p}, means {m}" for f, p, m in sides)
+        raise SystemExit(
+            f"{path}: mixture was certified for {theirs}, but this run has "
+            f"{ours}; run 'ksev project' for this configuration"
+        )
+    return ripr.MixtureNull.from_json_dict(payload)
 
 
 def cmd_evaluate(args) -> int:
@@ -110,7 +141,8 @@ def cmd_evaluate(args) -> int:
                 "kind gro_m needs --mixture <file.json>; produce one with "
                 "'ksev project'"
             )
-        mixture = _load_mixture(args.mixture)
+        mult = _multiplicities(args) if args.stream else None
+        mixture = _load_mixture(args.mixture, spec, alt, mult)
     if args.stream:
         return _evaluate_stream(args, cfg, spec, alt, kind, mixture)
     blocks = []
@@ -151,13 +183,9 @@ def cmd_evaluate(args) -> int:
 
 def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
     """Ingest 'group,value' lines into a sequential state and report it."""
-    mult = (
-        [int(m) for m in args.multiplicities.split(",")]
-        if args.multiplicities
-        else None
-    )
     state = sq.StreamState(
-        spec, alt, kind, alpha=args.alpha, multiplicities=mult, mixture=mixture
+        spec, alt, kind, alpha=args.alpha, multiplicities=_multiplicities(args),
+        mixture=mixture,
     )
     with open(args.stream, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -227,7 +255,7 @@ def cmd_growth(args) -> int:
     cfg = _load_config(args)
     spec, alt = _spec_alt(cfg)
     kinds = [ev.EValueKind(k) for k in args.kinds.split(",")]
-    mixture = _load_mixture(args.mixture) if args.mixture else None
+    mixture = _load_mixture(args.mixture, spec, alt) if args.mixture else None
     report = gr.growth_report(
         spec,
         alt,
@@ -295,7 +323,8 @@ def cmd_heatmap(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     spec, alt = _spec_alt(cfg)
-    mixture = _load_mixture(args.mixture) if args.mixture else None
+    mult = _multiplicities(args)
+    mixture = _load_mixture(args.mixture, spec, alt, mult) if args.mixture else None
     summary = sq.simulate(
         spec,
         alt,
@@ -307,9 +336,7 @@ def cmd_simulate(args) -> int:
         max_blocks=args.max_blocks,
         truth=args.truth,
         null_mu=args.null_mu,
-        multiplicities=[int(m) for m in args.multiplicities.split(",")]
-        if args.multiplicities
-        else None,
+        multiplicities=mult,
         mixture=mixture,
     )
     payload = summary.to_json_dict()

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expfam import Alternative, FamilySpec, MeanDomainError
+from .expfam import Alternative, FamilySpec, MeanDomainError, as_generator
 
 
 class EValueKind(str, enum.Enum):
@@ -90,16 +90,32 @@ def _as_block(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
     return x
 
 
+def _log_iid_ratio(spec: FamilySpec, alt: Alternative, x, mu0: float) -> np.ndarray:
+    """log of prod_i p_{mu_i}(x_i) / prod_i p_{mu0}(x_i)."""
+    lam, a = spec._natural_params([*alt.mu, mu0])
+    return np.sum((lam[:-1] - lam[-1]) * x - (a[:-1] - a[-1]), axis=-1)
+
+
+def _log_equal_mixture(lam: np.ndarray, a: np.ndarray, x) -> np.ndarray:
+    """log (1/k) sum_i exp(lam_i x - a_i) at every entry of x, by logsumexp."""
+    comp = lam * x[..., None] - a  # [..., i] = log p_{mu_i}(x) w.r.t. rho
+    cmax = comp.max(axis=-1, keepdims=True)
+    return np.squeeze(cmax, -1) + np.log(np.mean(np.exp(comp - cmax), axis=-1))
+
+
+def _log_mixture_ratio(spec: FamilySpec, alt: Alternative, x, mixture) -> np.ndarray:
+    """log of prod_i p_{mu_i}(x_i) / d_mix(z), with no certificate check."""
+    lam, a = spec._natural_params(alt.mu)
+    z = np.sum(x, axis=-1)
+    return np.sum(lam * x - a, axis=-1) - mixture.log_density_of_sum(spec, alt.k, z)
+
+
 def log_s_pseudo(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
     """log of prod_i p_{mu_i}(x_i) / prod_i p_{mu0*}(x_i)."""
     x = _as_block(spec, alt, block)
     if alt.delta == 0.0:
         return np.zeros(x.shape[:-1])
-    lam = np.array([spec.natural_from_mean(m) for m in alt.mu])
-    a = np.array([spec.log_partition(l) for l in lam])
-    lam0 = spec.natural_from_mean(alt.mu0_star)
-    a0 = spec.log_partition(lam0)
-    return np.sum((lam - lam0) * x - (a - a0), axis=-1)
+    return _log_iid_ratio(spec, alt, x, alt.mu0_star)
 
 
 def log_s_gro_iid(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
@@ -107,16 +123,9 @@ def log_s_gro_iid(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
     x = _as_block(spec, alt, block)
     if alt.delta == 0.0:
         return np.zeros(x.shape[:-1])
-    lam = np.array([spec.natural_from_mean(m) for m in alt.mu])
-    a = np.array([spec.log_partition(l) for l in lam])
+    lam, a = spec._natural_params(alt.mu)
     num = np.sum(lam * x - a, axis=-1)
-    # log mixture density at every coordinate: logsumexp over components
-    comp = lam * x[..., None] - a  # (..., k, k): [..., j, i] = log p_{mu_i}(x_j)
-    cmax = comp.max(axis=-1, keepdims=True)
-    logmix = np.squeeze(cmax, -1) + np.log(
-        np.mean(np.exp(comp - cmax), axis=-1)
-    )
-    return num - np.sum(logmix, axis=-1)
+    return num - np.sum(_log_equal_mixture(lam, a, x), axis=-1)
 
 
 def log_s_cond(
@@ -134,17 +143,11 @@ def log_s_cond(
     if mu0 is None:
         mu0 = alt.mu0_star
     mu0 = spec.check_mean(mu0)
-    k = alt.k
     z = np.sum(x, axis=-1)
-    lam = np.array([spec.natural_from_mean(m) for m in alt.mu])
-    a = np.array([spec.log_partition(l) for l in lam])
-    lam0 = spec.natural_from_mean(mu0)
-    a0 = spec.log_partition(lam0)
-    log_joint_ratio = np.sum((lam - lam0) * x - (a - a0), axis=-1)
     log_z_ratio = spec.sum_log_pdf(list(alt.mu), z) - spec.sum_log_pdf(
-        [mu0] * k, z
+        [mu0] * alt.k, z
     )
-    return log_joint_ratio - log_z_ratio
+    return _log_iid_ratio(spec, alt, x, mu0) - log_z_ratio
 
 
 def log_s_gro_m(spec: FamilySpec, alt: Alternative, block, mixture) -> np.ndarray:
@@ -162,11 +165,7 @@ def log_s_gro_m(spec: FamilySpec, alt: Alternative, block, mixture) -> np.ndarra
     x = _as_block(spec, alt, block)
     if alt.delta == 0.0:
         return np.zeros(x.shape[:-1])
-    lam = np.array([spec.natural_from_mean(m) for m in alt.mu])
-    a = np.array([spec.log_partition(l) for l in lam])
-    num = np.sum(lam * x - a, axis=-1)
-    z = np.sum(x, axis=-1)
-    return num - mixture.log_density_of_sum(spec, alt.k, z)
+    return _log_mixture_ratio(spec, alt, x, mixture)
 
 
 def f_criterion(spec: FamilySpec, alt: Alternative, mu0: float) -> float:
@@ -225,7 +224,21 @@ def expectation_pseudo(spec: FamilySpec, alt: Alternative, mu0: float) -> float:
     return float(np.exp(total))
 
 
+def _require_mixture(kind: EValueKind, mixture) -> None:
+    """Refuse the certified-mixture ratio when no mixture is given."""
+    if kind is EValueKind.GRO_M and mixture is None:
+        raise ValueError(
+            "kind 'gro_m' needs a certified mixture; run the projection "
+            "first (ripr.li_approximate or ripr.brute_force_two_component)"
+        )
+
+
 def _log_statistic(spec, alt, block, kind, mixture=None):
+    """The statistic of ``kind`` on ``block``: the one map from kind to code.
+
+    The ``log_s_*`` names are looked up at call time, so a wrapper installed
+    on one of them (a tracer, a test double) sees every dispatched call.
+    """
     kind = EValueKind(kind)
     if kind is EValueKind.PSEUDO:
         return log_s_pseudo(spec, alt, block)
@@ -233,6 +246,7 @@ def _log_statistic(spec, alt, block, kind, mixture=None):
         return log_s_gro_iid(spec, alt, block)
     if kind is EValueKind.COND:
         return log_s_cond(spec, alt, block)
+    _require_mixture(kind, mixture)
     return log_s_gro_m(spec, alt, block, mixture)
 
 
@@ -272,6 +286,13 @@ def null_expectation_profile(
     return out
 
 
+def _mc_mean(spec: FamilySpec, means, n: int, rng, fn) -> tuple[float, float]:
+    """Mean and stderr of fn(x) over n blocks, coordinate i drawn at means[i]."""
+    x = np.stack([spec.sample(m, n, rng) for m in means], axis=-1)
+    v = fn(x)
+    return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n))
+
+
 def null_expectation_mc(
     spec: FamilySpec,
     alt: Alternative,
@@ -282,12 +303,10 @@ def null_expectation_mc(
     mixture=None,
 ) -> tuple[float, float]:
     """Monte Carlo E under the i.i.d. null at mu0 (any k), with stderr."""
-    from .expfam import as_generator
-
-    rng = as_generator(seed)
-    x = np.stack([spec.sample(mu0, n, rng) for _ in range(alt.k)], axis=-1)
-    s = np.exp(_log_statistic(spec, alt, x, kind, mixture))
-    return float(s.mean()), float(s.std(ddof=1) / np.sqrt(n))
+    return _mc_mean(
+        spec, [mu0] * alt.k, n, as_generator(seed),
+        lambda x: np.exp(_log_statistic(spec, alt, x, kind, mixture)),
+    )
 
 
 def log_evalue(
@@ -299,23 +318,6 @@ def log_evalue(
 ) -> EValueResult:
     """Evaluate one statistic on one block and package the result."""
     kind = EValueKind(kind)
-    if kind is EValueKind.PSEUDO:
-        value = log_s_pseudo(spec, alt, block)
-        cert = None
-    elif kind is EValueKind.GRO_IID:
-        value = log_s_gro_iid(spec, alt, block)
-        cert = None
-    elif kind is EValueKind.COND:
-        value = log_s_cond(spec, alt, block)
-        cert = None
-    elif kind is EValueKind.GRO_M:
-        if mixture is None:
-            raise ValueError(
-                "kind 'gro_m' needs a certified mixture; run the projection "
-                "first (ripr.li_approximate or ripr.brute_force_two_component)"
-            )
-        value = log_s_gro_m(spec, alt, block, mixture)
-        cert = mixture.certificate_dict()
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {kind}")
+    value = _log_statistic(spec, alt, block, kind, mixture)
+    cert = mixture.certificate_dict() if kind is EValueKind.GRO_M else None
     return EValueResult(kind, float(np.asarray(value)), cert)

@@ -141,6 +141,11 @@ class FamilySpec(ABC):
     def log_partition(self, lam) -> float:
         """Log-normalizer A(lambda)."""
 
+    def _natural_params(self, mus) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays lambda(mu) and A(lambda(mu)) over a list of means."""
+        lam = np.array([self.natural_from_mean(m) for m in mus])
+        return lam, np.array([float(self.log_partition(l)) for l in lam])
+
     # -- moments ---------------------------------------------------------
 
     @abstractmethod

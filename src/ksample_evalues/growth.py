@@ -96,19 +96,13 @@ def gap_pseudo_iid(spec: FamilySpec, alt: Alternative, n: int = 4096) -> float:
     if alt.delta == 0.0:
         return 0.0
     x, w = _quad.support_nodes(spec, list(alt.mu) + [alt.mu0_star], n=n)
-    lams = np.array([spec.natural_from_mean(m) for m in alt.mu])
-    las = np.array([float(spec.log_partition(l)) for l in lams])
-    comp = lams[None, :] * x[:, None] - las[None, :]  # log p_{mu_i}(x)
-    cmax = comp.max(axis=1, keepdims=True)
-    logmix = cmax[:, 0] + np.log(np.mean(np.exp(comp - cmax), axis=1))
-    lam0 = spec.natural_from_mean(alt.mu0_star)
-    log0 = lam0 * x - float(spec.log_partition(lam0))
-    diff = logmix - log0
-    total = 0.0
+    lams, las = spec._natural_params([*alt.mu, alt.mu0_star])
+    # sum_j E_{mu_j}[log mixture(X) - log p_{mu0*}(X)], all w.r.t. rho
+    diff = ev._log_equal_mixture(lams[:-1], las[:-1], x) - (lams[-1] * x - las[-1])
     logh = spec.log_carrier(x)
-    for j, m in enumerate(alt.mu):
-        pj = np.exp(comp[:, j] + logh)
-        total += float(np.sum(w * pj * diff))
+    total = 0.0
+    for lam, la in zip(lams[:-1], las[:-1]):
+        total += float(np.sum(w * np.exp(lam * x - la + logh) * diff))
     return total
 
 
@@ -145,8 +139,7 @@ def growth_rate(
     kind = ev.EValueKind(kind)
     if alt.delta == 0.0:
         return GrowthEntry(kind, 0.0, 0.0, method)
-    if kind is ev.EValueKind.GRO_M and mixture is None:
-        raise ValueError("growth of the certified-mixture ratio needs a mixture")
+    ev._require_mixture(kind, mixture)
     if method == "quadrature":
         if kind is ev.EValueKind.PSEUDO:
             rate = growth_pseudo(spec, alt)
@@ -160,22 +153,11 @@ def growth_rate(
             rate = ripr.kl_to_mixture(spec, alt, mixture, method="quadrature").value
         return GrowthEntry(kind, float(rate), 0.0, method)
     if method == "mc":
-        rng = spawn_generator(seed, 0)
-        x = np.stack([spec.sample(m, mc_n, rng) for m in alt.mu], axis=-1)
-        if kind is ev.EValueKind.PSEUDO:
-            logs = ev.log_s_pseudo(spec, alt, x)
-        elif kind is ev.EValueKind.GRO_IID:
-            logs = ev.log_s_gro_iid(spec, alt, x)
-        elif kind is ev.EValueKind.COND:
-            logs = ev.log_s_cond(spec, alt, x)
-        else:
-            logs = ev.log_s_gro_m(spec, alt, x, mixture)
-        return GrowthEntry(
-            kind,
-            float(logs.mean()),
-            float(logs.std(ddof=1) / math.sqrt(mc_n)),
-            method,
+        rate, stderr = ev._mc_mean(
+            spec, alt.mu, mc_n, spawn_generator(seed, 0),
+            lambda x: ev._log_statistic(spec, alt, x, kind, mixture),
         )
+        return GrowthEntry(kind, rate, stderr, method)
     raise ValueError("method must be 'quadrature' or 'mc'")
 
 
@@ -427,7 +409,9 @@ def heatmap(
     Grid points are equally spaced in the family's standard parameterization
     (documented per family; the default ranges are artifact choices).  Cells
     where evaluation fails are recorded in ``failures`` and set to NaN rather
-    than aborting the run.
+    than aborting the run.  A Monte Carlo cell draws once from its own
+    substream ``spawn_generator(seed, i, j)`` and scores both kinds on those
+    draws; its gap and stderr are those of the paired difference.
     """
     kind_a = ev.EValueKind(kinds[0])
     kind_b = ev.EValueKind(kinds[1])
@@ -451,31 +435,18 @@ def heatmap(
                 continue
             try:
                 alt = Alternative.from_means(spec, [mus[i], mus[j]])
-                ea = growth_rate(
-                    spec,
-                    alt,
-                    kind_a,
-                    method=method,
-                    mixture=mixture,
-                    mc_n=mc_n,
-                    seed=spawn_seed(seed, i, j),
-                )
-                eb = growth_rate(
-                    spec,
-                    alt,
-                    kind_b,
-                    method=method,
-                    mixture=mixture,
-                    mc_n=mc_n,
-                    seed=spawn_seed(seed, i, j) + 1,
-                )
-                gap[i, j] = ea.rate - eb.rate
-                se[i, j] = math.hypot(ea.stderr, eb.stderr)
+                if method == "mc":
+                    gap[i, j], se[i, j] = ev._mc_mean(
+                        spec, alt.mu, mc_n, spawn_generator(seed, i, j),
+                        lambda x: ev._log_statistic(spec, alt, x, kind_a, mixture)
+                        - ev._log_statistic(spec, alt, x, kind_b, mixture),
+                    )
+                else:
+                    ea, eb = (
+                        growth_rate(spec, alt, kind, method=method, mixture=mixture)
+                        for kind in (kind_a, kind_b)
+                    )
+                    gap[i, j] = ea.rate - eb.rate
             except Exception as exc:  # per-cell failures are data, not fatal
                 failures.append({"i": i, "j": j, "mu1": mus[i], "mu2": mus[j], "error": str(exc)})
     return HeatmapResult(spec, kind_a, kind_b, svals, mus, gap, se, method, failures)
-
-
-def spawn_seed(seed: int, i: int, j: int) -> int:
-    """Deterministic per-cell seed derived from a master seed."""
-    return (seed * 1_000_003 + i * 1009 + j) % (2**31 - 1)

@@ -47,6 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import _quad
+from . import evariables as ev
 from .expfam import Alternative, ComputationError, FamilySpec, as_generator
 
 
@@ -130,8 +131,7 @@ class MixtureNull:
         coordinate sum z, as sum_c w_c exp(lam_c z - k A(lam_c)).
         """
         z = np.asarray(z, dtype=float)
-        lams = np.array([spec.natural_from_mean(m) for _, m in self.components])
-        las = np.array([spec.log_partition(l) for l in lams])
+        lams, las = spec._natural_params(self.means)
         logs = (
             np.log(np.maximum(self.weights, 1e-300))
             + lams * z[..., None]
@@ -228,16 +228,13 @@ class _SumGrid:
         keep = wm > wm.max() * 1e-280
         self.z = z[keep]
         self.wm = wm[keep]
-        lams = np.array([spec.natural_from_mean(m) for m in alt.mu])
-        las = np.array([float(spec.log_partition(l)) for l in lams])
+        lams, las = spec._natural_params(alt.mu)
         # E_alt[log p_alt(X^k)] w.r.t. the base measure
         self.alt_self_term = float(np.sum(lams * np.array(alt.mu) - las))
 
     def tilt_rows(self, mu0s) -> np.ndarray:
         """Rows of exp(lam0 * z - k * A(lam0)) for each null mean."""
-        mu0s = np.atleast_1d(np.asarray(mu0s, dtype=float))
-        lam = np.array([self.spec.natural_from_mean(m) for m in mu0s])
-        la = np.array([float(self.spec.log_partition(l)) for l in lam])
+        lam, la = self.spec._natural_params(np.atleast_1d(np.asarray(mu0s, dtype=float)))
         return np.exp(lam[:, None] * self.z[None, :] - self.k * la[:, None])
 
     def expectations(self, ws, mus, mu0s) -> np.ndarray:
@@ -346,16 +343,11 @@ def kl_to_mixture(
         )
         return KLEstimate(grid.kl_to(mixture.weights, mixture.means), 0.0, method)
     if method == "mc":
-        rng = as_generator(seed)
-        lams = np.array([spec.natural_from_mean(m) for m in alt.mu])
-        las = np.array([float(spec.log_partition(l)) for l in lams])
-        x = np.stack([spec.sample(m, mc_n, rng) for m in alt.mu], axis=-1)
-        logs = np.sum(lams * x - las, axis=-1) - mixture.log_density_of_sum(
-            spec, alt.k, x.sum(axis=-1)
+        value, stderr = ev._mc_mean(
+            spec, alt.mu, mc_n, as_generator(seed),
+            lambda x: ev._log_mixture_ratio(spec, alt, x, mixture),
         )
-        return KLEstimate(
-            float(logs.mean()), float(logs.std(ddof=1) / math.sqrt(mc_n)), method
-        )
+        return KLEstimate(value, stderr, method)
     raise ValueError("method must be 'quadrature' or 'mc'")
 
 
@@ -371,15 +363,10 @@ def expectation_mc(
 
     Independent of the quadrature path; used to validate certificates.
     """
-    rng = as_generator(seed)
-    lams = np.array([spec.natural_from_mean(m) for m in alt.mu])
-    las = np.array([float(spec.log_partition(l)) for l in lams])
-    x = np.stack([spec.sample(mu0, n, rng) for _ in range(alt.k)], axis=-1)
-    logs = np.sum(lams * x - las, axis=-1) - mixture.log_density_of_sum(
-        spec, alt.k, x.sum(axis=-1)
+    return ev._mc_mean(
+        spec, [mu0] * alt.k, n, as_generator(seed),
+        lambda x: np.exp(ev._log_mixture_ratio(spec, alt, x, mixture)),
     )
-    s = np.exp(logs)
-    return float(s.mean()), float(s.std(ddof=1) / math.sqrt(n))
 
 
 def li_approximate(

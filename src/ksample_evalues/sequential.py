@@ -75,9 +75,9 @@ class StreamState:
         self.kind = ev.EValueKind(kind)
         self.alpha = float(alpha)
         self.mixture = mixture
+        # fail at construction rather than at the first completed block
+        ev._require_mixture(self.kind, mixture)
         if self.kind is ev.EValueKind.GRO_M:
-            if mixture is None:
-                raise ValueError("kind 'gro_m' needs a certified mixture")
             mixture.require_certificate()
         self.multiplicities = tuple(
             int(m) for m in (multiplicities or [1] * alt.k)

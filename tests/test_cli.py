@@ -133,6 +133,89 @@ class TestProject:
         assert "certificate" in payload["results"][0]
 
 
+def write_mixture(path, family, means, fixed=None, beta_means=False, config=True):
+    """A one-component mixture file as 'ksev project' lays it out."""
+    spec = make_family(family, **(fixed or {}))
+    mus = [spec.mean_from_beta_mean(m) for m in means] if beta_means else means
+    alt = Alternative.from_means(spec, mus)
+    cert = ripr.Certificate(1.0, 1000, min(mus), max(mus), "point", alt.mu0_star)
+    payload = ripr.MixtureNull(((1.0, alt.mu0_star),), cert).to_json_dict()
+    if config:
+        payload["config"] = {"family": family, "fixed_params": fixed or {},
+                             "mean_params": list(means)}
+        if beta_means:
+            payload["config"]["beta_means"] = True
+    path.write_text(canonical_json(payload), encoding="utf-8")
+    return str(path)
+
+
+class TestMixtureConfig:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--kind", "gro_m", "--block", "3,0"],
+        ["growth", "--kinds", "gro_m", "--method", "mc", "--mc-n", "1000"],
+        ["simulate", "--kind", "gro_m", "--trials", "10", "--max-blocks", "5"],
+    ])
+    def test_foreign_mixture_refused(self, tmp_path, argv):
+        mix = write_mixture(tmp_path / "mix.json", "exponential", [0.5, 0.25])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--family", "poisson", "--mu", "5,0.1", "--mixture", mix])
+        msg = str(exc.value)
+        assert "exponential" in msg and "[0.5, 0.25]" in msg
+        assert "poisson" in msg and "[5.0, 0.1]" in msg
+
+    @pytest.mark.parametrize("run_args", [
+        ["--family", "gaussian_mean", "--mu", "0.3,-0.5"],
+        ["--family", "gaussian_mean", "--mu=-0.4,0.3"],
+        ["--family", "gaussian_mean", "--mu", "0.3,-0.4", "--fixed", '{"sigma2": 1.0}'],
+    ])
+    def test_mean_or_fixed_mismatch_refused(self, tmp_path, run_args):
+        mix = write_mixture(tmp_path / "mix.json", "gaussian_mean", [0.3, -0.4],
+                            fixed={"sigma2": 2.0})
+        with pytest.raises(SystemExit, match="certified for"):
+            main(["evaluate", "--kind", "gro_m", "--block", "0.1,0.2",
+                  "--mixture", mix] + run_args)
+
+    @pytest.mark.parametrize("config", [None, {"family": "exponential"}])
+    def test_file_without_config_refused(self, tmp_path, config):
+        mix = write_mixture(tmp_path / "mix.json", "exponential", [0.5, 0.25],
+                            config=False)
+        if config is not None:
+            payload = json.loads((tmp_path / "mix.json").read_text())
+            payload["config"] = config
+            (tmp_path / "mix.json").write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match="no 'config'"):
+            main(["evaluate", "--family", "exponential", "--mu", "0.5,0.25",
+                  "--kind", "gro_m", "--block", "0.7,0.4", "--mixture", mix])
+
+    def test_means_compared_after_beta_conversion(self, capsys, tmp_path):
+        mix = write_mixture(tmp_path / "mix.json", "beta", [0.5, 0.25],
+                            fixed={"alpha": 2.0}, beta_means=True)
+        spec = make_family("beta", alpha=2.0)
+        mus = ",".join(repr(spec.mean_from_beta_mean(m)) for m in (0.5, 0.25))
+        code, out, _ = run(
+            capsys,
+            "evaluate", "--family", "beta", "--fixed", '{"alpha": 2.0}',
+            f"--mu={mus}", "--kind", "gro_m", "--block=-0.7,-0.4",
+            "--mixture", mix,
+        )
+        assert code == 0
+        assert "certificate" in json.loads(out)["results"][0]
+
+    def test_stream_compares_expanded_means(self, capsys, tmp_path):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("1,0.7\n1,0.2\n2,0.4\n", encoding="utf-8")
+        argv = ["evaluate", "--family", "exponential", "--mu", "0.5,0.25",
+                "--kind", "gro_m", "--stream", str(stream),
+                "--multiplicities", "2,1"]
+        flat = write_mixture(tmp_path / "flat.json", "exponential", [0.5, 0.5, 0.25])
+        code, out, _ = run(capsys, *argv, "--mixture", flat)
+        assert code == 0
+        assert json.loads(out)["blocks_completed"] == 1
+        short = write_mixture(tmp_path / "short.json", "exponential", [0.5, 0.25])
+        with pytest.raises(SystemExit, match=r"\[0\.5, 0\.5, 0\.25\]"):
+            main(argv + ["--mixture", short])
+
+
 class TestGrowth:
     def test_poisson_pseudo_cond_gap_zero(self, capsys):
         code, out, _ = run(

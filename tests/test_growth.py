@@ -234,3 +234,12 @@ class TestHeatmap:
                 assert mc.gap[i, j] == pytest.approx(
                     quad.gap[i, j], abs=5 * mc.stderr[i, j] + 1e-9
                 )
+
+    def test_monte_carlo_cells_pair_the_draws(self):
+        # poisson pseudo and cond agree on every block, so a cell that scores
+        # both kinds on the same draws has neither a gap nor any noise
+        spec = make_family("poisson")
+        res = gr.heatmap(spec, ("pseudo", "cond"), n=3, method="mc", mc_n=20_000, seed=2)
+        assert not res.failures
+        assert np.all(np.abs(res.gap) <= 1e-12)
+        assert np.all(res.stderr <= 1e-12)

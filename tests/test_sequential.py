@@ -70,24 +70,37 @@ class TestIngest:
         assert st.log_evalue == pytest.approx(recomputed, abs=1e-12)
         assert st.log_evalue == pytest.approx(sum(st.block_log_values), abs=1e-12)
 
-    def test_stream_block_equivalence(self):
-        spec = make_family("poisson")
-        alt = Alternative.from_means(spec, [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "family, means, kind, mult",
+        [pytest.param("poisson", [1.0, 2.0], kind, None, id=kind)
+         for kind in ("pseudo", "gro_iid", "cond", "gro_m")]
+        # the expanded means repeat 1.0: tied rates, the matrix-exponential branch
+        + [pytest.param("exponential", [1.0, 0.7, 0.5], "cond", [2, 1, 1],
+                        id="exponential-cond-tied")],
+    )
+    def test_stream_block_equivalence(self, family, means, kind, mult):
+        spec = make_family(family)
+        alt = Alternative.from_means(spec, means)
+        m = mult or [1] * alt.k
+        flat = sq.expand_multiplicities(spec, alt, m)
+        mix = ripr.point_mixture(spec, flat, flat.mu0_star) if kind == "gro_m" else None
         rng = np.random.default_rng(1)
         blocks = np.stack(
-            [spec.sample(m, 15, rng) for m in alt.mu], axis=-1
+            [spec.sample(mu, 15, rng) for mu in flat.mu], axis=-1
         )
-        st_stream = sq.StreamState(spec, alt, "cond", 0.05)
-        # interleave irregularly: all of group 1 first, then group 2
-        for v in blocks[:, 0]:
-            st_stream.ingest(1, v)
-        for v in blocks[:, 1]:
-            st_stream.ingest(2, v)
-        st_block = sq.StreamState(spec, alt, "cond", 0.05)
+        st_stream = sq.StreamState(spec, alt, kind, 0.05, mult, mix)
+        # interleave irregularly: all of group 1 first, then group 2, ...
+        edges = np.cumsum([0] + m)
+        for j in range(alt.k):
+            for v in blocks[:, edges[j] : edges[j + 1]].ravel():
+                st_stream.ingest(j + 1, v)
+        st_block = sq.StreamState(spec, alt, kind, 0.05, mult, mix)
         for b in blocks:
             st_block.ingest_block(b)
         assert st_stream.log_evalue == pytest.approx(st_block.log_evalue, abs=0)
         assert st_stream.blocks_completed == st_block.blocks_completed == 15
+        vectorized = float(np.sum(ev._log_statistic(spec, flat, blocks, kind, mix)))
+        assert st_stream.log_evalue == pytest.approx(vectorized, abs=1e-12)
 
 
 class TestDecide:
