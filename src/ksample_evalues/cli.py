@@ -117,17 +117,12 @@ def _load_mixture(path: str, spec, alt, multiplicities=None) -> ripr.MixtureNull
             "so the problem it was certified for is unknown; produce it with "
             "'ksev project'"
         )
-    sides = [
-        (s.family_id, s.fixed_params(), [float(m) for m in a.mu])
-        for s, a in (_spec_alt(payload["config"]), (spec, alt))
-    ]
-    if sides[0] != sides[1]:
-        theirs, ours = (f"family {f}, fixed params {p}, means {m}" for f, p, m in sides)
-        raise SystemExit(
-            f"{path}: mixture was certified for {theirs}, but this run has "
-            f"{ours}; run 'ksev project' for this configuration"
-        )
-    return ripr.MixtureNull.from_json_dict(payload)
+    mixture = ripr.MixtureNull.from_json_dict(payload)
+    try:
+        mixture.require_problem(spec, alt.mu)
+    except ripr.CertificationError as exc:
+        raise SystemExit(f"{path}: {exc}; run 'ksev project' for this configuration")
+    return mixture
 
 
 def cmd_evaluate(args) -> int:

@@ -155,13 +155,15 @@ def log_s_gro_m(spec: FamilySpec, alt: Alternative, block, mixture) -> np.ndarra
 
     ``mixture`` must be a certified MixtureNull from the ``ripr`` module;
     uncertified mixtures are refused because the ratio is only an
-    eps-approximate e-value, with eps read off the certificate.
+    eps-approximate e-value, with eps read off the certificate.  A mixture
+    certified for another family or alternative is refused too.
     """
     from .ripr import MixtureNull
 
     if not isinstance(mixture, MixtureNull):
         raise TypeError("mixture must be a ripr.MixtureNull")
     mixture.require_certificate()
+    mixture.require_problem(spec, alt.mu)
     x = _as_block(spec, alt, block)
     if alt.delta == 0.0:
         return np.zeros(x.shape[:-1])

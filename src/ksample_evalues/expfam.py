@@ -60,7 +60,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg, special, stats
+from scipy import linalg, special
+
+try:  # the inverse CDFs that scipy.stats' beta, binom and nbinom call
+    from scipy.special._ufuncs import _beta_ppf, _binom_ppf, _nbinom_ppf
+except ImportError:  # older scipy kept them under scipy.stats
+    from scipy.stats._boost import _beta_ppf, _binom_ppf, _nbinom_ppf
 
 
 class MeanDomainError(ValueError):
@@ -86,6 +91,41 @@ def spawn_generator(seed: int, *stream: int) -> np.random.Generator:
     """Independent, reproducible sub-stream (e.g. one per trial or grid cell)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _ppf(q: float, inverse, lower: float, upper: float, valid: bool) -> float:
+    """Quantile at level q with ``scipy.stats``' ``ppf`` conventions.
+
+    ``inverse`` is the special function that the matching ``scipy.stats``
+    distribution's ``_ppf`` calls, applied with the same scale and location
+    arithmetic, so the result is the same float bit for bit without the
+    ~1 ms cost of building a frozen distribution.  At q = 0 and q = 1 the
+    result is ``lower`` and ``upper`` (``a - 1`` and ``b`` of a discrete
+    support {a, ..., b}; ``a * scale + loc`` and ``b * scale + loc`` of a
+    continuous one).  It is NaN for q outside [0, 1], and when
+    ``valid``, the distribution's own parameter check, fails.
+    """
+    if not valid:
+        return math.nan
+    if 0.0 < q < 1.0:
+        return float(inverse(q))
+    if q == 0.0:
+        return float(lower)
+    if q == 1.0:
+        return float(upper)
+    return math.nan
+
+
+def _poisson_ppf(q: float, mu: float):
+    """``scipy.stats.poisson._ppf``: ceil of the inverse, checked one below."""
+    vals = np.ceil(special.pdtrik(q, mu))
+    vals1 = np.maximum(vals - 1, 0)
+    return vals1 if special.pdtr(vals1, mu) >= q else vals
+
+
+def _nbinom_ppf_quiet(q: float, n: float, p: float):
+    with np.errstate(over="ignore"):  # as scipy.stats.nbinom._ppf
+        return _nbinom_ppf(q, n, p)
 
 
 @dataclass(frozen=True)
@@ -341,7 +381,8 @@ class Bernoulli(FamilySpec):
         return 0.0 if q < 1.0 - mu else 1.0
 
     def sum_quantile(self, mu, k, q):
-        return float(stats.binom(k, mu).ppf(q))
+        return _ppf(q, lambda q: _binom_ppf(q, k, mu), -1.0, float(k),
+                    valid=0.0 <= mu <= 1.0)
 
     def sum_log_pdf(self, mus, z):
         mus = [self.check_mean(m) for m in mus]
@@ -404,10 +445,16 @@ class GaussianFreeMean(FamilySpec):
         return rng.normal(mu, math.sqrt(self.sigma2), n)
 
     def quantile(self, mu, q):
-        return float(stats.norm(mu, math.sqrt(self.sigma2)).ppf(q))
+        sd = math.sqrt(self.sigma2)
+        return _ppf(q, lambda q: special.ndtri(q) * sd + mu,
+                    -math.inf * sd + mu, math.inf * sd + mu,
+                    valid=mu == mu)
 
     def sum_quantile(self, mu, k, q):
-        return float(stats.norm(k * mu, math.sqrt(k * self.sigma2)).ppf(q))
+        sd = math.sqrt(k * self.sigma2)
+        return _ppf(q, lambda q: special.ndtri(q) * sd + k * mu,
+                    -math.inf * sd + k * mu, math.inf * sd + k * mu,
+                    valid=mu == mu)
 
     def sum_log_pdf(self, mus, z):
         mus = [self.check_mean(m) for m in mus]
@@ -468,10 +515,16 @@ class GaussianFreeVariance(FamilySpec):
         return mu * rng.chisquare(1, n)
 
     def quantile(self, mu, q):
-        return float(stats.gamma(0.5, scale=2.0 * mu).ppf(q))
+        scale = 2.0 * mu
+        return _ppf(q, lambda q: special.gammaincinv(0.5, q) * scale,
+                    0.0 * scale, math.inf * scale,
+                    valid=scale > 0)
 
     def sum_quantile(self, mu, k, q):
-        return float(stats.gamma(0.5 * k, scale=2.0 * mu).ppf(q))
+        a, scale = 0.5 * k, 2.0 * mu
+        return _ppf(q, lambda q: special.gammaincinv(a, q) * scale,
+                    0.0 * scale, math.inf * scale,
+                    valid=scale > 0)
 
     def sum_log_pdf(self, mus, z):
         mus = np.array([self.check_mean(m) for m in mus])
@@ -545,10 +598,11 @@ class Poisson(FamilySpec):
         return rng.poisson(mu, n).astype(float)
 
     def quantile(self, mu, q):
-        return float(stats.poisson(mu).ppf(q))
+        return _ppf(q, lambda q: _poisson_ppf(q, mu), -1.0, math.inf, valid=mu >= 0)
 
     def sum_quantile(self, mu, k, q):
-        return float(stats.poisson(k * mu).ppf(q))
+        return _ppf(q, lambda q: _poisson_ppf(q, k * mu), -1.0, math.inf,
+                    valid=k * mu >= 0)
 
     def sum_log_pdf(self, mus, z):
         mus = [self.check_mean(m) for m in mus]
@@ -598,10 +652,13 @@ class Exponential(FamilySpec):
         return rng.exponential(mu, n)
 
     def quantile(self, mu, q):
-        return float(stats.expon(scale=mu).ppf(q))
+        return _ppf(q, lambda q: -special.log1p(-q) * mu, 0.0 * mu, math.inf * mu,
+                    valid=mu > 0)
 
     def sum_quantile(self, mu, k, q):
-        return float(stats.gamma(k, scale=mu).ppf(q))
+        return _ppf(q, lambda q: special.gammaincinv(k, q) * mu,
+                    0.0 * mu, math.inf * mu,
+                    valid=mu > 0)
 
     def sum_log_pdf(self, mus, z):
         mus = [self.check_mean(m) for m in mus]
@@ -661,10 +718,14 @@ class Geometric(FamilySpec):
         return (rng.geometric(self._p(mu), n) - 1).astype(float)
 
     def quantile(self, mu, q):
-        return float(stats.nbinom(1, self._p(mu)).ppf(q))
+        p = self._p(mu)
+        return _ppf(q, lambda q: _nbinom_ppf_quiet(q, 1, p), -1.0, math.inf,
+                    valid=0 < p <= 1)
 
     def sum_quantile(self, mu, k, q):
-        return float(stats.nbinom(k, self._p(mu)).ppf(q))
+        p = self._p(mu)
+        return _ppf(q, lambda q: _nbinom_ppf_quiet(q, k, p), -1.0, math.inf,
+                    valid=0 < p <= 1)
 
     def sum_log_pdf(self, mus, z):
         mus = [self.check_mean(m) for m in mus]
@@ -807,15 +868,18 @@ class BetaFixedAlpha(FamilySpec):
 
     def quantile(self, mu, q):
         b = self.natural_from_mean(mu)
-        return float(np.log(stats.beta(b, self.alpha).ppf(q)))
+        u = _ppf(q, lambda q: _beta_ppf(q, b, self.alpha), 0.0, 1.0, valid=b > 0)
+        return float(np.log(u))
 
     def sum_quantile(self, mu, k, q):
+        scale = 1.0 / (-1.0 / mu)
+        z = -_ppf(1.0 - q, lambda q: special.gammaincinv(k, q) * scale,
+                  0.0 * scale, math.inf * scale,
+                  valid=scale > 0)
         if self.alpha == 1.0:
-            rate = -1.0 / mu
-            return -float(stats.gamma(k, scale=1.0 / rate).ppf(1.0 - q))
+            return z
         # conservative bound via the alpha = 1 envelope of the same mean
-        rate = -1.0 / mu
-        return -float(stats.gamma(k, scale=1.0 / rate).ppf(1.0 - q)) * 2.0
+        return z * 2.0
 
     def sum_log_pdf(self, mus, z):
         mus = [self.check_mean(m) for m in mus]

@@ -422,31 +422,35 @@ def heatmap(
         hi = std_hi
     svals = np.linspace(lo, hi, n)
     mus = np.array([spec.mean_from_std(s) for s in svals])
+    # exchanging the groups preserves a quadrature gap: compute i < j only
+    cells = [(i, j) for i in range(n) for j in range(n)
+             if j > i or (j < i and method != "quadrature")]
+    if mixture is not None and ev.EValueKind.GRO_M in (kind_a, kind_b):
+        # one mixture scores every cell, so it must be certified for each
+        for i, j in cells:
+            mixture.require_problem(spec, [mus[i], mus[j]])
     gap = np.full((n, n), np.nan)
+    np.fill_diagonal(gap, 0.0)
     se = np.zeros((n, n))
     failures = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                gap[i, j] = 0.0
-                continue
-            if j < i and method == "quadrature":
-                gap[i, j] = gap[j, i]  # exchanging the groups preserves the gap
-                continue
-            try:
-                alt = Alternative.from_means(spec, [mus[i], mus[j]])
-                if method == "mc":
-                    gap[i, j], se[i, j] = ev._mc_mean(
-                        spec, alt.mu, mc_n, spawn_generator(seed, i, j),
-                        lambda x: ev._log_statistic(spec, alt, x, kind_a, mixture)
-                        - ev._log_statistic(spec, alt, x, kind_b, mixture),
-                    )
-                else:
-                    ea, eb = (
-                        growth_rate(spec, alt, kind, method=method, mixture=mixture)
-                        for kind in (kind_a, kind_b)
-                    )
-                    gap[i, j] = ea.rate - eb.rate
-            except Exception as exc:  # per-cell failures are data, not fatal
-                failures.append({"i": i, "j": j, "mu1": mus[i], "mu2": mus[j], "error": str(exc)})
+    for i, j in cells:
+        try:
+            alt = Alternative.from_means(spec, [mus[i], mus[j]])
+            if method == "mc":
+                gap[i, j], se[i, j] = ev._mc_mean(
+                    spec, alt.mu, mc_n, spawn_generator(seed, i, j),
+                    lambda x: ev._log_statistic(spec, alt, x, kind_a, mixture)
+                    - ev._log_statistic(spec, alt, x, kind_b, mixture),
+                )
+            else:
+                ea, eb = (
+                    growth_rate(spec, alt, kind, method=method, mixture=mixture)
+                    for kind in (kind_a, kind_b)
+                )
+                gap[i, j] = ea.rate - eb.rate
+        except Exception as exc:  # per-cell failures are data, not fatal
+            failures.append({"i": i, "j": j, "mu1": mus[i], "mu2": mus[j], "error": str(exc)})
+    if method == "quadrature":
+        lower = np.tril_indices(n, -1)
+        gap[lower] = gap.T[lower]
     return HeatmapResult(spec, kind_a, kind_b, svals, mus, gap, se, method, failures)

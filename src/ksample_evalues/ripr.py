@@ -41,14 +41,20 @@ meaningless for any finite mixture that is not the exact RIPr.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _quad
 from . import evariables as ev
-from .expfam import Alternative, ComputationError, FamilySpec, as_generator
+from .expfam import (
+    Alternative,
+    ComputationError,
+    FamilySpec,
+    as_generator,
+    family_from_config,
+)
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,17 @@ class MixtureNull:
     ``components`` is a tuple of (weight, mu0) pairs.  A correct search can
     never certify a value materially below 1: equality holds exactly at the
     RIPr, so ``sup_expectation >= 1 - 1e-6`` is enforced.
+
+    ``config`` names the problem the certificate was computed for, as
+    ``spec.to_config(means)``: family, fixed params and one mean per block
+    coordinate (after any multiplicity expansion).  The searches set it, and
+    ``require_problem`` refuses any other problem.  A mixture built by hand
+    has none and is taken on trust.
     """
 
     components: tuple[tuple[float, float], ...]
     certificate: Optional[Certificate] = None
+    config: Optional[dict] = field(default=None, hash=False)
 
     def __post_init__(self):
         if not self.components:
@@ -115,6 +128,18 @@ class MixtureNull:
 
     def certificate_dict(self) -> dict:
         return self.require_certificate().to_dict()
+
+    def require_problem(self, spec: FamilySpec, means: Sequence[float]) -> None:
+        """Refuse use on a problem other than the one the mixture was
+        certified for, naming both."""
+        if self.config is None:
+            return
+        used = spec.to_config(means)
+        if used != self.config:
+            raise CertificationError(
+                f"mixture was certified for {_describe(self.config)}, but is "
+                f"used on {_describe(used)}"
+            )
 
     @property
     def weights(self) -> np.ndarray:
@@ -146,15 +171,35 @@ class MixtureNull:
         }
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_dict()
+        if self.config is not None:
+            out["config"] = self.config
         return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MixtureNull":
+        """Inverse of ``to_json_dict``; also reads a ``ksev project`` file,
+        whose ``config`` may omit default fixed params and give beta means of
+        the observation (``beta_means``)."""
         comps = tuple((c["w"], c["mu0"]) for c in d["components"])
         cert = None
         if "certificate" in d:
             cert = Certificate(**d["certificate"])
-        return cls(comps, cert)
+        config = None
+        if "config" in d:
+            cfg = d["config"]
+            if not {"family", "mean_params"} <= set(cfg):
+                raise ValueError("mixture config needs 'family' and 'mean_params'")
+            spec = family_from_config(cfg)
+            means = cfg["mean_params"]
+            if cfg.get("beta_means"):
+                means = [spec.mean_from_beta_mean(m) for m in means]
+            config = spec.to_config(means)
+        return cls(comps, cert, config)
+
+
+def _describe(config: dict) -> str:
+    return (f"family {config['family']}, fixed params {config['fixed_params']}, "
+            f"means {config['mean_params']}")
 
 
 def point_mixture(
@@ -172,7 +217,7 @@ def point_mixture(
         spec, alt, [1.0], [mu0], "point", gs["count"], gs["lo"], gs["hi"]
     )
     return MixtureNull(
-        ((1.0, mu0),), sup_cert(sup, argmax, "point", **gs)
+        ((1.0, mu0),), sup_cert(sup, argmax, "point", **gs), spec.to_config(alt.mu)
     )
 
 
@@ -401,7 +446,7 @@ def li_approximate(
             spec, alt, mix.weights, mix.means, "li", cert_count, lo, hi, grid=grid
         )
         cert = sup_cert(sup, argmax, "li", cert_count, lo, hi)
-        return MixtureNull(mix.components, cert), [
+        return MixtureNull(mix.components, cert, spec.to_config(alt.mu)), [
             {"iter": 1, "kl": 0.0, "sup_expectation": sup}
         ]
 
@@ -462,7 +507,7 @@ def li_approximate(
     comps = tuple((w / total, m) for w, m in comps)
     grid.check_edges([w for w, _ in comps], [m for _, m in comps], argmax)
     cert = sup_cert(sup, argmax, "li", cert_count, lo, hi)
-    return MixtureNull(comps, cert), trace
+    return MixtureNull(comps, cert, spec.to_config(alt.mu)), trace
 
 
 def brute_force_two_component(
@@ -546,4 +591,4 @@ def brute_force_two_component(
         comps = ((a, float(comp_mus[i])), (1.0 - a, float(comp_mus[j])))
     grid.check_edges([w for w, _ in comps], [m for _, m in comps], best_arg)
     cert = sup_cert(best_sup, best_arg, "brute_force_2", mu0_count, lo, hi)
-    return MixtureNull(comps, cert)
+    return MixtureNull(comps, cert, spec.to_config(alt.mu))

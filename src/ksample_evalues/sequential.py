@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,17 +75,19 @@ class StreamState:
         self.kind = ev.EValueKind(kind)
         self.alpha = float(alpha)
         self.mixture = mixture
+        self._block_mixture = None
         # fail at construction rather than at the first completed block
         ev._require_mixture(self.kind, mixture)
         if self.kind is ev.EValueKind.GRO_M:
             mixture.require_certificate()
+            # _expand checks the certified problem once per multiplicity
+            # setting; the copy scored per block carries no binding to recheck
+            self._block_mixture = replace(mixture, config=None)
         self.multiplicities = tuple(
             int(m) for m in (multiplicities or [1] * alt.k)
         )
-        if len(self.multiplicities) != alt.k:
-            raise ValueError("need one multiplicity per group")
+        self._flat_alt = self._expand(self.multiplicities)
         self._buffers: list[list[float]] = [[] for _ in range(alt.k)]
-        self._flat_alt: Alternative | None = None
         self.blocks_completed = 0
         self.log_evalue = 0.0
         self.block_log_values: list[float] = []
@@ -94,14 +96,17 @@ class StreamState:
     def k(self) -> int:
         return self.alt.k
 
+    def _expand(self, multiplicities) -> Alternative:
+        """The alternative a block with these multiplicities is scored against;
+        a certified mixture must have been certified for exactly it."""
+        flat = expand_multiplicities(self.spec, self.alt, multiplicities)
+        if self.kind is ev.EValueKind.GRO_M:
+            self.mixture.require_problem(self.spec, flat.mu)
+        return flat
+
     def _evaluate_block(self, block) -> float:
-        if self._flat_alt is None:
-            self._flat_alt = expand_multiplicities(
-                self.spec, self.alt, self.multiplicities
-            )
-        return float(
-            ev._log_statistic(self.spec, self._flat_alt, block, self.kind, self.mixture)
-        )
+        return float(ev._log_statistic(
+            self.spec, self._flat_alt, block, self.kind, self._block_mixture))
 
     def ingest(self, group: int, value: float) -> "StreamState":
         """Append one observation to stream ``group`` (1-based).
@@ -159,12 +164,8 @@ class StreamState:
                 f"multiplicity change refused: pending observations {self.pending()} "
                 "belong to a partially filled block"
             )
-        if len(new) != self.k:
-            raise ValueError("need one multiplicity per group")
-        if any(int(m) != m or m < 1 for m in new):
-            raise ValueError("multiplicities must be positive integers")
+        self._flat_alt = self._expand(new)
         self.multiplicities = tuple(int(m) for m in new)
-        self._flat_alt = None
         return self
 
     def validity_caveat(self) -> Optional[dict]:

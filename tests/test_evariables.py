@@ -138,6 +138,27 @@ class TestGroM:
         with pytest.raises(ValueError, match="projection"):
             ev.log_evalue(spec, alt, [0.7, 0.4], "gro_m")
 
+    def test_mixture_for_another_problem_refused(self):
+        # a mixture certified for exponential (0.5, 0.25), used on poisson
+        # (5, 0.1), once gave log e = 3.42 with the foreign certificate attached
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        mix = ripr.point_mixture(spec, alt, alt.mu0_star)
+        pois = make_family("poisson")
+        palt = Alternative.from_means(pois, [5.0, 0.1])
+        for call in (
+            lambda: ev.log_s_gro_m(pois, palt, [3, 0], mix),
+            lambda: ev.log_evalue(pois, palt, [3, 0], "gro_m", mixture=mix),
+        ):
+            with pytest.raises(ripr.CertificationError) as exc:
+                call()
+            msg = str(exc.value)
+            assert "exponential" in msg and "[0.5, 0.25]" in msg
+            assert "poisson" in msg and "[5.0, 0.1]" in msg
+        other = Alternative.from_means(spec, [0.5, 0.3])
+        with pytest.raises(ripr.CertificationError, match=r"\[0\.5, 0\.3\]"):
+            ev.log_s_gro_m(spec, other, [0.7, 0.4], mix)
+
     def test_bernoulli_mixture_reproduces_gro_iid(self):
         # the equal-mixture statistic is growth-optimal for Bernoulli, so a
         # converged projection reproduces it within its certificate slack

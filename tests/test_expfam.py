@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,3 +389,97 @@ class TestConfig:
         mu = spec.mean_from_beta_mean(0.5)
         assert mu == pytest.approx(-1.0)
         assert spec.beta_mean_from_mean(mu) == pytest.approx(0.5)
+
+
+# Means for the quantile parity check.  The geometric means above 10 have
+# success probability p < 0.09, where scipy's public nbdtrik + nbdtr returns
+# fewer support points at q = 1 - 1e-15 than scipy.stats.nbinom.  The last
+# mean of each non-beta family lies outside the mean space: NaN, as in
+# scipy.stats.
+PARITY_FAMILIES = [
+    ("bernoulli", {}, [0.05, 0.3, 0.5, 0.9, 1.5]),
+    ("gaussian_mean", {"sigma2": 0.7}, [-3.0, 0.0, 0.4, 2.5, math.nan]),
+    ("gaussian_variance", {}, [0.01, 0.5, 1.0, 5.0, -1.0]),
+    ("poisson", {}, [0.01, 0.2, 5.0, 30.0, -1.0]),
+    ("exponential", {}, [0.01, 0.25, 1.0, 4.0, -1.0]),
+    ("geometric", {}, [0.2, 10.0 / 3, 11.0, 20.0, 50.0, 100.0, -0.5]),
+    ("beta_fixed_alpha", {"alpha": 1.0}, [-3.0, -1.0, -0.15]),
+    ("beta_fixed_alpha", {"alpha": 2.0}, [-3.0, -0.5, -0.15]),
+]
+PARITY_QS = [0.0, 1e-15, 1e-9, 0.3, 0.5, 1 - 1e-9, 1 - 1e-15, 1.0]
+
+
+def stats_sum_quantile(spec, mu, k, q):
+    """Oracle: the frozen scipy.stats distribution of the k-fold sum."""
+    fid = spec.family_id
+    if fid == "bernoulli":
+        return stats.binom(k, mu).ppf(q)
+    if fid == "gaussian_mean":
+        return stats.norm(k * mu, math.sqrt(k * spec.sigma2)).ppf(q)
+    if fid == "gaussian_variance":
+        return stats.gamma(0.5 * k, scale=2.0 * mu).ppf(q)
+    if fid == "poisson":
+        return stats.poisson(k * mu).ppf(q)
+    if fid == "exponential":
+        return stats.gamma(k, scale=mu).ppf(q)
+    if fid == "geometric":
+        return stats.nbinom(k, 1.0 / (1.0 + mu)).ppf(q)
+    # negated gamma sum; alpha != 1 doubles the alpha = 1 envelope
+    z = -float(stats.gamma(k, scale=1.0 / (-1.0 / mu)).ppf(1.0 - q))
+    return z if spec.alpha == 1.0 else z * 2.0
+
+
+def stats_quantile(spec, mu, q):
+    """Oracle: the frozen scipy.stats distribution of one observation."""
+    fid = spec.family_id
+    if fid == "gaussian_mean":
+        return stats.norm(mu, math.sqrt(spec.sigma2)).ppf(q)
+    if fid == "gaussian_variance":
+        return stats.gamma(0.5, scale=2.0 * mu).ppf(q)
+    if fid == "poisson":
+        return stats.poisson(mu).ppf(q)
+    if fid == "exponential":
+        return stats.expon(scale=mu).ppf(q)
+    if fid == "geometric":
+        return stats.nbinom(1, 1.0 / (1.0 + mu)).ppf(q)
+    return np.log(stats.beta(spec.natural_from_mean(mu), spec.alpha).ppf(q))
+
+
+def same_float(a, b):
+    return type(a) is float and (a == b or (math.isnan(a) and math.isnan(b))) and (
+        math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+class TestQuantileParity:
+    @pytest.mark.parametrize(
+        "name,fixed,mus", PARITY_FAMILIES,
+        ids=[f"{n}{fx.get('alpha', '')}" for n, fx, _ in PARITY_FAMILIES],
+    )
+    def test_bitwise_equal_to_scipy_stats(self, name, fixed, mus):
+        spec = make_family(name, **fixed)
+        bad = []
+        with np.errstate(divide="ignore"):  # log of the beta quantile at q = 0
+            for mu in mus:
+                for q in PARITY_QS:
+                    # bernoulli's single-observation quantile is a closed form
+                    if name != "bernoulli":
+                        got, want = spec.quantile(mu, q), float(stats_quantile(spec, mu, q))
+                        if not same_float(got, want):
+                            bad.append(("quantile", mu, q, got, want))
+                    for k in range(1, 9):
+                        got = spec.sum_quantile(mu, k, q)
+                        want = float(stats_sum_quantile(spec, mu, k, q))
+                        if not same_float(got, want):
+                            bad.append(("sum_quantile", mu, k, q, got, want))
+        assert not bad
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs ~0.8 s to import; quantiles come from scipy.special
+    code = ("import sys, ksample_evalues, ksample_evalues.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

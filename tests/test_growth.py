@@ -199,6 +199,19 @@ class TestHeatmap:
         assert np.allclose(deltas, -deltas[::-1])
         assert np.allclose(vals, vals[::-1], atol=1e-8)
 
+    @pytest.mark.parametrize("method", ["quadrature", "mc"])
+    def test_foreign_mixture_refused_before_any_cell(self, method):
+        # a 3x3 poisson heatmap once applied an exponential (0.5, 0.25)
+        # mixture to every cell with no failure
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        mix = ripr.point_mixture(spec, alt, alt.mu0_star)
+        with pytest.raises(ripr.CertificationError) as exc:
+            gr.heatmap(make_family("poisson"), ("gro_m", "cond"), n=3,
+                       method=method, mc_n=100, mixture=mix)
+        msg = str(exc.value)
+        assert "exponential" in msg and "[0.5, 0.25]" in msg and "poisson" in msg
+
     def test_cell_failures_recorded_not_fatal(self):
         # a grid touching the boundary of the mean space fails cell-wise
         spec = make_family("geometric")

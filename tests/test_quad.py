@@ -1,0 +1,57 @@
+import mpmath
+import numpy as np
+import pytest
+
+from ksample_evalues import _quad
+
+
+def legendre_reference(n, x0, dps=40):
+    """Gauss-Legendre node near x0 and its weight, by Newton's method on the
+    three-term recurrence at ``dps`` significant digits."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(float(x0))
+
+        def p_and_dp(x):
+            p0, p1 = mpmath.mpf(1), x
+            for m in range(2, n + 1):
+                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+            return p1, n * (x * p1 - p0) / (x * x - 1)
+
+        for _ in range(50):
+            p, dp = p_and_dp(x)
+            step = p / dp
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** (5 - dps):
+                break
+        p, dp = p_and_dp(x)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+class TestLegendreNodes:
+    @pytest.mark.parametrize("n", [5, 64, 2048, 4096])
+    def test_against_high_precision_reference(self, n):
+        x, w = _quad._leggauss(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0)
+        assert w.sum() == pytest.approx(2.0, abs=1e-13)
+        for i in sorted({0, 1, n // 4, n // 2, n - 2, n - 1}):
+            xr, wr = legendre_reference(n, x[i])
+            assert abs(float(x[i] - xr)) <= 2e-16, i
+            assert abs(float((w[i] - wr) / wr)) <= 5e-7, i
+
+    @pytest.mark.parametrize("n", [5, 64, 2048, 4096])
+    def test_matches_numpy_leggauss(self, n):
+        x, w = _quad._leggauss(n)
+        xn, wn = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - xn)) <= 1e-15
+        assert np.max(np.abs(w - wn)) <= 1e-12
+
+    def test_cached_arrays_are_read_only(self):
+        x, w = _quad._leggauss(7)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        x2, w2 = _quad._leggauss(7)
+        assert x2 is x and w2 is w
+        assert w.sum() == pytest.approx(2.0, abs=1e-15)

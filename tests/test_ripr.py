@@ -32,9 +32,50 @@ class TestMixtureNullValidation:
 
     def test_json_roundtrip(self):
         cert = ripr.Certificate(1.0005, 1000, 0.1, 1.0, "brute_force_2", 0.4)
-        mix = ripr.MixtureNull(((0.6, 0.3), (0.4, 0.45)), cert)
-        back = ripr.MixtureNull.from_json_dict(mix.to_json_dict())
-        assert back == mix
+        problem = {"family": "exponential", "fixed_params": {},
+                   "mean_params": [0.5, 0.25]}
+        for config in (None, problem):
+            mix = ripr.MixtureNull(((0.6, 0.3), (0.4, 0.45)), cert, config)
+            back = ripr.MixtureNull.from_json_dict(mix.to_json_dict())
+            assert back == mix
+            assert back.config == config
+
+
+class TestProblemBinding:
+    def test_searches_bind_their_problem(self, expo):
+        spec, alt = expo
+        want = {"family": "exponential", "fixed_params": {}, "mean_params": [0.5, 0.25]}
+        li, _ = ripr.li_approximate(spec, alt, max_iters=2, n_z=400)
+        brute = ripr.brute_force_two_component(
+            spec, alt, n_alpha=5, mu_count=6, mu0_count=40, n_z=400)
+        point = ripr.point_mixture(spec, alt, alt.mu0_star)
+        for mix in (li, brute, point):
+            assert mix.config == want
+            mix.require_problem(spec, alt.mu)
+
+    def test_refusal_names_both_problems(self, expo):
+        spec, alt = expo
+        mix = ripr.point_mixture(spec, alt, alt.mu0_star)
+        with pytest.raises(ripr.CertificationError) as exc:
+            mix.require_problem(make_family("poisson"), [5.0, 0.1])
+        msg = str(exc.value)
+        assert "exponential" in msg and "[0.5, 0.25]" in msg
+        assert "poisson" in msg and "[5.0, 0.1]" in msg
+        with pytest.raises(ripr.CertificationError, match=r"\[0\.5, 0\.5, 0\.25\]"):
+            mix.require_problem(spec, [0.5, 0.5, 0.25])
+
+    def test_project_file_config_is_resolved(self):
+        # a 'ksev project' file may omit default fixed params and give beta
+        # means of the observation
+        cert = ripr.Certificate(1.0, 100, -2.0, -0.1, "li", -1.0)
+        payload = ripr.MixtureNull(((1.0, -1.0),), cert).to_json_dict()
+        payload["config"] = {"family": "beta", "mean_params": [0.5, 0.25],
+                             "beta_means": True}
+        mix = ripr.MixtureNull.from_json_dict(payload)
+        spec = make_family("beta_fixed_alpha")
+        means = [spec.mean_from_beta_mean(m) for m in (0.5, 0.25)]
+        assert mix.config == spec.to_config(means)
+        mix.require_problem(spec, means)
 
 
 class TestWorstCaseExpectation:

@@ -170,6 +170,24 @@ class TestGroMSequential:
         with pytest.raises(ripr.CertificationError):
             sq.StreamState(spec, alt, "gro_m", 0.05, mixture=raw)
 
+    def test_mixture_for_another_problem_refused(self):
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        mix = ripr.point_mixture(spec, alt, alt.mu0_star)
+        pois = make_family("poisson")
+        with pytest.raises(ripr.CertificationError, match="poisson"):
+            sq.StreamState(pois, Alternative.from_means(pois, [5.0, 0.1]), "gro_m",
+                           0.05, mixture=mix)
+        # the certified problem is the alternative after multiplicity expansion
+        with pytest.raises(ripr.CertificationError, match=r"\[0\.5, 0\.5, 0\.25\]"):
+            sq.StreamState(spec, alt, "gro_m", 0.05, [2, 1], mixture=mix)
+        st = sq.StreamState(spec, alt, "gro_m", 0.05, mixture=mix)
+        with pytest.raises(ripr.CertificationError):
+            st.set_multiplicities([2, 1])
+        assert st.multiplicities == (1, 1)
+        st.ingest(1, 0.7).ingest(2, 0.4)
+        assert st.blocks_completed == 1
+
     def test_validity_caveat_accumulates(self):
         spec = make_family("exponential")
         alt = Alternative.from_means(spec, [0.5, 0.25])
