@@ -9,12 +9,15 @@ consideration.  Tails are chosen far smaller than any tolerance used upstream.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special
 
-from .expfam import FamilySpec
+if TYPE_CHECKING:  # expfam imports this module
+    from .expfam import FamilySpec
 
 TAIL = 1e-15
 
@@ -39,6 +42,20 @@ def _gl(lo: float, hi: float, n: int):
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     return mid + half * x, half * w
+
+
+def sin2_nodes(z, n: int):
+    """Nodes and weights for integrals from 0 to each z in ``z``.
+
+    The map x = z sin^2(theta), with theta on n Gauss-Legendre nodes over
+    (0, pi/2), absorbs integrable endpoint singularities such as x^(-1/2).
+    Returns x and weights, each of shape (len(z), n), with
+    sum(w * f(x), axis=1) the integral of f over the interval between 0 and z.
+    """
+    theta, w = _gl(0.0, 0.5 * math.pi, n)
+    s, c = np.sin(theta), np.cos(theta)
+    z = np.asarray(z, dtype=float)[:, None]
+    return z * s**2, 2.0 * np.abs(z) * (s * c * w)
 
 
 def support_nodes(spec: FamilySpec, mus, n: int = 2048, tail: float = TAIL):

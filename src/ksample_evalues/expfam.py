@@ -62,6 +62,8 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg, special
 
+from . import _quad
+
 try:  # the inverse CDFs that scipy.stats' beta, binom and nbinom call
     from scipy.special._ufuncs import _beta_ppf, _binom_ppf, _nbinom_ppf
 except ImportError:  # older scipy kept them under scipy.stats
@@ -973,18 +975,12 @@ def _convolve_log_pdf(spec: FamilySpec, mus: np.ndarray, z) -> np.ndarray:
     free-variance family).  Recursion handles k > 2.
     """
     z = np.asarray(z, dtype=float)
-    theta, w = np.polynomial.legendre.leggauss(160)
-    theta = 0.25 * math.pi * (theta + 1.0)
-    w = w * 0.25 * math.pi
-    s2 = np.sin(theta) ** 2
-    sc = np.sin(theta) * np.cos(theta) * w
 
     def rec(ms, zz):
         if len(ms) == 1:
             return np.exp(spec.log_pdf(ms[0], zz))
-        x1 = zz[:, None] * s2
+        x1, jac = _quad.sin2_nodes(zz, 160)
         x2 = zz[:, None] - x1
-        jac = 2.0 * np.abs(zz)[:, None] * sc
         f1 = np.exp(spec.log_pdf(ms[0], x1.ravel()).reshape(x1.shape))
         rest = rec(ms[1:], x2.ravel()).reshape(x2.shape)
         return np.sum(f1 * rest * jac, axis=-1)

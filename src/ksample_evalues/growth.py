@@ -150,6 +150,7 @@ def growth_rate(
         else:
             from . import ripr
 
+            mixture.require_problem(spec, alt.mu)
             rate = ripr.kl_to_mixture(spec, alt, mixture, method="quadrature").value
         return GrowthEntry(kind, float(rate), 0.0, method)
     if method == "mc":
@@ -286,16 +287,12 @@ def _cond_second_moment(spec, mu0, k, z, log_gz, n_inner):
         return num / np.exp(log_gz)
 
     fid = spec.support
-    theta, w = np.polynomial.legendre.leggauss(n_inner)
     if np.isfinite(fid.lo) or np.isfinite(fid.hi):
         # half-line support: x = z sin^2(theta) soaks up endpoint singularities
-        th = 0.25 * math.pi * (theta + 1.0)
-        wt = w * 0.25 * math.pi
-        s2 = np.sin(th) ** 2
-        x = z[:, None] * s2[None, :]
-        jac = 2.0 * np.abs(z)[:, None] * (np.sin(th) * np.cos(th) * wt)[None, :]
+        x, jac = _quad.sin2_nodes(z, n_inner)
     else:
         # real line: the conditional law concentrates near z/k
+        theta, w = _quad._leggauss(n_inner)
         sd = math.sqrt(spec.variance(mu0))
         half = 10.0 * sd
         x = z[:, None] / k + half * theta[None, :]

@@ -212,13 +212,7 @@ def point_mixture(
 ) -> MixtureNull:
     """Single-component mixture at mu0, certified on the default grid."""
     mu0 = spec.check_mean(mu0)
-    gs = _grid_spec(spec, alt, count=count, lo=lo, hi=hi)
-    sup, argmax = _certify(
-        spec, alt, [1.0], [mu0], "point", gs["count"], gs["lo"], gs["hi"]
-    )
-    return MixtureNull(
-        ((1.0, mu0),), sup_cert(sup, argmax, "point", **gs), spec.to_config(alt.mu)
-    )
+    return _certify(_SumGrid(spec, alt, count, lo, hi), [1.0], [mu0], "point")
 
 
 def default_search_range(spec: FamilySpec, alt: Alternative) -> tuple[float, float]:
@@ -243,31 +237,40 @@ def default_search_range(spec: FamilySpec, alt: Alternative) -> tuple[float, flo
     return 0.5 * lo, 2.0 * hi
 
 
-def _grid_spec(spec, alt, count=1000, lo=None, hi=None):
-    if lo is None or hi is None:
-        dlo, dhi = default_search_range(spec, alt)
-        lo = dlo if lo is None else lo
-        hi = dhi if hi is None else hi
-    return {"count": int(count), "lo": float(lo), "hi": float(hi)}
-
-
-def sup_cert(sup, argmax, method, count, lo, hi) -> Certificate:
-    return Certificate(float(sup), count, lo, hi, method, float(argmax))
+# Li's search stops once its certificate is this close to 1; for families
+# whose projection is a single point that happens at the first step.
+_STOP_SUP = 1.0 + 1e-6
+# The brute force ranks every candidate on every _COARSE_STRIDE-th
+# certification point, then re-certifies the best _REFINE_TOP on all of them.
+_COARSE_STRIDE = 4
+_REFINE_TOP = 500
 
 
 class _SumGrid:
-    """Fixed z grid carrying the alternative's weighted sum density.
+    """The two grids of one problem: sums z and certification null means.
 
     ``wm`` is quadrature-weight times the alternative's sum density, masked to
     nodes that carry mass; every null expectation and KL against a mixture is
-    a weighted sum over these nodes.
+    a weighted sum over these nodes.  ``mu0s`` holds ``count`` equally spaced
+    null means over [lo, hi], each end defaulting to ``default_search_range``.
+    The z grid resolves the alternative, both ends and any ``envelope`` means.
     """
 
-    def __init__(self, spec: FamilySpec, alt: Alternative, mus_envelope, n_z: int):
+    def __init__(self, spec: FamilySpec, alt: Alternative, count: int = 1000,
+                 lo: float | None = None, hi: float | None = None,
+                 n_z: int = 3000, envelope: Sequence[float] = ()):
+        if lo is None or hi is None:
+            dlo, dhi = default_search_range(spec, alt)
+            lo = dlo if lo is None else lo
+            hi = dhi if hi is None else hi
         self.spec = spec
         self.alt = alt
         self.k = alt.k
-        z, w = _quad.sum_nodes(spec, mus_envelope, alt.k, n=n_z)
+        self.lo, self.hi = float(lo), float(hi)
+        self.mu0s = np.linspace(self.lo, self.hi, int(count))
+        z, w = _quad.sum_nodes(
+            spec, list(alt.mu) + [self.lo, self.hi] + list(envelope), alt.k, n=n_z
+        )
         log_m = spec.sum_log_pdf(list(alt.mu), z)
         wm = w * np.exp(log_m)
         keep = wm > wm.max() * 1e-280
@@ -276,26 +279,45 @@ class _SumGrid:
         lams, las = spec._natural_params(alt.mu)
         # E_alt[log p_alt(X^k)] w.r.t. the base measure
         self.alt_self_term = float(np.sum(lams * np.array(alt.mu) - las))
+        self._cert_rows = None
 
     def tilt_rows(self, mu0s) -> np.ndarray:
         """Rows of exp(lam0 * z - k * A(lam0)) for each null mean."""
         lam, la = self.spec._natural_params(np.atleast_1d(np.asarray(mu0s, dtype=float)))
         return np.exp(lam[:, None] * self.z[None, :] - self.k * la[:, None])
 
+    def cert_rows(self) -> np.ndarray:
+        """``tilt_rows(mu0s) * wm``, built once: row i dotted with 1/d is the
+        null expectation at mu0s[i] of the ratio against mixture density d."""
+        if self._cert_rows is None:
+            self._cert_rows = self.tilt_rows(self.mu0s) * self.wm[None, :]
+        return self._cert_rows
+
+    def mixture(self, ws, mus) -> np.ndarray:
+        """Density on the z grid of the mixture (ws, mus) of i.i.d. nulls."""
+        return self.tilt_rows(mus).T @ np.asarray(ws, dtype=float)
+
     def expectations(self, ws, mus, mu0s) -> np.ndarray:
         """E under each i.i.d. null of the ratio against mixture (ws, mus)."""
-        d = self.tilt_rows(mus).T @ np.asarray(ws, dtype=float)
-        return self.tilt_rows(mu0s) @ (self.wm / d)
+        return self.tilt_rows(mu0s) @ (self.wm / self.mixture(ws, mus))
 
-    def kl_to(self, ws, mus) -> float:
-        """D(alt || mixture), collapsing to the z grid."""
-        d = self.tilt_rows(mus).T @ np.asarray(ws, dtype=float)
-        return self.alt_self_term - float(self.wm @ np.log(np.maximum(d, 1e-300)))
+    def kl(self, d):
+        """D(alt || mixture) for mixture density d on the z grid (one value
+        per row when d is two-dimensional)."""
+        return self.alt_self_term - np.log(np.maximum(d, 1e-300)) @ self.wm
+
+    def sup(self, d) -> tuple[float, float]:
+        """Largest null expectation on ``mu0s`` of the ratio against mixture
+        density d, and the null mean attaining it."""
+        return self._at_max(self.cert_rows() @ (1.0 / d))
+
+    def _at_max(self, vals) -> tuple[float, float]:
+        i = int(np.argmax(vals))
+        return float(vals[i]), float(self.mu0s[i])
 
     def check_edges(self, ws, mus, mu0) -> None:
         t = self.tilt_rows([mu0])[0]
-        d = self.tilt_rows(mus).T @ np.asarray(ws, dtype=float)
-        integrand = t * self.wm / d
+        integrand = t * self.wm / self.mixture(ws, mus)
         total = integrand.sum()
         if total <= 0 or not np.isfinite(total):
             raise ComputationError(
@@ -309,21 +331,26 @@ class _SumGrid:
                     f"edge mass fraction {edge / total:.2e}"
                 )
 
+    def worst(self, ws, mus, d=None) -> tuple[float, float]:
+        """``sup`` for the mixture (ws, mus), with the quadrature checked at
+        the maximizing null mean.  A search passes the density d it holds;
+        otherwise the expectations come from (ws, mus) directly."""
+        if d is None:
+            sup, argmax = self._at_max(self.expectations(ws, mus, self.mu0s))
+        else:
+            sup, argmax = self.sup(d)
+        self.check_edges(ws, mus, argmax)
+        return sup, argmax
 
-def _build_grid(spec, alt, lo, hi, n_z=3000) -> _SumGrid:
-    envelope = list(alt.mu) + [lo, hi]
-    return _SumGrid(spec, alt, envelope, n_z)
 
-
-def _certify(spec, alt, ws, mus, method, count=1000, lo=None, hi=None, grid=None):
-    gs = _grid_spec(spec, alt, count=count, lo=lo, hi=hi)
-    if grid is None:
-        grid = _build_grid(spec, alt, gs["lo"], gs["hi"])
-    mu0s = np.linspace(gs["lo"], gs["hi"], gs["count"])
-    vals = grid.expectations(ws, mus, mu0s)
-    i = int(np.argmax(vals))
-    grid.check_edges(ws, mus, mu0s[i])
-    return float(vals[i]), float(mu0s[i])
+def _certify(grid: _SumGrid, ws, mus, method: str, d=None) -> MixtureNull:
+    """The mixture (ws, mus) with its certificate on ``grid``, bound to the
+    grid's problem."""
+    sup, argmax = grid.worst(ws, mus, d)
+    cert = Certificate(sup, grid.mu0s.size, grid.lo, grid.hi, method, argmax)
+    return MixtureNull(
+        tuple(zip(ws, mus)), cert, grid.spec.to_config(grid.alt.mu)
+    )
 
 
 def worst_case_expectation(
@@ -339,11 +366,12 @@ def worst_case_expectation(
 
     The grid defaults to 1000 equally spaced points over
     ``default_search_range``.  Quadrature non-convergence at the maximizing
-    point raises ComputationError naming that point.
+    point raises ComputationError naming that point.  On a certificate's own
+    grid (``mu0_grid_size``, ``mu0_lo``, ``mu0_hi``) this reproduces the
+    certified value.
     """
-    sup, argmax = _certify(
-        spec, alt, mixture.weights, mixture.means, "profile", count, lo, hi
-    )
+    grid = _SumGrid(spec, alt, count, lo, hi)
+    sup, argmax = grid.worst(mixture.weights, mixture.means)
     return (sup, argmax) if return_argmax else sup
 
 
@@ -356,10 +384,8 @@ def expectation_profile(
     hi: float | None = None,
 ):
     """The full curve mu0 -> E_null(mu0)[ratio] on the certification grid."""
-    gs = _grid_spec(spec, alt, count=count, lo=lo, hi=hi)
-    grid = _build_grid(spec, alt, gs["lo"], gs["hi"])
-    mu0s = np.linspace(gs["lo"], gs["hi"], gs["count"])
-    return mu0s, grid.expectations(mixture.weights, mixture.means, mu0s)
+    grid = _SumGrid(spec, alt, count, lo, hi)
+    return grid.mu0s, grid.expectations(mixture.weights, mixture.means, grid.mu0s)
 
 
 @dataclass(frozen=True)
@@ -382,11 +408,9 @@ def kl_to_mixture(
 ) -> KLEstimate:
     """D(alternative || mixture), by z-grid quadrature or Monte Carlo."""
     if method == "quadrature":
-        lo, hi = default_search_range(spec, alt)
-        grid = _build_grid(
-            spec, alt, min(lo, mixture.means.min()), max(hi, mixture.means.max())
-        )
-        return KLEstimate(grid.kl_to(mixture.weights, mixture.means), 0.0, method)
+        grid = _SumGrid(spec, alt, envelope=mixture.means)
+        value = grid.kl(grid.mixture(mixture.weights, mixture.means))
+        return KLEstimate(float(value), 0.0, method)
     if method == "mc":
         value, stderr = ev._mc_mean(
             spec, alt.mu, mc_n, as_generator(seed),
@@ -424,7 +448,6 @@ def li_approximate(
     mu_hi: float | None = None,
     cert_count: int = 1000,
     n_z: int = 3000,
-    stop_sup: float = 1.0 + 1e-6,
 ) -> tuple[MixtureNull, list[dict]]:
     """Greedy mixture growth toward the reverse information projection.
 
@@ -433,57 +456,30 @@ def li_approximate(
     grid times a candidate-mean grid.  Keeping a = 1 is always available, so
     the KL trace is nonincreasing.  The trace records, per iteration, the KL
     divergence and the worst-case null expectation of the current ratio.
-    Iteration stops early once the certificate is within ``stop_sup`` (for
+    Iteration stops early once the certificate is within 1e-6 of 1 (for
     families whose projection is a single point this happens immediately).
     """
-    gs = _grid_spec(spec, alt, count=cert_count, lo=mu_lo, hi=mu_hi)
-    lo, hi = gs["lo"], gs["hi"]
-
-    if alt.delta == 0.0:
-        mix = MixtureNull(((1.0, alt.mu0_star),))
-        grid = _build_grid(spec, alt, min(lo, alt.mu0_star), max(hi, alt.mu0_star), n_z)
-        sup, argmax = _certify(
-            spec, alt, mix.weights, mix.means, "li", cert_count, lo, hi, grid=grid
-        )
-        cert = sup_cert(sup, argmax, "li", cert_count, lo, hi)
-        return MixtureNull(mix.components, cert, spec.to_config(alt.mu)), [
-            {"iter": 1, "kl": 0.0, "sup_expectation": sup}
-        ]
-
-    grid = _build_grid(spec, alt, lo, hi, n_z)
-    cand_mus = np.linspace(lo, hi, mu_count)
+    grid = _SumGrid(spec, alt, cert_count, mu_lo, mu_hi, n_z,
+                    envelope=[alt.mu0_star])
+    cand_mus = np.linspace(grid.lo, grid.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
-    cert_mu0s = np.linspace(lo, hi, cert_count)
-
     u = grid.tilt_rows(cand_mus)  # (mu_count, n_z)
-    cert_t = grid.tilt_rows(cert_mu0s) * grid.wm[None, :]
-
-    def kl_of(d):
-        return grid.alt_self_term - float(
-            grid.wm @ np.log(np.maximum(d, 1e-300))
-        )
-
-    def sup_of(d):
-        vals = cert_t @ (1.0 / d)
-        i = int(np.argmax(vals))
-        return float(vals[i]), float(cert_mu0s[i])
 
     # first component: the single-point projection has the closed-form
     # minimizer at the pooled mean, no grid search needed
     weights = {float(alt.mu0_star): 1.0}
     d_cur = grid.tilt_rows([alt.mu0_star])[0].copy()
-    trace = []
-    kl_cur = kl_of(d_cur)
-    sup, argmax = sup_of(d_cur)
-    trace.append({"iter": 1, "kl": kl_cur, "sup_expectation": sup})
+    # at delta = 0 the pooled mean is the alternative itself
+    kl_cur = float(grid.kl(d_cur)) if alt.delta else 0.0
+    sup, _ = grid.sup(d_cur)
+    trace = [{"iter": 1, "kl": kl_cur, "sup_expectation": sup}]
 
     for it in range(2, max_iters + 1):
-        if sup <= stop_sup:
+        if sup <= _STOP_SUP:
             break
         best = (np.inf, None, None)
         for a in alphas:
-            d_try = a * d_cur[None, :] + (1.0 - a) * u
-            obj = grid.alt_self_term - np.log(np.maximum(d_try, 1e-300)) @ grid.wm
+            obj = grid.kl(a * d_cur[None, :] + (1.0 - a) * u)
             j = int(np.argmin(obj))
             if obj[j] < best[0]:
                 best = (float(obj[j]), a, j)
@@ -497,17 +493,13 @@ def li_approximate(
         weights[mu_new] = weights.get(mu_new, 0.0) + (1.0 - a)
         d_cur = a * d_cur + (1.0 - a) * u[j]
         kl_cur = kl_new
-        sup, argmax = sup_of(d_cur)
+        sup, _ = grid.sup(d_cur)
         trace.append({"iter": it, "kl": kl_cur, "sup_expectation": sup})
 
-    comps = tuple(
-        sorted(((w, mu) for mu, w in weights.items() if w > 0), key=lambda t: -t[0])
-    )
+    comps = sorted(((w, mu) for mu, w in weights.items() if w > 0), key=lambda t: -t[0])
     total = sum(w for w, _ in comps)
-    comps = tuple((w / total, m) for w, m in comps)
-    grid.check_edges([w for w, _ in comps], [m for _, m in comps], argmax)
-    cert = sup_cert(sup, argmax, "li", cert_count, lo, hi)
-    return MixtureNull(comps, cert, spec.to_config(alt.mu)), trace
+    ws = [w / total for w, _ in comps]
+    return _certify(grid, ws, [m for _, m in comps], "li", d_cur), trace
 
 
 def brute_force_two_component(
@@ -519,30 +511,21 @@ def brute_force_two_component(
     mu_hi: float | None = None,
     mu0_count: int = 1000,
     n_z: int = 3000,
-    coarse_stride: int = 4,
-    refine_top: int = 500,
 ) -> MixtureNull:
     """Exhaustive two-component search minimizing the worst-case expectation.
 
     Candidates are (weight a, mu01, mu02) on equally spaced grids; the
     objective is the maximum over the certification grid of the null
     expectation of the induced ratio.  A coarse certification pass (every
-    ``coarse_stride``-th point) ranks all candidates; the best ``refine_top``
-    are re-certified on the full grid and the winner is returned with its
-    certificate.
+    fourth point) ranks all candidates; the best 500 are re-certified on the
+    full grid and the winner is returned with its certificate.
     """
-    gs = _grid_spec(spec, alt, count=mu0_count, lo=mu_lo, hi=mu_hi)
-    lo, hi = gs["lo"], gs["hi"]
-    grid = _build_grid(spec, alt, lo, hi, n_z)
-
-    comp_mus = np.linspace(lo, hi, mu_count)
+    grid = _SumGrid(spec, alt, mu0_count, mu_lo, mu_hi, n_z)
+    comp_mus = np.linspace(grid.lo, grid.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
-    cert_mu0s = np.linspace(lo, hi, mu0_count)
-    coarse = cert_mu0s[::coarse_stride]
 
     u = grid.tilt_rows(comp_mus)  # (mu_count, n_z)
-    t_coarse = (grid.tilt_rows(coarse) * grid.wm[None, :]).T  # (n_z, n_coarse)
-    t_full = (grid.tilt_rows(cert_mu0s) * grid.wm[None, :]).T
+    t_coarse = grid.cert_rows()[::_COARSE_STRIDE].T  # (n_z, n_coarse)
 
     pairs = [(i, j) for i in range(mu_count) for j in range(i + 1, mu_count)]
     top: list[tuple[float, float, int, int]] = []
@@ -566,29 +549,15 @@ def brute_force_two_component(
             top.append((float(sup[bi, ai]), float(alphas[ai]), i, j))
 
     top.sort(key=lambda t: t[0])
-    top = top[: refine_top]
 
-    best_sup, best_cand, best_arg = np.inf, None, None
-    for _, a, i, j in top:
-        if i == j:
-            ws, mus = np.array([1.0]), np.array([comp_mus[i]])
-        else:
-            ws = np.array([a, 1.0 - a])
-            mus = np.array([comp_mus[i], comp_mus[j]])
-        d = grid.tilt_rows(mus).T @ ws
-        vals = (1.0 / d) @ t_full
-        mi = int(np.argmax(vals))
-        if vals[mi] < best_sup:
-            best_sup = float(vals[mi])
-            best_cand = (a, i, j)
-            best_arg = float(cert_mu0s[mi])
+    def components(a, i, j):
+        # a weight of 0 or 1 leaves a single component
+        if i == j or a in (0.0, 1.0):
+            return [1.0], [float(comp_mus[i if (i == j or a == 1.0) else j])]
+        return [a, 1.0 - a], [float(comp_mus[i]), float(comp_mus[j])]
 
-    a, i, j = best_cand
-    if i == j or a in (0.0, 1.0):
-        keep = i if (i == j or a == 1.0) else j
-        comps = ((1.0, float(comp_mus[keep])),)
-    else:
-        comps = ((a, float(comp_mus[i])), (1.0 - a, float(comp_mus[j])))
-    grid.check_edges([w for w, _ in comps], [m for _, m in comps], best_arg)
-    cert = sup_cert(best_sup, best_arg, "brute_force_2", mu0_count, lo, hi)
-    return MixtureNull(comps, cert, spec.to_config(alt.mu))
+    ws, mus = min(
+        (components(a, i, j) for _, a, i, j in top[:_REFINE_TOP]),
+        key=lambda c: grid.sup(grid.mixture(*c))[0],
+    )
+    return _certify(grid, ws, mus, "brute_force_2", grid.mixture(ws, mus))

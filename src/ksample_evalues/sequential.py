@@ -184,60 +184,6 @@ class StreamState:
         }
 
 
-class FixedHorizonPolicy:
-    """Stop after exactly n blocks."""
-
-    name = "fixed"
-
-    def __init__(self, horizon: int):
-        self.horizon = int(horizon)
-
-    def should_stop(self, block_log_values: Sequence[float], alpha: float) -> bool:
-        return len(block_log_values) >= self.horizon
-
-
-class ThresholdCrossingPolicy:
-    """Stop at the first threshold crossing, else at the block budget.
-
-    The aggressive optional-stopping policy: it hunts for a rejection.
-    """
-
-    name = "threshold"
-
-    def __init__(self, max_blocks: int):
-        self.max_blocks = int(max_blocks)
-
-    def should_stop(self, block_log_values: Sequence[float], alpha: float) -> bool:
-        if len(block_log_values) >= self.max_blocks:
-            return True
-        return float(np.sum(block_log_values)) >= -math.log(alpha)
-
-
-class RandomBudgetPolicy:
-    """Stop when a pre-drawn budget of blocks is exhausted."""
-
-    name = "budget"
-
-    def __init__(self, budget: int):
-        self.budget = int(budget)
-
-    def should_stop(self, block_log_values: Sequence[float], alpha: float) -> bool:
-        return len(block_log_values) >= self.budget
-
-
-def make_policy(name: str, max_blocks: int, rng=None):
-    name = name.strip().lower()
-    if name == "fixed":
-        return FixedHorizonPolicy(max_blocks)
-    if name == "threshold":
-        return ThresholdCrossingPolicy(max_blocks)
-    if name == "budget":
-        if rng is None:
-            raise ValueError("budget policy needs an rng to draw the budget")
-        return RandomBudgetPolicy(int(rng.integers(1, max_blocks + 1)))
-    raise ValueError(f"unknown policy '{name}'; use fixed, threshold or budget")
-
-
 @dataclass(frozen=True)
 class SimulationSummary:
     trials: int

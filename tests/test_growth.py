@@ -54,6 +54,19 @@ class TestGrowthRates:
         got = gr.growth_rate(spec, alt, "gro_m", mixture=mix).rate
         assert got == pytest.approx(gr.growth_pseudo(spec, alt), abs=1e-10)
 
+    def test_gro_m_quadrature_refuses_foreign_mixture(self):
+        # an exponential (0.5, 0.25) point mixture on poisson (5, 0.1) once
+        # gave rate 8.469 with no error
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        mix = ripr.point_mixture(spec, alt, alt.mu0_star)
+        poisson = make_family("poisson")
+        other = Alternative.from_means(poisson, [5.0, 0.1])
+        with pytest.raises(ripr.CertificationError) as exc:
+            gr.growth_rate(poisson, other, "gro_m", mixture=mix)
+        msg = str(exc.value)
+        assert "exponential" in msg and "poisson" in msg and "[5.0, 0.1]" in msg
+
     def test_report_gaps_are_exact_rate_differences(self):
         spec = make_family("geometric")
         alt = Alternative.from_means(spec, [10.0 / 3, 1.25])

@@ -1,8 +1,11 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from ksample_evalues import _quad
+from ksample_evalues import _quad, make_family
+from ksample_evalues import growth as gr
 
 
 def legendre_reference(n, x0, dps=40):
@@ -55,3 +58,26 @@ class TestLegendreNodes:
         x2, w2 = _quad._leggauss(7)
         assert x2 is x and w2 is w
         assert w.sum() == pytest.approx(2.0, abs=1e-15)
+
+
+class TestSin2Nodes:
+    @pytest.mark.parametrize("z", [0.3, 7.0, -2.5])
+    def test_absorbs_inverse_square_root_endpoint(self, z):
+        # the integral of |x|^(-1/2) between 0 and z is 2 sqrt(|z|)
+        x, w = _quad.sin2_nodes([z], 160)
+        assert x.shape == w.shape == (1, 160)
+        assert np.all(np.abs(x) < abs(z)) and np.all(x * z > 0)
+        got = np.sum(w / np.sqrt(np.abs(x)), axis=1)[0]
+        assert got == pytest.approx(2.0 * math.sqrt(abs(z)), rel=1e-14)
+
+    def test_callers_use_cached_nodes(self, monkeypatch):
+        # the beta alpha != 1 convolution and the conditional second moment
+        # take nodes from the cache, never from numpy's per-call build
+        def refuse(n):
+            raise AssertionError("numpy leggauss called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        beta = make_family("beta_fixed_alpha", alpha=2.0)
+        assert np.all(np.isfinite(beta.sum_log_pdf([-0.8, -0.3], np.array([-1.1, -0.4]))))
+        assert gr.coeff_cond_gap(make_family("exponential"), 0.375).value > 0
+        assert gr.coeff_cond_gap(make_family("gaussian_mean"), 0.4).value < 1e-12

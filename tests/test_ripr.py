@@ -231,6 +231,36 @@ class TestBruteForce:
         assert cert.sup_expectation == pytest.approx(mean, abs=max(3e-3, 4 * se))
 
 
+class TestCertificateReproduces:
+    # worst_case_expectation on a certificate's own grid gives back the
+    # certified sup and argmax
+    @pytest.mark.parametrize(
+        "name,mus",
+        [
+            ("exponential", [0.5, 0.25]),
+            ("gaussian_variance", [0.5, 0.25]),
+            ("geometric", [10.0 / 3, 1.25]),
+        ],
+    )
+    @pytest.mark.parametrize("search", ["li", "brute2"])
+    def test_worst_case_on_certificate_grid(self, name, mus, search):
+        spec = make_family(name)
+        alt = Alternative.from_means(spec, mus)
+        if search == "li":
+            mix, _ = ripr.li_approximate(spec, alt, max_iters=4)
+        else:
+            mix = ripr.brute_force_two_component(
+                spec, alt, n_alpha=10, mu_count=10, mu0_count=200
+            )
+        cert = mix.certificate
+        sup, argmax = ripr.worst_case_expectation(
+            spec, alt, mix, count=cert.mu0_grid_size, lo=cert.mu0_lo,
+            hi=cert.mu0_hi, return_argmax=True,
+        )
+        assert sup == pytest.approx(cert.sup_expectation, rel=1e-12, abs=0)
+        assert argmax == cert.argmax_mu0
+
+
 class TestDefaultRange:
     def test_positive_family_expands_hull(self, expo):
         spec, alt = expo
