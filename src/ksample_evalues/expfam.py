@@ -135,7 +135,8 @@ class Support:
     """Support of the sufficient statistic.
 
     kind is "finite" (finite integer set), "lattice" (integers >= lo) or
-    "interval" (open real interval).
+    "interval" (open real interval).  An integer is any value within an
+    absolute 1e-9 of one.
     """
 
     kind: str
@@ -149,7 +150,8 @@ class Support:
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.discrete:
-            ok = np.isclose(x, np.round(x)) & (x >= self.lo - 1e-9)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                ok = (np.abs(x - np.round(x)) <= 1e-9) & (x >= self.lo - 1e-9)
             if np.isfinite(self.hi):
                 ok &= x <= self.hi + 1e-9
             return ok
@@ -159,15 +161,18 @@ class Support:
 class FamilySpec(ABC):
     """Base class for the concrete families.
 
-    Subclasses provide the parameter maps and closed-form moments; everything
-    that only depends on those (densities, KL, Fisher information, central
-    moments) lives here.
+    Subclasses provide the parameter maps, sampling and the sum density;
+    everything that only depends on those (densities, KL, Fisher information,
+    central moments) lives here.  A family with a quadratic variance function
+    V(mu) = v0 + v1 mu + v2 mu^2 (Morris 1982) gives it as the triple
+    ``variance_function = (v0, v1, v2)``, from which ``variance`` and its two
+    derivatives follow; a family without one overrides those three methods.
     """
 
     family_id: str
     mean_space: tuple[float, float]
     support: Support
-    base_measure: str
+    variance_function: tuple[float, float, float]
 
     # -- parameter maps -------------------------------------------------
 
@@ -190,17 +195,22 @@ class FamilySpec(ABC):
 
     # -- moments ---------------------------------------------------------
 
-    @abstractmethod
     def variance(self, mu: float) -> float:
         """Var[X] under P_mu, i.e. A''(lambda(mu))."""
+        mu = self.check_mean(mu)
+        v0, v1, v2 = self.variance_function
+        return v0 + mu * (v1 + v2 * mu)
 
-    @abstractmethod
     def variance_d1(self, mu: float) -> float:
         """d Var / d mu."""
+        mu = self.check_mean(mu)
+        _, v1, v2 = self.variance_function
+        return v1 + 2.0 * v2 * mu
 
-    @abstractmethod
     def variance_d2(self, mu: float) -> float:
         """d^2 Var / d mu^2."""
+        self.check_mean(mu)
+        return 2.0 * self.variance_function[2]
 
     def fisher_info(self, mu: float) -> float:
         """Fisher information for the mean parameter: 1 / Var[X]."""
@@ -224,9 +234,10 @@ class FamilySpec(ABC):
 
     # -- densities --------------------------------------------------------
 
-    @abstractmethod
     def log_carrier(self, x) -> np.ndarray:
-        """log h(x): density of rho w.r.t. Lebesgue / counting measure."""
+        """log h(x): density of rho w.r.t. Lebesgue / counting measure;
+        zero where rho is that measure itself."""
+        return np.zeros_like(np.asarray(x, dtype=float))
 
     def check_mean(self, mu: float) -> float:
         lo, hi = self.mean_space
@@ -293,14 +304,7 @@ class FamilySpec(ABC):
     def check_sum_support(self, k: int, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         s = self.support
-        if s.discrete:
-            lo = k * s.lo
-            hi = k * s.hi if np.isfinite(s.hi) else np.inf
-            ok = np.isclose(z, np.round(z)) & (z >= lo - 1e-9) & (z <= hi + 1e-9)
-        else:
-            lo = k * s.lo if np.isfinite(s.lo) else -np.inf
-            hi = k * s.hi if np.isfinite(s.hi) else np.inf
-            ok = (z > lo) & (z < hi)
+        ok = Support(s.kind, k * s.lo, k * s.hi).contains(z)
         if not np.all(ok):
             bad = z[~ok]
             raise SupportError(
@@ -311,13 +315,8 @@ class FamilySpec(ABC):
 
     # -- standard parameterization (used by the heatmap protocol) ----------
 
-    std_param_name: str = "mu"
-
     def mean_from_std(self, s: float) -> float:
         return float(s)
-
-    def std_from_mean(self, mu: float) -> float:
-        return float(mu)
 
     def default_std_range(self) -> tuple[float, float]:
         """Default grid range in the standard parameterization.
@@ -347,8 +346,7 @@ class Bernoulli(FamilySpec):
     family_id = "bernoulli"
     mean_space = (0.0, 1.0)
     support = Support("finite", 0, 1)
-    base_measure = "counting measure on {0, 1}"
-    std_param_name = "p"
+    variance_function = (0.0, 1.0, -1.0)
 
     def natural_from_mean(self, mu):
         mu = self.check_mean(mu)
@@ -359,20 +357,6 @@ class Bernoulli(FamilySpec):
 
     def log_partition(self, lam):
         return np.logaddexp(0.0, lam)
-
-    def variance(self, mu):
-        mu = self.check_mean(mu)
-        return mu * (1.0 - mu)
-
-    def variance_d1(self, mu):
-        return 1.0 - 2.0 * self.check_mean(mu)
-
-    def variance_d2(self, mu):
-        self.check_mean(mu)
-        return -2.0
-
-    def log_carrier(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def sample(self, mu, n, rng):
         mu = self.check_mean(mu)
@@ -411,7 +395,7 @@ class GaussianFreeMean(FamilySpec):
         if sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
         self.sigma2 = float(sigma2)
-        self.base_measure = f"N(0, {self.sigma2}) on the real line"
+        self.variance_function = (self.sigma2, 0.0, 0.0)
 
     def fixed_params(self):
         return {"sigma2": self.sigma2}
@@ -424,18 +408,6 @@ class GaussianFreeMean(FamilySpec):
 
     def log_partition(self, lam):
         return 0.5 * self.sigma2 * np.asarray(lam) ** 2
-
-    def variance(self, mu):
-        self.check_mean(mu)
-        return self.sigma2
-
-    def variance_d1(self, mu):
-        self.check_mean(mu)
-        return 0.0
-
-    def variance_d2(self, mu):
-        self.check_mean(mu)
-        return 0.0
 
     def log_carrier(self, x):
         x = np.asarray(x, dtype=float)
@@ -478,11 +450,10 @@ class GaussianFreeVariance(FamilySpec):
     family_id = "gaussian_variance"
     mean_space = (0.0, math.inf)
     support = Support("interval", 0.0, math.inf)
-    std_param_name = "sigma"
+    variance_function = (0.0, 0.0, 2.0)
 
     def __init__(self, fixed_mean: float = 0.0):
         self.fixed_mean = float(fixed_mean)
-        self.base_measure = "x^(-1/2)/sqrt(2 pi) dx on (0, inf)"
 
     def fixed_params(self):
         return {"fixed_mean": self.fixed_mean}
@@ -495,17 +466,6 @@ class GaussianFreeVariance(FamilySpec):
 
     def log_partition(self, lam):
         return -0.5 * np.log(-2.0 * np.asarray(lam))
-
-    def variance(self, mu):
-        mu = self.check_mean(mu)
-        return 2.0 * mu * mu
-
-    def variance_d1(self, mu):
-        return 4.0 * self.check_mean(mu)
-
-    def variance_d2(self, mu):
-        self.check_mean(mu)
-        return 4.0
 
     def log_carrier(self, x):
         x = np.asarray(x, dtype=float)
@@ -560,16 +520,12 @@ class GaussianFreeVariance(FamilySpec):
     def mean_from_std(self, s):
         return float(s) ** 2
 
-    def std_from_mean(self, mu):
-        return math.sqrt(mu)
-
 
 class Poisson(FamilySpec):
     family_id = "poisson"
     mean_space = (0.0, math.inf)
     support = Support("lattice", 0, math.inf)
-    base_measure = "(1/x!) * counting measure on {0, 1, ...}"
-    std_param_name = "rate"
+    variance_function = (0.0, 1.0, 0.0)
 
     def natural_from_mean(self, mu):
         return math.log(self.check_mean(mu))
@@ -579,17 +535,6 @@ class Poisson(FamilySpec):
 
     def log_partition(self, lam):
         return np.exp(lam)
-
-    def variance(self, mu):
-        return self.check_mean(mu)
-
-    def variance_d1(self, mu):
-        self.check_mean(mu)
-        return 1.0
-
-    def variance_d2(self, mu):
-        self.check_mean(mu)
-        return 0.0
 
     def log_carrier(self, x):
         return -special.gammaln(np.asarray(x, dtype=float) + 1.0)
@@ -622,8 +567,7 @@ class Exponential(FamilySpec):
     family_id = "exponential"
     mean_space = (0.0, math.inf)
     support = Support("interval", 0.0, math.inf)
-    base_measure = "Lebesgue measure on (0, inf)"
-    std_param_name = "rate"
+    variance_function = (0.0, 0.0, 1.0)
 
     def natural_from_mean(self, mu):
         return -1.0 / self.check_mean(mu)
@@ -633,20 +577,6 @@ class Exponential(FamilySpec):
 
     def log_partition(self, lam):
         return -np.log(-np.asarray(lam))
-
-    def variance(self, mu):
-        mu = self.check_mean(mu)
-        return mu * mu
-
-    def variance_d1(self, mu):
-        return 2.0 * self.check_mean(mu)
-
-    def variance_d2(self, mu):
-        self.check_mean(mu)
-        return 2.0
-
-    def log_carrier(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def sample(self, mu, n, rng):
         mu = self.check_mean(mu)
@@ -674,9 +604,6 @@ class Exponential(FamilySpec):
     def mean_from_std(self, s):
         return 1.0 / float(s)
 
-    def std_from_mean(self, mu):
-        return 1.0 / float(mu)
-
 
 class Geometric(FamilySpec):
     """Number of failures before the first success; mu = (1-p)/p."""
@@ -684,8 +611,7 @@ class Geometric(FamilySpec):
     family_id = "geometric"
     mean_space = (0.0, math.inf)
     support = Support("lattice", 0, math.inf)
-    base_measure = "counting measure on {0, 1, ...}"
-    std_param_name = "p"
+    variance_function = (0.0, 1.0, 1.0)
 
     def natural_from_mean(self, mu):
         mu = self.check_mean(mu)
@@ -696,20 +622,6 @@ class Geometric(FamilySpec):
 
     def log_partition(self, lam):
         return -np.log(-np.expm1(np.asarray(lam)))
-
-    def variance(self, mu):
-        mu = self.check_mean(mu)
-        return mu * (1.0 + mu)
-
-    def variance_d1(self, mu):
-        return 1.0 + 2.0 * self.check_mean(mu)
-
-    def variance_d2(self, mu):
-        self.check_mean(mu)
-        return 2.0
-
-    def log_carrier(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def _p(self, mu):
         return 1.0 / (1.0 + mu)
@@ -749,9 +661,6 @@ class Geometric(FamilySpec):
     def mean_from_std(self, s):
         return (1.0 - float(s)) / float(s)
 
-    def std_from_mean(self, mu):
-        return 1.0 / (1.0 + float(mu))
-
 
 class BetaFixedAlpha(FamilySpec):
     """Beta observations with fixed first shape alpha and free second shape.
@@ -767,13 +676,13 @@ class BetaFixedAlpha(FamilySpec):
     family_id = "beta_fixed_alpha"
     mean_space = (-math.inf, 0.0)
     support = Support("interval", -math.inf, 0.0)
-    std_param_name = "beta"
 
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
-        self.base_measure = "(1 - e^x)^(alpha-1) dx on (-inf, 0)"
+        if self.alpha == 1.0:
+            self.variance_function = (0.0, 0.0, 1.0)
 
     def fixed_params(self):
         return {"alpha": self.alpha}
@@ -815,16 +724,18 @@ class BetaFixedAlpha(FamilySpec):
             - special.gammaln(self.alpha + lam)
         )
 
+    # alpha != 1 has no quadratic variance function: polygamma forms in the
+    # free shape b, differentiated through dmu/db = Var
+
     def variance(self, mu):
         if self.alpha == 1.0:
-            mu = self.check_mean(mu)
-            return mu * mu
+            return super().variance(mu)
         b = self.natural_from_mean(mu)
         return float(special.polygamma(1, b) - special.polygamma(1, self.alpha + b))
 
     def variance_d1(self, mu):
         if self.alpha == 1.0:
-            return 2.0 * self.check_mean(mu)
+            return super().variance_d1(mu)
         b = self.natural_from_mean(mu)
         dvar_db = special.polygamma(2, b) - special.polygamma(2, self.alpha + b)
         dmu_db = special.polygamma(1, b) - special.polygamma(1, self.alpha + b)
@@ -832,8 +743,7 @@ class BetaFixedAlpha(FamilySpec):
 
     def variance_d2(self, mu):
         if self.alpha == 1.0:
-            self.check_mean(mu)
-            return 2.0
+            return super().variance_d2(mu)
         b = self.natural_from_mean(mu)
         p1 = special.polygamma(1, b) - special.polygamma(1, self.alpha + b)
         p2 = special.polygamma(2, b) - special.polygamma(2, self.alpha + b)
@@ -902,9 +812,6 @@ class BetaFixedAlpha(FamilySpec):
     def mean_from_std(self, s):
         return self.mean_from_natural(float(s))
 
-    def std_from_mean(self, mu):
-        return float(self.natural_from_mean(mu))
-
 
 def _log_sinch(w: np.ndarray) -> np.ndarray:
     """log(sinh(w)/w) for w >= 0, stable for both tiny and large w."""
@@ -943,26 +850,33 @@ def _hypoexponential_log_pdf(rates: np.ndarray, z) -> np.ndarray:
             - rbar * z
             + _log_sinch(half_gap * z)
         )
-    gaps = np.abs(rates[:, None] - rates[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() > 1e-3 * rates.mean():
-        # partial-fraction form; adequate for well-separated rates
-        coef = np.ones(k)
-        for i in range(k):
-            others = np.delete(rates, i)
-            coef[i] = np.prod(others / (others - rates[i]))
-        vals = np.sum(
-            coef[:, None] * rates[:, None] * np.exp(-np.outer(rates, z.ravel())),
-            axis=0,
-        )
-        vals = np.maximum(vals, 1e-300)
-        return np.log(vals).reshape(z.shape)
-    # nearly-tied rates: phase-type matrix exponential, exact but slow
-    theta = np.diag(-rates) + np.diag(rates[:-1], 1)
     flat = z.ravel()
     vals = np.empty(flat.size)
-    for i, zz in enumerate(flat):
-        vals[i] = linalg.expm(theta * zz)[0, -1] * rates[-1]
+    exact = np.zeros(flat.size, dtype=bool)
+    if np.diff(np.sort(rates)).min() > 0:
+        # partial fractions; 3k eps sum|terms| bounds the rounding of the
+        # coefficients and of the sum, so a point where that exceeds 1e-12 of
+        # the density (near-tied rates, small z) takes the expm form instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.ones(k)
+            for i in range(k):
+                others = np.delete(rates, i)
+                coef[i] = np.prod(others / (others - rates[i]))
+            terms = coef[:, None] * rates[:, None] * np.exp(-np.outer(rates, flat))
+            vals = np.sum(terms, axis=0)
+            exact = (3 * k * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+                     <= 1e-12 * np.abs(vals))
+    # tied rates and the points above: the phase-type form, entry (0, k-1)
+    # of expm(theta z) times the last rate, exact but slow.  theta z is
+    # conjugated by diag(z^-i) so that the entry stays of order one and expm
+    # resolves it to full relative precision where the density is tiny.
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        zz = flat[slow]
+        b = np.zeros((slow.size, k, k))
+        b[:, range(k), range(k)] = -rates * zz[:, None]
+        b[:, range(k - 1), range(1, k)] = rates[:-1]
+        vals[slow] = linalg.expm(b)[:, 0, -1] * zz ** (k - 1) * rates[-1]
     vals = np.maximum(vals, 1e-300)
     return np.log(vals).reshape(z.shape)
 

@@ -297,9 +297,10 @@ class _SumGrid:
         """Density on the z grid of the mixture (ws, mus) of i.i.d. nulls."""
         return self.tilt_rows(mus).T @ np.asarray(ws, dtype=float)
 
-    def expectations(self, ws, mus, mu0s) -> np.ndarray:
-        """E under each i.i.d. null of the ratio against mixture (ws, mus)."""
-        return self.tilt_rows(mu0s) @ (self.wm / self.mixture(ws, mus))
+    def expectations(self, d) -> np.ndarray:
+        """E under each null mean in ``mu0s`` of the ratio against mixture
+        density d on the z grid."""
+        return self.cert_rows() @ (1.0 / d)
 
     def kl(self, d):
         """D(alt || mixture) for mixture density d on the z grid (one value
@@ -309,15 +310,14 @@ class _SumGrid:
     def sup(self, d) -> tuple[float, float]:
         """Largest null expectation on ``mu0s`` of the ratio against mixture
         density d, and the null mean attaining it."""
-        return self._at_max(self.cert_rows() @ (1.0 / d))
-
-    def _at_max(self, vals) -> tuple[float, float]:
+        vals = self.expectations(d)
         i = int(np.argmax(vals))
         return float(vals[i]), float(self.mu0s[i])
 
-    def check_edges(self, ws, mus, mu0) -> None:
-        t = self.tilt_rows([mu0])[0]
-        integrand = t * self.wm / self.mixture(ws, mus)
+    def check_edges(self, d, mu0) -> None:
+        """Refuse a null expectation at mu0 whose quadrature is degenerate or
+        carries mass at the ends of the z grid."""
+        integrand = self.tilt_rows([mu0])[0] * self.wm / d
         total = integrand.sum()
         if total <= 0 or not np.isfinite(total):
             raise ComputationError(
@@ -331,22 +331,19 @@ class _SumGrid:
                     f"edge mass fraction {edge / total:.2e}"
                 )
 
-    def worst(self, ws, mus, d=None) -> tuple[float, float]:
+    def worst(self, ws, mus) -> tuple[float, float]:
         """``sup`` for the mixture (ws, mus), with the quadrature checked at
-        the maximizing null mean.  A search passes the density d it holds;
-        otherwise the expectations come from (ws, mus) directly."""
-        if d is None:
-            sup, argmax = self._at_max(self.expectations(ws, mus, self.mu0s))
-        else:
-            sup, argmax = self.sup(d)
-        self.check_edges(ws, mus, argmax)
+        the maximizing null mean."""
+        d = self.mixture(ws, mus)
+        sup, argmax = self.sup(d)
+        self.check_edges(d, argmax)
         return sup, argmax
 
 
-def _certify(grid: _SumGrid, ws, mus, method: str, d=None) -> MixtureNull:
+def _certify(grid: _SumGrid, ws, mus, method: str) -> MixtureNull:
     """The mixture (ws, mus) with its certificate on ``grid``, bound to the
     grid's problem."""
-    sup, argmax = grid.worst(ws, mus, d)
+    sup, argmax = grid.worst(ws, mus)
     cert = Certificate(sup, grid.mu0s.size, grid.lo, grid.hi, method, argmax)
     return MixtureNull(
         tuple(zip(ws, mus)), cert, grid.spec.to_config(grid.alt.mu)
@@ -367,8 +364,8 @@ def worst_case_expectation(
     The grid defaults to 1000 equally spaced points over
     ``default_search_range``.  Quadrature non-convergence at the maximizing
     point raises ComputationError naming that point.  On a certificate's own
-    grid (``mu0_grid_size``, ``mu0_lo``, ``mu0_hi``) this reproduces the
-    certified value.
+    grid (``mu0_grid_size``, ``mu0_lo``, ``mu0_hi``) this gives back the
+    certified value and argmax exactly.
     """
     grid = _SumGrid(spec, alt, count, lo, hi)
     sup, argmax = grid.worst(mixture.weights, mixture.means)
@@ -385,7 +382,7 @@ def expectation_profile(
 ):
     """The full curve mu0 -> E_null(mu0)[ratio] on the certification grid."""
     grid = _SumGrid(spec, alt, count, lo, hi)
-    return grid.mu0s, grid.expectations(mixture.weights, mixture.means, grid.mu0s)
+    return grid.mu0s, grid.expectations(grid.mixture(mixture.weights, mixture.means))
 
 
 @dataclass(frozen=True)
@@ -499,7 +496,7 @@ def li_approximate(
     comps = sorted(((w, mu) for mu, w in weights.items() if w > 0), key=lambda t: -t[0])
     total = sum(w for w, _ in comps)
     ws = [w / total for w, _ in comps]
-    return _certify(grid, ws, [m for _, m in comps], "li", d_cur), trace
+    return _certify(grid, ws, [m for _, m in comps], "li"), trace
 
 
 def brute_force_two_component(
@@ -560,4 +557,4 @@ def brute_force_two_component(
         (components(a, i, j) for _, a, i, j in top[:_REFINE_TOP]),
         key=lambda c: grid.sup(grid.mixture(*c))[0],
     )
-    return _certify(grid, ws, mus, "brute_force_2", grid.mixture(ws, mus))
+    return _certify(grid, ws, mus, "brute_force_2")

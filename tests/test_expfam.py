@@ -17,7 +17,8 @@ from ksample_evalues import (
     make_family,
     reduce_sufficient,
 )
-from ksample_evalues._quad import sum_nodes
+from ksample_evalues import sequential
+from ksample_evalues._quad import sum_nodes, support_nodes
 
 ALL_FAMILIES = [
     "bernoulli",
@@ -157,6 +158,41 @@ class TestMoments:
             ) / (h * h)
             assert spec.variance_d1(mu) == pytest.approx(d1, abs=1e-5 * max(1, abs(d1)))
             assert spec.variance_d2(mu) == pytest.approx(d2, abs=2e-4 * max(1, abs(d2)))
+
+    # scipy.stats law of the sufficient statistic at mean mu, and the sign
+    # that maps its skewness to X's (beta with alpha = 1 has X = -E, E
+    # exponential with mean -mu)
+    SCIPY_LAWS = {
+        "bernoulli": lambda mu: (stats.bernoulli(mu), 1.0),
+        "gaussian_mean": lambda mu: (stats.norm(mu, 1.0), 1.0),
+        "gaussian_variance": lambda mu: (stats.gamma(0.5, scale=2.0 * mu), 1.0),
+        "poisson": lambda mu: (stats.poisson(mu), 1.0),
+        "exponential": lambda mu: (stats.expon(scale=mu), 1.0),
+        "geometric": lambda mu: (stats.nbinom(1, 1.0 / (1.0 + mu)), 1.0),
+        "beta_fixed_alpha": lambda mu: (stats.expon(scale=-mu), -1.0),
+    }
+
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    def test_central_moments_match_scipy_stats(self, name):
+        spec = make_family(name)
+        for mu in random_mus(name, 5, seed=6):
+            law, sign = self.SCIPY_LAWS[name](mu)
+            var, skew, kurt = (float(v) for v in law.stats(moments="vsk"))
+            assert spec.variance(mu) == pytest.approx(var, rel=1e-12)
+            assert spec.central_moment3(mu) == pytest.approx(
+                sign * skew * var**1.5, rel=1e-10, abs=1e-14 * var**1.5)
+            assert spec.central_moment4(mu) == pytest.approx(
+                (kurt + 3.0) * var**2, rel=1e-10)
+
+    def test_beta_general_alpha_moments_match_quadrature(self):
+        spec = make_family("beta_fixed_alpha", alpha=2.0)
+        for mu in (-2.0, -0.7, -0.3):
+            x, w = support_nodes(spec, [mu], n=4096)
+            p = w * np.exp(spec.log_pdf(mu, x))
+            m = x - mu
+            assert np.sum(p * m * m) == pytest.approx(spec.variance(mu), rel=1e-9)
+            assert np.sum(p * m**3) == pytest.approx(spec.central_moment3(mu), rel=1e-9)
+            assert np.sum(p * m**4) == pytest.approx(spec.central_moment4(mu), rel=1e-9)
 
 
 class TestSampling:
@@ -321,6 +357,31 @@ class TestSumDensity:
         dof = int(keep.sum()) - 1
         assert chi2 < stats.chi2(dof).ppf(1.0 - 1e-6)
 
+    @pytest.mark.parametrize(
+        "rates",
+        [np.linspace(1.0, 1.008, 5), np.linspace(1.0, 1.05, 6),
+         np.linspace(1.0, 1.1, 8), np.array([1.0, 2.0, 3.0])],
+        ids=["k5-near-tied", "k6-near-tied", "k8-near-tied", "k3-spread"],
+    )
+    def test_exponential_sum_matches_exact_partial_fractions(self, rates):
+        # Oracle: the partial-fraction sum in 120-digit arithmetic, which
+        # outlasts its cancellation at every node.  A per-z expm of the
+        # unscaled phase-type matrix is no oracle in the lower tail: it is
+        # accurate in norm only, and at k=8 misses the density by 0.05 nats.
+        mpmath = pytest.importorskip("mpmath")
+        spec = make_family("exponential")
+        mus = list(1.0 / rates)
+        z, _ = sum_nodes(spec, mus, len(mus), n=256)
+        z = np.concatenate([np.geomspace(1e-6, 1e-2, 5), z])
+        with mpmath.workdps(120):
+            r = [mpmath.mpf(1.0 / m) for m in mus]
+            coef = [mpmath.fprod(rj / (rj - ri) for rj in r if rj != ri) * ri
+                    for ri in r]
+            want = [float(mpmath.log(mpmath.fsum(c * mpmath.exp(-ri * mpmath.mpf(zz))
+                                                 for c, ri in zip(coef, r))))
+                    for zz in z]
+        np.testing.assert_allclose(spec.sum_log_pdf(mus, z), want, rtol=0, atol=1e-12)
+
     def test_z_outside_support_errors(self):
         spec = make_family("exponential")
         with pytest.raises(SupportError):
@@ -328,6 +389,25 @@ class TestSumDensity:
         spec2 = make_family("bernoulli")
         with pytest.raises(SupportError):
             spec2.sum_log_pdf([0.5, 0.5], 3.0)
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("name", ["poisson", "geometric"])
+    def test_non_integer_counts_refused(self, name):
+        spec = make_family(name)
+        alt = Alternative.from_means(spec, [2.0, 1.0])
+        for bad in (100.0005, 1e6 + 0.4):
+            with pytest.raises(SupportError):
+                spec.check_support(bad)
+            with pytest.raises(SupportError):
+                spec.sum_log_pdf([2.0, 1.0], bad)
+            state = sequential.StreamState(spec, alt, "pseudo", 0.05)
+            with pytest.raises(SupportError):
+                state.ingest(1, bad)
+        for good in (3.0, 100.0, 3.0 + 1e-12):
+            spec.check_support(good)
+            spec.sum_log_pdf([2.0, 1.0], good)
+            sequential.StreamState(spec, alt, "pseudo", 0.05).ingest(1, good)
 
 
 class TestReduceSufficient:
