@@ -14,9 +14,14 @@ Two searches are provided:
 * ``li_approximate`` -- greedy mixture growth: each step adds one component,
   choosing the convex weight and the new null mean that minimize the KL
   divergence from the alternative to the mixture.
-* ``brute_force_two_component`` -- exhaustive grid search over two-component
-  mixtures (weight, two null means), minimizing the worst-case null
-  expectation directly.
+* ``brute_force_two_component`` -- grid search over two-component mixtures
+  (weight, two null means), minimizing the worst-case null expectation
+  directly.
+
+Both searches find the convex weight by a ternary search over its grid
+(``_convex_argmin``) rather than by sweeping every grid point.  Each objective
+is convex in the weight, so the ternary search returns the grid point the
+exhaustive sweep would, with ties going to the lowest weight index.
 
 Every null expectation here reduces to a one-dimensional integral: a mixture
 of i.i.d. product nulls depends on the block only through the sum z of the
@@ -211,6 +216,7 @@ def point_mixture(
     hi: float | None = None,
 ) -> MixtureNull:
     """Single-component mixture at mu0, certified on the default grid."""
+    _require_at_least(1, count=count)
     mu0 = spec.check_mean(mu0)
     return _certify(_SumGrid(spec, alt, count, lo, hi), [1.0], [mu0], "point")
 
@@ -235,6 +241,13 @@ def default_search_range(spec: FamilySpec, alt: Alternative) -> tuple[float, flo
     if fid == "beta_fixed_alpha":
         return 2.0 * lo, 0.5 * hi
     return 0.5 * lo, 2.0 * hi
+
+
+def _require_at_least(least: int, **sizes) -> None:
+    """Refuse a grid size below ``least``, naming the argument and value."""
+    for name, value in sizes.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 # Li's search stops once its certificate is this close to 1; for families
@@ -367,6 +380,7 @@ def worst_case_expectation(
     grid (``mu0_grid_size``, ``mu0_lo``, ``mu0_hi``) this gives back the
     certified value and argmax exactly.
     """
+    _require_at_least(1, count=count)
     grid = _SumGrid(spec, alt, count, lo, hi)
     sup, argmax = grid.worst(mixture.weights, mixture.means)
     return (sup, argmax) if return_argmax else sup
@@ -381,6 +395,7 @@ def expectation_profile(
     hi: float | None = None,
 ):
     """The full curve mu0 -> E_null(mu0)[ratio] on the certification grid."""
+    _require_at_least(1, count=count)
     grid = _SumGrid(spec, alt, count, lo, hi)
     return grid.mu0s, grid.expectations(grid.mixture(mixture.weights, mixture.means))
 
@@ -435,6 +450,33 @@ def expectation_mc(
     )
 
 
+def _convex_argmin(f, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest grid index attaining the minimum of each of ``rows`` discretely
+    convex objectives on an n-point grid, and that minimum: what ``np.argmin``
+    over each full row gives.
+
+    ``f`` maps an integer array of grid indices, one row per objective and at
+    most three columns, to the objectives at those indices.  Each ternary step
+    compares m1 = lo + w//3 with m2 = lo + w - w//3 in the bracket
+    [lo, lo + w].  By convexity the lowest minimizer lies right of m1 when
+    f(m1) > f(m2), and left of m2 otherwise, so either way the bracket keeps
+    w - w//3 - 1 of its width and every row keeps the same width.  n = 100
+    takes 19 evaluations per row.
+    """
+    lo = np.zeros(rows, dtype=np.intp)
+    w = n - 1
+    while w > 2:
+        third = w // 3
+        vals = f(np.stack([lo + third, lo + w - third], axis=1))
+        lo = np.where(vals[:, 0] > vals[:, 1], lo + third + 1, lo)
+        w -= third + 1
+    idx = lo[:, None] + np.arange(w + 1)
+    vals = f(idx)
+    best = np.argmin(vals, axis=1)
+    r = np.arange(rows)
+    return idx[r, best], vals[r, best]
+
+
 def li_approximate(
     spec: FamilySpec,
     alt: Alternative,
@@ -450,12 +492,17 @@ def li_approximate(
 
     Step 1 picks the best single null mean (the KL minimizer); step m >= 2
     minimizes D(alt || a * current + (1-a) * candidate) over a convex-weight
-    grid times a candidate-mean grid.  Keeping a = 1 is always available, so
-    the KL trace is nonincreasing.  The trace records, per iteration, the KL
+    grid times a candidate-mean grid.  For each candidate the weight comes
+    from a ternary search, which finds the sweep's grid point because the KL
+    is convex in a; ties go to the lowest KL, then the lowest a, then the
+    lowest candidate.  Keeping a = 1 is always available (``n_alpha >= 2``),
+    so the KL trace is nonincreasing.  The trace records, per iteration, the KL
     divergence and the worst-case null expectation of the current ratio.
     Iteration stops early once the certificate is within 1e-6 of 1 (for
     families whose projection is a single point this happens immediately).
     """
+    _require_at_least(2, n_alpha=n_alpha)
+    _require_at_least(1, mu_count=mu_count, cert_count=cert_count)
     grid = _SumGrid(spec, alt, cert_count, mu_lo, mu_hi, n_z,
                     envelope=[alt.mu0_star])
     cand_mus = np.linspace(grid.lo, grid.hi, mu_count)
@@ -474,13 +521,16 @@ def li_approximate(
     for it in range(2, max_iters + 1):
         if sup <= _STOP_SUP:
             break
-        best = (np.inf, None, None)
-        for a in alphas:
-            obj = grid.kl(a * d_cur[None, :] + (1.0 - a) * u)
-            j = int(np.argmin(obj))
-            if obj[j] < best[0]:
-                best = (float(obj[j]), a, j)
-        kl_new, a, j = best
+
+        def kl_at(ai):
+            a = alphas[ai][..., None]
+            d = a * d_cur + (1.0 - a) * u[:, None, :]
+            return grid.kl(d.reshape(-1, d.shape[-1])).reshape(ai.shape)
+
+        ai, kls = _convex_argmin(kl_at, n_alpha, mu_count)
+        # lowest KL, then lowest weight, then lowest candidate
+        j = int(np.lexsort((np.arange(mu_count), ai, kls))[0])
+        kl_new, a = float(kls[j]), alphas[ai[j]]
         if kl_new > kl_cur + 1e-12:
             raise ComputationError(
                 f"greedy KL step failed to improve at iteration {it}"
@@ -509,14 +559,21 @@ def brute_force_two_component(
     mu0_count: int = 1000,
     n_z: int = 3000,
 ) -> MixtureNull:
-    """Exhaustive two-component search minimizing the worst-case expectation.
+    """Two-component grid search minimizing the worst-case expectation.
 
     Candidates are (weight a, mu01, mu02) on equally spaced grids; the
     objective is the maximum over the certification grid of the null
     expectation of the induced ratio.  A coarse certification pass (every
-    fourth point) ranks all candidates; the best 500 are re-certified on the
-    full grid and the winner is returned with its certificate.
+    fourth point) ranks every pair of means at its best weight; the best 500
+    are re-certified on the full grid and the winner is returned with its
+    certificate.  Each pair's weight comes from a ternary search over the
+    weight grid.  Every null expectation is convex in a (1/x is convex and
+    the mixture density is affine in a), so their coarse maximum is too, and
+    the search returns the exhaustive sweep's grid point, ties going to the
+    lowest weight index.
     """
+    _require_at_least(2, n_alpha=n_alpha)
+    _require_at_least(1, mu_count=mu_count, mu0_count=mu0_count)
     grid = _SumGrid(spec, alt, mu0_count, mu_lo, mu_hi, n_z)
     comp_mus = np.linspace(grid.lo, grid.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
@@ -524,26 +581,24 @@ def brute_force_two_component(
     u = grid.tilt_rows(comp_mus)  # (mu_count, n_z)
     t_coarse = grid.cert_rows()[::_COARSE_STRIDE].T  # (n_z, n_coarse)
 
-    pairs = [(i, j) for i in range(mu_count) for j in range(i + 1, mu_count)]
-    top: list[tuple[float, float, int, int]] = []
-
     # single-component candidates (the two-component grid with i = j)
     sup_single = ((1.0 / u) @ t_coarse).max(axis=1)
-    for i in range(mu_count):
-        top.append((float(sup_single[i]), 1.0, i, i))
+    top = [(float(s), 1.0, i, i) for i, s in enumerate(sup_single)]
 
-    chunk = max(1, int(2.5e7 // (n_alpha * grid.z.size)))
-    a_col = alphas[None, :, None]
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start : start + chunk]
-        ui = u[[i for i, _ in block]][:, None, :]
-        uj = u[[j for _, j in block]][:, None, :]
-        d = a_col * ui + (1.0 - a_col) * uj  # (chunk, n_alpha, n_z)
-        s = (1.0 / d).reshape(-1, grid.z.size) @ t_coarse
-        sup = s.max(axis=1).reshape(len(block), n_alpha)
-        for bi, (i, j) in enumerate(block):
-            ai = int(np.argmin(sup[bi]))
-            top.append((float(sup[bi, ai]), float(alphas[ai]), i, j))
+    pi, pj = np.triu_indices(mu_count, 1)
+    chunk = max(1, int(5e6 // (3 * grid.z.size)))  # ~40 MB per (chunk, 3, n_z) tensor
+    for start in range(0, pi.size, chunk):
+        bi, bj = pi[start : start + chunk], pj[start : start + chunk]
+        ui, uj = u[bi][:, None, :], u[bj][:, None, :]
+
+        def coarse_sup(ai):
+            a = alphas[ai][..., None]
+            d = a * ui + (1.0 - a) * uj  # (chunk, <= 3, n_z)
+            s = (1.0 / d).reshape(-1, grid.z.size) @ t_coarse
+            return s.max(axis=1).reshape(ai.shape)
+
+        ai, sup = _convex_argmin(coarse_sup, n_alpha, bi.size)
+        top.extend(zip(sup.tolist(), alphas[ai].tolist(), bi.tolist(), bj.tolist()))
 
     top.sort(key=lambda t: t[0])
 

@@ -231,6 +231,207 @@ class TestBruteForce:
         assert cert.sup_expectation == pytest.approx(mean, abs=max(3e-3, 4 * se))
 
 
+class TestDegenerateGrids:
+    @pytest.mark.parametrize(
+        "search,kw,message",
+        [
+            ("brute2", {"n_alpha": 0}, "n_alpha must be at least 2, got 0"),
+            ("brute2", {"n_alpha": 1}, "n_alpha must be at least 2, got 1"),
+            ("brute2", {"mu_count": 0}, "mu_count must be at least 1, got 0"),
+            ("brute2", {"mu0_count": 0}, "mu0_count must be at least 1, got 0"),
+            ("li", {"n_alpha": 1}, "n_alpha must be at least 2, got 1"),
+            ("li", {"mu_count": 0}, "mu_count must be at least 1, got 0"),
+            ("li", {"cert_count": 0}, "cert_count must be at least 1, got 0"),
+            ("worst", {"count": 0}, "count must be at least 1, got 0"),
+            ("profile", {"count": 0}, "count must be at least 1, got 0"),
+            ("point", {"count": 0}, "count must be at least 1, got 0"),
+        ],
+    )
+    def test_refused_naming_argument(self, expo, search, kw, message):
+        spec, alt = expo
+        mix = ripr.MixtureNull(((1.0, alt.mu0_star),))
+        call = {
+            "brute2": lambda: ripr.brute_force_two_component(spec, alt, **kw),
+            "li": lambda: ripr.li_approximate(spec, alt, **kw),
+            "worst": lambda: ripr.worst_case_expectation(spec, alt, mix, **kw),
+            "profile": lambda: ripr.expectation_profile(spec, alt, mix, **kw),
+            "point": lambda: ripr.point_mixture(spec, alt, alt.mu0_star, **kw),
+        }[search]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_smallest_grids_accepted(self, expo):
+        spec, alt = expo
+        mix = ripr.brute_force_two_component(
+            spec, alt, n_alpha=2, mu_count=1, mu0_count=1, n_z=400)
+        assert len(mix.components) == 1
+        mix, _ = ripr.li_approximate(spec, alt, max_iters=3, n_alpha=2,
+                                     mu_count=1, cert_count=1, n_z=400)
+        assert mix.certificate.mu0_grid_size == 1
+
+
+class TestConvexArgmin:
+    @staticmethod
+    def search(rows):
+        rows = np.asarray(rows, dtype=float)
+        calls = []
+
+        def f(idx):
+            calls.append(idx.shape[1])
+            assert idx.shape[1] <= 3
+            return np.take_along_axis(rows, idx, axis=1)
+
+        idx, vals = ripr._convex_argmin(f, rows.shape[1], rows.shape[0])
+        return idx, vals, sum(calls)
+
+    def test_plateau_goes_to_lowest_index(self):
+        idx, vals, _ = self.search([[5, 4, 3, 3, 3, 3, 3, 6]])
+        assert idx.tolist() == [2] and vals.tolist() == [3.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100])
+    def test_matches_full_argmin(self, n):
+        x = np.arange(n, dtype=float)
+        rows = [np.abs(x - c) for c in np.linspace(-1.0, n, 2 * n + 3)]
+        rows += [(x - c) ** 2 for c in np.linspace(-1.0, n, 2 * n + 3)]
+        rows += [x, x[::-1].copy(), np.zeros(n), np.full(n, 7.0)]
+        for p in range(n):  # plateau on [p, q], sloped outside
+            for q in range(p, n):
+                rows.append(np.maximum(np.maximum(p - x, x - q), 0.0) * (1 + p))
+        rows = np.array(rows)
+        idx, vals, evals = self.search(rows)
+        assert idx.tolist() == np.argmin(rows, axis=1).tolist()
+        assert vals.tolist() == rows.min(axis=1).tolist()
+        if n == 100:
+            assert evals == 19
+
+
+def _li_sweep(spec, alt, n_alpha=100, mu_count=100, cert_count=1000,
+              max_iters=15):
+    """``li_approximate`` with every step's weight found by sweeping all of
+    ``alphas``; returns the mixture, the trace and each step's (n_alpha,
+    mu_count) KL objectives."""
+    grid = ripr._SumGrid(spec, alt, cert_count, envelope=[alt.mu0_star])
+    cand_mus = np.linspace(grid.lo, grid.hi, mu_count)
+    alphas = np.linspace(0.0, 1.0, n_alpha)
+    u = grid.tilt_rows(cand_mus)
+    weights = {float(alt.mu0_star): 1.0}
+    d_cur = grid.tilt_rows([alt.mu0_star])[0].copy()
+    kl_cur = float(grid.kl(d_cur)) if alt.delta else 0.0
+    sup, _ = grid.sup(d_cur)
+    trace = [{"iter": 1, "kl": kl_cur, "sup_expectation": sup}]
+    objectives = []
+    for it in range(2, max_iters + 1):
+        if sup <= ripr._STOP_SUP:
+            break
+        best = (np.inf, None, None)
+        objs = []
+        for a in alphas:
+            obj = grid.kl(a * d_cur[None, :] + (1.0 - a) * u)
+            objs.append(obj)
+            j = int(np.argmin(obj))
+            if obj[j] < best[0]:
+                best = (float(obj[j]), a, j)
+        objectives.append(np.array(objs))
+        kl_cur, a, j = best
+        weights = {mu: w * a for mu, w in weights.items()}
+        mu_new = float(cand_mus[j])
+        weights[mu_new] = weights.get(mu_new, 0.0) + (1.0 - a)
+        d_cur = a * d_cur + (1.0 - a) * u[j]
+        sup, _ = grid.sup(d_cur)
+        trace.append({"iter": it, "kl": kl_cur, "sup_expectation": sup})
+    comps = sorted(((w, mu) for mu, w in weights.items() if w > 0),
+                   key=lambda t: -t[0])
+    total = sum(w for w, _ in comps)
+    mix = ripr._certify(grid, [w / total for w, _ in comps],
+                        [m for _, m in comps], "li")
+    return mix, trace, objectives
+
+
+def _brute2_sweep(spec, alt, n_alpha=100, mu_count=100, mu0_count=1000):
+    """``brute_force_two_component`` with every pair's weight found by
+    sweeping all of ``alphas``; returns the mixture and the (pairs, n_alpha)
+    coarse-row sups."""
+    grid = ripr._SumGrid(spec, alt, mu0_count)
+    comp_mus = np.linspace(grid.lo, grid.hi, mu_count)
+    alphas = np.linspace(0.0, 1.0, n_alpha)
+    u = grid.tilt_rows(comp_mus)
+    t_coarse = grid.cert_rows()[:: ripr._COARSE_STRIDE].T
+    sup_single = ((1.0 / u) @ t_coarse).max(axis=1)
+    top = [(float(sup_single[i]), 1.0, i, i) for i in range(mu_count)]
+    sups = []
+    a_col = alphas[:, None]
+    for i in range(mu_count):
+        for j in range(i + 1, mu_count):
+            d = a_col * u[i] + (1.0 - a_col) * u[j]
+            sup = ((1.0 / d) @ t_coarse).max(axis=1)
+            sups.append(sup)
+            ai = int(np.argmin(sup))
+            top.append((float(sup[ai]), float(alphas[ai]), i, j))
+    top.sort(key=lambda t: t[0])
+
+    def components(a, i, j):
+        if i == j or a in (0.0, 1.0):
+            return [1.0], [float(comp_mus[i if (i == j or a == 1.0) else j])]
+        return [a, 1.0 - a], [float(comp_mus[i]), float(comp_mus[j])]
+
+    ws, mus = min(
+        (components(a, i, j) for _, a, i, j in top[: ripr._REFINE_TOP]),
+        key=lambda c: grid.sup(grid.mixture(*c))[0],
+    )
+    return ripr._certify(grid, ws, mus, "brute_force_2"), np.array(sups)
+
+
+def _assert_discretely_convex(objectives):
+    # rows are samples of a convex function of the weight, up to rounding;
+    # NaN samples (a component tilt that underflows on the z grid) are skipped
+    second = objectives[..., 2:] - 2 * objectives[..., 1:-1] + objectives[..., :-2]
+    scale = np.fmax.reduce(np.abs(objectives), axis=-1, keepdims=True)
+    assert not np.any(second < -1e-12 * scale)
+
+
+def _oracle_problem(name, fixed, mus):
+    spec = make_family(name, **fixed)
+    if name == "beta_fixed_alpha":
+        mus = [spec.mean_from_beta_mean(m) for m in mus]
+    return spec, Alternative.from_means(spec, mus)
+
+
+_ORACLE_ROWS = [
+    ("bernoulli", {}, [0.5, 0.25]),
+    ("gaussian_mean", {}, [0.3, -0.4]),
+    ("poisson", {}, [1.0, 2.5]),
+    ("exponential", {}, [0.5, 0.25]),
+    ("gaussian_variance", {}, [0.5, 0.25]),
+    ("geometric", {}, [10.0 / 3, 1.25]),
+    ("beta_fixed_alpha", {}, [0.5, 0.25]),
+    ("beta_fixed_alpha", {"alpha": 2.0}, [0.5, 0.25]),
+]
+
+
+class TestSearchesMatchFullSweep:
+    # the ternary weight search returns the grid point of the full sweep
+    @pytest.mark.parametrize("name,fixed,mus", _ORACLE_ROWS)
+    def test_brute2(self, name, fixed, mus):
+        spec, alt = _oracle_problem(name, fixed, mus)
+        want, sups = _brute2_sweep(spec, alt, mu_count=20, mu0_count=200)
+        got = ripr.brute_force_two_component(spec, alt, mu_count=20,
+                                             mu0_count=200)
+        assert got.to_json_dict() == want.to_json_dict()
+        _assert_discretely_convex(sups)
+
+    @pytest.mark.parametrize("name,fixed,mus", _ORACLE_ROWS)
+    def test_li(self, name, fixed, mus):
+        spec, alt = _oracle_problem(name, fixed, mus)
+        want, want_trace, objectives = _li_sweep(spec, alt, mu_count=20,
+                                                 cert_count=200)
+        got, trace = ripr.li_approximate(spec, alt, mu_count=20,
+                                         cert_count=200)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert trace == want_trace
+        for obj in objectives:  # (n_alpha, mu_count): convex down each column
+            _assert_discretely_convex(obj.T)
+
+
 class TestCertificateReproduces:
     # worst_case_expectation on a certificate's own grid gives back the
     # certified sup and argmax exactly, also on the curve that delta = 0
