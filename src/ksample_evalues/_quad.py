@@ -3,7 +3,7 @@
 Continuous expectations use Gauss-Legendre nodes, mapped through log space on
 half-line supports so that a single grid resolves every scale in a range of
 mean parameters.  Discrete expectations enumerate the support, truncated where
-the remaining tail mass is below ``tail`` for every parameter under
+the remaining tail mass is below ``TAIL`` for every parameter under
 consideration.  Tails are chosen far smaller than any tolerance used upstream.
 """
 
@@ -58,43 +58,17 @@ def sin2_nodes(z, n: int):
     return z * s**2, 2.0 * np.abs(z) * (s * c * w)
 
 
-def support_nodes(spec: FamilySpec, mus, n: int = 2048, tail: float = TAIL):
+def support_nodes(spec: FamilySpec, mus, n: int = 2048):
     """Nodes and weights for integrals of smooth densities over the support.
 
     ``mus`` is the collection of mean parameters whose distributions the grid
     must resolve; sum(w * f(x)) approximates the Lebesgue/counting integral.
+    The support of one observation is the k = 1 sum grid.
     """
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    s = spec.support
-    if s.discrete:
-        hi = max(spec.quantile(m, 1.0 - tail) for m in mus)
-        if np.isfinite(s.hi):
-            hi = min(hi, s.hi)
-        x = np.arange(int(s.lo), int(hi) + 1, dtype=float)
-        return x, np.ones_like(x)
-    lo = min(spec.quantile(m, tail) for m in mus)
-    hi = max(spec.quantile(m, 1.0 - tail) for m in mus)
-    if np.isfinite(s.lo) and s.lo == 0.0 and lo > 0:
-        # half line (0, inf): log-space nodes cover all scales uniformly
-        t, w = _gl(np.log(lo) - 2.0, np.log(hi) + 0.2, n)
-        x = np.exp(t)
-        return x, w * x
-    if np.isfinite(s.hi) and s.hi == 0.0 and hi < 0:
-        # half line (-inf, 0): mirror of the positive case
-        t, w = _gl(np.log(-hi) - 2.0, np.log(-lo) + 0.2, n)
-        x = -np.exp(t)[::-1]
-        return x, (w * np.exp(t))[::-1]
-    span = hi - lo
-    return _gl(lo - 0.05 * span, hi + 0.05 * span, n)
+    return sum_nodes(spec, mus, 1, n)
 
 
-def sum_nodes(
-    spec: FamilySpec,
-    mus,
-    k: int,
-    n: int = 2048,
-    tail: float = TAIL,
-):
+def sum_nodes(spec: FamilySpec, mus, k: int, n: int = 2048):
     """Grid for integrals over the support of Z = X_1 + ... + X_k.
 
     ``mus`` collects every mean parameter appearing in any of the k-vectors of
@@ -104,19 +78,20 @@ def sum_nodes(
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     s = spec.support
     if s.discrete:
-        hi = max(spec.sum_quantile(m, k, 1.0 - tail) for m in mus)
+        hi = max(spec.sum_quantile(m, k, 1.0 - TAIL) for m in mus)
         if np.isfinite(s.hi):
             hi = min(hi, k * s.hi)
         z = np.arange(int(k * s.lo), int(hi) + 1, dtype=float)
         return z, np.ones_like(z)
-    los = [spec.sum_quantile(m, k, tail) for m in mus]
-    his = [spec.sum_quantile(m, k, 1.0 - tail) for m in mus]
-    lo, hi = min(los), max(his)
+    lo = min(spec.sum_quantile(m, k, TAIL) for m in mus)
+    hi = max(spec.sum_quantile(m, k, 1.0 - TAIL) for m in mus)
     if np.isfinite(s.lo) and s.lo == 0.0:
+        # half line (0, inf): log-space nodes cover all scales uniformly
         t, w = _gl(np.log(lo) - 2.0, np.log(hi) + 0.2, n)
         z = np.exp(t)
         return z, w * z
     if np.isfinite(s.hi) and s.hi == 0.0:
+        # half line (-inf, 0): mirror of the positive case
         t, w = _gl(np.log(-hi) - 2.0, np.log(-lo) + 0.2, n)
         z = -np.exp(t)[::-1]
         return z, (w * np.exp(t))[::-1]

@@ -287,12 +287,9 @@ class FamilySpec(ABC):
         """n i.i.d. draws of the sufficient statistic under P_mu."""
 
     @abstractmethod
-    def quantile(self, mu: float, q: float) -> float:
-        """Quantile of X under P_mu (used for support truncation)."""
-
-    @abstractmethod
     def sum_quantile(self, mu: float, k: int, q: float) -> float:
-        """Quantile of Z = sum of k i.i.d. copies under P_mu."""
+        """Quantile of Z = sum of k i.i.d. copies under P_mu (used for support
+        truncation; k = 1 is one observation)."""
 
     # -- Z marginal ---------------------------------------------------------
 
@@ -363,9 +360,6 @@ class Bernoulli(FamilySpec):
         rng = as_generator(rng)
         return (rng.random(n) < mu).astype(float)
 
-    def quantile(self, mu, q):
-        return 0.0 if q < 1.0 - mu else 1.0
-
     def sum_quantile(self, mu, k, q):
         return _ppf(q, lambda q: _binom_ppf(q, k, mu), -1.0, float(k),
                     valid=0.0 <= mu <= 1.0)
@@ -418,12 +412,6 @@ class GaussianFreeMean(FamilySpec):
         rng = as_generator(rng)
         return rng.normal(mu, math.sqrt(self.sigma2), n)
 
-    def quantile(self, mu, q):
-        sd = math.sqrt(self.sigma2)
-        return _ppf(q, lambda q: special.ndtri(q) * sd + mu,
-                    -math.inf * sd + mu, math.inf * sd + mu,
-                    valid=mu == mu)
-
     def sum_quantile(self, mu, k, q):
         sd = math.sqrt(k * self.sigma2)
         return _ppf(q, lambda q: special.ndtri(q) * sd + k * mu,
@@ -475,12 +463,6 @@ class GaussianFreeVariance(FamilySpec):
         mu = self.check_mean(mu)
         rng = as_generator(rng)
         return mu * rng.chisquare(1, n)
-
-    def quantile(self, mu, q):
-        scale = 2.0 * mu
-        return _ppf(q, lambda q: special.gammaincinv(0.5, q) * scale,
-                    0.0 * scale, math.inf * scale,
-                    valid=scale > 0)
 
     def sum_quantile(self, mu, k, q):
         a, scale = 0.5 * k, 2.0 * mu
@@ -544,9 +526,6 @@ class Poisson(FamilySpec):
         rng = as_generator(rng)
         return rng.poisson(mu, n).astype(float)
 
-    def quantile(self, mu, q):
-        return _ppf(q, lambda q: _poisson_ppf(q, mu), -1.0, math.inf, valid=mu >= 0)
-
     def sum_quantile(self, mu, k, q):
         return _ppf(q, lambda q: _poisson_ppf(q, k * mu), -1.0, math.inf,
                     valid=k * mu >= 0)
@@ -582,10 +561,6 @@ class Exponential(FamilySpec):
         mu = self.check_mean(mu)
         rng = as_generator(rng)
         return rng.exponential(mu, n)
-
-    def quantile(self, mu, q):
-        return _ppf(q, lambda q: -special.log1p(-q) * mu, 0.0 * mu, math.inf * mu,
-                    valid=mu > 0)
 
     def sum_quantile(self, mu, k, q):
         return _ppf(q, lambda q: special.gammaincinv(k, q) * mu,
@@ -630,11 +605,6 @@ class Geometric(FamilySpec):
         mu = self.check_mean(mu)
         rng = as_generator(rng)
         return (rng.geometric(self._p(mu), n) - 1).astype(float)
-
-    def quantile(self, mu, q):
-        p = self._p(mu)
-        return _ppf(q, lambda q: _nbinom_ppf_quiet(q, 1, p), -1.0, math.inf,
-                    valid=0 < p <= 1)
 
     def sum_quantile(self, mu, k, q):
         p = self._p(mu)
@@ -778,12 +748,12 @@ class BetaFixedAlpha(FamilySpec):
         # 1 - U ~ Beta(beta, alpha); sampling it directly keeps log() accurate
         return np.log(rng.beta(b, self.alpha, n))
 
-    def quantile(self, mu, q):
-        b = self.natural_from_mean(mu)
-        u = _ppf(q, lambda q: _beta_ppf(q, b, self.alpha), 0.0, 1.0, valid=b > 0)
-        return float(np.log(u))
-
     def sum_quantile(self, mu, k, q):
+        if k == 1 and self.alpha != 1.0:
+            # one observation: X = log(1 - U) with 1 - U ~ Beta(beta, alpha)
+            b = self.natural_from_mean(mu)
+            u = _ppf(q, lambda q: _beta_ppf(q, b, self.alpha), 0.0, 1.0, valid=b > 0)
+            return float(np.log(u))
         scale = 1.0 / (-1.0 / mu)
         z = -_ppf(1.0 - q, lambda q: special.gammaincinv(k, q) * scale,
                   0.0 * scale, math.inf * scale,

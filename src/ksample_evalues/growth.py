@@ -276,14 +276,8 @@ def _cond_second_moment(spec, mu0, k, z, log_gz, n_inner):
             rest_tab = np.exp(spec.log_pdf(mu0, rng_rest))
         else:
             rest_tab = np.exp(spec.sum_log_pdf([mu0] * (k - 1), rng_rest))
-        num = np.empty_like(z)
-        for i, zz in enumerate(z):
-            xi = xs[xs <= zz + 1e-9]
-            t = np.round(zz - xi).astype(int)
-            ok = t < rng_rest.size
-            num[i] = np.sum(
-                xi[ok] * xi[ok] * px[: xi.size][ok] * rest_tab[t[ok]]
-            )
+        # sum over x <= z of x^2 p(x) p_rest(z - x)
+        num = np.convolve(xs * xs * px, rest_tab)[np.round(z).astype(int)]
         return num / np.exp(log_gz)
 
     fid = spec.support

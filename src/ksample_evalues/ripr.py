@@ -73,6 +73,11 @@ class Certificate:
     method: str
     argmax_mu0: float
 
+    def __post_init__(self):
+        sup = self.sup_expectation
+        if not math.isfinite(sup):
+            raise ValueError(f"certificate sup_expectation must be finite, got {sup!r}")
+
     def to_dict(self) -> dict:
         return {
             "sup_expectation": self.sup_expectation,
@@ -110,6 +115,10 @@ class MixtureNull:
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
+        for w, m in self.components:
+            for name, v in (("weight", w), ("mean", m)):
+                if not math.isfinite(v):
+                    raise ValueError(f"mixture {name} must be finite, got {v!r}")
         ws = np.array([w for w, _ in self.components], dtype=float)
         if np.any(ws < -1e-15) or np.any(ws > 1 + 1e-12):
             raise ValueError("mixture weights must lie in [0, 1]")
@@ -600,7 +609,8 @@ def brute_force_two_component(
         ai, sup = _convex_argmin(coarse_sup, n_alpha, bi.size)
         top.extend(zip(sup.tolist(), alphas[ai].tolist(), bi.tolist(), bj.tolist()))
 
-    top.sort(key=lambda t: t[0])
+    # a NaN coarse sup ranks after every finite one
+    top.sort(key=lambda t: (math.isnan(t[0]), t[0]))
 
     def components(a, i, j):
         # a weight of 0 or 1 leaves a single component

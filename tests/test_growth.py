@@ -179,6 +179,33 @@ class TestFourthOrderCoefficients:
         emp = gr.gap_pseudo_cond(spec, alt) / delta**4
         assert emp == pytest.approx(c.value, rel=0.15)
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("name,mu0", [("poisson", 2.0), ("poisson", 30.0),
+                                          ("geometric", 1.5), ("bernoulli", 0.3)])
+    def test_discrete_cond_second_moment_matches_per_z_sum(self, name, mu0, k):
+        from ksample_evalues._quad import sum_nodes
+
+        spec = make_family(name)
+        z, _ = sum_nodes(spec, [mu0], k)
+        log_gz = spec.sum_log_pdf([mu0] * k, z)
+        got = gr._cond_second_moment(spec, mu0, k, z, log_gz, 512)
+        # reference: E[X_1^2 | Z=z] summed over x <= z one z at a time
+        xs = np.arange(0.0, z.max() + 1.0)
+        xs = xs[xs <= spec.support.hi]
+        px = np.exp(spec.log_pdf(mu0, xs))
+        rest = np.arange(0.0, z.max() + 1.0)
+        rest = rest[rest <= (k - 1) * spec.support.hi]
+        rest_tab = np.exp(spec.sum_log_pdf([mu0] * (k - 1), rest))
+        want = np.empty_like(z)
+        for i, zz in enumerate(z):
+            xi = xs[xs <= zz + 1e-9]
+            t = np.round(zz - xi).astype(int)
+            ok = t < rest.size
+            want[i] = np.sum(xi[ok] ** 2 * px[: xi.size][ok] * rest_tab[t[ok]])
+        want /= np.exp(log_gz)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-13
+
 
 class TestSignedFourthRoot:
     def test_odd_symmetry(self):

@@ -30,6 +30,28 @@ class TestMixtureNullValidation:
         with pytest.raises(ValueError, match="below 1"):
             ripr.MixtureNull(((1.0, 0.3),), cert)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_or_mean_refused(self, bad):
+        for comps, name in [(((bad, 0.3),), "weight"), (((1.0, bad),), "mean"),
+                            (((0.5, 0.3), (0.5, bad)), "mean")]:
+            msg = f"mixture {name} must be finite, got {bad!r}"
+            with pytest.raises(ValueError, match=msg):
+                ripr.MixtureNull(comps)
+            payload = {"components": [{"w": w, "mu0": m} for w, m in comps]}
+            with pytest.raises(ValueError, match=msg):
+                ripr.MixtureNull.from_json_dict(payload)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_certificate_refused(self, bad):
+        msg = f"certificate sup_expectation must be finite, got {bad!r}"
+        with pytest.raises(ValueError, match=msg):
+            ripr.Certificate(bad, 100, 0.1, 1.0, "li", 0.5)
+        cert = ripr.Certificate(1.0005, 100, 0.1, 1.0, "li", 0.5)
+        payload = ripr.MixtureNull(((1.0, 0.3),), cert).to_json_dict()
+        payload["certificate"]["sup_expectation"] = bad
+        with pytest.raises(ValueError, match=msg):
+            ripr.MixtureNull.from_json_dict(payload)
+
     def test_json_roundtrip(self):
         cert = ripr.Certificate(1.0005, 1000, 0.1, 1.0, "brute_force_2", 0.4)
         problem = {"family": "exponential", "fixed_params": {},
@@ -229,6 +251,17 @@ class TestBruteForce:
             spec, alt, mix, cert.argmax_mu0, n=10**6, seed=11
         )
         assert cert.sup_expectation == pytest.approx(mean, abs=max(3e-3, 4 * se))
+
+
+    def test_nan_coarse_sups_rank_last(self):
+        # on beta alpha=2 the tilt rows of means near 0 underflow at the low
+        # end of the z grid, so some coarse sups are NaN; they must not push
+        # finite candidates out of the re-certified top list
+        spec = make_family("beta_fixed_alpha", alpha=2.0)
+        alt = Alternative.from_means(spec, [-3.0, -1.5])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mix = ripr.brute_force_two_component(spec, alt, mu_count=50, mu0_count=400)
+        assert mix.certificate.sup_expectation < 1.005
 
 
 class TestDegenerateGrids:
