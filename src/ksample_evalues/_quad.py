@@ -2,19 +2,20 @@
 
 Continuous expectations use Gauss-Legendre nodes, mapped through log space on
 half-line supports so that a single grid resolves every scale in a range of
-mean parameters.  Discrete expectations enumerate the support, truncated where
-the remaining tail mass is below ``TAIL`` for every parameter under
-consideration.  Tails are chosen far smaller than any tolerance used upstream.
+mean parameters; convolution integrals over (0, z) use Gauss-Jacobi nodes that
+absorb the densities' power-law factors at both ends.  Discrete expectations
+enumerate the support, truncated where the remaining tail mass is below
+``TAIL`` for every parameter under consideration.  Tails are chosen far
+smaller than any tolerance used upstream.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 if TYPE_CHECKING:  # expfam imports this module
     from .expfam import FamilySpec
@@ -44,18 +45,49 @@ def _gl(lo: float, hi: float, n: int):
     return mid + half * x, half * w
 
 
-def sin2_nodes(z, n: int):
+@lru_cache(maxsize=64)
+def _jacobi01(n: int, a: float, b: float):
+    """Gauss-Jacobi nodes s on (0, 1) for the weight s^(a-1) (1-s)^(b-1),
+    with that weight divided back out of the returned weights, cached
+    read-only.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix on
+    [-1, 1] and the weights the squared first components of its
+    eigenvectors, accurate to rounding of their sum.  The weights that
+    ``roots_jacobi`` derives from polynomial values lose up to 5e-12 of an
+    integral at n = 160 and 2e-9 at n = 2048 where an exponent is below 1.
+    """
+    p, q = b - 1.0, a - 1.0  # exponents at y = 1 and y = -1
+    k = np.arange(1, n, dtype=float)
+    s2 = 2.0 * k + p + q
+    diag = np.concatenate(([(q - p) / (p + q + 2.0)],
+                           (q * q - p * p) / (s2 * (s2 + 2.0))))
+    # (k + p + q) / (s2 - 1) is 1 at k = 1, also where p + q = -1 makes it 0/0
+    ratio = (k[1:] + p + q) / (s2[1:] - 1.0)
+    off = 2.0 / s2 * np.sqrt(k * (k + p) * (k + q) / (s2 + 1.0)
+                             * np.concatenate(([1.0], ratio)))
+    y, vec = linalg.eigh_tridiagonal(diag, off)
+    mass = 2.0 ** (p + q + 1.0) * special.beta(p + 1.0, q + 1.0)
+    w = 0.5 * mass * vec[0] ** 2 * (1.0 + y) ** (1.0 - a) * (1.0 - y) ** (1.0 - b)
+    s = 0.5 * (1.0 + y)
+    s.flags.writeable = False
+    w.flags.writeable = False
+    return s, w
+
+
+def jacobi_nodes(z, n: int, a: float, b: float):
     """Nodes and weights for integrals from 0 to each z in ``z``.
 
-    The map x = z sin^2(theta), with theta on n Gauss-Legendre nodes over
-    (0, pi/2), absorbs integrable endpoint singularities such as x^(-1/2).
-    Returns x and weights, each of shape (len(z), n), with
-    sum(w * f(x), axis=1) the integral of f over the interval between 0 and z.
+    The integrand may behave like |x|^(a-1) at 0 and |z-x|^(b-1) at z, as a
+    density of shape a convolved with one of shape b does: x = z s with s on
+    n Gauss-Jacobi nodes for the weight s^(a-1) (1-s)^(b-1), so the rule is
+    exact for those factors times a polynomial.  Returns x and weights, each
+    of shape (len(z), n), with sum(w * f(x), axis=1) the integral of f over
+    the interval between 0 and z.
     """
-    theta, w = _gl(0.0, 0.5 * math.pi, n)
-    s, c = np.sin(theta), np.cos(theta)
+    s, w = _jacobi01(n, float(a), float(b))
     z = np.asarray(z, dtype=float)[:, None]
-    return z * s**2, 2.0 * np.abs(z) * (s * c * w)
+    return z * s, np.abs(z) * w
 
 
 def support_nodes(spec: FamilySpec, mus, n: int = 2048):

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from . import _quad
 
@@ -173,6 +173,9 @@ class FamilySpec(ABC):
     mean_space: tuple[float, float]
     support: Support
     variance_function: tuple[float, float, float]
+    # on a half line, a density behaves like |x|^(edge_shape - 1) at the
+    # finite end (the gamma shape for the families with gamma sums)
+    edge_shape: float
 
     # -- parameter maps -------------------------------------------------
 
@@ -439,6 +442,7 @@ class GaussianFreeVariance(FamilySpec):
     mean_space = (0.0, math.inf)
     support = Support("interval", 0.0, math.inf)
     variance_function = (0.0, 0.0, 2.0)
+    edge_shape = 0.5
 
     def __init__(self, fixed_mean: float = 0.0):
         self.fixed_mean = float(fixed_mean)
@@ -472,29 +476,8 @@ class GaussianFreeVariance(FamilySpec):
 
     def sum_log_pdf(self, mus, z):
         mus = np.array([self.check_mean(m) for m in mus])
-        k = len(mus)
-        z = self.check_sum_support(k, z)
-        if np.ptp(mus) <= 1e-12 * mus.mean():
-            shape = 0.5 * k
-            scale = 2.0 * mus.mean()
-            return (
-                (shape - 1.0) * np.log(z)
-                - z / scale
-                - special.gammaln(shape)
-                - shape * math.log(scale)
-            )
-        if k == 2:
-            # sum of Gamma(1/2, 2*mu_i): modified-Bessel closed form
-            a0 = 0.25 / mus[0]
-            a1 = 0.25 / mus[1]
-            u = np.abs(z * (a0 - a1))
-            v = z * (a0 + a1)
-            return (
-                np.log(special.i0e(u))
-                + (u - v)
-                - 0.5 * math.log(4.0 * mus[0] * mus[1])
-            )
-        return _convolve_log_pdf(self, mus, z)
+        z = self.check_sum_support(len(mus), z)
+        return _hypoexponential_log_pdf(0.5, 0.5 / mus, z)
 
     def default_std_range(self):
         return (0.6, 2.4)
@@ -547,6 +530,7 @@ class Exponential(FamilySpec):
     mean_space = (0.0, math.inf)
     support = Support("interval", 0.0, math.inf)
     variance_function = (0.0, 0.0, 1.0)
+    edge_shape = 1.0
 
     def natural_from_mean(self, mu):
         return -1.0 / self.check_mean(mu)
@@ -570,8 +554,7 @@ class Exponential(FamilySpec):
     def sum_log_pdf(self, mus, z):
         mus = [self.check_mean(m) for m in mus]
         z = self.check_sum_support(len(mus), z)
-        rates = 1.0 / np.array(mus)
-        return _hypoexponential_log_pdf(rates, z)
+        return _hypoexponential_log_pdf(1.0, 1.0 / np.array(mus), z)
 
     def default_std_range(self):
         return (0.5, 4.0)
@@ -650,7 +633,7 @@ class BetaFixedAlpha(FamilySpec):
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        self.alpha = float(alpha)
+        self.alpha = self.edge_shape = float(alpha)
         if self.alpha == 1.0:
             self.variance_function = (0.0, 0.0, 1.0)
 
@@ -749,27 +732,30 @@ class BetaFixedAlpha(FamilySpec):
         return np.log(rng.beta(b, self.alpha, n))
 
     def sum_quantile(self, mu, k, q):
-        if k == 1 and self.alpha != 1.0:
-            # one observation: X = log(1 - U) with 1 - U ~ Beta(beta, alpha)
-            b = self.natural_from_mean(mu)
-            u = _ppf(q, lambda q: _beta_ppf(q, b, self.alpha), 0.0, 1.0, valid=b > 0)
-            return float(np.log(u))
-        scale = 1.0 / (-1.0 / mu)
-        z = -_ppf(1.0 - q, lambda q: special.gammaincinv(k, q) * scale,
-                  0.0 * scale, math.inf * scale,
-                  valid=scale > 0)
         if self.alpha == 1.0:
-            return z
-        # conservative bound via the alpha = 1 envelope of the same mean
-        return z * 2.0
+            scale = 1.0 / (-1.0 / mu)
+            return -_ppf(1.0 - q, lambda q: special.gammaincinv(k, q) * scale,
+                         0.0 * scale, math.inf * scale,
+                         valid=scale > 0)
+        # Outer bounds from one observation, exact at k = 1: P(Z < k x) <=
+        # k P(X < x) in the lower tail, and P(Z > x) <= P(X > x)^k at the
+        # near-zero end, found through U = 1 - e^X ~ Beta(alpha, beta) so that
+        # log1p keeps the digits of a U far below eps.
+        b = self.natural_from_mean(mu)
+        if q < 0.5:
+            u = _ppf(q / k, lambda q: _beta_ppf(q, b, self.alpha), 0.0, 1.0,
+                     valid=b > 0)
+            return k * float(np.log(u))
+        p = (1.0 - q) ** (1.0 / k) if q <= 1.0 else math.nan
+        u = _ppf(p, lambda p: _beta_ppf(p, self.alpha, b), 0.0, 1.0, valid=b > 0)
+        return float(np.log1p(-u))
 
     def sum_log_pdf(self, mus, z):
         mus = [self.check_mean(m) for m in mus]
         k = len(mus)
         z = self.check_sum_support(k, z)
         if self.alpha == 1.0:
-            rates = np.array([-1.0 / m for m in mus])
-            return _hypoexponential_log_pdf(rates, -z)
+            return _hypoexponential_log_pdf(1.0, -1.0 / np.array(mus), -z)
         if k == 2:
             return _convolve_log_pdf(self, np.array(mus), z)
         raise ComputationError(
@@ -799,19 +785,18 @@ def _log_sinch(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hypoexponential_log_pdf(rates: np.ndarray, z) -> np.ndarray:
-    """Log-pdf of a sum of independent exponentials with the given rates."""
+def _hypoexponential_log_pdf(shape: float, rates, z) -> np.ndarray:
+    """Log-pdf of a sum of independent Gamma(shape, rate_i), one per rate:
+    closed forms for equal rates and k = 2, partial fractions for shape 1 and
+    distinct rates where 3k eps sum|terms| (their rounding) is below 1e-12 of
+    the density, and the positive series everywhere else."""
     rates = np.asarray(rates, dtype=float)
     z = np.asarray(z, dtype=float)
     k = rates.size
-    if k == 1:
-        return np.log(rates[0]) - rates[0] * z
     if np.ptp(rates) <= 1e-12 * rates.mean():
-        r = rates.mean()
-        return (
-            k * np.log(r) + (k - 1.0) * np.log(z) - r * z - special.gammaln(k)
-        )
-    if k == 2:
+        a, r = k * shape, rates.mean()
+        return a * np.log(r) + (a - 1.0) * np.log(z) - r * z - special.gammaln(a)
+    if k == 2 and shape == 1.0:
         rbar = 0.5 * (rates[0] + rates[1])
         half_gap = 0.5 * np.abs(rates[0] - rates[1])
         return (
@@ -820,13 +805,14 @@ def _hypoexponential_log_pdf(rates: np.ndarray, z) -> np.ndarray:
             - rbar * z
             + _log_sinch(half_gap * z)
         )
+    if k == 2 and shape == 0.5:
+        a0, a1 = 0.5 * rates
+        u, v = np.abs(z * (a0 - a1)), z * (a0 + a1)
+        return np.log(special.i0e(u)) + (u - v) + 0.5 * np.log(rates[0] * rates[1])
     flat = z.ravel()
-    vals = np.empty(flat.size)
+    out = np.empty(flat.size)
     exact = np.zeros(flat.size, dtype=bool)
-    if np.diff(np.sort(rates)).min() > 0:
-        # partial fractions; 3k eps sum|terms| bounds the rounding of the
-        # coefficients and of the sum, so a point where that exceeds 1e-12 of
-        # the density (near-tied rates, small z) takes the expm form instead
+    if shape == 1.0 and np.diff(np.sort(rates)).min() > 0:
         with np.errstate(over="ignore", invalid="ignore"):
             coef = np.ones(k)
             for i in range(k):
@@ -834,42 +820,64 @@ def _hypoexponential_log_pdf(rates: np.ndarray, z) -> np.ndarray:
                 coef[i] = np.prod(others / (others - rates[i]))
             terms = coef[:, None] * rates[:, None] * np.exp(-np.outer(rates, flat))
             vals = np.sum(terms, axis=0)
-            exact = (3 * k * np.finfo(float).eps * np.abs(terms).sum(axis=0)
-                     <= 1e-12 * np.abs(vals))
-    # tied rates and the points above: the phase-type form, entry (0, k-1)
-    # of expm(theta z) times the last rate, exact but slow.  theta z is
-    # conjugated by diag(z^-i) so that the entry stays of order one and expm
-    # resolves it to full relative precision where the density is tiny.
-    slow = np.flatnonzero(~exact)
-    if slow.size:
-        zz = flat[slow]
-        b = np.zeros((slow.size, k, k))
-        b[:, range(k), range(k)] = -rates * zz[:, None]
-        b[:, range(k - 1), range(1, k)] = rates[:-1]
-        vals[slow] = linalg.expm(b)[:, 0, -1] * zz ** (k - 1) * rates[-1]
-    vals = np.maximum(vals, 1e-300)
-    return np.log(vals).reshape(z.shape)
+            # below ~1e-280 the terms lose relative precision to underflow
+            exact = ((3 * k * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+                      <= 1e-12 * np.abs(vals)) & (vals > 1e-280))
+        out[exact] = np.log(vals[exact])
+    if not exact.all():
+        out[~exact] = _gamma_series_log_pdf(shape, rates, flat[~exact])
+    return out.reshape(z.shape)
+
+
+def _gamma_series_log_pdf(shape: float, rates: np.ndarray, z: np.ndarray, m=64):
+    """Moschopoulos' series (Ann. Inst. Statist. Math. 37:541, 1985) in log space.
+
+    Gamma(shape, rate_i) is Gamma(shape + N_i, r), r the largest rate, for N_i
+    negative binomial(shape, rate_i / r), so the sum mixes Gamma(k shape + n, r)
+    over the law of sum N_i: positive terms.  Scaled by c^n, c = max(1 - rate_i
+    / r), its coefficients are at most those of (1 - t)^-(k shape), so with
+    x = c r z the terms past the first m add at most e^x P(m, x) / Gamma(k
+    shape) in the units of ``out``; m doubles until that is below e^-40 of it,
+    up to 16384 terms.
+    """
+    r, rho = rates.max(), rates.size * shape
+    c_i = 1.0 - rates / r
+    x = c_i.max() * r * z
+    n = np.arange(m, dtype=float)
+    step = (shape + n[:-1]) / n[1:]
+    delta = np.ones(1)
+    for q in c_i[c_i > 0.0] / c_i.max():
+        delta = np.convolve(delta, np.cumprod(np.concatenate(([1.0], step * q))))[:m]
+    coef = np.log(delta) - special.gammaln(rho + n)
+    out = np.empty(z.size)
+    rows = max(1, 2**18 // m)  # bounds the (rows, m) term array
+    for i in range(0, z.size, rows):
+        t = coef + n * np.log(x[i:i + rows, None])
+        top = t.max(axis=1)
+        out[i:i + rows] = top + np.log(np.exp(t - top[:, None]).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        short = x + np.log(special.gammainc(m, x)) - special.gammaln(rho) - out > -40.0
+    if short.any():
+        if m >= 2**14:
+            raise ComputationError(
+                f"gamma-sum series needs more than {m} terms for rates "
+                f"{rates.tolist()} at z={float(z[short].max())!r}")
+        return _gamma_series_log_pdf(shape, rates, z, 2 * m)
+    return out + (shape * np.sum(np.log(rates / r)) + math.log(r)
+                  + (rho - 1.0) * np.log(r * z) - r * z)
 
 
 def _convolve_log_pdf(spec: FamilySpec, mus: np.ndarray, z) -> np.ndarray:
-    """Numeric convolution of the component densities over C(z).
+    """Log-density of X_1 + X_2 by numeric convolution over C(z).
 
-    Uses the substitution x = z sin^2(theta), which absorbs the endpoint
-    singularities of the half-line carriers (e.g. the x^(-1/2) factor of the
-    free-variance family).  Recursion handles k > 2.
+    Gauss-Jacobi nodes absorb each density's |x|^(a-1) factor at the
+    support's finite end, a = ``spec.edge_shape``, for every a.
     """
     z = np.asarray(z, dtype=float)
-
-    def rec(ms, zz):
-        if len(ms) == 1:
-            return np.exp(spec.log_pdf(ms[0], zz))
-        x1, jac = _quad.sin2_nodes(zz, 160)
-        x2 = zz[:, None] - x1
-        f1 = np.exp(spec.log_pdf(ms[0], x1.ravel()).reshape(x1.shape))
-        rest = rec(ms[1:], x2.ravel()).reshape(x2.shape)
-        return np.sum(f1 * rest * jac, axis=-1)
-
-    vals = np.maximum(rec(list(mus), z.ravel()), 1e-300)
+    x, w = _quad.jacobi_nodes(z.ravel(), 160, spec.edge_shape, spec.edge_shape)
+    f1 = np.exp(spec.log_pdf(mus[0], x.ravel()).reshape(x.shape))
+    f2 = np.exp(spec.log_pdf(mus[1], (z.reshape(-1, 1) - x).ravel()).reshape(x.shape))
+    vals = np.maximum(np.sum(w * f1 * f2, axis=1), 1e-300)
     return np.log(vals).reshape(z.shape)
 
 

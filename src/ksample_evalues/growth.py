@@ -282,8 +282,10 @@ def _cond_second_moment(spec, mu0, k, z, log_gz, n_inner):
 
     fid = spec.support
     if np.isfinite(fid.lo) or np.isfinite(fid.hi):
-        # half-line support: x = z sin^2(theta) soaks up endpoint singularities
-        x, jac = _quad.sin2_nodes(z, n_inner)
+        # half-line support: one observation has shape a at the finite end,
+        # the other k - 1 shape (k - 1) a
+        a = spec.edge_shape
+        x, jac = _quad.jacobi_nodes(z, n_inner, a, (k - 1) * a)
     else:
         # real line: the conditional law concentrates near z/k
         theta, w = _quad._leggauss(n_inner)

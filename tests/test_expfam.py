@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from ksample_evalues import (
     Alternative,
+    ComputationError,
     MeanDomainError,
     SupportError,
     as_generator,
@@ -19,6 +21,7 @@ from ksample_evalues import (
 )
 from ksample_evalues import sequential
 from ksample_evalues._quad import sum_nodes, support_nodes
+from ksample_evalues.expfam import _gamma_series_log_pdf, _hypoexponential_log_pdf
 
 ALL_FAMILIES = [
     "bernoulli",
@@ -360,19 +363,21 @@ class TestSumDensity:
     @pytest.mark.parametrize(
         "rates",
         [np.linspace(1.0, 1.008, 5), np.linspace(1.0, 1.05, 6),
-         np.linspace(1.0, 1.1, 8), np.array([1.0, 2.0, 3.0])],
-        ids=["k5-near-tied", "k6-near-tied", "k8-near-tied", "k3-spread"],
+         np.linspace(1.0, 1.1, 8), np.array([1.0, 2.0, 3.0]),
+         np.array([1.0, 1.0 + 1e-7, 1.3, 2.0])],
+        ids=["k5-near-tied", "k6-near-tied", "k8-near-tied", "k3-spread",
+             "k4-pair-1e-7"],
     )
     def test_exponential_sum_matches_exact_partial_fractions(self, rates):
         # Oracle: the partial-fraction sum in 120-digit arithmetic, which
         # outlasts its cancellation at every node.  A per-z expm of the
         # unscaled phase-type matrix is no oracle in the lower tail: it is
         # accurate in norm only, and at k=8 misses the density by 0.05 nats.
-        mpmath = pytest.importorskip("mpmath")
         spec = make_family("exponential")
         mus = list(1.0 / rates)
         z, _ = sum_nodes(spec, mus, len(mus), n=256)
-        z = np.concatenate([np.geomspace(1e-6, 1e-2, 5), z])
+        # far tail too, where the terms underflow past double precision
+        z = np.concatenate([np.geomspace(1e-6, 1e-2, 5), z, [600.0, 800.0]])
         with mpmath.workdps(120):
             r = [mpmath.mpf(1.0 / m) for m in mus]
             coef = [mpmath.fprod(rj / (rj - ri) for rj in r if rj != ri) * ri
@@ -382,6 +387,85 @@ class TestSumDensity:
                     for zz in z]
         np.testing.assert_allclose(spec.sum_log_pdf(mus, z), want, rtol=0, atol=1e-12)
 
+    def test_tied_stream_block_matches_mpmath_convolution(self):
+        # the exponential stream block with multiplicities (2, 1, 1): rates
+        # (1, 1, 1/0.7, 2); oracle: Gamma(2, 1) convolved in mpmath with the
+        # two-rate closed form
+        spec = make_family("exponential")
+        mus = [1.0, 1.0, 0.7, 0.5]
+        z, w = sum_nodes(spec, mus, 4, n=2048)
+        mass = np.sum(w * np.exp(spec.sum_log_pdf(mus, z)))
+        assert mass == pytest.approx(1.0, abs=1e-12)
+        pts = np.concatenate([[1e-4, 0.05], z[::160]])
+        with mpmath.workdps(30):
+            r1, r2 = 1 / mpmath.mpf(0.7), mpmath.mpf(2)
+
+            def pair(y):
+                return r1 * r2 / (r2 - r1) * (mpmath.exp(-r1 * y) - mpmath.exp(-r2 * y))
+
+            want = [float(mpmath.log(mpmath.quad(
+                lambda x: x * mpmath.exp(-x) * pair(zz - x), [0, zz])))
+                for zz in map(mpmath.mpf, pts)]
+        np.testing.assert_allclose(spec.sum_log_pdf(mus, pts), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_gaussian_variance_sum_matches_mpmath_convolution(self, k):
+        # oracle: pairs of Gamma(1/2) members in the modified-Bessel closed
+        # form, convolved in mpmath; an odd last member's (y - x)^(-1/2) is
+        # taken out by x = y (1 - t^2)
+        spec = make_family("gaussian_variance")
+        mus = [0.5, 0.25, 1.5, 2.0, 0.8][:k]
+        z, w = sum_nodes(spec, mus, k, n=2048)
+        mass = np.sum(w * np.exp(spec.sum_log_pdf(mus, z)))
+        assert mass == pytest.approx(1.0, abs=1e-12)
+        pts = [1e-3, 0.5, 4.0, 40.0] if k < 5 else [0.05, 3.0, 40.0]
+        with mpmath.workdps(30 if k < 5 else 25):
+            r = [1 / (2 * mpmath.mpf(m)) for m in mus]
+
+            def pair(a, b):
+                return lambda y: (mpmath.sqrt(a * b) * mpmath.exp(-(a + b) * y / 2)
+                                  * mpmath.besseli(0, (a - b) * y / 2))
+
+            def conv(f, g, method):
+                return lambda y: mpmath.quad(lambda x: f(x) * g(y - x), [0, y],
+                                             method=method)
+
+            def last_half(f, y):
+                rl = r[-1]
+                return mpmath.quad(lambda t: f(y * (1 - t * t)) * 2
+                                   * mpmath.sqrt(rl * y / mpmath.pi)
+                                   * mpmath.exp(-rl * y * t * t),
+                                   [0, 1], method="gauss-legendre")
+
+            f12 = pair(r[0], r[1])
+            if k == 3:
+                dens = lambda y: last_half(f12, y)
+            else:
+                method = "tanh-sinh" if k == 4 else "gauss-legendre"
+                f1234 = conv(f12, pair(r[2], r[3]), method)
+                dens = f1234 if k == 4 else (lambda y: last_half(f1234, y))
+            want = [float(mpmath.log(dens(mpmath.mpf(zz)))) for zz in pts]
+        np.testing.assert_allclose(spec.sum_log_pdf(mus, np.array(pts)), want,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,rates", [(1.0, [1.0, 0.3]), (1.0, [2.0, 0.5]),
+                                             (0.5, [1.0, 0.3]), (0.5, [2.0, 0.05])])
+    def test_series_matches_k2_closed_forms(self, shape, rates):
+        # at k = 2 the sinch (shape 1) and Bessel (shape 1/2) forms are the
+        # series' oracles, on the family's own sum grid
+        rates = np.array(rates)
+        spec = make_family("exponential" if shape == 1.0 else "gaussian_variance")
+        z, _ = sum_nodes(spec, shape / rates, 2, n=512)
+        np.testing.assert_allclose(_gamma_series_log_pdf(shape, rates, z),
+                                   _hypoexponential_log_pdf(shape, rates, z),
+                                   rtol=0, atol=1e-12)
+
+    def test_series_term_cap_refuses(self):
+        spec = make_family("gaussian_variance")
+        with pytest.raises(ComputationError,
+                           match=r"rates \[50\.0, 0\.5, 0\.05\] at z=900\.0"):
+            spec.sum_log_pdf([0.01, 1.0, 10.0], np.array([1.0, 900.0]))
+
     def test_z_outside_support_errors(self):
         spec = make_family("exponential")
         with pytest.raises(SupportError):
@@ -389,6 +473,45 @@ class TestSumDensity:
         spec2 = make_family("bernoulli")
         with pytest.raises(SupportError):
             spec2.sum_log_pdf([0.5, 0.5], 3.0)
+
+
+class TestBetaGeneralAlpha:
+    """The k = 2 sum density and grid of beta observations with alpha != 1."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.3, 2.0, 5.0])
+    def test_convolution_matches_mpmath(self, alpha):
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        mus = [spec.mean_from_beta_mean(0.5), spec.mean_from_beta_mean(0.25)]
+        pts = [-0.01, -0.5, -3.0]
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            bs = [mpmath.mpf(spec.natural_from_mean(m)) for m in mus]
+
+            def pdf(b, x):  # X = log(1 - U), U ~ Beta(alpha, b)
+                return (mpmath.exp(b * x) * (-mpmath.expm1(x)) ** (a - 1)
+                        / mpmath.beta(a, b))
+
+            want = [float(mpmath.log(mpmath.quad(
+                lambda x: pdf(bs[0], x) * pdf(bs[1], zz - x), [zz, zz / 2, 0])))
+                for zz in map(mpmath.mpf, pts)]
+        got = spec.sum_log_pdf(mus, np.array(pts))
+        np.testing.assert_allclose(np.expm1(got - np.array(want)), 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0, 5.0])
+    def test_sum_grid_normalization(self, alpha):
+        # the grid's ends are sum_quantile's outer bounds; they must hold the
+        # mass, also at alpha < 1 where the near-zero end is far below eps
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        mus = [spec.mean_from_beta_mean(0.5), spec.mean_from_beta_mean(0.25)]
+        z, w = sum_nodes(spec, mus, 2, n=2048)
+        assert z[-1] < 0.0
+        p = np.exp(spec.sum_log_pdf(mus, z))
+        assert np.sum(w * p) == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(w * z * p) == pytest.approx(sum(mus), rel=1e-9)
+        # k = 1, the support grid: its near-zero end was -0.0 at alpha = 0.5
+        x, wx = support_nodes(spec, mus)
+        for mu in mus:
+            assert np.sum(wx * np.exp(spec.log_pdf(mu, x))) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestIntegerCounts:
@@ -504,12 +627,15 @@ def stats_sum_quantile(spec, mu, k, q):
         return stats.gamma(k, scale=mu).ppf(q)
     if fid == "geometric":
         return stats.nbinom(k, 1.0 / (1.0 + mu)).ppf(q)
-    if spec.alpha != 1.0 and k == 1:
-        # one observation: X = log(1 - U), 1 - U ~ Beta(beta, alpha)
-        return np.log(stats.beta(spec.natural_from_mean(mu), spec.alpha).ppf(q))
-    # negated gamma sum; alpha != 1 doubles the alpha = 1 envelope
-    z = -float(stats.gamma(k, scale=1.0 / (-1.0 / mu)).ppf(1.0 - q))
-    return z if spec.alpha == 1.0 else z * 2.0
+    if spec.alpha == 1.0:
+        # negated gamma sum
+        return -float(stats.gamma(k, scale=1.0 / (-1.0 / mu)).ppf(1.0 - q))
+    # outer bounds from one observation X = log(1 - U), U ~ Beta(alpha, beta):
+    # k q1(q / k) in the lower tail, q1(1 - (1 - q)^(1/k)) at the near-zero end
+    b = spec.natural_from_mean(mu)
+    if q < 0.5:
+        return k * np.log(stats.beta(b, spec.alpha).ppf(q / k))
+    return np.log1p(-stats.beta(spec.alpha, b).ppf((1.0 - q) ** (1.0 / k)))
 
 
 def same_float(a, b):

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ksample_evalues import _quad, make_family
 from ksample_evalues import growth as gr
@@ -60,15 +61,27 @@ class TestLegendreNodes:
         assert w.sum() == pytest.approx(2.0, abs=1e-15)
 
 
-class TestSin2Nodes:
+class TestJacobiNodes:
     @pytest.mark.parametrize("z", [0.3, 7.0, -2.5])
     def test_absorbs_inverse_square_root_endpoint(self, z):
         # the integral of |x|^(-1/2) between 0 and z is 2 sqrt(|z|)
-        x, w = _quad.sin2_nodes([z], 160)
+        x, w = _quad.jacobi_nodes([z], 160, 0.5, 1.0)
         assert x.shape == w.shape == (1, 160)
         assert np.all(np.abs(x) < abs(z)) and np.all(x * z > 0)
         got = np.sum(w / np.sqrt(np.abs(x)), axis=1)[0]
         assert got == pytest.approx(2.0 * math.sqrt(abs(z)), rel=1e-14)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 0.3), (0.3, 0.6), (0.5, 1.5), (2.0, 5.0)])
+    def test_absorbs_both_endpoints(self, a, b):
+        # the integral of x^(a-1) (z-x)^(b-1) e^-x between 0 and z, against
+        # adaptive quadrature with the algebraic weight.  scipy's roots_jacobi
+        # weights miss it by up to 5e-12 at 160 nodes; Golub-Welsch's do not
+        z = 3.0
+        x, w = _quad.jacobi_nodes([z], 160, a, b)
+        got = np.sum(w * x ** (a - 1) * (z - x) ** (b - 1) * np.exp(-x))
+        want, _ = integrate.quad(lambda t: np.exp(-t), 0.0, z, weight="alg",
+                                 wvar=(a - 1, b - 1), epsabs=0, epsrel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_callers_use_cached_nodes(self, monkeypatch):
         # the beta alpha != 1 convolution and the conditional second moment
