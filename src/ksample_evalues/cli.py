@@ -282,6 +282,9 @@ def cmd_heatmap(args) -> int:
         raise SystemExit("--kinds must name exactly two statistics, e.g. groiid,cond")
     aliases = {"groiid": "gro_iid", "grom": "gro_m"}
     kinds = [aliases.get(k.strip(), k.strip()) for k in kinds]
+    if "gro_m" in kinds:
+        raise SystemExit("heatmap cannot score gro_m: a certified mixture is "
+                         "bound to one alternative, not to every grid cell")
     result = gr.heatmap(
         spec,
         tuple(kinds),
@@ -436,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(sp)
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--policy", default="threshold",
-                    choices=["threshold", "fixed", "budget"])
+                    choices=sq.POLICIES)
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--max-blocks", type=int, default=200)
     sp.add_argument("--truth", choices=["null", "alt"], default="null")

@@ -161,9 +161,17 @@ class Support:
 class FamilySpec(ABC):
     """Base class for the concrete families.
 
-    Subclasses provide the parameter maps, sampling and the sum density;
-    everything that only depends on those (densities, KL, Fisher information,
-    central moments) lives here.  A family with a quadratic variance function
+    A family states its law: the parameter maps lambda(mu), mu(lambda) and
+    A(lambda), the carrier log h, the support, ``_draw`` (draws at a checked
+    mean) and ``sum_quantile``.  Everything derived lives here: densities, KL,
+    Fisher information, central moments, and the two checked entry points
+    ``sample`` and ``sum_log_pdf``.  ``sum_log_pdf`` checks the means and the
+    sum's support, is ``log_pdf`` at k = 1 and calls ``_sum_log_pdf`` at
+    k >= 2, whose base form is the one lattice convolution; a family with a
+    closed form or its own routine (Poisson, gaussian_mean, the gamma sums,
+    the beta convolution) overrides it.
+
+    A family with a quadratic variance function
     V(mu) = v0 + v1 mu + v2 mu^2 (Morris 1982) gives it as the triple
     ``variance_function = (v0, v1, v2)``, from which ``variance`` and its two
     derivatives follow; a family without one overrides those three methods.
@@ -285,9 +293,14 @@ class FamilySpec(ABC):
 
     # -- sampling and quantiles -------------------------------------------
 
-    @abstractmethod
     def sample(self, mu: float, n: int, rng) -> np.ndarray:
-        """n i.i.d. draws of the sufficient statistic under P_mu."""
+        """n i.i.d. draws of the sufficient statistic under P_mu; ``rng`` is a
+        seed or a Generator."""
+        return self._draw(self.check_mean(mu), n, as_generator(rng))
+
+    @abstractmethod
+    def _draw(self, mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws at a mean already checked, from a Generator."""
 
     @abstractmethod
     def sum_quantile(self, mu: float, k: int, q: float) -> float:
@@ -296,10 +309,31 @@ class FamilySpec(ABC):
 
     # -- Z marginal ---------------------------------------------------------
 
-    @abstractmethod
     def sum_log_pdf(self, mus: Sequence[float], z) -> np.ndarray:
         """Log-density (w.r.t. Lebesgue / counting) of Z = X_1 + ... + X_k
-        for independent X_i ~ P_mu_i."""
+        for independent X_i ~ P_mu_i; k = 1 is ``log_pdf``."""
+        mus = [self.check_mean(m) for m in mus]
+        if not mus:
+            raise ValueError("a sum needs at least one mean")
+        z = self.check_sum_support(len(mus), z)
+        if len(mus) == 1:
+            return self.log_pdf(mus[0], z)
+        return self._sum_log_pdf(mus, z)
+
+    def _sum_log_pdf(self, mus: list[float], z: np.ndarray) -> np.ndarray:
+        """The k >= 2 sum density at checked means and z; this one convolves
+        the pmfs exp(lambda x - A + log h) of a lattice on 0, 1, ..., each
+        truncated at max z, which keeps every entry up to max z exact."""
+        idx = np.round(z).astype(int)
+        zmax = int(idx.max()) if idx.size else 0
+        xs = np.arange(min(zmax, self.support.hi) + 1.0)
+        lam, la = self._natural_params(mus)
+        pmfs = np.exp(np.outer(lam, xs) - la[:, None] + self.log_carrier(xs))
+        pmf = pmfs[0]
+        for row in pmfs[1:]:
+            pmf = np.convolve(pmf, row)[: zmax + 1]
+        with np.errstate(divide="ignore"):
+            return np.log(pmf[idx])
 
     def check_sum_support(self, k: int, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -358,24 +392,12 @@ class Bernoulli(FamilySpec):
     def log_partition(self, lam):
         return np.logaddexp(0.0, lam)
 
-    def sample(self, mu, n, rng):
-        mu = self.check_mean(mu)
-        rng = as_generator(rng)
+    def _draw(self, mu, n, rng):
         return (rng.random(n) < mu).astype(float)
 
     def sum_quantile(self, mu, k, q):
         return _ppf(q, lambda q: _binom_ppf(q, k, mu), -1.0, float(k),
                     valid=0.0 <= mu <= 1.0)
-
-    def sum_log_pdf(self, mus, z):
-        mus = [self.check_mean(m) for m in mus]
-        z = self.check_sum_support(len(mus), z)
-        pmf = np.array([1.0])
-        for m in mus:
-            pmf = np.convolve(pmf, [1.0 - m, m])
-        with np.errstate(divide="ignore"):
-            out = np.log(pmf[np.round(z).astype(int)])
-        return out
 
     def default_std_range(self):
         return (0.1, 0.9)
@@ -410,9 +432,7 @@ class GaussianFreeMean(FamilySpec):
         x = np.asarray(x, dtype=float)
         return -0.5 * x * x / self.sigma2 - 0.5 * math.log(2.0 * math.pi * self.sigma2)
 
-    def sample(self, mu, n, rng):
-        mu = self.check_mean(mu)
-        rng = as_generator(rng)
+    def _draw(self, mu, n, rng):
         return rng.normal(mu, math.sqrt(self.sigma2), n)
 
     def sum_quantile(self, mu, k, q):
@@ -421,9 +441,7 @@ class GaussianFreeMean(FamilySpec):
                     -math.inf * sd + k * mu, math.inf * sd + k * mu,
                     valid=mu == mu)
 
-    def sum_log_pdf(self, mus, z):
-        mus = [self.check_mean(m) for m in mus]
-        z = self.check_sum_support(len(mus), z)
+    def _sum_log_pdf(self, mus, z):
         var = len(mus) * self.sigma2
         return -0.5 * (z - sum(mus)) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
 
@@ -463,9 +481,7 @@ class GaussianFreeVariance(FamilySpec):
         x = np.asarray(x, dtype=float)
         return -0.5 * np.log(x) - 0.5 * math.log(2.0 * math.pi)
 
-    def sample(self, mu, n, rng):
-        mu = self.check_mean(mu)
-        rng = as_generator(rng)
+    def _draw(self, mu, n, rng):
         return mu * rng.chisquare(1, n)
 
     def sum_quantile(self, mu, k, q):
@@ -474,10 +490,8 @@ class GaussianFreeVariance(FamilySpec):
                     0.0 * scale, math.inf * scale,
                     valid=scale > 0)
 
-    def sum_log_pdf(self, mus, z):
-        mus = np.array([self.check_mean(m) for m in mus])
-        z = self.check_sum_support(len(mus), z)
-        return _hypoexponential_log_pdf(0.5, 0.5 / mus, z)
+    def _sum_log_pdf(self, mus, z):
+        return _hypoexponential_log_pdf(0.5, 0.5 / np.array(mus), z)
 
     def default_std_range(self):
         return (0.6, 2.4)
@@ -504,18 +518,14 @@ class Poisson(FamilySpec):
     def log_carrier(self, x):
         return -special.gammaln(np.asarray(x, dtype=float) + 1.0)
 
-    def sample(self, mu, n, rng):
-        mu = self.check_mean(mu)
-        rng = as_generator(rng)
+    def _draw(self, mu, n, rng):
         return rng.poisson(mu, n).astype(float)
 
     def sum_quantile(self, mu, k, q):
         return _ppf(q, lambda q: _poisson_ppf(q, k * mu), -1.0, math.inf,
                     valid=k * mu >= 0)
 
-    def sum_log_pdf(self, mus, z):
-        mus = [self.check_mean(m) for m in mus]
-        z = self.check_sum_support(len(mus), z)
+    def _sum_log_pdf(self, mus, z):
         lam = sum(mus)
         return z * math.log(lam) - lam - special.gammaln(z + 1.0)
 
@@ -541,9 +551,7 @@ class Exponential(FamilySpec):
     def log_partition(self, lam):
         return -np.log(-np.asarray(lam))
 
-    def sample(self, mu, n, rng):
-        mu = self.check_mean(mu)
-        rng = as_generator(rng)
+    def _draw(self, mu, n, rng):
         return rng.exponential(mu, n)
 
     def sum_quantile(self, mu, k, q):
@@ -551,9 +559,7 @@ class Exponential(FamilySpec):
                     0.0 * mu, math.inf * mu,
                     valid=mu > 0)
 
-    def sum_log_pdf(self, mus, z):
-        mus = [self.check_mean(m) for m in mus]
-        z = self.check_sum_support(len(mus), z)
+    def _sum_log_pdf(self, mus, z):
         return _hypoexponential_log_pdf(1.0, 1.0 / np.array(mus), z)
 
     def default_std_range(self):
@@ -584,29 +590,13 @@ class Geometric(FamilySpec):
     def _p(self, mu):
         return 1.0 / (1.0 + mu)
 
-    def sample(self, mu, n, rng):
-        mu = self.check_mean(mu)
-        rng = as_generator(rng)
+    def _draw(self, mu, n, rng):
         return (rng.geometric(self._p(mu), n) - 1).astype(float)
 
     def sum_quantile(self, mu, k, q):
         p = self._p(mu)
         return _ppf(q, lambda q: _nbinom_ppf_quiet(q, k, p), -1.0, math.inf,
                     valid=0 < p <= 1)
-
-    def sum_log_pdf(self, mus, z):
-        mus = [self.check_mean(m) for m in mus]
-        z = self.check_sum_support(len(mus), z)
-        zmax = int(np.max(np.round(z))) if np.size(z) else 0
-        pmf = np.array([1.0])
-        xs = np.arange(zmax + 1, dtype=float)
-        for m in mus:
-            p = self._p(m)
-            comp = p * (1.0 - p) ** xs
-            # truncating each component at zmax keeps entries up to zmax exact
-            pmf = np.convolve(pmf, comp)[: zmax + 1]
-        with np.errstate(divide="ignore"):
-            return np.log(pmf[np.round(z).astype(int)])
 
     def default_std_range(self):
         return (0.15, 0.6)
@@ -724,9 +714,7 @@ class BetaFixedAlpha(FamilySpec):
         b = self.natural_from_mean(mu)
         return self.alpha / (self.alpha + b)
 
-    def sample(self, mu, n, rng):
-        mu = self.check_mean(mu)
-        rng = as_generator(rng)
+    def _draw(self, mu, n, rng):
         b = self.natural_from_mean(mu)
         # 1 - U ~ Beta(beta, alpha); sampling it directly keeps log() accurate
         return np.log(rng.beta(b, self.alpha, n))
@@ -750,13 +738,10 @@ class BetaFixedAlpha(FamilySpec):
         u = _ppf(p, lambda p: _beta_ppf(p, self.alpha, b), 0.0, 1.0, valid=b > 0)
         return float(np.log1p(-u))
 
-    def sum_log_pdf(self, mus, z):
-        mus = [self.check_mean(m) for m in mus]
-        k = len(mus)
-        z = self.check_sum_support(k, z)
+    def _sum_log_pdf(self, mus, z):
         if self.alpha == 1.0:
             return _hypoexponential_log_pdf(1.0, -1.0 / np.array(mus), -z)
-        if k == 2:
+        if len(mus) == 2:
             return _convolve_log_pdf(self, np.array(mus), z)
         raise ComputationError(
             "sum density for beta with alpha != 1 is only available for k = 2"

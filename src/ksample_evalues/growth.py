@@ -263,19 +263,13 @@ def coeff_cond_gap(
 
 def _cond_second_moment(spec, mu0, k, z, log_gz, n_inner):
     """E[X_1^2 | Z=z] for k i.i.d. coordinates at mu0, per z-grid value."""
+    rest = [mu0] * (k - 1)
     if spec.support.discrete:
-        xs = np.arange(0.0, float(z.max()) + 1.0)
-        hi_sup = spec.support.hi
-        if np.isfinite(hi_sup):
-            xs = xs[xs <= hi_sup]
+        zmax, hi = float(z.max()), spec.support.hi
+        xs = np.arange(min(zmax, hi) + 1.0)
         px = np.exp(spec.log_pdf(mu0, xs))
-        rng_rest = np.arange(0.0, float(z.max()) + 1.0)
-        if np.isfinite(hi_sup):
-            rng_rest = rng_rest[rng_rest <= (k - 1) * hi_sup]
-        if k == 2:
-            rest_tab = np.exp(spec.log_pdf(mu0, rng_rest))
-        else:
-            rest_tab = np.exp(spec.sum_log_pdf([mu0] * (k - 1), rng_rest))
+        zs = np.arange(min(zmax, (k - 1) * hi) + 1.0)
+        rest_tab = np.exp(spec.sum_log_pdf(rest, zs))
         # sum over x <= z of x^2 p(x) p_rest(z - x)
         num = np.convolve(xs * xs * px, rest_tab)[np.round(z).astype(int)]
         return num / np.exp(log_gz)
@@ -295,10 +289,7 @@ def _cond_second_moment(spec, mu0, k, z, log_gz, n_inner):
         jac = np.full_like(x, half) * w[None, :]
     px = np.exp(spec.log_pdf(mu0, x.ravel()).reshape(x.shape))
     t = z[:, None] - x
-    if k == 2:
-        pr = np.exp(spec.log_pdf(mu0, t.ravel()).reshape(t.shape))
-    else:
-        pr = np.exp(spec.sum_log_pdf([mu0] * (k - 1), t.ravel()).reshape(t.shape))
+    pr = np.exp(spec.sum_log_pdf(rest, t.ravel()).reshape(t.shape))
     num = np.sum(x * x * px * pr * jac, axis=1)
     return num / np.exp(log_gz)
 

@@ -56,6 +56,15 @@ def expand_multiplicities(
     return Alternative.from_means(spec, means)
 
 
+POLICIES = ("threshold", "fixed", "budget")
+
+
+def _check_alpha(alpha: float) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return float(alpha)
+
+
 class StreamState:
     """Single-writer state of one sequential k-sample test."""
 
@@ -68,12 +77,10 @@ class StreamState:
         multiplicities: Sequence[int] | None = None,
         mixture=None,
     ):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        self.alpha = _check_alpha(alpha)
         self.spec = spec
         self.alt = alt
         self.kind = ev.EValueKind(kind)
-        self.alpha = float(alpha)
         self.mixture = mixture
         self._block_mixture = None
         # fail at construction rather than at the first completed block
@@ -122,12 +129,17 @@ class StreamState:
         return self
 
     def ingest_block(self, block) -> "StreamState":
-        """Ingest one fully formed block (m_j values per group, in order)."""
+        """Ingest one fully formed block (m_j values per group, in order).
+
+        A block of the wrong size or with an out-of-support value is rejected
+        with the state unchanged.
+        """
         block = np.asarray(block, dtype=float)
         if block.size != sum(self.multiplicities):
             raise ValueError(
                 f"block must carry {sum(self.multiplicities)} values"
             )
+        self.spec.check_support(block)
         pos = 0
         for j, m in enumerate(self.multiplicities):
             for v in block[pos : pos + m]:
@@ -240,6 +252,14 @@ def simulate(
     every completed block on the trace prefix only.
     """
     kind = ev.EValueKind(kind)
+    _check_alpha(alpha)
+    if not (policy in POLICIES if isinstance(policy, str)
+            else hasattr(policy, "should_stop")):
+        raise ValueError(f"policy must be one of {', '.join(POLICIES)} or an "
+                         f"object with should_stop, got {policy!r}")
+    for name, value in (("trials", trials), ("max_blocks", max_blocks)):
+        if int(value) != value or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     multiplicities = tuple(int(m) for m in (multiplicities or [1] * alt.k))
     flat_alt = expand_multiplicities(spec, alt, multiplicities)
     kprime = flat_alt.k

@@ -4,6 +4,7 @@ import pytest
 
 from ksample_evalues import Alternative, make_family
 from ksample_evalues import evariables as ev
+from ksample_evalues import growth as gr
 from ksample_evalues import ripr
 from ksample_evalues.cli import canonical_json, main
 
@@ -276,6 +277,17 @@ class TestHeatmap:
             "--out", "heat.csv",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("kinds", ["grom,cond", "cond,gro_m"])
+    def test_gro_m_refused_before_any_cell(self, capsys, tmp_path, monkeypatch, kinds):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(gr, "heatmap", no_cells)
+        with pytest.raises(SystemExit, match="bound to one alternative"):
+            run(capsys, "--out-dir", str(tmp_path), "heatmap", "--family",
+                "exponential", "--kinds", kinds, "--n", "3")
+        assert not list(tmp_path.iterdir())
 
 
 class TestSimulate:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -21,7 +22,11 @@ from ksample_evalues import (
 )
 from ksample_evalues import sequential
 from ksample_evalues._quad import sum_nodes, support_nodes
-from ksample_evalues.expfam import _gamma_series_log_pdf, _hypoexponential_log_pdf
+from ksample_evalues.expfam import (
+    _FAMILIES,
+    _gamma_series_log_pdf,
+    _hypoexponential_log_pdf,
+)
 
 ALL_FAMILIES = [
     "bernoulli",
@@ -89,8 +94,15 @@ class TestParameterMaps:
         spec = make_family(name)
         lo, hi = spec.mean_space
         bad = lo - 1.0 if np.isfinite(lo) else hi + 1.0
-        with pytest.raises(MeanDomainError, match=name):
-            spec.natural_from_mean(bad)
+        good = float(np.mean(MU_RANGES[name]))
+        z = spec.sample(good, 3, as_generator(0))
+        refusals = [lambda: spec.natural_from_mean(bad),
+                    lambda: spec.sample(bad, 3, 0),
+                    lambda: spec.sum_log_pdf([bad], z),
+                    lambda: spec.sum_log_pdf([good, bad], 2 * z)]
+        for call in refusals:
+            with pytest.raises(MeanDomainError, match=name):
+                call()
 
 
 class TestDensities:
@@ -116,13 +128,18 @@ class TestDensities:
     @pytest.mark.parametrize("name", ALL_FAMILIES)
     def test_support_error(self, name):
         spec = make_family(name)
-        bad = {"bernoulli": 2.0, "gaussian_mean": None, "gaussian_variance": -1.0,
+        # off the support of one observation and of every k-fold sum
+        bad = {"bernoulli": 1.5, "gaussian_mean": None, "gaussian_variance": -1.0,
                "poisson": 1.5, "exponential": -0.5, "geometric": -1.0,
                "beta_fixed_alpha": 0.5}[name]
         if bad is None:
             pytest.skip("full-line support")
+        mu = np.mean(MU_RANGES[name])
         with pytest.raises(SupportError):
-            spec.log_density(np.mean(MU_RANGES[name]), bad)
+            spec.log_density(mu, bad)
+        for k in (1, 2):
+            with pytest.raises(SupportError, match=f"k={k} sum"):
+                spec.sum_log_pdf([mu] * k, np.array([bad, 2.0 * k * mu]))
 
 
 class TestMoments:
@@ -283,6 +300,47 @@ class TestSumDensity:
         assert np.sum(w * z * p) == pytest.approx(
             sum(mus), abs=1e-6 * max(1.0, abs(sum(mus)))
         )
+
+    @pytest.mark.parametrize(
+        "name,fixed", [(n, {}) for n in ALL_FAMILIES]
+        + [("beta_fixed_alpha", {"alpha": 2.0})],
+        ids=ALL_FAMILIES + ["beta_fixed_alpha2"],
+    )
+    def test_k1_is_log_pdf(self, name, fixed):
+        spec = make_family(name, **fixed)
+        mu = float(np.mean(MU_RANGES[name]))
+        z = spec.sample(mu, 50, as_generator(4))
+        assert np.array_equal(spec.sum_log_pdf([mu], z), spec.log_pdf(mu, z))
+        with pytest.raises(ValueError, match="at least one mean"):
+            spec.sum_log_pdf([], z)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_bernoulli_matches_enumeration(self, k):
+        spec = make_family("bernoulli")
+        mus = random_mus("bernoulli", k, seed=k)
+        want = np.zeros(k + 1)
+        for xs in itertools.product([0, 1], repeat=k):
+            want[sum(xs)] += np.prod([m if x else 1.0 - m for m, x in zip(mus, xs)])
+        got = np.exp(spec.sum_log_pdf(mus, np.arange(k + 1.0)))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mus", [[10.0 / 3] * 2, [1.25] * 3, [2.0] * 4],
+                             ids=["k2", "k3", "k4"])
+    def test_geometric_equal_means_match_negative_binomial(self, mus):
+        spec = make_family("geometric")
+        z = np.arange(1001.0)
+        want = stats.nbinom.logpmf(z, len(mus), 1.0 / (1.0 + mus[0]))
+        np.testing.assert_allclose(spec.sum_log_pdf(mus, z), want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mus", [[10.0 / 3, 1.25], [2.0, 0.4]])
+    def test_geometric_distinct_means_match_direct_sum(self, mus):
+        spec = make_family("geometric")
+        z = [0, 1, 2, 7, 50, 333, 1000]
+        p, q = (1.0 / (1.0 + m) for m in mus)
+        want = [math.log(math.fsum(p * (1 - p) ** x * q * (1 - q) ** (n - x)
+                                   for x in range(n + 1))) for n in z]
+        got = spec.sum_log_pdf(mus, np.array(z, dtype=float))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_poisson_at_zero(self):
         spec = make_family("poisson")
@@ -473,6 +531,12 @@ class TestSumDensity:
         spec2 = make_family("bernoulli")
         with pytest.raises(SupportError):
             spec2.sum_log_pdf([0.5, 0.5], 3.0)
+
+
+def test_families_state_laws_not_entry_points():
+    # the checked entry points live on FamilySpec only
+    for cls in _FAMILIES.values():
+        assert "sum_log_pdf" not in vars(cls) and "sample" not in vars(cls), cls
 
 
 class TestBetaGeneralAlpha:

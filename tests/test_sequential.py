@@ -54,6 +54,24 @@ class TestIngest:
         assert state.pending() == (1, 0)
         assert state.blocks_completed == 0
 
+    @pytest.mark.parametrize("block, error", [
+        ([3.0, 1.5], SupportError),  # group 1 valid, group 2 off the lattice
+        ([3.0, 1.0, 2.0], ValueError),  # one value too many
+    ])
+    def test_refused_block_leaves_state_unchanged(self, block, error):
+        spec = make_family("poisson")
+        st = sq.StreamState(spec, Alternative.from_means(spec, [2.0, 1.0]),
+                            "cond", 0.05)
+        st.ingest_block([1.0, 0.0])
+        with pytest.raises(error):
+            st.ingest_block(block)
+        assert st.pending() == (0, 0)
+        assert st.blocks_completed == 1
+        # the next group-2 value does not complete a block with refused data
+        st.ingest(2, 4.0)
+        assert st.pending() == (0, 1)
+        assert st.blocks_completed == 1
+
     def test_bad_group_index(self, state):
         with pytest.raises(ValueError, match="group"):
             state.ingest(3, 1)
@@ -263,6 +281,30 @@ class TestSimulate:
         alt = Alternative.from_means(spec, [0.5, 0.25])
         s = sq.simulate(spec, alt, "cond", 0.05, StopAtFive(), 50, seed=6, max_blocks=20)
         assert np.all(s.stop_times == 5)
+
+    @pytest.mark.parametrize("arg, value, match", [
+        ("alpha", 1.5, r"alpha must lie in \(0, 1\)"),
+        ("alpha", 0.0, r"alpha must lie in \(0, 1\)"),
+        ("policy", "thresholds", "threshold, fixed, budget"),
+        ("policy", object(), "threshold, fixed, budget"),
+        ("trials", 0, "trials"),
+        ("max_blocks", 0, "max_blocks"),
+    ], ids=["alpha-above-1", "alpha-0", "policy-typo", "policy-object",
+            "trials-0", "max_blocks-0"])
+    def test_unusable_arguments_refused_before_drawing(self, monkeypatch, arg,
+                                                        value, match):
+        spec = make_family("bernoulli")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew data before checking the arguments")
+
+        monkeypatch.setattr(sq, "spawn_generator", no_draws)
+        kwargs = dict(alpha=0.05, policy="threshold", trials=10, seed=0,
+                      max_blocks=5)
+        kwargs[arg] = value
+        with pytest.raises(ValueError, match=match):
+            sq.simulate(spec, alt, "cond", **kwargs)
 
     def test_multiplicities_in_simulation(self):
         spec = make_family("bernoulli")
