@@ -22,7 +22,7 @@ from . import evariables as ev
 from . import growth as gr
 from . import ripr
 from . import sequential as sq
-from .expfam import Alternative, family_from_config
+from .expfam import Alternative, family_from_config, problem_from_config
 
 
 def canonical_json(obj) -> str:
@@ -65,14 +65,11 @@ def _load_config(args) -> dict:
 
 
 def _spec_alt(cfg):
-    spec = family_from_config(cfg)
-    means = cfg["mean_params"]
-    if cfg.get("beta_means"):
-        if spec.family_id != "beta_fixed_alpha":
-            raise SystemExit("beta_means conversion only applies to the beta family")
-        means = [spec.mean_from_beta_mean(m) for m in means]
-    alt = Alternative.from_means(spec, means)
-    return spec, alt
+    try:
+        spec, means = problem_from_config(cfg)
+    except ValueError as exc:
+        raise SystemExit(f"invalid configuration: {exc}")
+    return spec, Alternative.from_means(spec, means)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -92,6 +89,22 @@ def _report(args, payload: dict, cfg: dict) -> None:
         print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
+
+
+_KIND_ALIASES = {"groiid": "gro_iid", "grom": "gro_m"}
+
+
+def _parse_kinds(text: str) -> list[ev.EValueKind]:
+    """Comma-separated statistic names for --kinds; groiid and grom are
+    aliases of gro_iid and gro_m."""
+    kinds = []
+    for name in (t.strip() for t in text.split(",")):
+        try:
+            kinds.append(ev.EValueKind(_KIND_ALIASES.get(name, name)))
+        except ValueError:
+            valid = ", ".join([k.value for k in ev.EValueKind] + list(_KIND_ALIASES))
+            raise SystemExit(f"--kinds: unknown statistic {name!r}; choose from {valid}")
+    return kinds
 
 
 def _multiplicities(args) -> list[int] | None:
@@ -117,7 +130,10 @@ def _load_mixture(path: str, spec, alt, multiplicities=None) -> ripr.MixtureNull
             "so the problem it was certified for is unknown; produce it with "
             "'ksev project'"
         )
-    mixture = ripr.MixtureNull.from_json_dict(payload)
+    try:
+        mixture = ripr.MixtureNull.from_json_dict(payload)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}")
     try:
         mixture.require_problem(spec, alt.mu)
     except ripr.CertificationError as exc:
@@ -249,7 +265,7 @@ def cmd_project(args) -> int:
 def cmd_growth(args) -> int:
     cfg = _load_config(args)
     spec, alt = _spec_alt(cfg)
-    kinds = [ev.EValueKind(k) for k in args.kinds.split(",")]
+    kinds = _parse_kinds(args.kinds)
     mixture = _load_mixture(args.mixture, spec, alt) if args.mixture else None
     report = gr.growth_report(
         spec,
@@ -277,12 +293,10 @@ def cmd_heatmap(args) -> int:
     if args.fixed:
         cfg["fixed_params"] = json.loads(args.fixed)
     spec = family_from_config(cfg)
-    kinds = args.kinds.split(",")
+    kinds = _parse_kinds(args.kinds)
     if len(kinds) != 2:
         raise SystemExit("--kinds must name exactly two statistics, e.g. groiid,cond")
-    aliases = {"groiid": "gro_iid", "grom": "gro_m"}
-    kinds = [aliases.get(k.strip(), k.strip()) for k in kinds]
-    if "gro_m" in kinds:
+    if ev.EValueKind.GRO_M in kinds:
         raise SystemExit("heatmap cannot score gro_m: a certified mixture is "
                          "bound to one alternative, not to every grid cell")
     result = gr.heatmap(

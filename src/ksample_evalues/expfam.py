@@ -174,16 +174,15 @@ class FamilySpec(ABC):
     A family with a quadratic variance function
     V(mu) = v0 + v1 mu + v2 mu^2 (Morris 1982) gives it as the triple
     ``variance_function = (v0, v1, v2)``, from which ``variance`` and its two
-    derivatives follow; a family without one overrides those three methods.
+    derivatives follow, and with them the delta^4 coefficients of ``growth``
+    in closed form.  A family without one (beta with alpha != 1) overrides
+    those three methods and leaves ``variance_function`` unset.
     """
 
     family_id: str
     mean_space: tuple[float, float]
     support: Support
     variance_function: tuple[float, float, float]
-    # on a half line, a density behaves like |x|^(edge_shape - 1) at the
-    # finite end (the gamma shape for the families with gamma sums)
-    edge_shape: float
 
     # -- parameter maps -------------------------------------------------
 
@@ -323,17 +322,21 @@ class FamilySpec(ABC):
     def _sum_log_pdf(self, mus: list[float], z: np.ndarray) -> np.ndarray:
         """The k >= 2 sum density at checked means and z; this one convolves
         the pmfs exp(lambda x - A + log h) of a lattice on 0, 1, ..., each
-        truncated at max z, which keeps every entry up to max z exact."""
+        truncated at max z, which keeps every entry up to max z exact.  Every
+        pmf is first tilted by e^(-lambda_max x), which flattens the slowest
+        decaying one, so the convolution does not underflow where the density
+        is representable; adding lambda_max z in log space undoes the tilt."""
         idx = np.round(z).astype(int)
         zmax = int(idx.max()) if idx.size else 0
         xs = np.arange(min(zmax, self.support.hi) + 1.0)
         lam, la = self._natural_params(mus)
-        pmfs = np.exp(np.outer(lam, xs) - la[:, None] + self.log_carrier(xs))
+        top = lam.max()
+        pmfs = np.exp(np.outer(lam - top, xs) - la[:, None] + self.log_carrier(xs))
         pmf = pmfs[0]
         for row in pmfs[1:]:
             pmf = np.convolve(pmf, row)[: zmax + 1]
         with np.errstate(divide="ignore"):
-            return np.log(pmf[idx])
+            return np.log(pmf[idx]) + top * idx
 
     def check_sum_support(self, k: int, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -460,7 +463,6 @@ class GaussianFreeVariance(FamilySpec):
     mean_space = (0.0, math.inf)
     support = Support("interval", 0.0, math.inf)
     variance_function = (0.0, 0.0, 2.0)
-    edge_shape = 0.5
 
     def __init__(self, fixed_mean: float = 0.0):
         self.fixed_mean = float(fixed_mean)
@@ -540,7 +542,6 @@ class Exponential(FamilySpec):
     mean_space = (0.0, math.inf)
     support = Support("interval", 0.0, math.inf)
     variance_function = (0.0, 0.0, 1.0)
-    edge_shape = 1.0
 
     def natural_from_mean(self, mu):
         return -1.0 / self.check_mean(mu)
@@ -623,7 +624,7 @@ class BetaFixedAlpha(FamilySpec):
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        self.alpha = self.edge_shape = float(alpha)
+        self.alpha = float(alpha)
         if self.alpha == 1.0:
             self.variance_function = (0.0, 0.0, 1.0)
 
@@ -852,14 +853,14 @@ def _gamma_series_log_pdf(shape: float, rates: np.ndarray, z: np.ndarray, m=64):
                   + (rho - 1.0) * np.log(r * z) - r * z)
 
 
-def _convolve_log_pdf(spec: FamilySpec, mus: np.ndarray, z) -> np.ndarray:
+def _convolve_log_pdf(spec: BetaFixedAlpha, mus: np.ndarray, z) -> np.ndarray:
     """Log-density of X_1 + X_2 by numeric convolution over C(z).
 
-    Gauss-Jacobi nodes absorb each density's |x|^(a-1) factor at the
-    support's finite end, a = ``spec.edge_shape``, for every a.
+    Gauss-Jacobi nodes absorb each density's |x|^(alpha-1) factor at the
+    support's finite end, for every alpha.
     """
     z = np.asarray(z, dtype=float)
-    x, w = _quad.jacobi_nodes(z.ravel(), 160, spec.edge_shape, spec.edge_shape)
+    x, w = _quad.jacobi_nodes(z.ravel(), 160, spec.alpha, spec.alpha)
     f1 = np.exp(spec.log_pdf(mus[0], x.ravel()).reshape(x.shape))
     f2 = np.exp(spec.log_pdf(mus[1], (z.reshape(-1, 1) - x).ravel()).reshape(x.shape))
     vals = np.maximum(np.sum(w * f1 * f2, axis=1), 1e-300)
@@ -897,6 +898,23 @@ def make_family(name: str, **fixed) -> FamilySpec:
 def family_from_config(cfg: dict) -> FamilySpec:
     """Inverse of FamilySpec.to_config; ignores any mean_params entry."""
     return make_family(cfg["family"], **cfg.get("fixed_params", {}))
+
+
+def problem_from_config(cfg: dict) -> tuple[FamilySpec, list[float]]:
+    """The family and group means of a run configuration.
+
+    With ``beta_means`` set, ``mean_params`` are means E[U] of beta
+    observations and are converted to means of X; any other family refuses
+    that key with a ``ValueError``.
+    """
+    spec = family_from_config(cfg)
+    means = cfg["mean_params"]
+    if cfg.get("beta_means"):
+        if not isinstance(spec, BetaFixedAlpha):
+            raise ValueError(f"beta_means applies only to beta_fixed_alpha, not "
+                             f"to family '{spec.family_id}'")
+        means = [spec.mean_from_beta_mean(m) for m in means]
+    return spec, means
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,19 @@ one-dimensional integrals:
 
 For alternatives at Euclidean distance delta from the equal-means ray, any
 two of these growth rates differ by c * delta^4 + o(delta^4).  The leading
-coefficients are computed here from the family's Fisher information:
+coefficients are closed forms of the variance function V(mu) = 1/I(mu):
 
-* ``coeff_iid_gap`` (pooled-mean vs equal-mixture): with I = 1/Var and
+* ``coeff_iid_gap`` (pooled-mean vs equal-mixture): with
   s(x) = I^2 (x-mu0)^2 + I'(mu0)(x-mu0) - I(mu0) (the second mu-derivative of
   the density divided by the density), the coefficient is
-  (1/(8k)) E_mu0[ s(X)^2 ].
+  (1/(8k)) E_mu0[ s(X)^2 ] = (2 + V''(mu0)) / (8k V(mu0)^2); zero for
+  Bernoulli.
 * ``coeff_cond_gap`` (pooled-mean vs conditional): the same construction on
   the sum statistic; the second derivative of the tilted sum density at the
   equal-means point reduces, by exchangeability, to conditional moments of
-  one and two coordinates given the sum.
+  one and two coordinates given the sum.  With a quadratic variance function
+  V = v0 + v1 mu + v2 mu^2 it is v2^2 / (4k (k + v2) V(mu0)^2); zero for
+  Gaussian location and Poisson.  Beta with alpha != 1 integrates it.
 
 Both coefficients are direction-free because the direction enters only
 through its unit norm.  The heatmap protocol evaluates pairwise growth gaps
@@ -180,58 +183,19 @@ def growth_report(
     return GrowthReport(alt, entries, method)
 
 
-def _score_terms(spec: FamilySpec, mu0: float):
-    i0 = spec.fisher_info(mu0)
-    i1 = spec.fisher_info_d1(mu0)
-    return i0, i1
-
-
-def coeff_iid_gap(
-    spec: FamilySpec,
-    mu0: float,
-    direction: Sequence[float] | None = None,
-    k: int = 2,
-    n: int = 4096,
-) -> FourthOrderCoefficient:
+def coeff_iid_gap(spec: FamilySpec, mu0: float, k: int = 2) -> FourthOrderCoefficient:
     """Leading delta^4 coefficient of the pooled-mean vs equal-mixture gap.
 
-    (1/(8k)) E_mu0[(I^2 (X-mu0)^2 + I'(mu0)(X-mu0) - I(mu0))^2]; the square
-    makes nonnegativity structural.  ``direction`` only enters through its
-    unit norm and is accepted for signature symmetry.
+    (1/(8k)) E_mu0[s(X)^2] with s(x) = I^2 (x-mu0)^2 + I'(mu0)(x-mu0) - I(mu0),
+    which for every natural exponential family is (2 + V''(mu0)) / (8k V^2).
     """
     mu0 = spec.check_mean(mu0)
-    _check_direction(direction, k)
-    i0, i1 = _score_terms(spec, mu0)
-    x, w = _quad.support_nodes(spec, [mu0], n=n)
-    m = x - mu0
-    s = i0 * i0 * m * m + i1 * m - i0
-    p = np.exp(spec.log_pdf(mu0, x))
-    val = float(np.sum(w * p * s * s)) / (8.0 * k)
-    if not np.isfinite(val):
-        raise ComputationError(
-            f"fourth-order integrand diverged for '{spec.family_id}' at mu0={mu0}"
-        )
-    return FourthOrderCoefficient(val, GapKind.IID_GAP)
+    i0 = spec.fisher_info(mu0)
+    val = (2.0 + spec.variance_d2(mu0)) * i0 * i0 / (8.0 * k)
+    return _coefficient(spec, mu0, val, GapKind.IID_GAP)
 
 
-def coeff_iid_gap_moments(spec: FamilySpec, mu0: float, k: int = 2) -> float:
-    """Closed-form variant of coeff_iid_gap via central moments (cross-check)."""
-    mu0 = spec.check_mean(mu0)
-    i0, i1 = _score_terms(spec, mu0)
-    m3 = spec.central_moment3(mu0)
-    m4 = spec.central_moment4(mu0)
-    raw = i0**4 * m4 + 2.0 * i0 * i0 * i1 * m3 + i1 * i1 / i0 - i0 * i0
-    return max(raw, 0.0) / (8.0 * k)
-
-
-def coeff_cond_gap(
-    spec: FamilySpec,
-    mu0: float,
-    direction: Sequence[float] | None = None,
-    k: int = 2,
-    n_z: int = 2048,
-    n_inner: int = 512,
-) -> FourthOrderCoefficient:
+def coeff_cond_gap(spec: FamilySpec, mu0: float, k: int = 2) -> FourthOrderCoefficient:
     """Leading delta^4 coefficient of the pooled-mean vs conditional gap.
 
     (1/8) integral over z of g(z) * c(z)^2, where g is the sum density of k
@@ -240,85 +204,58 @@ def coeff_cond_gap(
         c(z) = I^2 (E[X1^2|z] - E[X1 X2|z]) + I'(mu0)(z/k - mu0) - I(mu0),
 
     the curvature of the direction-tilted sum density at zero effect divided
-    by g.  Conditional moments follow from one-dimensional convolutions of
-    the single and (k-1)-fold densities.
+    by g.  With a quadratic variance function V = v0 + v1 mu + v2 mu^2,
+    E[X1^2|z] = z^2/k^2 + (k-1)/(k+v2) V(z/k) and the integral is
+    v2^2 / (4k (k + v2) V(mu0)^2).  Beta with alpha != 1 has no such V and
+    integrates numerically.
     """
     mu0 = spec.check_mean(mu0)
-    _check_direction(direction, k)
     if k < 2:
         raise ValueError("k must be at least 2")
-    i0, i1 = _score_terms(spec, mu0)
-    z, wz = _quad.sum_nodes(spec, [mu0], k, n=n_z)
+    i0 = spec.fisher_info(mu0)
+    if hasattr(spec, "variance_function"):
+        v2 = spec.variance_function[2]
+        return _coefficient(spec, mu0, v2 * v2 * i0 * i0 / (4.0 * k * (k + v2)),
+                            GapKind.COND_GAP)
+    z, wz = _quad.sum_nodes(spec, [mu0], k, n=2048)
     log_gz = spec.sum_log_pdf([mu0] * k, z)
-    ex2 = _cond_second_moment(spec, mu0, k, z, log_gz, n_inner)
+    ex2 = _cond_second_moment(spec, mu0, k, z, log_gz)
     ex1x2 = (z * z - k * ex2) / (k * (k - 1.0))
-    c = i0 * i0 * (ex2 - ex1x2) + i1 * (z / k - mu0) - i0
+    c = i0 * i0 * (ex2 - ex1x2) + spec.fisher_info_d1(mu0) * (z / k - mu0) - i0
     val = float(np.sum(wz * np.exp(log_gz) * c * c)) / 8.0
-    if not np.isfinite(val):
+    return _coefficient(spec, mu0, val, GapKind.COND_GAP)
+
+
+def _coefficient(spec, mu0, val, kind) -> FourthOrderCoefficient:
+    if not math.isfinite(val):
         raise ComputationError(
-            f"conditional-gap integrand diverged for '{spec.family_id}' at mu0={mu0}"
+            f"{kind.value} coefficient is not finite for '{spec.family_id}' at mu0={mu0}"
         )
-    return FourthOrderCoefficient(val, GapKind.COND_GAP)
+    return FourthOrderCoefficient(val, kind)
 
 
-def _cond_second_moment(spec, mu0, k, z, log_gz, n_inner):
-    """E[X_1^2 | Z=z] for k i.i.d. coordinates at mu0, per z-grid value."""
-    rest = [mu0] * (k - 1)
-    if spec.support.discrete:
-        zmax, hi = float(z.max()), spec.support.hi
-        xs = np.arange(min(zmax, hi) + 1.0)
-        px = np.exp(spec.log_pdf(mu0, xs))
-        zs = np.arange(min(zmax, (k - 1) * hi) + 1.0)
-        rest_tab = np.exp(spec.sum_log_pdf(rest, zs))
-        # sum over x <= z of x^2 p(x) p_rest(z - x)
-        num = np.convolve(xs * xs * px, rest_tab)[np.round(z).astype(int)]
-        return num / np.exp(log_gz)
-
-    fid = spec.support
-    if np.isfinite(fid.lo) or np.isfinite(fid.hi):
-        # half-line support: one observation has shape a at the finite end,
-        # the other k - 1 shape (k - 1) a
-        a = spec.edge_shape
-        x, jac = _quad.jacobi_nodes(z, n_inner, a, (k - 1) * a)
-    else:
-        # real line: the conditional law concentrates near z/k
-        theta, w = _quad._leggauss(n_inner)
-        sd = math.sqrt(spec.variance(mu0))
-        half = 10.0 * sd
-        x = z[:, None] / k + half * theta[None, :]
-        jac = np.full_like(x, half) * w[None, :]
+def _cond_second_moment(spec, mu0, k, z, log_gz):
+    """E[X_1^2 | Z=z] for k i.i.d. coordinates at mu0, per z-grid value, on a
+    half line: Gauss-Jacobi nodes absorb one observation's shape alpha at the
+    finite end and the other k - 1 observations' shape (k - 1) alpha."""
+    a = spec.alpha
+    x, jac = _quad.jacobi_nodes(z, 512, a, (k - 1) * a)
     px = np.exp(spec.log_pdf(mu0, x.ravel()).reshape(x.shape))
     t = z[:, None] - x
-    pr = np.exp(spec.sum_log_pdf(rest, t.ravel()).reshape(t.shape))
+    pr = np.exp(spec.sum_log_pdf([mu0] * (k - 1), t.ravel()).reshape(t.shape))
     num = np.sum(x * x * px * pr * jac, axis=1)
     return num / np.exp(log_gz)
 
 
-def coeff_gap(
-    spec: FamilySpec,
-    mu0: float,
-    kind,
-    direction: Sequence[float] | None = None,
-    k: int = 2,
-) -> FourthOrderCoefficient:
+def coeff_gap(spec: FamilySpec, mu0: float, kind, k: int = 2) -> FourthOrderCoefficient:
     kind = GapKind(kind)
     if kind is GapKind.IID_GAP:
-        return coeff_iid_gap(spec, mu0, direction, k)
+        return coeff_iid_gap(spec, mu0, k)
     if kind is GapKind.COND_GAP:
-        return coeff_cond_gap(spec, mu0, direction, k)
-    iid = coeff_iid_gap(spec, mu0, direction, k).value
-    cond = coeff_cond_gap(spec, mu0, direction, k).value
+        return coeff_cond_gap(spec, mu0, k)
+    iid = coeff_iid_gap(spec, mu0, k).value
+    cond = coeff_cond_gap(spec, mu0, k).value
     return FourthOrderCoefficient(iid - cond, GapKind.COND_MINUS_IID)
-
-
-def _check_direction(direction, k):
-    if direction is None:
-        return
-    d = np.asarray(direction, dtype=float)
-    if d.size != k:
-        raise ValueError(f"direction has {d.size} entries, expected k={k}")
-    if abs(d.sum()) > 1e-9 or abs(np.linalg.norm(d) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector with zero-sum entries")
 
 
 def signed_fourth_root(x) -> np.ndarray:

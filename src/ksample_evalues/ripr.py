@@ -58,7 +58,7 @@ from .expfam import (
     ComputationError,
     FamilySpec,
     as_generator,
-    family_from_config,
+    problem_from_config,
 )
 
 
@@ -203,10 +203,7 @@ class MixtureNull:
             cfg = d["config"]
             if not {"family", "mean_params"} <= set(cfg):
                 raise ValueError("mixture config needs 'family' and 'mean_params'")
-            spec = family_from_config(cfg)
-            means = cfg["mean_params"]
-            if cfg.get("beta_means"):
-                means = [spec.mean_from_beta_mean(m) for m in means]
+            spec, means = problem_from_config(cfg)
             config = spec.to_config(means)
         return cls(comps, cert, config)
 

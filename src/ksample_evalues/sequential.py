@@ -252,6 +252,7 @@ def simulate(
     every completed block on the trace prefix only.
     """
     kind = ev.EValueKind(kind)
+    ev._require_mixture(kind, mixture)
     _check_alpha(alpha)
     if not (policy in POLICIES if isinstance(policy, str)
             else hasattr(policy, "should_stop")):

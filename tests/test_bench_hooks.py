@@ -1,12 +1,17 @@
-"""The benchmark's span tracer still finds every name it wraps.
+"""The benchmark's span tracer and checks still find every name they use.
 
 ``perfbench/spans.py`` patches module functions and class methods of the
 package by name; a refactor that drops or renames one breaks traced benchmark
 runs.  Installing and uninstalling the tracer here catches that in tier-1.
+``perfbench/checks.py`` and ``perfbench/workloads.py`` call a few package
+internals directly; their names and call shapes are checked here too.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
 
 import ksample_evalues
 import ksample_evalues.cli  # noqa: F401  (the tracer wraps cli.main)
@@ -50,3 +55,23 @@ def test_tracer_installs_and_restores_every_attribute():
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed
+
+
+# (owner, name, positional arguments) as perfbench/checks.py and
+# perfbench/workloads.py call them
+BENCH_CALLS = [
+    ("evariables", "_log_statistic", ("spec", "alt", "block", "kind", "mixture")),
+    ("sequential", "expand_multiplicities", ("spec", "alt", "multiplicities")),
+    ("ripr", "default_search_range", ("spec", "alt")),
+    ("ripr.MixtureNull", "from_json_dict", ("payload",)),
+    ("growth", "growth_rate", ("spec", "alt", "kind")),
+]
+
+
+@pytest.mark.parametrize("owner, name, args", BENCH_CALLS,
+                         ids=[f"{o}.{n}" for o, n, _ in BENCH_CALLS])
+def test_benchmark_calls_still_bind(owner, name, args):
+    target = ksample_evalues
+    for part in owner.split("."):
+        target = getattr(target, part)
+    inspect.signature(getattr(target, name)).bind(*args)

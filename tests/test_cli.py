@@ -202,6 +202,25 @@ class TestMixtureConfig:
         assert code == 0
         assert "certificate" in json.loads(out)["results"][0]
 
+    def test_beta_means_on_another_family_refused(self, tmp_path):
+        # the mixture file's config once raised AttributeError
+        # ('Exponential' object has no attribute 'mean_from_beta_mean')
+        mix = tmp_path / "mix.json"
+        write_mixture(mix, "exponential", [0.5, 0.25])
+        payload = json.loads(mix.read_text())
+        payload["config"]["beta_means"] = True
+        mix.write_text(json.dumps(payload))
+        run_args = ["evaluate", "--family", "exponential", "--mu", "0.5,0.25",
+                    "--kind", "gro_m", "--block", "0.7,0.4"]
+        with pytest.raises(SystemExit) as exc:
+            main(run_args + ["--mixture", str(mix)])
+        msg = str(exc.value)
+        assert msg.startswith(str(mix)) and "beta_means" in msg and "exponential" in msg
+        with pytest.raises(SystemExit) as exc:
+            main(run_args + ["--beta-means"])
+        msg = str(exc.value)
+        assert "beta_means" in msg and "exponential" in msg
+
     def test_stream_compares_expanded_means(self, capsys, tmp_path):
         stream = tmp_path / "stream.csv"
         stream.write_text("1,0.7\n1,0.2\n2,0.4\n", encoding="utf-8")
@@ -277,6 +296,21 @@ class TestHeatmap:
             "--out", "heat.csv",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("command", [
+        ["heatmap", "--family", "exponential", "--n", "3"],
+        ["growth", "--family", "exponential", "--mu", "0.5,0.25"],
+    ])
+    def test_kinds_share_one_parser(self, capsys, tmp_path, command):
+        # growth once died with a ValueError on the alias heatmap accepts
+        code, _, _ = run(capsys, "--out-dir", str(tmp_path), *command,
+                         "--kinds", "groiid,cond", "--out", "out.txt")
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "--out-dir", str(tmp_path), *command,
+                "--kinds", "groid,cond")
+        msg = str(exc.value)
+        assert "'groid'" in msg and "gro_iid" in msg and "groiid" in msg
 
     @pytest.mark.parametrize("kinds", ["grom,cond", "cond,gro_m"])
     def test_gro_m_refused_before_any_cell(self, capsys, tmp_path, monkeypatch, kinds):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from ksample_evalues import Alternative, MeanDomainError, as_generator, make_family
 from ksample_evalues import evariables as ev
@@ -92,6 +93,30 @@ class TestCondIdentities:
         x = np.stack([spec.sample(m, 1000, rng) for m in alt.mu], axis=-1)
         d = np.abs(ev.log_s_pseudo(spec, alt, x) - ev.log_s_cond(spec, alt, x))
         assert d.max() < 1e-10
+
+    def test_geometric_outlier_blocks_stay_finite(self):
+        # both blocks once gave -inf and NaN: their sums underflowed in the
+        # lattice convolution although every density is representable
+        spec = make_family("geometric")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        blocks = np.array([[300.0, 300.0], [700.0, 700.0]])
+        got = ev.log_s_cond(spec, alt, blocks)
+
+        def log_sum_pmf(mus, z):
+            p, q = (1.0 / (1.0 + m) for m in mus)
+            x = np.arange(z + 1.0)
+            return special.logsumexp(np.log(p * q) + x * np.log1p(-p)
+                                     + (z - x) * np.log1p(-q))
+
+        mu0 = alt.mu0_star
+        for (x1, x2), value in zip(blocks, got):
+            z = x1 + x2
+            log_alt = (stats.nbinom.logpmf(x1, 1, 1 / (1 + alt.mu[0]))
+                       + stats.nbinom.logpmf(x2, 1, 1 / (1 + alt.mu[1])))
+            log_null = stats.nbinom.logpmf([x1, x2], 1, 1 / (1 + mu0)).sum()
+            want = (log_alt - log_sum_pmf(alt.mu, z)
+                    - log_null + stats.nbinom.logpmf(z, 2, 1 / (1 + mu0)))
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_baseline_invariance(self):
         spec = make_family("exponential")

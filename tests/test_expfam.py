@@ -328,7 +328,7 @@ class TestSumDensity:
                              ids=["k2", "k3", "k4"])
     def test_geometric_equal_means_match_negative_binomial(self, mus):
         spec = make_family("geometric")
-        z = np.arange(1001.0)
+        z = np.arange(3001.0)
         want = stats.nbinom.logpmf(z, len(mus), 1.0 / (1.0 + mus[0]))
         np.testing.assert_allclose(spec.sum_log_pdf(mus, z), want, rtol=1e-13, atol=0)
 

@@ -102,43 +102,34 @@ class TestFourthOrderCoefficients:
     def test_bernoulli_iid_identically_zero(self):
         spec = make_family("bernoulli")
         for mu0 in (0.2, 0.5, 0.7):
-            assert gr.coeff_iid_gap(spec, mu0).value == pytest.approx(0.0, abs=1e-12)
-            assert gr.coeff_iid_gap_moments(spec, mu0) == pytest.approx(0.0, abs=1e-12)
+            assert gr.coeff_iid_gap(spec, mu0).value == 0.0
 
     def test_zero_cond_gap_families(self):
-        assert gr.coeff_cond_gap(make_family("gaussian_mean"), 0.4).value < 1e-12
-        assert gr.coeff_cond_gap(make_family("poisson"), 2.0).value < 1e-12
+        assert gr.coeff_cond_gap(make_family("gaussian_mean"), 0.4).value == 0.0
+        assert gr.coeff_cond_gap(make_family("poisson"), 2.0).value == 0.0
 
     @pytest.mark.parametrize(
-        "name,mu0",
+        "name,fixed,mu0",
         [
-            ("exponential", 0.375),
-            ("geometric", 2.0),
-            ("gaussian_variance", 1.0),
-            ("beta_fixed_alpha", -0.5),
-            ("poisson", 2.0),
+            ("exponential", {}, 0.375),
+            ("geometric", {}, 2.0),
+            ("gaussian_variance", {}, 1.0),
+            ("beta_fixed_alpha", {}, -0.5),
+            ("beta_fixed_alpha", {"alpha": 0.5}, -0.5),
+            ("beta_fixed_alpha", {"alpha": 2.0}, -0.5),
+            ("poisson", {}, 2.0),
         ],
     )
-    def test_quadrature_matches_moment_closed_form(self, name, mu0):
-        spec = make_family(name)
-        a = gr.coeff_iid_gap(spec, mu0).value
-        b = gr.coeff_iid_gap_moments(spec, mu0)
-        assert a == pytest.approx(b, rel=1e-8)
+    def test_quadrature_matches_moment_closed_form(self, name, fixed, mu0):
+        # (1/(8k)) E_mu0[s(X)^2] by quadrature, s the score curvature
+        from ksample_evalues._quad import support_nodes
 
-    def test_direction_sign_invariance(self):
-        spec = make_family("exponential")
-        d = default_direction(2)
-        a = gr.coeff_iid_gap(spec, 0.375, direction=d)
-        b = gr.coeff_iid_gap(spec, 0.375, direction=-d)
-        assert a.value == b.value
-        c1 = gr.coeff_cond_gap(spec, 0.375, direction=d)
-        c2 = gr.coeff_cond_gap(spec, 0.375, direction=-d)
-        assert c1.value == c2.value
-
-    def test_invalid_direction_rejected(self):
-        spec = make_family("exponential")
-        with pytest.raises(ValueError, match="zero-sum"):
-            gr.coeff_iid_gap(spec, 0.375, direction=[1.0, 0.0])
+        spec = make_family(name, **fixed)
+        i0, i1 = spec.fisher_info(mu0), spec.fisher_info_d1(mu0)
+        x, w = support_nodes(spec, [mu0], n=4096)
+        s = i0 * i0 * (x - mu0) ** 2 + i1 * (x - mu0) - i0
+        want = float(np.sum(w * np.exp(spec.log_pdf(mu0, x)) * s * s)) / 16.0
+        assert gr.coeff_iid_gap(spec, mu0).value == pytest.approx(want, rel=1e-8)
 
     def test_cond_minus_iid_is_exact_difference(self):
         spec = make_family("geometric")
@@ -151,11 +142,14 @@ class TestFourthOrderCoefficients:
         with pytest.raises(ValueError, match="nonnegative"):
             gr.FourthOrderCoefficient(-1.0, gr.GapKind.IID_GAP)
 
-    def test_cond_gap_matches_tilted_density_finite_difference(self):
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("name,mu0", [("exponential", 0.375),
+                                          ("gaussian_variance", 1.0),
+                                          ("beta_fixed_alpha", -0.5)])
+    def test_cond_gap_matches_tilted_density_finite_difference(self, name, mu0, k):
         # cross-check the curvature construction against a central second
         # difference of the direction-tilted sum density
-        spec = make_family("exponential")
-        mu0, k = 0.375, 2
+        spec = make_family(name)
         d = default_direction(k)
         from ksample_evalues._quad import sum_nodes
 
@@ -166,7 +160,7 @@ class TestFourthOrderCoefficients:
         dn = np.exp(spec.sum_log_pdf(list(mu0 - h * d), z))
         g2 = (up - 2 * mid + dn) / h**2
         fd_value = float(np.sum(wz * g2 * g2 / mid)) / 8.0
-        assert gr.coeff_cond_gap(spec, mu0).value == pytest.approx(fd_value, rel=1e-4)
+        assert gr.coeff_cond_gap(spec, mu0, k=k).value == pytest.approx(fd_value, rel=1e-4)
 
     def test_k3_cond_gap_positive_for_exponential(self):
         spec = make_family("exponential")
@@ -186,25 +180,29 @@ class TestFourthOrderCoefficients:
         from ksample_evalues._quad import sum_nodes
 
         spec = make_family(name)
-        z, _ = sum_nodes(spec, [mu0], k)
+        z, wz = sum_nodes(spec, [mu0], k)
         log_gz = spec.sum_log_pdf([mu0] * k, z)
-        got = gr._cond_second_moment(spec, mu0, k, z, log_gz, 512)
-        # reference: E[X_1^2 | Z=z] summed over x <= z one z at a time
+        # E[X_1^2 | Z=z] summed over x <= z one z at a time
         xs = np.arange(0.0, z.max() + 1.0)
         xs = xs[xs <= spec.support.hi]
         px = np.exp(spec.log_pdf(mu0, xs))
         rest = np.arange(0.0, z.max() + 1.0)
         rest = rest[rest <= (k - 1) * spec.support.hi]
         rest_tab = np.exp(spec.sum_log_pdf([mu0] * (k - 1), rest))
-        want = np.empty_like(z)
+        ex2 = np.empty_like(z)
         for i, zz in enumerate(z):
             xi = xs[xs <= zz + 1e-9]
             t = np.round(zz - xi).astype(int)
             ok = t < rest.size
-            want[i] = np.sum(xi[ok] ** 2 * px[: xi.size][ok] * rest_tab[t[ok]])
-        want /= np.exp(log_gz)
-        assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-13
+            ex2[i] = np.sum(xi[ok] ** 2 * px[: xi.size][ok] * rest_tab[t[ok]])
+        ex2 /= np.exp(log_gz)
+        # the coefficient's defining sum, (1/8) sum_z g(z) c(z)^2
+        i0, i1 = spec.fisher_info(mu0), spec.fisher_info_d1(mu0)
+        ex1x2 = (z * z - k * ex2) / (k * (k - 1.0))
+        c = i0 * i0 * (ex2 - ex1x2) + i1 * (z / k - mu0) - i0
+        want = float(np.sum(wz * np.exp(log_gz) * c * c)) / 8.0
+        got = gr.coeff_cond_gap(spec, mu0, k=k).value
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 class TestSignedFourthRoot:

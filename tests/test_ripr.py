@@ -99,6 +99,13 @@ class TestProblemBinding:
         assert mix.config == spec.to_config(means)
         mix.require_problem(spec, means)
 
+    def test_beta_means_on_another_family_refused(self):
+        payload = ripr.MixtureNull(((1.0, 0.4),)).to_json_dict()
+        payload["config"] = {"family": "exponential", "mean_params": [0.5, 0.25],
+                             "beta_means": True}
+        with pytest.raises(ValueError, match="beta_means.*'exponential'"):
+            ripr.MixtureNull.from_json_dict(payload)
+
 
 class TestWorstCaseExpectation:
     def test_matches_direct_double_quadrature(self, expo):

@@ -47,6 +47,19 @@ class TestIngest:
         expect = float(ev.log_s_cond(spec, flat, [1, 0, 0]))
         assert st.log_evalue == pytest.approx(expect)
 
+    def test_geometric_cond_survives_an_outlier(self):
+        # the outlier block's sums once underflowed, setting the e-process to
+        # 0 (or NaN) for good
+        spec = make_family("geometric")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        st = sq.StreamState(spec, alt, "cond", 0.05)
+        blocks = [[1.0, 0.0], [700.0, 700.0], [0.0, 2.0]]
+        for x1, x2 in blocks:
+            st.ingest(1, x1).ingest(2, x2)
+        assert math.isfinite(st.log_evalue)
+        expect = float(np.sum(ev.log_s_cond(spec, alt, np.array(blocks))))
+        assert st.log_evalue == pytest.approx(expect, rel=1e-12)
+
     def test_support_violation_leaves_state_unchanged(self, state):
         state.ingest(1, 1)
         with pytest.raises(SupportError):
@@ -283,13 +296,14 @@ class TestSimulate:
         assert np.all(s.stop_times == 5)
 
     @pytest.mark.parametrize("arg, value, match", [
+        ("kind", "gro_m", "needs a certified mixture"),
         ("alpha", 1.5, r"alpha must lie in \(0, 1\)"),
         ("alpha", 0.0, r"alpha must lie in \(0, 1\)"),
         ("policy", "thresholds", "threshold, fixed, budget"),
         ("policy", object(), "threshold, fixed, budget"),
         ("trials", 0, "trials"),
         ("max_blocks", 0, "max_blocks"),
-    ], ids=["alpha-above-1", "alpha-0", "policy-typo", "policy-object",
+    ], ids=["gro_m-without-mixture", "alpha-above-1", "alpha-0", "policy-typo", "policy-object",
             "trials-0", "max_blocks-0"])
     def test_unusable_arguments_refused_before_drawing(self, monkeypatch, arg,
                                                         value, match):
@@ -300,11 +314,11 @@ class TestSimulate:
             raise AssertionError("drew data before checking the arguments")
 
         monkeypatch.setattr(sq, "spawn_generator", no_draws)
-        kwargs = dict(alpha=0.05, policy="threshold", trials=10, seed=0,
-                      max_blocks=5)
+        kwargs = dict(kind="cond", alpha=0.05, policy="threshold", trials=10,
+                      seed=0, max_blocks=5)
         kwargs[arg] = value
         with pytest.raises(ValueError, match=match):
-            sq.simulate(spec, alt, "cond", **kwargs)
+            sq.simulate(spec, alt, **kwargs)
 
     def test_multiplicities_in_simulation(self):
         spec = make_family("bernoulli")
