@@ -65,10 +65,7 @@ def _load_config(args) -> dict:
 
 
 def _spec_alt(cfg):
-    try:
-        spec, means = problem_from_config(cfg)
-    except ValueError as exc:
-        raise SystemExit(f"invalid configuration: {exc}")
+    spec, means = problem_from_config(cfg)
     return spec, Alternative.from_means(spec, means)
 
 
@@ -241,7 +238,7 @@ def cmd_project(args) -> int:
         trace = [
             {
                 "iter": 1,
-                "kl": ripr.kl_to_mixture(spec, alt, mixture).value,
+                "kl": ripr.kl_to_mixture(spec, alt, mixture),
                 "sup_expectation": mixture.certificate.sup_expectation,
             }
         ]
@@ -296,9 +293,6 @@ def cmd_heatmap(args) -> int:
     kinds = _parse_kinds(args.kinds)
     if len(kinds) != 2:
         raise SystemExit("--kinds must name exactly two statistics, e.g. groiid,cond")
-    if ev.EValueKind.GRO_M in kinds:
-        raise SystemExit("heatmap cannot score gro_m: a certified mixture is "
-                         "bound to one alternative, not to every grid cell")
     result = gr.heatmap(
         spec,
         tuple(kinds),
@@ -467,9 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  An input it refuses (a ``ValueError``, which
+    includes ``MeanDomainError``, ``SupportError`` and ``CertificationError``)
+    exits nonzero with one line naming the subcommand and the bad value."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        raise SystemExit(f"ksev {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .expfam import Alternative, FamilySpec, MeanDomainError, as_generator
+from .ripr import MixtureNull
 
 
 class EValueKind(str, enum.Enum):
@@ -158,8 +159,6 @@ def log_s_gro_m(spec: FamilySpec, alt: Alternative, block, mixture) -> np.ndarra
     eps-approximate e-value, with eps read off the certificate.  A mixture
     certified for another family or alternative is refused too.
     """
-    from .ripr import MixtureNull
-
     if not isinstance(mixture, MixtureNull):
         raise TypeError("mixture must be a ripr.MixtureNull")
     mixture.require_certificate()

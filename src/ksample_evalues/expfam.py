@@ -54,6 +54,7 @@ every stochastic operation is bit-reproducible.
 
 from __future__ import annotations
 
+import inspect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -892,7 +893,15 @@ def make_family(name: str, **fixed) -> FamilySpec:
         raise ValueError(
             f"unknown family '{name}'; choose from {sorted(_FAMILIES)}"
         )
-    return _FAMILIES[key](**fixed)
+    cls = _FAMILIES[key]
+    takes = list(inspect.signature(cls).parameters)
+    for param in fixed:
+        if param not in takes:
+            raise ValueError(
+                f"family '{key}' has no fixed parameter {param!r}; it takes "
+                f"{takes or 'none'}"
+            )
+    return cls(**fixed)
 
 
 def family_from_config(cfg: dict) -> FamilySpec:

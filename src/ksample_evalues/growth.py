@@ -44,8 +44,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _quad
+from . import ripr
 from .expfam import Alternative, ComputationError, FamilySpec, spawn_generator
 from . import evariables as ev
+
+# Gauss-Legendre nodes of the one-dimensional gap integrals
+_GAP_NODES = 4096
 
 
 class GapKind(str, enum.Enum):
@@ -90,7 +94,7 @@ def growth_pseudo(spec: FamilySpec, alt: Alternative) -> float:
     return sum(spec.kl(m, alt.mu0_star) for m in alt.mu)
 
 
-def gap_pseudo_iid(spec: FamilySpec, alt: Alternative, n: int = 4096) -> float:
+def gap_pseudo_iid(spec: FamilySpec, alt: Alternative) -> float:
     """E[log S_pseudo - log S_gro_iid], as a direct one-dimensional integral.
 
     Equals sum_j E_{mu_j}[log mixture(X) - log p_{mu0*}(X)], which avoids the
@@ -98,7 +102,7 @@ def gap_pseudo_iid(spec: FamilySpec, alt: Alternative, n: int = 4096) -> float:
     """
     if alt.delta == 0.0:
         return 0.0
-    x, w = _quad.support_nodes(spec, list(alt.mu) + [alt.mu0_star], n=n)
+    x, w = _quad.support_nodes(spec, list(alt.mu) + [alt.mu0_star], n=_GAP_NODES)
     lams, las = spec._natural_params([*alt.mu, alt.mu0_star])
     # sum_j E_{mu_j}[log mixture(X) - log p_{mu0*}(X)], all w.r.t. rho
     diff = ev._log_equal_mixture(lams[:-1], las[:-1], x) - (lams[-1] * x - las[-1])
@@ -109,24 +113,16 @@ def gap_pseudo_iid(spec: FamilySpec, alt: Alternative, n: int = 4096) -> float:
     return total
 
 
-def gap_pseudo_cond(spec: FamilySpec, alt: Alternative, n: int = 4096) -> float:
+def gap_pseudo_cond(spec: FamilySpec, alt: Alternative) -> float:
     """E[log S_pseudo - log S_cond] = KL between the sum densities of the
     alternative and of the pooled i.i.d. null."""
     if alt.delta == 0.0:
         return 0.0
-    z, w = _quad.sum_nodes(spec, list(alt.mu) + [alt.mu0_star], alt.k, n=n)
+    z, w = _quad.sum_nodes(spec, list(alt.mu) + [alt.mu0_star], alt.k, n=_GAP_NODES)
     log_a = spec.sum_log_pdf(list(alt.mu), z)
     log_0 = spec.sum_log_pdf([alt.mu0_star] * alt.k, z)
     pa = np.exp(log_a)
     return float(np.sum(w * pa * (log_a - log_0)))
-
-
-def growth_gro_iid(spec: FamilySpec, alt: Alternative, n: int = 4096) -> float:
-    return growth_pseudo(spec, alt) - gap_pseudo_iid(spec, alt, n=n)
-
-
-def growth_cond(spec: FamilySpec, alt: Alternative, n: int = 4096) -> float:
-    return growth_pseudo(spec, alt) - gap_pseudo_cond(spec, alt, n=n)
 
 
 def growth_rate(
@@ -147,14 +143,12 @@ def growth_rate(
         if kind is ev.EValueKind.PSEUDO:
             rate = growth_pseudo(spec, alt)
         elif kind is ev.EValueKind.GRO_IID:
-            rate = growth_gro_iid(spec, alt)
+            rate = growth_pseudo(spec, alt) - gap_pseudo_iid(spec, alt)
         elif kind is ev.EValueKind.COND:
-            rate = growth_cond(spec, alt)
+            rate = growth_pseudo(spec, alt) - gap_pseudo_cond(spec, alt)
         else:
-            from . import ripr
-
             mixture.require_problem(spec, alt.mu)
-            rate = ripr.kl_to_mixture(spec, alt, mixture, method="quadrature").value
+            rate = ripr.kl_to_mixture(spec, alt, mixture)
         return GrowthEntry(kind, float(rate), 0.0, method)
     if method == "mc":
         rate, stderr = ev._mc_mean(
@@ -323,7 +317,6 @@ def heatmap(
     method: str = "quadrature",
     mc_n: int = 10**5,
     seed: int = 0,
-    mixture=None,
 ) -> HeatmapResult:
     """Growth-gap matrix over an n-by-n grid of two-group alternatives.
 
@@ -332,10 +325,15 @@ def heatmap(
     where evaluation fails are recorded in ``failures`` and set to NaN rather
     than aborting the run.  A Monte Carlo cell draws once from its own
     substream ``spawn_generator(seed, i, j)`` and scores both kinds on those
-    draws; its gap and stderr are those of the paired difference.
+    draws; its gap and stderr are those of the paired difference.  The
+    certified-mixture ratio is refused: a certified mixture is bound to one
+    alternative, not to every grid cell.
     """
     kind_a = ev.EValueKind(kinds[0])
     kind_b = ev.EValueKind(kinds[1])
+    if ev.EValueKind.GRO_M in (kind_a, kind_b):
+        raise ValueError("heatmap cannot score gro_m: a certified mixture is "
+                         "bound to one alternative, not to every grid cell")
     lo, hi = spec.default_std_range()
     if std_lo is not None:
         lo = std_lo
@@ -346,10 +344,6 @@ def heatmap(
     # exchanging the groups preserves a quadrature gap: compute i < j only
     cells = [(i, j) for i in range(n) for j in range(n)
              if j > i or (j < i and method != "quadrature")]
-    if mixture is not None and ev.EValueKind.GRO_M in (kind_a, kind_b):
-        # one mixture scores every cell, so it must be certified for each
-        for i, j in cells:
-            mixture.require_problem(spec, [mus[i], mus[j]])
     gap = np.full((n, n), np.nan)
     np.fill_diagonal(gap, 0.0)
     se = np.zeros((n, n))
@@ -360,14 +354,12 @@ def heatmap(
             if method == "mc":
                 gap[i, j], se[i, j] = ev._mc_mean(
                     spec, alt.mu, mc_n, spawn_generator(seed, i, j),
-                    lambda x: ev._log_statistic(spec, alt, x, kind_a, mixture)
-                    - ev._log_statistic(spec, alt, x, kind_b, mixture),
+                    lambda x: ev._log_statistic(spec, alt, x, kind_a)
+                    - ev._log_statistic(spec, alt, x, kind_b),
                 )
             else:
-                ea, eb = (
-                    growth_rate(spec, alt, kind, method=method, mixture=mixture)
-                    for kind in (kind_a, kind_b)
-                )
+                ea, eb = (growth_rate(spec, alt, kind, method=method)
+                          for kind in (kind_a, kind_b))
                 gap[i, j] = ea.rate - eb.rate
         except Exception as exc:  # per-cell failures are data, not fatal
             failures.append({"i": i, "j": j, "mu1": mus[i], "mu2": mus[j], "error": str(exc)})

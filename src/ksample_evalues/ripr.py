@@ -18,10 +18,16 @@ Two searches are provided:
   (weight, two null means), minimizing the worst-case null expectation
   directly.
 
-Both searches find the convex weight by a ternary search over its grid
-(``_convex_argmin``) rather than by sweeping every grid point.  Each objective
-is convex in the weight, so the ternary search returns the grid point the
-exhaustive sweep would, with ties going to the lowest weight index.
+Both searches take the same weight step (``_weight_step``): for a fixed
+density p and each candidate density q on the z grid, it finds the convex
+weight a on a grid that minimizes an objective of a * p + (1 - a) * q.  Li's
+objective is the KL divergence from the alternative, with p the current
+mixture and q one new component; the brute force's is the coarse worst-case
+null expectation, with p and q the two components of a pair.  The step runs a
+ternary search over the weight grid (``_convex_argmin``) rather than sweeping
+every grid point.  Each objective is convex in the weight, so the ternary
+search returns the grid point the exhaustive sweep would, with ties going to
+the lowest weight index.
 
 Every null expectation here reduces to a one-dimensional integral: a mixture
 of i.i.d. product nulls depends on the block only through the sum z of the
@@ -52,12 +58,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _quad
-from . import evariables as ev
 from .expfam import (
     Alternative,
     ComputationError,
     FamilySpec,
-    as_generator,
+    MeanDomainError,
     problem_from_config,
 )
 
@@ -222,7 +227,6 @@ def point_mixture(
     hi: float | None = None,
 ) -> MixtureNull:
     """Single-component mixture at mu0, certified on the default grid."""
-    _require_at_least(1, count=count)
     mu0 = spec.check_mean(mu0)
     return _certify(_SumGrid(spec, alt, count, lo, hi), [1.0], [mu0], "point")
 
@@ -230,23 +234,21 @@ def point_mixture(
 def default_search_range(spec: FamilySpec, alt: Alternative) -> tuple[float, float]:
     """Default endpoints for component and certification grids.
 
-    The hull of the alternative means is expanded multiplicatively by a
-    factor 2 towards each end (mirrored for the negative-mean beta family),
-    additively by two standard deviations plus the span for the Gaussian
-    location family, and halfway towards each boundary for Bernoulli.
-    Endpoints are artifact choices and every search accepts explicit
+    Each end of the hull of the alternative means moves outward by a rule
+    read off the mean space: halfway to a finite boundary, and on a half
+    line's infinite side to twice its distance from the finite boundary (so
+    x1/2 and x2 on (0, inf), x2 and x1/2 on (-inf, 0)).  On the whole line
+    both ends move by two standard deviations at the pooled mean plus the
+    span.  Endpoints are artifact choices and every search accepts explicit
     overrides.
     """
     lo, hi = min(alt.mu), max(alt.mu)
-    fid = spec.family_id
-    if fid == "bernoulli":
-        return 0.5 * lo, 1.0 - 0.5 * (1.0 - hi)
-    if fid == "gaussian_mean":
-        pad = 2.0 * math.sqrt(spec.sigma2) + (hi - lo)
+    a, b = spec.mean_space
+    if math.isinf(a) and math.isinf(b):
+        pad = 2.0 * math.sqrt(spec.variance(alt.mu0_star)) + (hi - lo)
         return lo - pad, hi + pad
-    if fid == "beta_fixed_alpha":
-        return 2.0 * lo, 0.5 * hi
-    return 0.5 * lo, 2.0 * hi
+    return (a + 0.5 * (lo - a) if math.isfinite(a) else b - 2.0 * (b - lo),
+            b - 0.5 * (b - hi) if math.isfinite(b) else a + 2.0 * (hi - a))
 
 
 def _require_at_least(least: int, **sizes) -> None:
@@ -272,20 +274,35 @@ class _SumGrid:
     nodes that carry mass; every null expectation and KL against a mixture is
     a weighted sum over these nodes.  ``mu0s`` holds ``count`` equally spaced
     null means over [lo, hi], each end defaulting to ``default_search_range``.
-    The z grid resolves the alternative, both ends and any ``envelope`` means.
+    Both ends must lie in the mean space with lo <= hi; lo == hi is a single
+    point.  The z grid resolves the alternative, both ends and any
+    ``envelope`` means.
     """
 
     def __init__(self, spec: FamilySpec, alt: Alternative, count: int = 1000,
                  lo: float | None = None, hi: float | None = None,
                  n_z: int = 3000, envelope: Sequence[float] = ()):
+        _require_at_least(1, count=count)
         if lo is None or hi is None:
             dlo, dhi = default_search_range(spec, alt)
             lo = dlo if lo is None else lo
             hi = dhi if hi is None else hi
+        lo, hi = float(lo), float(hi)
+        space_lo, space_hi = spec.mean_space
+        for name, end in (("lo", lo), ("hi", hi)):
+            if not space_lo < end < space_hi:
+                raise MeanDomainError(
+                    f"null-mean grid end {name}={end!r} outside mean space "
+                    f"({space_lo}, {space_hi}) of family '{spec.family_id}'"
+                )
+        if lo > hi:
+            raise ValueError(
+                f"null-mean grid needs lo <= hi, got lo={lo!r} > hi={hi!r}"
+            )
         self.spec = spec
         self.alt = alt
         self.k = alt.k
-        self.lo, self.hi = float(lo), float(hi)
+        self.lo, self.hi = lo, hi
         self.mu0s = np.linspace(self.lo, self.hi, int(count))
         z, w = _quad.sum_nodes(
             spec, list(alt.mu) + [self.lo, self.hi] + list(envelope), alt.k, n=n_z
@@ -376,9 +393,9 @@ def worst_case_expectation(
     count: int = 1000,
     lo: float | None = None,
     hi: float | None = None,
-    return_argmax: bool = False,
-):
-    """Max over a null-mean grid of E_null[alt density / mixture density].
+) -> tuple[float, float]:
+    """Max over a null-mean grid of E_null[alt density / mixture density],
+    and the null mean attaining it.
 
     The grid defaults to 1000 equally spaced points over
     ``default_search_range``.  Quadrature non-convergence at the maximizing
@@ -386,10 +403,8 @@ def worst_case_expectation(
     grid (``mu0_grid_size``, ``mu0_lo``, ``mu0_hi``) this gives back the
     certified value and argmax exactly.
     """
-    _require_at_least(1, count=count)
     grid = _SumGrid(spec, alt, count, lo, hi)
-    sup, argmax = grid.worst(mixture.weights, mixture.means)
-    return (sup, argmax) if return_argmax else sup
+    return grid.worst(mixture.weights, mixture.means)
 
 
 def expectation_profile(
@@ -401,59 +416,14 @@ def expectation_profile(
     hi: float | None = None,
 ):
     """The full curve mu0 -> E_null(mu0)[ratio] on the certification grid."""
-    _require_at_least(1, count=count)
     grid = _SumGrid(spec, alt, count, lo, hi)
     return grid.mu0s, grid.expectations(grid.mixture(mixture.weights, mixture.means))
 
 
-@dataclass(frozen=True)
-class KLEstimate:
-    value: float
-    stderr: float
-    method: str
-
-    def __float__(self):
-        return self.value
-
-
-def kl_to_mixture(
-    spec: FamilySpec,
-    alt: Alternative,
-    mixture: MixtureNull,
-    method: str = "quadrature",
-    mc_n: int = 10**6,
-    seed: int = 0,
-) -> KLEstimate:
-    """D(alternative || mixture), by z-grid quadrature or Monte Carlo."""
-    if method == "quadrature":
-        grid = _SumGrid(spec, alt, envelope=mixture.means)
-        value = grid.kl(grid.mixture(mixture.weights, mixture.means))
-        return KLEstimate(float(value), 0.0, method)
-    if method == "mc":
-        value, stderr = ev._mc_mean(
-            spec, alt.mu, mc_n, as_generator(seed),
-            lambda x: ev._log_mixture_ratio(spec, alt, x, mixture),
-        )
-        return KLEstimate(value, stderr, method)
-    raise ValueError("method must be 'quadrature' or 'mc'")
-
-
-def expectation_mc(
-    spec: FamilySpec,
-    alt: Alternative,
-    mixture: MixtureNull,
-    mu0: float,
-    n: int = 10**6,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo E under the i.i.d. null at mu0 of the mixture ratio.
-
-    Independent of the quadrature path; used to validate certificates.
-    """
-    return ev._mc_mean(
-        spec, [mu0] * alt.k, n, as_generator(seed),
-        lambda x: np.exp(ev._log_mixture_ratio(spec, alt, x, mixture)),
-    )
+def kl_to_mixture(spec: FamilySpec, alt: Alternative, mixture: MixtureNull) -> float:
+    """D(alternative || mixture), by quadrature over the z grid."""
+    grid = _SumGrid(spec, alt, envelope=mixture.means)
+    return float(grid.kl(grid.mixture(mixture.weights, mixture.means)))
 
 
 def _convex_argmin(f, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -483,6 +453,24 @@ def _convex_argmin(f, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[r, best], vals[r, best]
 
 
+def _weight_step(objective, p, q, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of q, the lowest index into ``alphas`` minimizing
+    ``objective`` of a * p + (1 - a) * q[row], and that minimum.
+
+    ``objective`` maps a stack of densities on the z grid, one per row, to
+    one value per row, and must be convex in a.  p broadcasts against q: one
+    density for every row, or one per row.
+    """
+    p, q = p[:, None, :], q[:, None, :]
+
+    def at(ai):
+        a = alphas[ai][..., None]
+        d = a * p + (1.0 - a) * q
+        return objective(d.reshape(-1, d.shape[-1])).reshape(ai.shape)
+
+    return _convex_argmin(at, alphas.size, q.shape[0])
+
+
 def li_approximate(
     spec: FamilySpec,
     alt: Alternative,
@@ -499,7 +487,7 @@ def li_approximate(
     Step 1 picks the best single null mean (the KL minimizer); step m >= 2
     minimizes D(alt || a * current + (1-a) * candidate) over a convex-weight
     grid times a candidate-mean grid.  For each candidate the weight comes
-    from a ternary search, which finds the sweep's grid point because the KL
+    from ``_weight_step``, which finds the sweep's grid point because the KL
     is convex in a; ties go to the lowest KL, then the lowest a, then the
     lowest candidate.  Keeping a = 1 is always available (``n_alpha >= 2``),
     so the KL trace is nonincreasing.  The trace records, per iteration, the KL
@@ -528,12 +516,7 @@ def li_approximate(
         if sup <= _STOP_SUP:
             break
 
-        def kl_at(ai):
-            a = alphas[ai][..., None]
-            d = a * d_cur + (1.0 - a) * u[:, None, :]
-            return grid.kl(d.reshape(-1, d.shape[-1])).reshape(ai.shape)
-
-        ai, kls = _convex_argmin(kl_at, n_alpha, mu_count)
+        ai, kls = _weight_step(grid.kl, d_cur[None, :], u, alphas)
         # lowest KL, then lowest weight, then lowest candidate
         j = int(np.lexsort((np.arange(mu_count), ai, kls))[0])
         kl_new, a = float(kls[j]), alphas[ai[j]]
@@ -572,11 +555,10 @@ def brute_force_two_component(
     expectation of the induced ratio.  A coarse certification pass (every
     fourth point) ranks every pair of means at its best weight; the best 500
     are re-certified on the full grid and the winner is returned with its
-    certificate.  Each pair's weight comes from a ternary search over the
-    weight grid.  Every null expectation is convex in a (1/x is convex and
-    the mixture density is affine in a), so their coarse maximum is too, and
-    the search returns the exhaustive sweep's grid point, ties going to the
-    lowest weight index.
+    certificate.  Each pair's weight comes from ``_weight_step``.  Every null
+    expectation is convex in a (1/x is convex and the mixture density is
+    affine in a), so their coarse maximum is too, and the search returns the
+    exhaustive sweep's grid point, ties going to the lowest weight index.
     """
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, mu0_count=mu0_count)
@@ -587,23 +569,17 @@ def brute_force_two_component(
     u = grid.tilt_rows(comp_mus)  # (mu_count, n_z)
     t_coarse = grid.cert_rows()[::_COARSE_STRIDE].T  # (n_z, n_coarse)
 
+    def coarse_sup(d):
+        return ((1.0 / d) @ t_coarse).max(axis=1)
+
     # single-component candidates (the two-component grid with i = j)
-    sup_single = ((1.0 / u) @ t_coarse).max(axis=1)
-    top = [(float(s), 1.0, i, i) for i, s in enumerate(sup_single)]
+    top = [(float(s), 1.0, i, i) for i, s in enumerate(coarse_sup(u))]
 
     pi, pj = np.triu_indices(mu_count, 1)
     chunk = max(1, int(5e6 // (3 * grid.z.size)))  # ~40 MB per (chunk, 3, n_z) tensor
     for start in range(0, pi.size, chunk):
         bi, bj = pi[start : start + chunk], pj[start : start + chunk]
-        ui, uj = u[bi][:, None, :], u[bj][:, None, :]
-
-        def coarse_sup(ai):
-            a = alphas[ai][..., None]
-            d = a * ui + (1.0 - a) * uj  # (chunk, <= 3, n_z)
-            s = (1.0 / d).reshape(-1, grid.z.size) @ t_coarse
-            return s.max(axis=1).reshape(ai.shape)
-
-        ai, sup = _convex_argmin(coarse_sup, n_alpha, bi.size)
+        ai, sup = _weight_step(coarse_sup, u[bi], u[bj], alphas)
         top.extend(zip(sup.tolist(), alphas[ai].tolist(), bi.tolist(), bj.tolist()))
 
     # a NaN coarse sup ranks after every finite one

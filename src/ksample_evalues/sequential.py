@@ -47,9 +47,11 @@ def expand_multiplicities(
 ) -> Alternative:
     """Flatten a multiplicity block to sum(m_j) groups with repeated means."""
     if len(multiplicities) != alt.k:
-        raise ValueError("need one multiplicity per group")
+        raise ValueError(f"need one multiplicity per group ({alt.k}), got "
+                         f"{list(multiplicities)}")
     if any(int(m) != m or m < 1 for m in multiplicities):
-        raise ValueError("multiplicities must be positive integers")
+        raise ValueError(f"multiplicities must be positive integers, got "
+                         f"{list(multiplicities)}")
     means: list[float] = []
     for mu, m in zip(alt.mu, multiplicities):
         means.extend([mu] * int(m))
@@ -61,7 +63,7 @@ POLICIES = ("threshold", "fixed", "budget")
 
 def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     return float(alpha)
 
 

@@ -314,14 +314,49 @@ class TestHeatmap:
 
     @pytest.mark.parametrize("kinds", ["grom,cond", "cond,gro_m"])
     def test_gro_m_refused_before_any_cell(self, capsys, tmp_path, monkeypatch, kinds):
-        def no_cells(*args, **kwargs):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr(gr, "heatmap", no_cells)
+        cells = []
+        monkeypatch.setattr(gr.Alternative, "from_means",
+                            classmethod(lambda cls, spec, mus: cells.append(mus)))
         with pytest.raises(SystemExit, match="bound to one alternative"):
             run(capsys, "--out-dir", str(tmp_path), "heatmap", "--family",
                 "exponential", "--kinds", kinds, "--n", "3")
+        assert not cells
         assert not list(tmp_path.iterdir())
+
+
+def write_stream(path):
+    path.write_text("1,0.7\n2,0.4\n", encoding="utf-8")
+    return str(path)
+
+
+EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["heatmap", "--family", "foo", "--kinds", "pseudo,cond"], "'foo'"),
+    (["evaluate", "--family", "poisson", "--mu", "2,-1", "--block", "1,2"], "-1.0"),
+    (["evaluate", *EXPO, "--fixed", '{"bogus": 1}', "--block", "1,2"], "'bogus'"),
+    (["project", *EXPO, "--fixed", '{"bogus": 1}'], "'bogus'"),
+    (["growth", "--family", "exponential", "--fixed", '{"bogus": 1}', "--mu", "1,2"],
+     "'bogus'"),
+    (["heatmap", "--family", "exponential", "--fixed", '{"bogus": 1}',
+      "--kinds", "pseudo,cond"], "'bogus'"),
+    (["simulate", *EXPO, "--fixed", '{"bogus": 1}'], "'bogus'"),
+    (["simulate", *EXPO, "--trials", "0"], "trials must be a positive integer, got 0"),
+    (["simulate", *EXPO, "--alpha", "2"], "got 2.0"),
+    (["simulate", *EXPO, "--multiplicities", "0,1"], "got [0, 1]"),
+    (["evaluate", *EXPO, "--stream", "STREAM", "--alpha", "2"], "got 2.0"),
+    (["project", *EXPO, "--mu-lo", "-1"], "lo=-1.0"),
+], ids=["unknown-family", "mean-outside", "fixed-evaluate", "fixed-project",
+        "fixed-growth", "fixed-heatmap", "fixed-simulate", "trials-0", "alpha-2",
+        "multiplicity-0", "stream-alpha-2", "mu-lo-outside"])
+def test_input_errors_exit_with_one_line(tmp_path, argv, names):
+    argv = [write_stream(tmp_path / "s.csv") if a == "STREAM" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path)] + argv)
+    msg = str(exc.value)
+    assert msg.startswith(f"ksev {argv[0]}: ")
+    assert names in msg and "\n" not in msg
 
 
 class TestSimulate:

@@ -37,7 +37,7 @@ class TestGrowthRates:
     def test_bernoulli_cond_ranked_below_pseudo(self):
         spec = make_family("bernoulli")
         alt = Alternative.from_means(spec, [0.5, 0.25])
-        assert gr.growth_pseudo(spec, alt) > gr.growth_cond(spec, alt)
+        assert gr.growth_pseudo(spec, alt) > gr.growth_rate(spec, alt, "cond").rate
 
     def test_monte_carlo_agrees_with_quadrature(self):
         spec = make_family("exponential")
@@ -86,8 +86,8 @@ class TestGrowthRates:
         tol = 3e-6
         g_pseudo = gr.growth_pseudo(spec, alt)
         g_m = gr.growth_rate(spec, alt, "gro_m", mixture=mix).rate
-        g_iid = gr.growth_gro_iid(spec, alt)
-        g_cond = gr.growth_cond(spec, alt)
+        g_iid = gr.growth_rate(spec, alt, "gro_iid").rate
+        g_cond = gr.growth_rate(spec, alt, "cond").rate
         assert g_pseudo >= g_m - tol
         assert g_m >= g_iid - tol
         assert g_m >= g_cond - tol
@@ -237,18 +237,17 @@ class TestHeatmap:
         assert np.allclose(deltas, -deltas[::-1])
         assert np.allclose(vals, vals[::-1], atol=1e-8)
 
+    @pytest.mark.parametrize("kinds", [("gro_m", "cond"), ("pseudo", "gro_m")])
     @pytest.mark.parametrize("method", ["quadrature", "mc"])
-    def test_foreign_mixture_refused_before_any_cell(self, method):
-        # a 3x3 poisson heatmap once applied an exponential (0.5, 0.25)
-        # mixture to every cell with no failure
-        spec = make_family("exponential")
-        alt = Alternative.from_means(spec, [0.5, 0.25])
-        mix = ripr.point_mixture(spec, alt, alt.mu0_star)
-        with pytest.raises(ripr.CertificationError) as exc:
-            gr.heatmap(make_family("poisson"), ("gro_m", "cond"), n=3,
-                       method=method, mc_n=100, mixture=mix)
-        msg = str(exc.value)
-        assert "exponential" in msg and "[0.5, 0.25]" in msg and "poisson" in msg
+    def test_gro_m_refused_before_any_cell(self, monkeypatch, method, kinds):
+        # a certified mixture is bound to one alternative; without a refusal
+        # every off-diagonal cell once failed and came back NaN
+        cells = []
+        monkeypatch.setattr(gr.Alternative, "from_means",
+                            classmethod(lambda cls, spec, mus: cells.append(mus)))
+        with pytest.raises(ValueError, match="bound to one alternative"):
+            gr.heatmap(make_family("poisson"), kinds, n=3, method=method, mc_n=100)
+        assert not cells
 
     def test_cell_failures_recorded_not_fatal(self):
         # a grid touching the boundary of the mean space fails cell-wise

@@ -1,8 +1,16 @@
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from ksample_evalues import Alternative, make_family
+import ksample_evalues
+from ksample_evalues import Alternative, MeanDomainError, make_family
+from ksample_evalues import evariables as ev
+from ksample_evalues import growth as gr
 from ksample_evalues import ripr
 
 
@@ -10,6 +18,26 @@ from ksample_evalues import ripr
 def expo():
     spec = make_family("exponential")
     return spec, Alternative.from_means(spec, [0.5, 0.25])
+
+
+@pytest.fixture(scope="module")
+def expo_pair(expo):
+    """A certified two-component mixture for exponential (0.5, 0.25)."""
+    spec, alt = expo
+    return ripr.brute_force_two_component(
+        spec, alt, n_alpha=30, mu_count=30, mu0_count=200
+    )
+
+
+def test_ripr_does_not_import_evariables():
+    # the projection and its certificate need no statistic; Monte Carlo
+    # checks of a mixture go through evariables and growth
+    src = str(Path(ksample_evalues.__file__).resolve().parents[1])
+    code = ("import sys, ksample_evalues.ripr; "
+            "print('ksample_evalues.evariables' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestMixtureNullValidation:
@@ -128,11 +156,12 @@ class TestWorstCaseExpectation:
             )
             assert prof[0] == pytest.approx(oracle, rel=1e-8)
 
-    def test_matches_monte_carlo(self, expo):
+    def test_matches_monte_carlo(self, expo, expo_pair):
         spec, alt = expo
-        mix = ripr.MixtureNull(((0.56, 0.35), (0.44, 0.51)))
-        mu0s, prof = ripr.expectation_profile(spec, alt, mix, count=1, lo=0.35, hi=0.35)
-        mean, se = ripr.expectation_mc(spec, alt, mix, 0.35, n=400_000, seed=1)
+        mu0s, prof = ripr.expectation_profile(spec, alt, expo_pair, count=1,
+                                              lo=0.35, hi=0.35)
+        mean, se = ev.null_expectation_mc(spec, alt, "gro_m", 0.35, n=400_000,
+                                          seed=1, mixture=expo_pair)
         assert prof[0] == pytest.approx(mean, abs=4 * se)
 
     def test_exact_projection_point_certifies_at_one(self):
@@ -140,15 +169,18 @@ class TestWorstCaseExpectation:
         spec = make_family("gaussian_mean")
         alt = Alternative.from_means(spec, [0.0, 1.0])
         mix = ripr.point_mixture(spec, alt, alt.mu0_star)
-        sup = ripr.worst_case_expectation(spec, alt, mix)
+        sup, _ = ripr.worst_case_expectation(spec, alt, mix)
         assert sup == pytest.approx(1.0, abs=1e-6)
 
     def test_sub_projection_mixture_exceeds_one(self, expo):
         spec, alt = expo
-        mix = ripr.MixtureNull(((1.0, 0.6),))  # off-center single point
-        sup, argmax = ripr.worst_case_expectation(spec, alt, mix, return_argmax=True)
+        mix = ripr.point_mixture(spec, alt, 0.6)  # off-center single point
+        sup, argmax = ripr.worst_case_expectation(spec, alt, mix)
+        assert (sup, argmax) == (mix.certificate.sup_expectation,
+                                 mix.certificate.argmax_mu0)
         assert sup > 1.0
-        mean, se = ripr.expectation_mc(spec, alt, mix, argmax, n=10**6, seed=2)
+        mean, se = ev.null_expectation_mc(spec, alt, "gro_m", argmax, n=10**6,
+                                          seed=2, mixture=mix)
         assert sup == pytest.approx(mean, abs=max(4 * se, 3e-3))
 
 
@@ -157,21 +189,21 @@ class TestKLToMixture:
         spec = make_family("exponential")
         alt = Alternative.from_means(spec, [0.4, 0.4])
         mix = ripr.point_mixture(spec, alt, 0.4)
-        assert ripr.kl_to_mixture(spec, alt, mix).value == pytest.approx(0.0, abs=1e-12)
+        assert ripr.kl_to_mixture(spec, alt, mix) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_points_minimized_at_pooled_mean(self, expo):
         spec, alt = expo
         kls = []
         for mu0 in np.linspace(0.2, 0.6, 21):
             mix = ripr.MixtureNull(((1.0, float(mu0)),))
-            kls.append(ripr.kl_to_mixture(spec, alt, mix).value)
+            kls.append(ripr.kl_to_mixture(spec, alt, mix))
         best = np.argmin(kls)
         assert np.linspace(0.2, 0.6, 21)[best] == pytest.approx(
             alt.mu0_star, abs=0.021
         )
         closed = sum(spec.kl(m, alt.mu0_star) for m in alt.mu)
         mix0 = ripr.MixtureNull(((1.0, alt.mu0_star),))
-        assert ripr.kl_to_mixture(spec, alt, mix0).value == pytest.approx(
+        assert ripr.kl_to_mixture(spec, alt, mix0) == pytest.approx(
             closed, abs=1e-10
         )
 
@@ -180,18 +212,18 @@ class TestKLToMixture:
         mix2 = ripr.brute_force_two_component(
             spec, alt, n_alpha=40, mu_count=40, mu0_count=300
         )
-        kl2 = ripr.kl_to_mixture(spec, alt, mix2).value
+        kl2 = ripr.kl_to_mixture(spec, alt, mix2)
         kl1 = ripr.kl_to_mixture(
             spec, alt, ripr.MixtureNull(((1.0, alt.mu0_star),))
-        ).value
+        )
         assert kl2 <= kl1 + 1e-12
 
-    def test_monte_carlo_agrees(self, expo):
+    def test_monte_carlo_agrees(self, expo, expo_pair):
         spec, alt = expo
-        mix = ripr.MixtureNull(((0.5, 0.3), (0.5, 0.45)))
-        quad = ripr.kl_to_mixture(spec, alt, mix, method="quadrature")
-        mc = ripr.kl_to_mixture(spec, alt, mix, method="mc", mc_n=400_000, seed=4)
-        assert quad.value == pytest.approx(mc.value, abs=4 * mc.stderr)
+        quad = ripr.kl_to_mixture(spec, alt, expo_pair)
+        mc = gr.growth_rate(spec, alt, "gro_m", method="mc", mixture=expo_pair,
+                            mc_n=400_000, seed=4)
+        assert quad == pytest.approx(mc.rate, abs=4 * mc.stderr)
 
 
 class TestLiApproximate:
@@ -237,25 +269,20 @@ class TestLiApproximate:
 
 
 class TestBruteForce:
-    def test_small_search_certifies_near_one(self, expo):
-        spec, alt = expo
-        mix = ripr.brute_force_two_component(
-            spec, alt, n_alpha=30, mu_count=30, mu0_count=200
-        )
+    def test_small_search_certifies_near_one(self, expo_pair):
+        mix = expo_pair
         assert 1.0 - 1e-6 <= mix.certificate.sup_expectation < 1.01
         assert mix.certificate.method == "brute_force_2"
         assert 1 <= len(mix.components) <= 2
         lo, hi = mix.certificate.mu0_lo, mix.certificate.mu0_hi
         assert all(lo <= m <= hi for _, m in mix.components)
 
-    def test_certificate_sound_against_monte_carlo(self, expo):
+    def test_certificate_sound_against_monte_carlo(self, expo, expo_pair):
         spec, alt = expo
-        mix = ripr.brute_force_two_component(
-            spec, alt, n_alpha=30, mu_count=30, mu0_count=200
-        )
-        cert = mix.certificate
-        mean, se = ripr.expectation_mc(
-            spec, alt, mix, cert.argmax_mu0, n=10**6, seed=11
+        cert = expo_pair.certificate
+        mean, se = ev.null_expectation_mc(
+            spec, alt, "gro_m", cert.argmax_mu0, n=10**6, seed=11,
+            mixture=expo_pair,
         )
         assert cert.sup_expectation == pytest.approx(mean, abs=max(3e-3, 4 * se))
 
@@ -299,6 +326,27 @@ class TestDegenerateGrids:
         }[search]
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+    @pytest.mark.parametrize(
+        "kw,error,message",
+        [
+            ({"mu_lo": 0.3, "mu_hi": 0.2}, ValueError,
+             "null-mean grid needs lo <= hi, got lo=0.3 > hi=0.2"),
+            ({"mu_hi": math.inf}, MeanDomainError,
+             r"null-mean grid end hi=inf outside mean space \(0.0, inf\)"),
+            ({"mu_lo": -1.0}, MeanDomainError,
+             r"null-mean grid end lo=-1.0 outside mean space \(0.0, inf\)"),
+            ({"mu_lo": math.nan}, MeanDomainError, "null-mean grid end lo=nan"),
+        ],
+    )
+    @pytest.mark.parametrize("search", ["li", "brute2"])
+    def test_window_refused_naming_values(self, expo, search, kw, error, message):
+        # lo > hi once died as "certificate below 1 is impossible for a
+        # correct search", and hi = inf as a SupportError about NaN z values
+        spec, alt = expo
+        run = ripr.li_approximate if search == "li" else ripr.brute_force_two_component
+        with pytest.raises(error, match=message):
+            run(spec, alt, **kw)
 
     def test_smallest_grids_accepted(self, expo):
         spec, alt = expo
@@ -498,7 +546,7 @@ class TestCertificateReproduces:
         cert = mix.certificate
         sup, argmax = ripr.worst_case_expectation(
             spec, alt, mix, count=cert.mu0_grid_size, lo=cert.mu0_lo,
-            hi=cert.mu0_hi, return_argmax=True,
+            hi=cert.mu0_hi,
         )
         assert sup == cert.sup_expectation
         assert argmax == cert.argmax_mu0
@@ -522,3 +570,21 @@ class TestDefaultRange:
         alt = Alternative.from_means(spec, [0.5, 0.25])
         lo, hi = ripr.default_search_range(spec, alt)
         assert 0 < lo < 0.25 and 0.5 < hi < 1
+
+    @pytest.mark.parametrize(
+        "name,fixed,mus,want",
+        [
+            # bounded: halfway to each boundary
+            ("bernoulli", {}, [0.6, 0.2], (0.1, 0.8)),
+            # (0, inf): x1/2 and x2
+            ("poisson", {}, [3.0, 1.0], (0.5, 6.0)),
+            # (-inf, 0): x2 and x1/2
+            ("beta_fixed_alpha", {"alpha": 2.0}, [-3.0, -1.0], (-6.0, -0.5)),
+            # whole line: two standard deviations plus the span
+            ("gaussian_mean", {"sigma2": 0.25}, [1.0, -1.0], (-4.0, 4.0)),
+        ],
+    )
+    def test_rule_read_off_the_mean_space(self, name, fixed, mus, want):
+        spec = make_family(name, **fixed)
+        alt = Alternative.from_means(spec, mus)
+        assert ripr.default_search_range(spec, alt) == pytest.approx(want, rel=1e-15)
