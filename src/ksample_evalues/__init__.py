@@ -1,4 +1,10 @@
-"""Anytime-valid k-sample testing with e-values for exponential families."""
+"""Anytime-valid k-sample testing with e-values for exponential families.
+
+The package logs through the ``ksample_evalues`` logger, which is silent
+until the application configures logging.
+"""
+
+import logging
 
 from .expfam import (
     Alternative,
@@ -21,6 +27,8 @@ from .expfam import (
     reduce_sufficient,
     spawn_generator,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "Alternative",

@@ -327,8 +327,11 @@ def heatmap(
     substream ``spawn_generator(seed, i, j)`` and scores both kinds on those
     draws; its gap and stderr are those of the paired difference.  The
     certified-mixture ratio is refused: a certified mixture is bound to one
-    alternative, not to every grid cell.
+    alternative, not to every grid cell.  The grid needs n >= 2 points per
+    axis: a smaller one has no pair of distinct groups.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n!r}")
     kind_a = ev.EValueKind(kinds[0])
     kind_b = ev.EValueKind(kinds[1])
     if ev.EValueKind.GRO_M in (kind_a, kind_b):

@@ -18,6 +18,16 @@ Two searches are provided:
   (weight, two null means), minimizing the worst-case null expectation
   directly.
 
+Both searches run on a coarse z grid and certify on a fine one.  The search
+grid has ``_SEARCH_NZ`` = 400 nodes, the certification grid ``n_z`` (3000 by
+default), over the same window and null means; a discrete family's grid is
+its lattice, whatever ``n_z``, so it has one grid only.  The mixture a search
+picks does not depend on that resolution: on the benchmark rows it is the
+one the search finds on the fine grid.  A certificate does: on 400 nodes the
+quadrature edge check refuses the pooled-mean point of exponential
+(0.5, 0.25), which 3000 nodes pass.  So every certificate, and Li's trace and
+stop rule, are computed on the ``n_z`` grid.
+
 Both searches take the same weight step (``_weight_step``): for a fixed
 density p and each candidate density q on the z grid, it finds the convex
 weight a on a grid that minimizes an objective of a * p + (1 - a) * q.  Li's
@@ -51,7 +61,9 @@ meaningless for any finite mixture that is not the exact RIPr.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -65,6 +77,8 @@ from .expfam import (
     MeanDomainError,
     problem_from_config,
 )
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -262,9 +276,12 @@ def _require_at_least(least: int, **sizes) -> None:
 # whose projection is a single point that happens at the first step.
 _STOP_SUP = 1.0 + 1e-6
 # The brute force ranks every candidate on every _COARSE_STRIDE-th
-# certification point, then re-certifies the best _REFINE_TOP on all of them.
+# certification point, then re-ranks the best _REFINE_TOP on all of them.
 _COARSE_STRIDE = 4
 _REFINE_TOP = 500
+# Both searches run on a z grid of at most this many nodes; certificates use
+# the n_z grid.
+_SEARCH_NZ = 400
 
 
 class _SumGrid:
@@ -386,6 +403,29 @@ def _certify(grid: _SumGrid, ws, mus, method: str) -> MixtureNull:
     )
 
 
+def _search_and_cert_grids(spec: FamilySpec, alt: Alternative, count: int,
+                            lo, hi, n_z: int, envelope: Sequence[float] = ()
+                            ) -> tuple[_SumGrid, _SumGrid]:
+    """The search grid of ``min(n_z, _SEARCH_NZ)`` nodes and the n_z-node
+    certification grid of one problem: one grid when the two coincide, as
+    they do for a discrete family, whose lattice ignores the node count."""
+    cert = _SumGrid(spec, alt, count, lo, hi, n_z, envelope)
+    if spec.support.discrete or n_z <= _SEARCH_NZ:
+        return cert, cert
+    return _SumGrid(spec, alt, count, lo, hi, _SEARCH_NZ, envelope), cert
+
+
+def _log_search(name: str, search: _SumGrid, cert: _SumGrid, steps: str,
+                t_start: float, t_cert: float) -> None:
+    """One DEBUG record per search: both grids' node counts, its steps and
+    the wall time of search and certification.  The search time runs from
+    the call to ``_certify``, so it includes building both grids and Li's
+    trace on the certification grid."""
+    _log.debug("%s: search grid %d nodes, certification grid %d nodes, %s, "
+               "search %.3f s, certification %.3f s", name, search.z.size,
+               cert.z.size, steps, t_cert - t_start, time.perf_counter() - t_cert)
+
+
 def worst_case_expectation(
     spec: FamilySpec,
     alt: Alternative,
@@ -490,52 +530,67 @@ def li_approximate(
     from ``_weight_step``, which finds the sweep's grid point because the KL
     is convex in a; ties go to the lowest KL, then the lowest a, then the
     lowest candidate.  Keeping a = 1 is always available (``n_alpha >= 2``),
-    so the KL trace is nonincreasing.  The trace records, per iteration, the KL
-    divergence and the worst-case null expectation of the current ratio.
-    Iteration stops early once the certificate is within 1e-6 of 1 (for
-    families whose projection is a single point this happens immediately).
+    so the search grid's KL is nonincreasing.  The steps run on the search
+    grid of at most ``_SEARCH_NZ`` nodes; the current mixture is also kept on
+    the n_z-node certification grid, with the same update.  There the trace
+    records, per iteration, the KL divergence and the worst-case null
+    expectation of the current ratio, and iteration stops early once that
+    certificate is within 1e-6 of 1 (for families whose projection is a
+    single point this happens immediately).  The returned mixture is
+    certified on that grid too.
     """
+    _require_at_least(1, max_iters=max_iters)
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, cert_count=cert_count)
-    grid = _SumGrid(spec, alt, cert_count, mu_lo, mu_hi, n_z,
-                    envelope=[alt.mu0_star])
-    cand_mus = np.linspace(grid.lo, grid.hi, mu_count)
+    t_start = time.perf_counter()
+    search, cert = _search_and_cert_grids(spec, alt, cert_count, mu_lo, mu_hi,
+                                          n_z, envelope=[alt.mu0_star])
+    cand_mus = np.linspace(search.lo, search.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
-    u = grid.tilt_rows(cand_mus)  # (mu_count, n_z)
+    u = search.tilt_rows(cand_mus)  # (mu_count, search nodes)
 
     # first component: the single-point projection has the closed-form
-    # minimizer at the pooled mean, no grid search needed
+    # minimizer at the pooled mean, no grid search needed.  d and kl are on
+    # the search grid, d_cert on the certification grid.
     weights = {float(alt.mu0_star): 1.0}
-    d_cur = grid.tilt_rows([alt.mu0_star])[0].copy()
+    d = search.tilt_rows([alt.mu0_star])[0].copy()
+    d_cert = cert.tilt_rows([alt.mu0_star])[0].copy()
     # at delta = 0 the pooled mean is the alternative itself
-    kl_cur = float(grid.kl(d_cur)) if alt.delta else 0.0
-    sup, _ = grid.sup(d_cur)
-    trace = [{"iter": 1, "kl": kl_cur, "sup_expectation": sup}]
+    kl = float(search.kl(d)) if alt.delta else 0.0
+    sup, _ = cert.sup(d_cert)
+    trace = [{"iter": 1, "kl": float(cert.kl(d_cert)) if alt.delta else 0.0,
+              "sup_expectation": sup}]
 
     for it in range(2, max_iters + 1):
         if sup <= _STOP_SUP:
             break
 
-        ai, kls = _weight_step(grid.kl, d_cur[None, :], u, alphas)
+        ai, kls = _weight_step(search.kl, d[None, :], u, alphas)
         # lowest KL, then lowest weight, then lowest candidate
         j = int(np.lexsort((np.arange(mu_count), ai, kls))[0])
         kl_new, a = float(kls[j]), alphas[ai[j]]
-        if kl_new > kl_cur + 1e-12:
+        if kl_new > kl + 1e-12:
             raise ComputationError(
                 f"greedy KL step failed to improve at iteration {it}"
             )
         weights = {mu: w * a for mu, w in weights.items()}
         mu_new = float(cand_mus[j])
         weights[mu_new] = weights.get(mu_new, 0.0) + (1.0 - a)
-        d_cur = a * d_cur + (1.0 - a) * u[j]
-        kl_cur = kl_new
-        sup, _ = grid.sup(d_cur)
-        trace.append({"iter": it, "kl": kl_cur, "sup_expectation": sup})
+        d = a * d + (1.0 - a) * u[j]
+        kl = kl_new
+        d_cert = a * d_cert + (1.0 - a) * cert.tilt_rows([mu_new])[0]
+        sup, _ = cert.sup(d_cert)
+        trace.append({"iter": it, "kl": float(cert.kl(d_cert)),
+                      "sup_expectation": sup})
 
     comps = sorted(((w, mu) for mu, w in weights.items() if w > 0), key=lambda t: -t[0])
     total = sum(w for w, _ in comps)
     ws = [w / total for w, _ in comps]
-    return _certify(grid, ws, [m for _, m in comps], "li"), trace
+    t_cert = time.perf_counter()
+    mix = _certify(cert, ws, [m for _, m in comps], "li")
+    _log_search("li_approximate", search, cert, f"{len(trace)} iterations",
+                t_start, t_cert)
+    return mix, trace
 
 
 def brute_force_two_component(
@@ -554,20 +609,23 @@ def brute_force_two_component(
     objective is the maximum over the certification grid of the null
     expectation of the induced ratio.  A coarse certification pass (every
     fourth point) ranks every pair of means at its best weight; the best 500
-    are re-certified on the full grid and the winner is returned with its
-    certificate.  Each pair's weight comes from ``_weight_step``.  Every null
-    expectation is convex in a (1/x is convex and the mixture density is
-    affine in a), so their coarse maximum is too, and the search returns the
-    exhaustive sweep's grid point, ties going to the lowest weight index.
+    are re-ranked on every point, and the winner is returned with its
+    certificate.  Ranking and re-ranking run on the search grid of at most
+    ``_SEARCH_NZ`` z nodes; the certificate is computed on the n_z-node grid.
+    Each pair's weight comes from ``_weight_step``.  Every null expectation
+    is convex in a (1/x is convex and the mixture density is affine in a), so
+    their coarse maximum is too, and the search returns the exhaustive
+    sweep's grid point, ties going to the lowest weight index.
     """
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, mu0_count=mu0_count)
-    grid = _SumGrid(spec, alt, mu0_count, mu_lo, mu_hi, n_z)
-    comp_mus = np.linspace(grid.lo, grid.hi, mu_count)
+    t_start = time.perf_counter()
+    search, cert = _search_and_cert_grids(spec, alt, mu0_count, mu_lo, mu_hi, n_z)
+    comp_mus = np.linspace(search.lo, search.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
 
-    u = grid.tilt_rows(comp_mus)  # (mu_count, n_z)
-    t_coarse = grid.cert_rows()[::_COARSE_STRIDE].T  # (n_z, n_coarse)
+    u = search.tilt_rows(comp_mus)  # (mu_count, search nodes)
+    t_coarse = search.cert_rows()[::_COARSE_STRIDE].T  # (search nodes, n_coarse)
 
     def coarse_sup(d):
         return ((1.0 / d) @ t_coarse).max(axis=1)
@@ -576,7 +634,7 @@ def brute_force_two_component(
     top = [(float(s), 1.0, i, i) for i, s in enumerate(coarse_sup(u))]
 
     pi, pj = np.triu_indices(mu_count, 1)
-    chunk = max(1, int(5e6 // (3 * grid.z.size)))  # ~40 MB per (chunk, 3, n_z) tensor
+    chunk = max(1, int(5e6 // (3 * search.z.size)))  # ~40 MB per (chunk, 3, nodes) tensor
     for start in range(0, pi.size, chunk):
         bi, bj = pi[start : start + chunk], pj[start : start + chunk]
         ai, sup = _weight_step(coarse_sup, u[bi], u[bj], alphas)
@@ -593,6 +651,11 @@ def brute_force_two_component(
 
     ws, mus = min(
         (components(a, i, j) for _, a, i, j in top[:_REFINE_TOP]),
-        key=lambda c: grid.sup(grid.mixture(*c))[0],
+        key=lambda c: search.sup(search.mixture(*c))[0],
     )
-    return _certify(grid, ws, mus, "brute_force_2")
+    t_cert = time.perf_counter()
+    mix = _certify(cert, ws, mus, "brute_force_2")
+    _log_search("brute_force_two_component", search, cert,
+                f"{len(top)} candidates ranked, {min(len(top), _REFINE_TOP)} "
+                "re-ranked", t_start, t_cert)
+    return mix

@@ -347,9 +347,13 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
     (["simulate", *EXPO, "--multiplicities", "0,1"], "got [0, 1]"),
     (["evaluate", *EXPO, "--stream", "STREAM", "--alpha", "2"], "got 2.0"),
     (["project", *EXPO, "--mu-lo", "-1"], "lo=-1.0"),
+    (["project", *EXPO, "--max-iters", "0"], "max_iters must be at least 1, got 0"),
+    (["heatmap", "--family", "exponential", "--kinds", "pseudo,cond", "--n", "0"],
+     "n must be at least 2, got 0"),
 ], ids=["unknown-family", "mean-outside", "fixed-evaluate", "fixed-project",
         "fixed-growth", "fixed-heatmap", "fixed-simulate", "trials-0", "alpha-2",
-        "multiplicity-0", "stream-alpha-2", "mu-lo-outside"])
+        "multiplicity-0", "stream-alpha-2", "mu-lo-outside", "max-iters-0",
+        "heatmap-n-0"])
 def test_input_errors_exit_with_one_line(tmp_path, argv, names):
     argv = [write_stream(tmp_path / "s.csv") if a == "STREAM" else a for a in argv]
     with pytest.raises(SystemExit) as exc:

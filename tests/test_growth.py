@@ -249,6 +249,17 @@ class TestHeatmap:
             gr.heatmap(make_family("poisson"), kinds, n=3, method=method, mc_n=100)
         assert not cells
 
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_fewer_than_two_points_refused(self, monkeypatch, n):
+        # n = 0 once gave an empty grid and n = -2 numpy's "Number of
+        # samples, -2, must be non-negative."
+        cells = []
+        monkeypatch.setattr(gr.Alternative, "from_means",
+                            classmethod(lambda cls, spec, mus: cells.append(mus)))
+        with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
+            gr.heatmap(make_family("exponential"), ("pseudo", "cond"), n=n)
+        assert not cells
+
     def test_cell_failures_recorded_not_fatal(self):
         # a grid touching the boundary of the mean space fails cell-wise
         spec = make_family("geometric")

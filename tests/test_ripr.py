@@ -1,3 +1,4 @@
+import logging
 import math
 import subprocess
 import sys
@@ -309,6 +310,8 @@ class TestDegenerateGrids:
             ("li", {"n_alpha": 1}, "n_alpha must be at least 2, got 1"),
             ("li", {"mu_count": 0}, "mu_count must be at least 1, got 0"),
             ("li", {"cert_count": 0}, "cert_count must be at least 1, got 0"),
+            ("li", {"max_iters": 0}, "max_iters must be at least 1, got 0"),
+            ("li", {"max_iters": -2}, "max_iters must be at least 1, got -2"),
             ("worst", {"count": 0}, "count must be at least 1, got 0"),
             ("profile", {"count": 0}, "count must be at least 1, got 0"),
             ("point", {"count": 0}, "count must be at least 1, got 0"),
@@ -394,19 +397,24 @@ class TestConvexArgmin:
 
 
 def _li_sweep(spec, alt, n_alpha=100, mu_count=100, cert_count=1000,
-              max_iters=15):
+              max_iters=15, search_nz=ripr._SEARCH_NZ):
     """``li_approximate`` with every step's weight found by sweeping all of
-    ``alphas``; returns the mixture, the trace and each step's (n_alpha,
-    mu_count) KL objectives."""
-    grid = ripr._SumGrid(spec, alt, cert_count, envelope=[alt.mu0_star])
-    cand_mus = np.linspace(grid.lo, grid.hi, mu_count)
+    ``alphas`` on a ``search_nz``-node grid, the current mixture also kept on
+    the 3000-node certification grid for the trace and the certificate;
+    returns the mixture, the trace and each step's (n_alpha, mu_count) KL
+    objectives."""
+    env = [alt.mu0_star]
+    search = ripr._SumGrid(spec, alt, cert_count, n_z=search_nz, envelope=env)
+    cert = ripr._SumGrid(spec, alt, cert_count, envelope=env)
+    cand_mus = np.linspace(search.lo, search.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
-    u = grid.tilt_rows(cand_mus)
+    u, u_cert = search.tilt_rows(cand_mus), cert.tilt_rows(cand_mus)
     weights = {float(alt.mu0_star): 1.0}
-    d_cur = grid.tilt_rows([alt.mu0_star])[0].copy()
-    kl_cur = float(grid.kl(d_cur)) if alt.delta else 0.0
-    sup, _ = grid.sup(d_cur)
-    trace = [{"iter": 1, "kl": kl_cur, "sup_expectation": sup}]
+    d = search.tilt_rows([alt.mu0_star])[0].copy()
+    d_cert = cert.tilt_rows([alt.mu0_star])[0].copy()
+    kl_cert = float(cert.kl(d_cert)) if alt.delta else 0.0
+    sup, _ = cert.sup(d_cert)
+    trace = [{"iter": 1, "kl": kl_cert, "sup_expectation": sup}]
     objectives = []
     for it in range(2, max_iters + 1):
         if sup <= ripr._STOP_SUP:
@@ -414,36 +422,40 @@ def _li_sweep(spec, alt, n_alpha=100, mu_count=100, cert_count=1000,
         best = (np.inf, None, None)
         objs = []
         for a in alphas:
-            obj = grid.kl(a * d_cur[None, :] + (1.0 - a) * u)
+            obj = search.kl(a * d[None, :] + (1.0 - a) * u)
             objs.append(obj)
             j = int(np.argmin(obj))
             if obj[j] < best[0]:
                 best = (float(obj[j]), a, j)
         objectives.append(np.array(objs))
-        kl_cur, a, j = best
+        _, a, j = best
         weights = {mu: w * a for mu, w in weights.items()}
         mu_new = float(cand_mus[j])
         weights[mu_new] = weights.get(mu_new, 0.0) + (1.0 - a)
-        d_cur = a * d_cur + (1.0 - a) * u[j]
-        sup, _ = grid.sup(d_cur)
-        trace.append({"iter": it, "kl": kl_cur, "sup_expectation": sup})
+        d = a * d + (1.0 - a) * u[j]
+        d_cert = a * d_cert + (1.0 - a) * u_cert[j]
+        sup, _ = cert.sup(d_cert)
+        trace.append({"iter": it, "kl": float(cert.kl(d_cert)),
+                      "sup_expectation": sup})
     comps = sorted(((w, mu) for mu, w in weights.items() if w > 0),
                    key=lambda t: -t[0])
     total = sum(w for w, _ in comps)
-    mix = ripr._certify(grid, [w / total for w, _ in comps],
+    mix = ripr._certify(cert, [w / total for w, _ in comps],
                         [m for _, m in comps], "li")
     return mix, trace, objectives
 
 
-def _brute2_sweep(spec, alt, n_alpha=100, mu_count=100, mu0_count=1000):
+def _brute2_sweep(spec, alt, n_alpha=100, mu_count=100, mu0_count=1000,
+                  search_nz=ripr._SEARCH_NZ):
     """``brute_force_two_component`` with every pair's weight found by
-    sweeping all of ``alphas``; returns the mixture and the (pairs, n_alpha)
-    coarse-row sups."""
-    grid = ripr._SumGrid(spec, alt, mu0_count)
-    comp_mus = np.linspace(grid.lo, grid.hi, mu_count)
+    sweeping all of ``alphas`` on a ``search_nz``-node grid, certified on the
+    3000-node grid; returns the mixture and the (pairs, n_alpha) coarse-row
+    sups."""
+    search = ripr._SumGrid(spec, alt, mu0_count, n_z=search_nz)
+    comp_mus = np.linspace(search.lo, search.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
-    u = grid.tilt_rows(comp_mus)
-    t_coarse = grid.cert_rows()[:: ripr._COARSE_STRIDE].T
+    u = search.tilt_rows(comp_mus)
+    t_coarse = search.cert_rows()[:: ripr._COARSE_STRIDE].T
     sup_single = ((1.0 / u) @ t_coarse).max(axis=1)
     top = [(float(sup_single[i]), 1.0, i, i) for i in range(mu_count)]
     sups = []
@@ -464,9 +476,10 @@ def _brute2_sweep(spec, alt, n_alpha=100, mu_count=100, mu0_count=1000):
 
     ws, mus = min(
         (components(a, i, j) for _, a, i, j in top[: ripr._REFINE_TOP]),
-        key=lambda c: grid.sup(grid.mixture(*c))[0],
+        key=lambda c: search.sup(search.mixture(*c))[0],
     )
-    return ripr._certify(grid, ws, mus, "brute_force_2"), np.array(sups)
+    cert = ripr._SumGrid(spec, alt, mu0_count)
+    return ripr._certify(cert, ws, mus, "brute_force_2"), np.array(sups)
 
 
 def _assert_discretely_convex(objectives):
@@ -497,7 +510,8 @@ _ORACLE_ROWS = [
 
 
 class TestSearchesMatchFullSweep:
-    # the ternary weight search returns the grid point of the full sweep
+    # the ternary weight search returns the grid point of the full sweep on
+    # the same search grid
     @pytest.mark.parametrize("name,fixed,mus", _ORACLE_ROWS)
     def test_brute2(self, name, fixed, mus):
         spec, alt = _oracle_problem(name, fixed, mus)
@@ -518,6 +532,81 @@ class TestSearchesMatchFullSweep:
         assert trace == want_trace
         for obj in objectives:  # (n_alpha, mu_count): convex down each column
             _assert_discretely_convex(obj.T)
+
+
+class TestSearchGridResolution:
+    # searching on the 400-node grid picks the mixture the same sweep picks
+    # on the 3000-node certification grid; only the trace's KL may move, by
+    # the order of the sums
+    @pytest.mark.parametrize("name,fixed,mus", _ORACLE_ROWS)
+    def test_brute2(self, name, fixed, mus):
+        spec, alt = _oracle_problem(name, fixed, mus)
+        want, _ = _brute2_sweep(spec, alt, mu_count=20, mu0_count=200,
+                                search_nz=3000)
+        got = ripr.brute_force_two_component(spec, alt, mu_count=20,
+                                             mu0_count=200)
+        assert got.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("name,fixed,mus", _ORACLE_ROWS)
+    def test_li(self, name, fixed, mus):
+        spec, alt = _oracle_problem(name, fixed, mus)
+        want, want_trace, _ = _li_sweep(spec, alt, mu_count=20, cert_count=200,
+                                        search_nz=3000)
+        got, trace = ripr.li_approximate(spec, alt, mu_count=20,
+                                         cert_count=200)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert [t["sup_expectation"] for t in trace] == \
+            [t["sup_expectation"] for t in want_trace]
+        assert [t["kl"] for t in trace] == pytest.approx(
+            [t["kl"] for t in want_trace], rel=1e-13, abs=0.0)
+
+    def test_certificate_stays_on_the_fine_grid(self, expo):
+        # the pooled-mean point mixture carries edge mass on 400 nodes
+        # (fraction ~2e-8 > 1e-8), so a certificate taken on the search grid
+        # would refuse it
+        spec, alt = expo
+        mix, trace = ripr.li_approximate(spec, alt, max_iters=1)
+        assert mix.components == ((1.0, alt.mu0_star),)
+        assert mix.certificate.sup_expectation == trace[0]["sup_expectation"]
+        with pytest.raises(ripr.ComputationError, match="edge mass fraction"):
+            ripr.li_approximate(spec, alt, max_iters=1, n_z=ripr._SEARCH_NZ)
+
+
+class TestLogging:
+    def test_silent_by_default(self):
+        src = str(Path(ksample_evalues.__file__).resolve().parents[1])
+        code = (
+            "import logging\n"
+            "from ksample_evalues import Alternative, make_family, ripr\n"
+            "log = logging.getLogger('ksample_evalues')\n"
+            "assert any(isinstance(h, logging.NullHandler) for h in log.handlers)\n"
+            "log.setLevel(logging.DEBUG)\n"
+            "spec = make_family('exponential')\n"
+            "alt = Alternative.from_means(spec, [0.5, 0.25])\n"
+            "ripr.li_approximate(spec, alt, max_iters=2, mu_count=5, "
+            "cert_count=20, n_z=600)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "" and run.stderr == ""
+
+    def test_each_search_logs_both_grids(self, expo, caplog):
+        spec, alt = expo
+        caplog.set_level(logging.DEBUG, logger="ksample_evalues")
+        ripr.li_approximate(spec, alt, max_iters=2, mu_count=5, cert_count=20,
+                            n_z=600)
+        ripr.brute_force_two_component(spec, alt, n_alpha=5, mu_count=5,
+                                       mu0_count=20, n_z=600)
+        records = [r for r in caplog.records if r.name == "ksample_evalues.ripr"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        for record, name in zip(records, ["li_approximate",
+                                          "brute_force_two_component"]):
+            msg = record.getMessage()
+            assert msg.startswith(f"{name}: search grid 400 nodes, "
+                                  "certification grid 600 nodes, ")
+            assert "search " in msg and " s, certification " in msg
+        assert "2 iterations" in records[0].getMessage()
 
 
 class TestCertificateReproduces:
