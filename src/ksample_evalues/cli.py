@@ -22,7 +22,9 @@ from . import evariables as ev
 from . import growth as gr
 from . import ripr
 from . import sequential as sq
-from .expfam import Alternative, family_from_config, problem_from_config
+from .expfam import (
+    Alternative, ComputationError, family_from_config, problem_from_config,
+)
 
 
 def canonical_json(obj) -> str:
@@ -168,6 +170,8 @@ def cmd_evaluate(args) -> int:
                     raise SystemExit(f"{args.data}:{ln}: unparseable block: {exc}")
     if not blocks:
         raise SystemExit("nothing to evaluate: give --block, --data or --stream")
+    log_statistic = ev._statistic(spec, alt, kind, mixture)
+    cert = mixture.certificate_dict() if kind is ev.EValueKind.GRO_M else None
     results = []
     total = 0.0
     for ln, blk in blocks:
@@ -176,9 +180,10 @@ def cmd_evaluate(args) -> int:
                 f"line {ln}: block has {len(blk)} values, expected k={alt.k}"
             )
         try:
-            res = ev.log_evalue(spec, alt, blk, kind, mixture=mixture)
+            value = log_statistic(spec.check_support(blk))
         except Exception as exc:
             raise SystemExit(f"line {ln}: {exc}")
+        res = ev.EValueResult(kind, float(value), cert)
         total += res.log_evalue
         row = {"block": blk, "kind": kind.value, "log_evalue": res.log_evalue,
                "evalue": res.evalue}
@@ -463,12 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand.  An input it refuses (a ``ValueError``, which
     includes ``MeanDomainError``, ``SupportError`` and ``CertificationError``)
-    exits nonzero with one line naming the subcommand and the bad value."""
+    or a computation that fails on it (``ComputationError``) exits nonzero
+    with one line naming the subcommand and the reason."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ComputationError) as exc:
         raise SystemExit(f"ksev {args.command}: {exc}") from None
 
 

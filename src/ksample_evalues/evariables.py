@@ -21,6 +21,12 @@ numerator; they differ in the null density in the denominator:
 Everything is computed and returned in log space; callers exponentiate at the
 surface (``EValueResult.evalue``).  All functions are vectorized over leading
 axes of ``block`` and are pure.
+
+Each ``log_s_*`` checks the block, builds the problem's statistic
+(``_statistic``) and calls it.  The built statistic holds every parameter of
+the block function, so a caller scoring many blocks of one problem
+(``StreamState``, ``simulate``, ``ksev evaluate --data``) builds it once and
+calls it on blocks it has checked.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .expfam import Alternative, FamilySpec, MeanDomainError, as_generator
-from .ripr import MixtureNull
+from .ripr import MixtureNull, _log_sum_of_tilts
 
 
 class EValueKind(str, enum.Enum):
@@ -91,12 +97,6 @@ def _as_block(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
     return x
 
 
-def _log_iid_ratio(spec: FamilySpec, alt: Alternative, x, mu0: float) -> np.ndarray:
-    """log of prod_i p_{mu_i}(x_i) / prod_i p_{mu0}(x_i)."""
-    lam, a = spec._natural_params([*alt.mu, mu0])
-    return np.sum((lam[:-1] - lam[-1]) * x - (a[:-1] - a[-1]), axis=-1)
-
-
 def _log_equal_mixture(lam: np.ndarray, a: np.ndarray, x) -> np.ndarray:
     """log (1/k) sum_i exp(lam_i x - a_i) at every entry of x, by logsumexp."""
     comp = lam * x[..., None] - a  # [..., i] = log p_{mu_i}(x) w.r.t. rho
@@ -104,29 +104,70 @@ def _log_equal_mixture(lam: np.ndarray, a: np.ndarray, x) -> np.ndarray:
     return np.squeeze(cmax, -1) + np.log(np.mean(np.exp(comp - cmax), axis=-1))
 
 
-def _log_mixture_ratio(spec: FamilySpec, alt: Alternative, x, mixture) -> np.ndarray:
-    """log of prod_i p_{mu_i}(x_i) / d_mix(z), with no certificate check."""
+def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
+    """z -> log p_alt_Z(z) - log p_null_Z(z) for the coordinate sum z of
+    checked blocks, with the null i.i.d. at the checked mean mu0.  A finite
+    sum support is tabulated once."""
+    means, null = list(alt.mu), [mu0] * alt.k
+    s = spec.support
+    if s.kind == "finite":
+        lo = round(alt.k * s.lo)
+        zs = np.arange(lo, round(alt.k * s.hi) + 1, dtype=float)
+        table = spec._sum_log_pdf(means, zs) - spec._sum_log_pdf(null, zs)
+        return lambda z: table[np.round(z).astype(int) - lo]
+    return lambda z: spec._sum_log_pdf(means, z) - spec._sum_log_pdf(null, z)
+
+
+def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
+               mu0: float | None = None):
+    """The statistic of ``kind`` for one problem, built once.
+
+    Building checks what does not depend on the block: a ``gro_m`` mixture
+    must be a certified MixtureNull, certified for (spec, alt.mu), and a
+    ``cond`` baseline null mean ``mu0`` (the pooled mean by default) must lie
+    in the mean space.  It then computes every parameter of the block
+    function: lambda(mu_i) and A(lambda_i), their differences to lambda and A
+    at mu0, the sum-density ratio of ``cond`` (a table when the sum's support
+    is finite) and a mixture's tilts.  The function it returns maps blocks
+    already checked (``_as_block``; shape [..., k]) to the log statistic.
+    """
+    kind = EValueKind(kind)
+    if kind is EValueKind.GRO_M:
+        _require_mixture(kind, mixture)
+        if not isinstance(mixture, MixtureNull):
+            raise TypeError("mixture must be a ripr.MixtureNull")
+        mixture.require_certificate()
+        mixture.require_problem(spec, alt.mu)
+    if alt.delta == 0.0:
+        return lambda x: np.zeros(np.shape(x)[:-1])
     lam, a = spec._natural_params(alt.mu)
-    z = np.sum(x, axis=-1)
-    return np.sum(lam * x - a, axis=-1) - mixture.log_density_of_sum(spec, alt.k, z)
+    if kind is EValueKind.GRO_IID:
+        return lambda x: (np.sum(lam * x - a, axis=-1)
+                          - np.sum(_log_equal_mixture(lam, a, x), axis=-1))
+    if kind is EValueKind.GRO_M:
+        tilts = mixture._tilts(spec, alt.k)
+        return lambda x: (np.sum(lam * x - a, axis=-1)
+                          - _log_sum_of_tilts(*tilts, np.sum(x, axis=-1)))
+    # pseudo and cond: the ratio to the i.i.d. product at mu0
+    mu0 = spec.check_mean(alt.mu0_star if mu0 is None else mu0)
+    lam0, a0 = spec._natural_params([mu0])
+    dlam, da = lam - lam0, a - a0
+    if kind is EValueKind.PSEUDO:
+        return lambda x: np.sum(dlam * x - da, axis=-1)
+    log_z_ratio = _log_sum_ratio(spec, alt, mu0)
+    return lambda x: np.sum(dlam * x - da, axis=-1) - log_z_ratio(np.sum(x, axis=-1))
 
 
 def log_s_pseudo(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
     """log of prod_i p_{mu_i}(x_i) / prod_i p_{mu0*}(x_i)."""
     x = _as_block(spec, alt, block)
-    if alt.delta == 0.0:
-        return np.zeros(x.shape[:-1])
-    return _log_iid_ratio(spec, alt, x, alt.mu0_star)
+    return _statistic(spec, alt, EValueKind.PSEUDO)(x)
 
 
 def log_s_gro_iid(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
     """log of prod_i p_{mu_i}(x_i) / prod_j [(1/k) sum_i p_{mu_i}(x_j)]."""
     x = _as_block(spec, alt, block)
-    if alt.delta == 0.0:
-        return np.zeros(x.shape[:-1])
-    lam, a = spec._natural_params(alt.mu)
-    num = np.sum(lam * x - a, axis=-1)
-    return num - np.sum(_log_equal_mixture(lam, a, x), axis=-1)
+    return _statistic(spec, alt, EValueKind.GRO_IID)(x)
 
 
 def log_s_cond(
@@ -139,16 +180,7 @@ def log_s_cond(
     and the value is invariant to that choice.
     """
     x = _as_block(spec, alt, block)
-    if alt.delta == 0.0:
-        return np.zeros(x.shape[:-1])
-    if mu0 is None:
-        mu0 = alt.mu0_star
-    mu0 = spec.check_mean(mu0)
-    z = np.sum(x, axis=-1)
-    log_z_ratio = spec.sum_log_pdf(list(alt.mu), z) - spec.sum_log_pdf(
-        [mu0] * alt.k, z
-    )
-    return _log_iid_ratio(spec, alt, x, mu0) - log_z_ratio
+    return _statistic(spec, alt, EValueKind.COND, mu0=mu0)(x)
 
 
 def log_s_gro_m(spec: FamilySpec, alt: Alternative, block, mixture) -> np.ndarray:
@@ -159,14 +191,8 @@ def log_s_gro_m(spec: FamilySpec, alt: Alternative, block, mixture) -> np.ndarra
     eps-approximate e-value, with eps read off the certificate.  A mixture
     certified for another family or alternative is refused too.
     """
-    if not isinstance(mixture, MixtureNull):
-        raise TypeError("mixture must be a ripr.MixtureNull")
-    mixture.require_certificate()
-    mixture.require_problem(spec, alt.mu)
     x = _as_block(spec, alt, block)
-    if alt.delta == 0.0:
-        return np.zeros(x.shape[:-1])
-    return _log_mixture_ratio(spec, alt, x, mixture)
+    return _statistic(spec, alt, EValueKind.GRO_M, mixture)(x)
 
 
 def f_criterion(spec: FamilySpec, alt: Alternative, mu0: float) -> float:
@@ -247,7 +273,6 @@ def _log_statistic(spec, alt, block, kind, mixture=None):
         return log_s_gro_iid(spec, alt, block)
     if kind is EValueKind.COND:
         return log_s_cond(spec, alt, block)
-    _require_mixture(kind, mixture)
     return log_s_gro_m(spec, alt, block, mixture)
 
 

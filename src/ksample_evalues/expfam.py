@@ -158,6 +158,15 @@ class Support:
             return ok
         return (x > self.lo) & (x < self.hi)
 
+    def contains_scalar(self, v: float) -> bool:
+        """``contains`` for one float, without building an array: it accepts
+        and refuses exactly the values ``contains`` does."""
+        if self.discrete:
+            # round() refuses inf and NaN, which contains() refuses too
+            return (math.isfinite(v) and abs(v - round(v)) <= 1e-9
+                    and self.lo - 1e-9 <= v <= self.hi + 1e-9)
+        return self.lo < v < self.hi
+
 
 class FamilySpec(ABC):
     """Base class for the concrete families.

@@ -188,15 +188,13 @@ class MixtureNull:
         A mixture of i.i.d. products depends on the block only through the
         coordinate sum z, as sum_c w_c exp(lam_c z - k A(lam_c)).
         """
-        z = np.asarray(z, dtype=float)
+        return _log_sum_of_tilts(*self._tilts(spec, k), z)
+
+    def _tilts(self, spec: FamilySpec, k: int) -> tuple[np.ndarray, ...]:
+        """Each component's lam_c, log w_c and k A(lam_c): its term of the
+        density of a k-sum z is exp(log w_c + lam_c z - k A(lam_c))."""
         lams, las = spec._natural_params(self.means)
-        logs = (
-            np.log(np.maximum(self.weights, 1e-300))
-            + lams * z[..., None]
-            - k * las
-        )
-        mx = logs.max(axis=-1)
-        return mx + np.log(np.sum(np.exp(logs - mx[..., None]), axis=-1))
+        return lams, np.log(np.maximum(self.weights, 1e-300)), k * las
 
     def to_json_dict(self) -> dict:
         out = {
@@ -225,6 +223,14 @@ class MixtureNull:
             spec, means = problem_from_config(cfg)
             config = spec.to_config(means)
         return cls(comps, cert, config)
+
+
+def _log_sum_of_tilts(lams, log_w, k_a, z) -> np.ndarray:
+    """log sum_c exp(log_w_c + lams_c z - k_a_c) at every entry of z, by
+    logsumexp; the arrays are ``MixtureNull._tilts``."""
+    logs = log_w + lams * np.asarray(z, dtype=float)[..., None] - k_a
+    mx = logs.max(axis=-1)
+    return mx + np.log(np.sum(np.exp(logs - mx[..., None]), axis=-1))
 
 
 def _describe(config: dict) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,18 +84,11 @@ class StreamState:
         self.alt = alt
         self.kind = ev.EValueKind(kind)
         self.mixture = mixture
-        self._block_mixture = None
-        # fail at construction rather than at the first completed block
-        ev._require_mixture(self.kind, mixture)
-        if self.kind is ev.EValueKind.GRO_M:
-            mixture.require_certificate()
-            # _expand checks the certified problem once per multiplicity
-            # setting; the copy scored per block carries no binding to recheck
-            self._block_mixture = replace(mixture, config=None)
         self.multiplicities = tuple(
             int(m) for m in (multiplicities or [1] * alt.k)
         )
-        self._flat_alt = self._expand(self.multiplicities)
+        # fails at construction rather than at the first completed block
+        self._statistic = self._expand(self.multiplicities)
         self._buffers: list[list[float]] = [[] for _ in range(alt.k)]
         self.blocks_completed = 0
         self.log_evalue = 0.0
@@ -105,17 +98,18 @@ class StreamState:
     def k(self) -> int:
         return self.alt.k
 
-    def _expand(self, multiplicities) -> Alternative:
-        """The alternative a block with these multiplicities is scored against;
-        a certified mixture must have been certified for exactly it."""
+    def _expand(self, multiplicities):
+        """The statistic of blocks with these multiplicities, built once for
+        every block until they change.  It scores the alternative with the
+        means repeated; a certified mixture must have been certified for
+        exactly that alternative."""
         flat = expand_multiplicities(self.spec, self.alt, multiplicities)
-        if self.kind is ev.EValueKind.GRO_M:
-            self.mixture.require_problem(self.spec, flat.mu)
-        return flat
+        return ev._statistic(self.spec, flat, self.kind, self.mixture)
 
     def _evaluate_block(self, block) -> float:
-        return float(ev._log_statistic(
-            self.spec, self._flat_alt, block, self.kind, self._block_mixture))
+        """Log e-value of one completed block, whose values were checked as
+        they were ingested."""
+        return float(self._statistic(block))
 
     def ingest(self, group: int, value: float) -> "StreamState":
         """Append one observation to stream ``group`` (1-based).
@@ -125,8 +119,10 @@ class StreamState:
         """
         if not 1 <= group <= self.k:
             raise ValueError(f"group must be in 1..{self.k}, got {group}")
-        self.spec.check_support(value)
-        self._buffers[group - 1].append(float(value))
+        value = float(value)
+        if not self.spec.support.contains_scalar(value):
+            self.spec.check_support(value)  # raises the family's message
+        self._buffers[group - 1].append(value)
         self._drain()
         return self
 
@@ -178,7 +174,7 @@ class StreamState:
                 f"multiplicity change refused: pending observations {self.pending()} "
                 "belong to a partially filled block"
             )
-        self._flat_alt = self._expand(new)
+        self._statistic = self._expand(new)
         self.multiplicities = tuple(int(m) for m in new)
         return self
 
@@ -254,7 +250,6 @@ def simulate(
     every completed block on the trace prefix only.
     """
     kind = ev.EValueKind(kind)
-    ev._require_mixture(kind, mixture)
     _check_alpha(alpha)
     if not (policy in POLICIES if isinstance(policy, str)
             else hasattr(policy, "should_stop")):
@@ -265,6 +260,9 @@ def simulate(
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     multiplicities = tuple(int(m) for m in (multiplicities or [1] * alt.k))
     flat_alt = expand_multiplicities(spec, alt, multiplicities)
+    # refuses a mixture that is missing, uncertified or certified for another
+    # problem before any trial is drawn
+    log_statistic = ev._statistic(spec, flat_alt, kind, mixture)
     kprime = flat_alt.k
     if truth == "null":
         draw_means = [
@@ -286,7 +284,7 @@ def simulate(
         blocks[t] = np.stack(
             [spec.sample(m, max_blocks, rng) for m in draw_means], axis=-1
         )
-    logs = ev._log_statistic(spec, flat_alt, blocks, kind, mixture)
+    logs = log_statistic(blocks)
     running = np.cumsum(logs, axis=1)
 
     if policy == "threshold":

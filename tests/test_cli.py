@@ -48,6 +48,24 @@ class TestEvaluate:
                 "--data", str(data),
             ])
 
+    def test_data_file_scored_with_one_statistic(self, capsys, tmp_path, monkeypatch):
+        data = tmp_path / "blocks.csv"
+        data.write_text("0.7,0.4\n# skipped\n0.1,1.5\n2.5,0.01\n", encoding="utf-8")
+        builds = []
+        build = ev._statistic
+        monkeypatch.setattr(ev, "_statistic",
+                            lambda *args, **kw: builds.append(args) or build(*args, **kw))
+        code, out, _ = run(capsys, "evaluate", *EXPO, "--data", str(data))
+        assert code == 0 and len(builds) == 1
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        blocks = [[0.7, 0.4], [0.1, 1.5], [2.5, 0.01]]
+        rows = json.loads(out)["results"]
+        assert [row["block"] for row in rows] == blocks
+        for row, blk in zip(rows, blocks):
+            res = ev.log_evalue(spec, alt, blk, "cond")
+            assert (row["log_evalue"], row["evalue"]) == (res.log_evalue, res.evalue)
+
     def test_gro_m_without_mixture_points_to_project(self, capsys):
         with pytest.raises(SystemExit, match="project"):
             main([
@@ -350,10 +368,13 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
     (["project", *EXPO, "--max-iters", "0"], "max_iters must be at least 1, got 0"),
     (["heatmap", "--family", "exponential", "--kinds", "pseudo,cond", "--n", "0"],
      "n must be at least 2, got 0"),
+    # a ComputationError: the certificate's quadrature fails at the grid's end
+    (["project", "--family", "gaussian_variance", "--mu", "3.3333333333333335,1.25",
+      "--max-iters", "2"], "not converged at mu0=6.666666666666667"),
 ], ids=["unknown-family", "mean-outside", "fixed-evaluate", "fixed-project",
         "fixed-growth", "fixed-heatmap", "fixed-simulate", "trials-0", "alpha-2",
         "multiplicity-0", "stream-alpha-2", "mu-lo-outside", "max-iters-0",
-        "heatmap-n-0"])
+        "heatmap-n-0", "quadrature-not-converged"])
 def test_input_errors_exit_with_one_line(tmp_path, argv, names):
     argv = [write_stream(tmp_path / "s.csv") if a == "STREAM" else a for a in argv]
     with pytest.raises(SystemExit) as exc:

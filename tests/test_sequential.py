@@ -9,6 +9,62 @@ from ksample_evalues import ripr
 from ksample_evalues import sequential as sq
 
 
+# (family, fixed params, three group means); k = 2 uses the first two
+FAMILIES = [
+    ("bernoulli", {}, (0.6, 0.4, 0.3)),
+    ("gaussian_mean", {}, (0.3, -0.3, 0.1)),
+    ("gaussian_variance", {}, (1.0, 0.6, 0.8)),
+    ("poisson", {}, (2.0, 1.0, 1.5)),
+    ("exponential", {}, (1.0, 0.7, 0.5)),
+    ("geometric", {}, (1.0, 0.5, 2.0)),
+    ("beta_fixed_alpha", {}, (-1.0, -0.5, -0.7)),
+    ("beta_fixed_alpha", {"alpha": 2.0}, (-1.0, -0.5, -0.7)),
+]
+KINDS = ("pseudo", "gro_iid", "cond", "gro_m")
+
+
+def case_id(family, fixed, means):
+    return family + "".join(f"-{k}{v}" for k, v in fixed.items())
+
+
+def stream_cases():
+    """Every family and kind at k = 2, k = 3 and multiplicities (2, 1, 1);
+    beta with alpha != 1 has a sum density, which cond and the certificate
+    of gro_m need, only at k = 2."""
+    for family, fixed, means in FAMILIES:
+        for k, mult in ((2, None), (3, None), (3, [2, 1, 1])):
+            kprime = sum(mult or [1] * k)
+            shape = f"k{k}" + (f"-m{''.join(map(str, mult))}" if mult else "")
+            for kind in KINDS:
+                if (fixed.get("alpha", 1.0) != 1.0 and kind in ("cond", "gro_m")
+                        and kprime > 2):
+                    continue
+                yield pytest.param(family, fixed, means[:k], kind, mult,
+                                   id=f"{case_id(family, fixed, means)}-{shape}-{kind}")
+
+
+STREAM_CASES = list(stream_cases())
+
+
+def hand_certified_mixture(spec, alt):
+    """An equal two-component mixture around the pooled mean, certified on a
+    coarse grid: worst_case_expectation, taken no lower than 1."""
+    lo, hi = ripr.default_search_range(spec, alt)
+    comps = ((0.5, 0.5 * (lo + alt.mu0_star)), (0.5, 0.5 * (alt.mu0_star + hi)))
+    raw = ripr.MixtureNull(comps)
+    sup, argmax = ripr.worst_case_expectation(spec, alt, raw, count=20)
+    cert = ripr.Certificate(max(sup, 1.0), 20, lo, hi, "hand", argmax)
+    return ripr.MixtureNull(comps, cert, spec.to_config(alt.mu))
+
+
+def support_probes(support):
+    """lo, hi, lo and hi +- 1e-10, integers +- 5e-10, 2.5, NaN and +-inf."""
+    lo, hi = support.lo, support.hi
+    near = [b + d for b in (lo, hi) for d in (-1e-10, 1e-10)]
+    ints = [n + d for n in (-1, 0, 1, 2, 3) for d in (-5e-10, 5e-10)]
+    return [lo, hi, *near, *ints, 2.5, math.nan, math.inf, -math.inf]
+
+
 @pytest.fixture
 def state():
     spec = make_family("bernoulli")
@@ -101,20 +157,13 @@ class TestIngest:
         assert st.log_evalue == pytest.approx(recomputed, abs=1e-12)
         assert st.log_evalue == pytest.approx(sum(st.block_log_values), abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "family, means, kind, mult",
-        [pytest.param("poisson", [1.0, 2.0], kind, None, id=kind)
-         for kind in ("pseudo", "gro_iid", "cond", "gro_m")]
-        # the expanded means repeat 1.0: tied rates, the matrix-exponential branch
-        + [pytest.param("exponential", [1.0, 0.7, 0.5], "cond", [2, 1, 1],
-                        id="exponential-cond-tied")],
-    )
-    def test_stream_block_equivalence(self, family, means, kind, mult):
-        spec = make_family(family)
+    @pytest.mark.parametrize("family, fixed, means, kind, mult", STREAM_CASES)
+    def test_stream_block_equivalence(self, family, fixed, means, kind, mult):
+        spec = make_family(family, **fixed)
         alt = Alternative.from_means(spec, means)
         m = mult or [1] * alt.k
         flat = sq.expand_multiplicities(spec, alt, m)
-        mix = ripr.point_mixture(spec, flat, flat.mu0_star) if kind == "gro_m" else None
+        mix = hand_certified_mixture(spec, flat) if kind == "gro_m" else None
         rng = np.random.default_rng(1)
         blocks = np.stack(
             [spec.sample(mu, 15, rng) for mu in flat.mu], axis=-1
@@ -132,6 +181,37 @@ class TestIngest:
         assert st_stream.blocks_completed == st_block.blocks_completed == 15
         vectorized = float(np.sum(ev._log_statistic(spec, flat, blocks, kind, mix)))
         assert st_stream.log_evalue == pytest.approx(vectorized, abs=1e-12)
+
+class TestScalarSupportCheck:
+    """ingest checks its value with Support.contains_scalar; refused values
+    raise through check_support."""
+
+    @pytest.mark.parametrize("family, fixed, means", FAMILIES,
+                             ids=[case_id(*f) for f in FAMILIES])
+    def test_matches_contains(self, family, fixed, means):
+        support = make_family(family, **fixed).support
+        probes = support_probes(support)
+        got = [support.contains_scalar(v) for v in probes]
+        assert got == support.contains(np.array(probes)).tolist()
+        assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("family, fixed, means", FAMILIES,
+                             ids=[case_id(*f) for f in FAMILIES])
+    def test_refused_value_leaves_state_unchanged(self, family, fixed, means):
+        spec = make_family(family, **fixed)
+        st = sq.StreamState(spec, Alternative.from_means(spec, means[:2]),
+                            "gro_iid", 0.05)
+        rng = np.random.default_rng(2)
+        first, second = (float(spec.sample(mu, 1, rng)[0]) for mu in means[:2])
+        st.ingest(1, first).ingest(2, second).ingest(1, first)
+        before = (st.pending(), st.blocks_completed, st.log_evalue)
+        refused = [v for v in support_probes(spec.support)
+                   if not spec.support.contains(v)]
+        assert refused
+        for v in refused:
+            with pytest.raises(SupportError, match="outside support"):
+                st.ingest(2, v)
+            assert (st.pending(), st.blocks_completed, st.log_evalue) == before
 
 
 class TestDecide:
@@ -319,6 +399,23 @@ class TestSimulate:
         kwargs[arg] = value
         with pytest.raises(ValueError, match=match):
             sq.simulate(spec, alt, **kwargs)
+
+    @pytest.mark.parametrize("mixture", ["uncertified", "certified-without-expansion"])
+    def test_mixture_refused_before_any_draw(self, monkeypatch, mixture):
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        if mixture == "uncertified":
+            mix = ripr.MixtureNull(((1.0, alt.mu0_star),))
+        else:  # certified for (0.5, 0.25), used on blocks of (0.5, 0.5, 0.25)
+            mix = hand_certified_mixture(spec, alt)
+        draws = []
+        sample = spec.sample
+        monkeypatch.setattr(spec, "sample",
+                            lambda *args: draws.append(args) or sample(*args))
+        with pytest.raises(ripr.CertificationError):
+            sq.simulate(spec, alt, "gro_m", 0.05, "threshold", 10000, seed=0,
+                        multiplicities=[2, 1], mixture=mix)
+        assert draws == []
 
     def test_multiplicities_in_simulation(self):
         spec = make_family("bernoulli")
