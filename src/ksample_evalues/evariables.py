@@ -107,7 +107,8 @@ def _log_equal_mixture(lam: np.ndarray, a: np.ndarray, x) -> np.ndarray:
 def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
     """z -> log p_alt_Z(z) - log p_null_Z(z) for the coordinate sum z of
     checked blocks, with the null i.i.d. at the checked mean mu0.  A finite
-    sum support is tabulated once."""
+    sum support is tabulated once; any other is evaluated at no z, so that a
+    family without a sum density for this k refuses before any block."""
     means, null = list(alt.mu), [mu0] * alt.k
     s = spec.support
     if s.kind == "finite":
@@ -115,7 +116,12 @@ def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
         zs = np.arange(lo, round(alt.k * s.hi) + 1, dtype=float)
         table = spec._sum_log_pdf(means, zs) - spec._sum_log_pdf(null, zs)
         return lambda z: table[np.round(z).astype(int) - lo]
-    return lambda z: spec._sum_log_pdf(means, z) - spec._sum_log_pdf(null, z)
+
+    def ratio(z):
+        return spec._sum_log_pdf(means, z) - spec._sum_log_pdf(null, z)
+
+    ratio(np.empty(0))
+    return ratio
 
 
 def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,

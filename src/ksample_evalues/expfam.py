@@ -84,10 +84,11 @@ class ComputationError(RuntimeError):
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Return a counter-based generator for an int seed; pass through Generators."""
+    """Return a counter-based generator for an int seed (the root stream of
+    ``spawn_generator``); pass through Generators."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return spawn_generator(seed)
 
 
 def spawn_generator(seed: int, *stream: int) -> np.random.Generator:
@@ -622,6 +623,9 @@ class BetaFixedAlpha(FamilySpec):
     The sufficient statistic is X = log(1 - U) < 0 and the free shape is the
     canonical parameter.  For the default alpha = 1 the family reduces to a
     negated exponential: X = -E with E ~ Exp(rate beta) and mu = E[X] = -1/beta.
+    For an integer alpha = n, -X is a sum of n independent exponentials with
+    rates beta, ..., beta + n - 1, so sums of any k observations are gamma
+    sums; a non-integer alpha has a sum density at k = 2 only.
 
     The table-style "mean of U" parameterization is available through
     ``mean_from_beta_mean``: it converts E[U] in (0, 1) to the mean of X.
@@ -750,12 +754,20 @@ class BetaFixedAlpha(FamilySpec):
         return float(np.log1p(-u))
 
     def _sum_log_pdf(self, mus, z):
-        if self.alpha == 1.0:
-            return _hypoexponential_log_pdf(1.0, -1.0 / np.array(mus), -z)
+        """The k >= 2 sum density.  With alpha an integer n, 1 - U ~ Beta(b, n)
+        makes -X a sum of n independent exponentials with rates b, b + 1, ...,
+        b + n - 1 (Tang & Gupta, Stat. Probab. Lett. 2:165, 1984), so -Z is a
+        gamma sum of shape 1 over the k n rates, at every k.  Non-integer
+        alpha convolves numerically, at k = 2 only."""
+        if self.alpha.is_integer():
+            lam, _ = self._natural_params(mus)
+            rates = (lam[:, None] + np.arange(int(self.alpha))).ravel()
+            return _hypoexponential_log_pdf(1.0, rates, -z)
         if len(mus) == 2:
-            return _convolve_log_pdf(self, np.array(mus), z)
+            return _convolve_log_pdf(self, mus, z)
         raise ComputationError(
-            "sum density for beta with alpha != 1 is only available for k = 2"
+            f"sum density for beta with non-integer alpha={self.alpha!r} is "
+            f"only available for k = 2, not k = {len(mus)}"
         )
 
     def default_std_range(self):
@@ -863,18 +875,48 @@ def _gamma_series_log_pdf(shape: float, rates: np.ndarray, z: np.ndarray, m=64):
                   + (rho - 1.0) * np.log(r * z) - r * z)
 
 
-def _convolve_log_pdf(spec: BetaFixedAlpha, mus: np.ndarray, z) -> np.ndarray:
-    """Log-density of X_1 + X_2 by numeric convolution over C(z).
+def _convolve_log_pdf(spec: BetaFixedAlpha, mus: Sequence[float], z) -> np.ndarray:
+    """Log-density of X_1 + X_2 by numeric convolution, for non-integer alpha.
 
-    Gauss-Jacobi nodes absorb each density's |x|^(alpha-1) factor at the
-    support's finite end, for every alpha.
+    Order the groups so that X_1 has the larger mean, and so the larger free
+    shape; with y = -X_1 and L = -z the integrand is, up to a constant,
+    e^(-r y) h(y) h(L - y), where r >= 0 is the gap between the free shapes
+    and h(y) = (1 - e^-y)^(alpha-1).  Less than e^-50 of the mass of
+    e^(-r y) y^(alpha-1) lies past y = (60 + 2 alpha) / r, so (0, L) is cut
+    there, or at L/2 if that comes first, and each side is integrated from
+    the end where its own h is singular: 80 Gauss-Jacobi nodes on the first
+    20 units absorb the fractional part of h's power y^(alpha-1), and 80
+    Gauss-Legendre nodes cover the rest, where h is smooth.  A single rule
+    over (0, L) misses the peak of width 1/r at wide mean ratios, and its
+    weight y^(alpha-1) misfits h past y ~ 1 at large alpha.  The terms are
+    summed in log space, so deep tails do not underflow; a sum that is not
+    finite raises ``ComputationError``.
     """
     z = np.asarray(z, dtype=float)
-    x, w = _quad.jacobi_nodes(z.ravel(), 160, spec.alpha, spec.alpha)
-    f1 = np.exp(spec.log_pdf(mus[0], x.ravel()).reshape(x.shape))
-    f2 = np.exp(spec.log_pdf(mus[1], (z.reshape(-1, 1) - x).ravel()).reshape(x.shape))
-    vals = np.maximum(np.sum(w * f1 * f2, axis=1), 1e-300)
-    return np.log(vals).reshape(z.shape)
+    flat = z.reshape(-1, 1)
+    lam, la = spec._natural_params(sorted(mus, reverse=True))
+    a = spec.alpha - math.ceil(spec.alpha) + 1.0
+    with np.errstate(divide="ignore"):  # equal shapes: r = 0 cuts at L/2
+        cut = np.maximum(0.5 * flat, -(60.0 + 2.0 * spec.alpha) / (lam[0] - lam[1]))
+    terms = []
+    for near, end in ((0, cut), (1, flat - cut)):
+        edge = np.maximum(end, -20.0)
+        xs, ws = _quad.jacobi_nodes(edge.ravel(), 80, a, 1.0)
+        xr, wr = _quad.jacobi_nodes((end - edge).ravel(), 80, 1.0, 1.0)
+        for x, w in ((xs, ws), (edge + xr, wr)):
+            # a zero-length rest has w = 0; nodes that round to x = 0 give
+            # inf - inf, refused below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms.append(np.log(w) + lam[near] * x - la[near]
+                             + lam[1 - near] * (flat - x) - la[1 - near]
+                             + spec.log_carrier(x) + spec.log_carrier(flat - x))
+    out = special.logsumexp(np.concatenate(terms, axis=1), axis=1)
+    if not np.all(np.isfinite(out)):
+        raise ComputationError(
+            f"beta sum density with alpha={spec.alpha!r} and means "
+            f"{[float(m) for m in mus]} is not finite at "
+            f"z={float(z.ravel()[~np.isfinite(out)][0])!r}")
+    return out.reshape(z.shape)
 
 
 _FAMILIES = {

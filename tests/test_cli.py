@@ -371,10 +371,14 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
     # a ComputationError: the certificate's quadrature fails at the grid's end
     (["project", "--family", "gaussian_variance", "--mu", "3.3333333333333335,1.25",
       "--max-iters", "2"], "not converged at mu0=6.666666666666667"),
+    # refused when the statistic is built, before the block is read
+    (["evaluate", "--family", "beta", "--fixed", '{"alpha": 2.5}',
+      "--mu=-1,-0.5,-0.7", "--kind", "cond", "--block=-1,-0.5,-0.7"],
+     "non-integer alpha=2.5 is only available for k = 2, not k = 3"),
 ], ids=["unknown-family", "mean-outside", "fixed-evaluate", "fixed-project",
         "fixed-growth", "fixed-heatmap", "fixed-simulate", "trials-0", "alpha-2",
         "multiplicity-0", "stream-alpha-2", "mu-lo-outside", "max-iters-0",
-        "heatmap-n-0", "quadrature-not-converged"])
+        "heatmap-n-0", "quadrature-not-converged", "beta-cond-k3"])
 def test_input_errors_exit_with_one_line(tmp_path, argv, names):
     argv = [write_stream(tmp_path / "s.csv") if a == "STREAM" else a for a in argv]
     with pytest.raises(SystemExit) as exc:

@@ -539,27 +539,109 @@ def test_families_state_laws_not_entry_points():
         assert "sum_log_pdf" not in vars(cls) and "sample" not in vars(cls), cls
 
 
-class TestBetaGeneralAlpha:
-    """The k = 2 sum density and grid of beta observations with alpha != 1."""
+def mp_beta_sum_log_pdf(alpha, shapes, z):
+    """Oracle: log-density at z of X_1 + X_2, X_i = log(1 - U_i) with
+    1 - U_i ~ Beta(shapes[i], alpha), by 30-digit quadrature over y = -X_1.
+    The integrand is folded onto (0, L/2), L = -z, so each factor's singular
+    end is an endpoint, and broken at the scales 1/|b_1 - b_2| and 1, where a
+    wide mean ratio puts its peak."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        b1, b2 = (mpmath.mpf(b) for b in shapes)
+        big_l = -mpmath.mpf(z)
+        log_norm = mpmath.log(mpmath.beta(b1, a) * mpmath.beta(b2, a))
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.3, 2.0, 5.0])
-    def test_convolution_matches_mpmath(self, alpha):
+        def f(y, rest):  # rest = L - y, given exactly
+            return mpmath.exp(-b1 * y - b2 * rest - log_norm + (a - 1) * (
+                mpmath.log(-mpmath.expm1(-y)) + mpmath.log(-mpmath.expm1(-rest))))
+
+        scales = [s * t for s in (1e-2, 0.1, 1, 10, 100)
+                  for t in (1, 1 / abs(b1 - b2))]
+        pts = sorted({mpmath.mpf(0), big_l / 2} | {mpmath.mpf(p) for p in scales
+                                                  if 0 < p < big_l / 2})
+        total = mpmath.quad(lambda u: f(u, big_l - u) + f(big_l - u, u), pts)
+        return float(mpmath.log(total))
+
+
+class TestBetaGeneralAlpha:
+    """The sum density and grid of beta observations with alpha != 1: a
+    gamma sum for integer alpha, a convolution at k = 2 otherwise."""
+
+    # wide mean ratios: one 160-node rule over (z, 0) missed the peak of
+    # width 1/(b_1 - b_2), by 12 nats at alpha = 2.5 and E[U] = (0.99, 0.001)
+    @pytest.mark.parametrize("alpha, beta_means", [
+        (0.3, (0.5, 0.25)), (0.7, (0.5, 0.25)), (1.3, (0.5, 0.25)),
+        (2.0, (0.5, 0.25)), (5.0, (0.5, 0.25)),
+        (2.5, (0.99, 0.001)), (2.5, (0.9, 0.01)), (2.0, (0.99, 0.001)),
+        (0.3, (0.99, 0.001)), (5.5, (0.001, 0.5)),
+    ])
+    def test_convolution_matches_mpmath(self, alpha, beta_means):
         spec = make_family("beta_fixed_alpha", alpha=alpha)
-        mus = [spec.mean_from_beta_mean(0.5), spec.mean_from_beta_mean(0.25)]
-        pts = [-0.01, -0.5, -3.0]
-        with mpmath.workdps(30):
-            a = mpmath.mpf(alpha)
+        mus = [spec.mean_from_beta_mean(m) for m in beta_means]
+        shapes = [spec.natural_from_mean(m) for m in mus]
+        pts = [-0.01, -0.5, -3.0, sum(mus), 3.0 * sum(mus)]
+        want = [mp_beta_sum_log_pdf(alpha, shapes, zz) for zz in pts]
+        got = spec.sum_log_pdf(mus, np.array(pts))
+        np.testing.assert_allclose(np.expm1(got - np.array(want)), 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.5])
+    def test_underflowing_convolution_refused(self, alpha):
+        # at the smallest subnormal z the nodes round to x = 0, where a
+        # log-density is infinite: refused rather than returned
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        with pytest.raises(ComputationError, match=rf"alpha={alpha} .* z=-5e-324"):
+            spec.sum_log_pdf([-1.0, -0.5], -5e-324)
+
+    def test_k3_matches_nested_mpmath(self):
+        # alpha = 2 at k = 3 is a gamma sum; the oracle convolves beta
+        # densities and knows nothing of that
+        spec = make_family("beta_fixed_alpha", alpha=2.0)
+        mus = [spec.mean_from_beta_mean(m) for m in (0.5, 0.25, 0.4)]
+        pts = [-0.3, -4.0]
+        with mpmath.workdps(15):
             bs = [mpmath.mpf(spec.natural_from_mean(m)) for m in mus]
 
-            def pdf(b, x):  # X = log(1 - U), U ~ Beta(alpha, b)
-                return (mpmath.exp(b * x) * (-mpmath.expm1(x)) ** (a - 1)
-                        / mpmath.beta(a, b))
+            def pdf(b, x):  # alpha = 2: b (b + 1) e^(b x) (1 - e^x)
+                return b * (b + 1) * mpmath.exp(b * x) * -mpmath.expm1(x)
+
+            def pair(zz):
+                return mpmath.quad(lambda x: pdf(bs[1], x) * pdf(bs[2], zz - x),
+                                   [zz, 0])
 
             want = [float(mpmath.log(mpmath.quad(
-                lambda x: pdf(bs[0], x) * pdf(bs[1], zz - x), [zz, zz / 2, 0])))
+                lambda x: pdf(bs[0], x) * pair(zz - x), [zz, 0])))
                 for zz in map(mpmath.mpf, pts)]
         got = spec.sum_log_pdf(mus, np.array(pts))
         np.testing.assert_allclose(np.expm1(got - np.array(want)), 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_integer_alpha_normalization_and_mean(self, alpha, k):
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        mus = [spec.mean_from_beta_mean(m) for m in (0.5, 0.25, 0.4, 0.6)[:k]]
+        z, w = sum_nodes(spec, mus, k, n=3000)
+        p = np.exp(spec.sum_log_pdf(mus, z))
+        assert np.sum(w * p) == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(w * z * p) == pytest.approx(sum(mus), rel=1e-9)
+
+    def test_non_integer_alpha_refused_past_k2(self):
+        spec = make_family("beta_fixed_alpha", alpha=2.5)
+        with pytest.raises(ComputationError,
+                           match=r"non-integer alpha=2\.5 .* not k = 3"):
+            spec.sum_log_pdf([-1.0, -0.5, -0.7], -2.0)
+
+    @pytest.mark.parametrize("alpha, beta_means", [
+        (2.5, (0.99, 0.001)), (2.5, (0.9, 0.01)), (2.0, (0.99, 0.001)),
+    ])
+    def test_wide_mean_ratio_grid_normalization(self, alpha, beta_means):
+        # the single-rule convolution put 0.20 of the mass on the first grid
+        # and 1 - 8.9e-7 on the second; alpha = 2 is now a gamma sum
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        mus = [spec.mean_from_beta_mean(m) for m in beta_means]
+        z, w = sum_nodes(spec, mus, 2, n=3000)
+        p = np.exp(spec.sum_log_pdf(mus, z))
+        assert np.sum(w * p) == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(w * z * p) == pytest.approx(sum(mus), rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0, 5.0])
     def test_sum_grid_normalization(self, alpha):

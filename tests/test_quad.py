@@ -84,12 +84,12 @@ class TestJacobiNodes:
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_callers_use_cached_nodes(self, monkeypatch):
-        # the beta alpha != 1 convolution and the conditional second moment
-        # take nodes from the cache, never from numpy's per-call build
+        # the convolution of beta with non-integer alpha and the conditional
+        # second moment take nodes from the cache, never from numpy's build
         def refuse(n):
             raise AssertionError("numpy leggauss called")
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-        beta = make_family("beta_fixed_alpha", alpha=2.0)
+        beta = make_family("beta_fixed_alpha", alpha=2.5)
         assert np.all(np.isfinite(beta.sum_log_pdf([-0.8, -0.3], np.array([-1.1, -0.4]))))
         assert gr.coeff_cond_gap(beta, -0.5).value > 0

@@ -19,6 +19,7 @@ FAMILIES = [
     ("geometric", {}, (1.0, 0.5, 2.0)),
     ("beta_fixed_alpha", {}, (-1.0, -0.5, -0.7)),
     ("beta_fixed_alpha", {"alpha": 2.0}, (-1.0, -0.5, -0.7)),
+    ("beta_fixed_alpha", {"alpha": 2.5}, (-1.0, -0.5, -0.7)),
 ]
 KINDS = ("pseudo", "gro_iid", "cond", "gro_m")
 
@@ -29,15 +30,15 @@ def case_id(family, fixed, means):
 
 def stream_cases():
     """Every family and kind at k = 2, k = 3 and multiplicities (2, 1, 1);
-    beta with alpha != 1 has a sum density, which cond and the certificate
-    of gro_m need, only at k = 2."""
+    beta with non-integer alpha has a sum density, which cond and the
+    certificate of gro_m need, only at k = 2."""
     for family, fixed, means in FAMILIES:
         for k, mult in ((2, None), (3, None), (3, [2, 1, 1])):
             kprime = sum(mult or [1] * k)
             shape = f"k{k}" + (f"-m{''.join(map(str, mult))}" if mult else "")
             for kind in KINDS:
-                if (fixed.get("alpha", 1.0) != 1.0 and kind in ("cond", "gro_m")
-                        and kprime > 2):
+                if (not float(fixed.get("alpha", 1.0)).is_integer()
+                        and kind in ("cond", "gro_m") and kprime > 2):
                     continue
                 yield pytest.param(family, fixed, means[:k], kind, mult,
                                    id=f"{case_id(family, fixed, means)}-{shape}-{kind}")
