@@ -107,8 +107,11 @@ def _log_equal_mixture(lam: np.ndarray, a: np.ndarray, x) -> np.ndarray:
 def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
     """z -> log p_alt_Z(z) - log p_null_Z(z) for the coordinate sum z of
     checked blocks, with the null i.i.d. at the checked mean mu0.  A finite
-    sum support is tabulated once; any other is evaluated at no z, so that a
-    family without a sum density for this k refuses before any block."""
+    sum support is tabulated once.  Any other builds both sum densities once
+    (``FamilySpec._sum_density``: for the gamma sums, their rate groups,
+    partial-fraction coefficients and series weights) and evaluates them at
+    no z, so that a family without a sum density for this k refuses before
+    any block."""
     means, null = list(alt.mu), [mu0] * alt.k
     s = spec.support
     if s.kind == "finite":
@@ -116,9 +119,10 @@ def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
         zs = np.arange(lo, round(alt.k * s.hi) + 1, dtype=float)
         table = spec._sum_log_pdf(means, zs) - spec._sum_log_pdf(null, zs)
         return lambda z: table[np.round(z).astype(int) - lo]
+    alt_sum, null_sum = spec._sum_density(means), spec._sum_density(null)
 
     def ratio(z):
-        return spec._sum_log_pdf(means, z) - spec._sum_log_pdf(null, z)
+        return alt_sum(z) - null_sum(z)
 
     ratio(np.empty(0))
     return ratio

@@ -54,6 +54,7 @@ every stochastic operation is bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from abc import ABC, abstractmethod
@@ -180,7 +181,9 @@ class FamilySpec(ABC):
     sum's support, is ``log_pdf`` at k = 1 and calls ``_sum_log_pdf`` at
     k >= 2, whose base form is the one lattice convolution; a family with a
     closed form or its own routine (Poisson, gaussian_mean, the gamma sums,
-    the beta convolution) overrides it.
+    the beta convolution) overrides it.  ``_sum_density`` returns the same
+    density as a function of z for one set of means; the gamma sums build
+    their ``_GammaSum`` there once.
 
     A family with a quadratic variance function
     V(mu) = v0 + v1 mu + v2 mu^2 (Morris 1982) gives it as the triple
@@ -329,6 +332,12 @@ class FamilySpec(ABC):
         if len(mus) == 1:
             return self.log_pdf(mus[0], z)
         return self._sum_log_pdf(mus, z)
+
+    def _sum_density(self, mus: list[float]):
+        """z -> ``_sum_log_pdf(mus, z)`` at checked means and z, for a caller
+        that evaluates one sum at many z; a family whose sum density has parts
+        that do not depend on z (the gamma sums) builds them here once."""
+        return functools.partial(self._sum_log_pdf, mus)
 
     def _sum_log_pdf(self, mus: list[float], z: np.ndarray) -> np.ndarray:
         """The k >= 2 sum density at checked means and z; this one convolves
@@ -506,6 +515,9 @@ class GaussianFreeVariance(FamilySpec):
     def _sum_log_pdf(self, mus, z):
         return _hypoexponential_log_pdf(0.5, 0.5 / np.array(mus), z)
 
+    def _sum_density(self, mus):
+        return _GammaSum(0.5, 0.5 / np.array(mus))
+
     def default_std_range(self):
         return (0.6, 2.4)
 
@@ -573,6 +585,9 @@ class Exponential(FamilySpec):
 
     def _sum_log_pdf(self, mus, z):
         return _hypoexponential_log_pdf(1.0, 1.0 / np.array(mus), z)
+
+    def _sum_density(self, mus):
+        return _GammaSum(1.0, 1.0 / np.array(mus))
 
     def default_std_range(self):
         return (0.5, 4.0)
@@ -649,6 +664,19 @@ class BetaFixedAlpha(FamilySpec):
         mu = self.check_mean(mu)
         if self.alpha == 1.0:
             return -1.0 / mu
+        if self.alpha.is_integer():
+            # Newton on the convex decreasing sum_j 1/(b + j) = -mu, from a
+            # lower bound on its root, so every step rises and none
+            # overshoots; q_j = b / (b + j) keeps the sums in (0, n]
+            s, n = -mu, int(self.alpha)
+            b = max(1.0 / s, n / s - (n - 1.0))
+            for _ in range(100):
+                q = [b / (b + j) for j in range(n)]
+                step = b * (math.fsum(q) - s * b) / math.fsum(x * x for x in q)
+                b += step
+                if abs(step) <= 1e-15 * b:
+                    break
+            return b
         # invert mu(beta) = psi(beta) - psi(alpha + beta), increasing in beta
         from scipy.optimize import brentq
 
@@ -670,17 +698,29 @@ class BetaFixedAlpha(FamilySpec):
                 f"canonical parameter {lam} outside (0, inf) for family "
                 f"'{self.family_id}'"
             )
+        if self.alpha.is_integer():
+            return -math.fsum(1.0 / (lam + j) for j in range(int(self.alpha)))
         return float(special.digamma(lam) - special.digamma(self.alpha + lam))
 
     def log_partition(self, lam):
+        """log B(alpha, b): ``special.betaln`` below b = 100, and past it
+        log Gamma(alpha) minus Stirling's series for log Gamma(b + alpha) -
+        log Gamma(b), where betaln's difference of log-gammas cancels (2e-9
+        absolute at alpha = 2.5, b = 10^6)."""
         lam = np.asarray(lam, dtype=float)
-        if self.alpha == 1.0:
+        a = self.alpha
+        if a == 1.0:
             return -np.log(lam)
-        return (
-            special.gammaln(self.alpha)
-            + special.gammaln(lam)
-            - special.gammaln(self.alpha + lam)
-        )
+        b = np.maximum(lam, 100.0)
+
+        def stirling(x):  # log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2
+            y = 1.0 / (x * x)
+            return (1.0 / 12 - y * (1.0 / 360 - y * (1.0 / 1260 - y / 1680))) / x
+
+        ratio = ((b - 0.5) * np.log1p(a / b) + a * np.log(b + a) - a
+                 + stirling(b + a) - stirling(b))
+        return np.where(lam < 100.0, special.betaln(a, lam),
+                        special.gammaln(a) - ratio)[()]
 
     # alpha != 1 has no quadratic variance function: polygamma forms in the
     # free shape b, differentiated through dmu/db = Var
@@ -760,15 +800,24 @@ class BetaFixedAlpha(FamilySpec):
         gamma sum of shape 1 over the k n rates, at every k.  Non-integer
         alpha convolves numerically, at k = 2 only."""
         if self.alpha.is_integer():
-            lam, _ = self._natural_params(mus)
-            rates = (lam[:, None] + np.arange(int(self.alpha))).ravel()
-            return _hypoexponential_log_pdf(1.0, rates, -z)
+            return _hypoexponential_log_pdf(1.0, self._gamma_rates(mus), -z)
         if len(mus) == 2:
             return _convolve_log_pdf(self, mus, z)
         raise ComputationError(
             f"sum density for beta with non-integer alpha={self.alpha!r} is "
             f"only available for k = 2, not k = {len(mus)}"
         )
+
+    def _gamma_rates(self, mus):
+        """The k n exponential rates b_i + j of -Z, for an integer alpha = n."""
+        b = np.array([self.natural_from_mean(m) for m in mus])
+        return (b[:, None] + np.arange(int(self.alpha))).ravel()
+
+    def _sum_density(self, mus):
+        if not self.alpha.is_integer():
+            return super()._sum_density(mus)
+        gamma_sum = _GammaSum(1.0, self._gamma_rates(mus))
+        return lambda z: gamma_sum(-z)
 
     def default_std_range(self):
         return (1.0, 8.0)
@@ -793,86 +842,193 @@ def _log_sinch(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hypoexponential_log_pdf(shape: float, rates, z) -> np.ndarray:
-    """Log-pdf of a sum of independent Gamma(shape, rate_i), one per rate:
-    closed forms for equal rates and k = 2, partial fractions for shape 1 and
-    distinct rates where 3k eps sum|terms| (their rounding) is below 1e-12 of
-    the density, and the positive series everywhere else."""
-    rates = np.asarray(rates, dtype=float)
-    z = np.asarray(z, dtype=float)
-    k = rates.size
-    if np.ptp(rates) <= 1e-12 * rates.mean():
-        a, r = k * shape, rates.mean()
+class _GammaSum:
+    """Log-density of a sum of independent Gamma(shape, rate_i), one per rate,
+    built once per rate set and evaluated at any z.
+
+    Rates within 1e-12 relative of each other are one rate (their mean) with
+    a multiplicity, and the branch is picked once.  One rate is the gamma
+    density; k = 2 uses log sinh(w)/w (shape 1) or the modified Bessel
+    function I0 (shape 1/2).  Shape 1 with J >= 2 rates r_j of multiplicities
+    m_j uses the generalized-Erlang partial fractions (Jasiulewicz &
+    Kordecki, Demonstratio Math. 36:231, 2003)
+
+        f(z) = sum_j e^(-r_j z) sum_(l < m_j) g_j[m_j - 1 - l] z^l / l!,
+
+    g_j the Taylor coefficients at s = -r_j of r_j^m_j prod_(i != j)
+    (r_i / (r_i + s))^m_i, from (n + 1) g[n + 1] = sum_p g[n - p] H[p] with
+    H[p] = sum_(i != j) m_i / (r_j - r_i)^(p + 1).  The same recursion on
+    absolute values bounds |g_j| and so the coefficients' own rounding; a
+    point keeps the fractions where 3k eps times the bounded sum|terms| is at
+    most 1e-12 of the density and the density, scaled by e^(r_min z), exceeds
+    1e-280.  Every other point (nearly tied rates, small z, shape 1/2 at
+    k >= 3) takes Moschopoulos' series (``_series``), whose weights are built
+    once, up to the most terms a point has needed.
+    """
+
+    def __init__(self, shape: float, rates):
+        self.shape = float(shape)
+        self.rates = np.asarray(rates, dtype=float)
+        self.k = self.rates.size
+        groups: list[list[float]] = []
+        for r in sorted(self.rates.tolist()):
+            if groups and r - groups[-1][0] <= 1e-12 * r:
+                groups[-1].append(r)
+            else:
+                groups.append([r])
+        # a group's rate is its first plus the mean offset: exact for exact ties
+        self.lam = np.array([g[0] + math.fsum(r - g[0] for r in g) / len(g)
+                             for g in groups])
+        self.mult = np.array([len(g) for g in groups])
+        self._log_w = np.empty(0)  # series weights, grown on demand
+        if self.lam.size == 1:
+            self._eval = self._gamma
+        elif self.k == 2 and self.shape in (0.5, 1.0):
+            self._eval = self._bessel if self.shape == 0.5 else self._sinch
+        elif self.shape == 1.0:
+            self._eval = self._erlang
+            self._coef = self._fractions()
+            self._tol = 3 * self.k * np.finfo(float).eps / 1e-12
+        else:
+            self._eval = self._series
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        return self._eval(z.ravel()).reshape(z.shape)
+
+    def _gamma(self, z):
+        a, r = self.k * self.shape, self.lam[0]
         return a * np.log(r) + (a - 1.0) * np.log(z) - r * z - special.gammaln(a)
-    if k == 2 and shape == 1.0:
-        rbar = 0.5 * (rates[0] + rates[1])
-        half_gap = 0.5 * np.abs(rates[0] - rates[1])
-        return (
-            np.log(rates[0] * rates[1])
-            + np.log(z)
-            - rbar * z
-            + _log_sinch(half_gap * z)
-        )
-    if k == 2 and shape == 0.5:
-        a0, a1 = 0.5 * rates
+
+    def _sinch(self, z):
+        r0, r1 = self.rates
+        return (np.log(r0 * r1) + np.log(z) - 0.5 * (r0 + r1) * z
+                + _log_sinch(0.5 * abs(r0 - r1) * z))
+
+    def _bessel(self, z):
+        a0, a1 = 0.5 * self.rates
         u, v = np.abs(z * (a0 - a1)), z * (a0 + a1)
-        return np.log(special.i0e(u)) + (u - v) + 0.5 * np.log(rates[0] * rates[1])
-    flat = z.ravel()
-    out = np.empty(flat.size)
-    exact = np.zeros(flat.size, dtype=bool)
-    if shape == 1.0 and np.diff(np.sort(rates)).min() > 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef = np.ones(k)
-            for i in range(k):
-                others = np.delete(rates, i)
-                coef[i] = np.prod(others / (others - rates[i]))
-            terms = coef[:, None] * rates[:, None] * np.exp(-np.outer(rates, flat))
-            vals = np.sum(terms, axis=0)
-            # below ~1e-280 the terms lose relative precision to underflow
-            exact = ((3 * k * np.finfo(float).eps * np.abs(terms).sum(axis=0)
-                      <= 1e-12 * np.abs(vals)) & (vals > 1e-280))
-        out[exact] = np.log(vals[exact])
-    if not exact.all():
-        out[~exact] = _gamma_series_log_pdf(shape, rates, flat[~exact])
-    return out.reshape(z.shape)
+        return np.log(special.i0e(u)) + (u - v) + 0.5 * np.log(self.rates[0] * self.rates[1])
+
+    def _fractions(self) -> np.ndarray:
+        """c[0, j, l] = g_j[m_j - 1 - l] / l! and c[1, j, l], the same from
+        the recursion on absolute values; zero for l >= m_j.  Plain floats:
+        the arrays are tiny, and products overflow to inf, which the
+        rounding mask then refuses, instead of raising."""
+        lam, mult = self.lam.tolist(), self.mult.tolist()
+        coef = np.zeros((2, len(lam), max(mult)))
+        for j, (rj, mj) in enumerate(zip(lam, mult)):
+            others = [(ri, mi) for i, (ri, mi) in enumerate(zip(lam, mult)) if i != j]
+            g = [math.prod([rj] * mj + [ri / (ri - rj) for ri, mi in others
+                                        for _ in range(mi)])]
+            ga = [abs(g[0])]
+            u = [1.0 / (rj - ri) for ri, _ in others]
+            power = list(u)
+            h, ha = [], []  # H[p] and its bound, from u^(p + 1)
+            for p in range(mj - 1):
+                h.append(sum(mi * x for (_, mi), x in zip(others, power)))
+                ha.append(sum(mi * abs(x) for (_, mi), x in zip(others, power)))
+                power = [x * y for x, y in zip(power, u)]
+            for n in range(mj - 1):
+                g.append(sum(g[n - p] * h[p] for p in range(n + 1)) / (n + 1))
+                ga.append(sum(ga[n - p] * ha[p] for p in range(n + 1)) / (n + 1))
+            fact = 1.0
+            for l in range(mj):
+                coef[:, j, l] = g[mj - 1 - l] / fact, ga[mj - 1 - l] / fact
+                fact *= l + 1
+        return coef
+
+    def _erlang(self, z):
+        out = np.empty(z.size)
+        exact = np.empty(z.size, dtype=bool)
+        lam0, size = self.lam[0], self.lam.size
+        coef = self._coef.reshape(2 * size, -1)
+        pw, shift = np.arange(coef.shape[1])[:, None], (lam0 - self.lam)[:, None]
+        rows = 2**15  # bounds the (2J, rows) arrays
+        for i in range(0, z.size, rows):
+            zc = z[i:i + rows]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                terms = (coef @ zc ** pw).reshape(2, size, -1) * np.exp(shift * zc)
+                vals, tot = np.einsum("ijn->in", terms)
+                # below ~1e-280 the terms lose relative precision to underflow
+                exact[i:i + rows] = (self._tol * tot <= vals) & (vals > 1e-280)
+                out[i:i + rows] = np.log(vals) - lam0 * zc
+        if not exact.all():
+            out[~exact] = self._series(z[~exact])
+        return out
+
+    def _weights(self, m: int) -> np.ndarray:
+        """log of the series' first m weights: the law of sum N_j times
+        1 / Gamma(k shape + n); built once, up to the largest m asked for."""
+        if self._log_w.size < m:
+            lam, r = self.lam, self.lam[-1]
+            c = 1.0 - lam / r
+            n = np.arange(m, dtype=float)
+            delta = np.ones(1)
+            for cj, mj in zip(c[:-1], self.mult[:-1]):
+                step = (mj * self.shape + n[:-1]) / n[1:] * (cj / c.max())
+                delta = np.convolve(delta, np.cumprod(np.concatenate(([1.0], step))))[:m]
+            self._log_w = np.log(delta) - special.gammaln(self.k * self.shape + n)
+        return self._log_w[:m]
+
+    def _series(self, z: np.ndarray, m: int = 8) -> np.ndarray:
+        """Moschopoulos' series (Ann. Inst. Statist. Math. 37:541, 1985) in
+        log space.
+
+        Gamma(s_j, r_j), s_j = m_j shape, is Gamma(s_j + N_j, r) with r the
+        largest rate, for N_j negative binomial(s_j, r_j / r), so the sum
+        mixes Gamma(k shape + n, r) over the law of sum N_j: positive terms.
+        Scaled by c^n, c = max(1 - r_j / r), its weights are at most those of
+        (1 - t)^-(k shape), so with x = c r z the terms past the first m add
+        at most e^x P(m, x) / Gamma(k shape) in the units of the sum.  Each
+        point starts at m terms and doubles its own count, adding only the
+        new terms to its running log-sum, until that bound is below e^-40 of
+        the sum, up to 16384 terms.
+        """
+        r, rho = self.lam[-1], self.k * self.shape
+        x = (1.0 - self.lam[0] / r) * r * z
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
+        out = np.empty(z.size)
+        todo = np.arange(z.size)
+        top, acc = np.full(z.size, -np.inf), np.zeros(z.size)  # log-sum so far
+        done = 0  # terms summed at every point of todo
+        while todo.size:
+            coef, n = self._weights(m)[done:], np.arange(done, m)
+            rows = max(1, 2**18 // (m - done))  # bounds the (rows, terms) array
+            for i in range(0, todo.size, rows):
+                at = todo[i:i + rows]
+                t = coef + n * log_x[at, None]
+                new = np.maximum(top[at], t.max(axis=1))
+                acc[at] = (acc[at] * np.exp(top[at] - new)
+                           + np.exp(t - new[:, None]).sum(axis=1))
+                top[at] = new
+            val = top[todo] + np.log(acc[todo])
+            with np.errstate(divide="ignore"):
+                tail = x[todo] + np.log(special.gammainc(m, x[todo])) - special.gammaln(rho)
+            short = tail - val > -40.0
+            out[todo[~short]] = val[~short]
+            todo = todo[short]
+            if todo.size and m >= 2**14:
+                raise ComputationError(
+                    f"gamma-sum series needs more than {m} terms for rates "
+                    f"{self.rates.tolist()} at z={float(z[todo].max())!r}")
+            done, m = m, 2 * m
+        return out + (self.shape * np.dot(self.mult, np.log(self.lam / r)) + math.log(r)
+                      + (rho - 1.0) * np.log(r * z) - r * z)
+
+
+def _hypoexponential_log_pdf(shape: float, rates, z) -> np.ndarray:
+    """Log-pdf at z of a sum of independent Gamma(shape, rate_i), one per
+    rate: ``_GammaSum(shape, rates)(z)``.  A caller that evaluates one rate
+    set at many z builds the ``_GammaSum`` once instead."""
+    return _GammaSum(shape, rates)(z)
 
 
 def _gamma_series_log_pdf(shape: float, rates: np.ndarray, z: np.ndarray, m=64):
-    """Moschopoulos' series (Ann. Inst. Statist. Math. 37:541, 1985) in log space.
-
-    Gamma(shape, rate_i) is Gamma(shape + N_i, r), r the largest rate, for N_i
-    negative binomial(shape, rate_i / r), so the sum mixes Gamma(k shape + n, r)
-    over the law of sum N_i: positive terms.  Scaled by c^n, c = max(1 - rate_i
-    / r), its coefficients are at most those of (1 - t)^-(k shape), so with
-    x = c r z the terms past the first m add at most e^x P(m, x) / Gamma(k
-    shape) in the units of ``out``; m doubles until that is below e^-40 of it,
-    up to 16384 terms.
-    """
-    r, rho = rates.max(), rates.size * shape
-    c_i = 1.0 - rates / r
-    x = c_i.max() * r * z
-    n = np.arange(m, dtype=float)
-    step = (shape + n[:-1]) / n[1:]
-    delta = np.ones(1)
-    for q in c_i[c_i > 0.0] / c_i.max():
-        delta = np.convolve(delta, np.cumprod(np.concatenate(([1.0], step * q))))[:m]
-    coef = np.log(delta) - special.gammaln(rho + n)
-    out = np.empty(z.size)
-    rows = max(1, 2**18 // m)  # bounds the (rows, m) term array
-    for i in range(0, z.size, rows):
-        t = coef + n * np.log(x[i:i + rows, None])
-        top = t.max(axis=1)
-        out[i:i + rows] = top + np.log(np.exp(t - top[:, None]).sum(axis=1))
-    with np.errstate(divide="ignore"):
-        short = x + np.log(special.gammainc(m, x)) - special.gammaln(rho) - out > -40.0
-    if short.any():
-        if m >= 2**14:
-            raise ComputationError(
-                f"gamma-sum series needs more than {m} terms for rates "
-                f"{rates.tolist()} at z={float(z[short].max())!r}")
-        return _gamma_series_log_pdf(shape, rates, z, 2 * m)
-    return out + (shape * np.sum(np.log(rates / r)) + math.log(r)
-                  + (rho - 1.0) * np.log(r * z) - r * z)
+    """Moschopoulos' series for the same sum at every z, whatever the rates:
+    ``_GammaSum._series`` with m the first term count tried."""
+    return _GammaSum(shape, rates)._series(np.asarray(z, dtype=float), m)
 
 
 def _convolve_log_pdf(spec: BetaFixedAlpha, mus: Sequence[float], z) -> np.ndarray:

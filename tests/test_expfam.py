@@ -24,6 +24,7 @@ from ksample_evalues import sequential
 from ksample_evalues._quad import sum_nodes, support_nodes
 from ksample_evalues.expfam import (
     _FAMILIES,
+    _GammaSum,
     _gamma_series_log_pdf,
     _hypoexponential_log_pdf,
 )
@@ -524,6 +525,29 @@ class TestSumDensity:
                            match=r"rates \[50\.0, 0\.5, 0\.05\] at z=900\.0"):
             spec.sum_log_pdf([0.01, 1.0, 10.0], np.array([1.0, 900.0]))
 
+    def test_series_term_count_is_per_point(self, monkeypatch):
+        # each point doubles its own term count: a far point that needs
+        # hundreds of terms does not make the near ones sum them too
+        from ksample_evalues import expfam
+
+        pending = []  # (terms, points still summing) at each check
+        gammainc = expfam.special.gammainc
+
+        def record(m, x):
+            pending.append((m, np.size(x)))
+            return gammainc(m, x)
+
+        monkeypatch.setattr(expfam.special, "gammainc", record)
+        rates = np.array([1.0, 1.0, 1.0 + 1e-7, 2.0])
+        near = np.array([1e-4, 0.05, 0.7, 3.0])
+        out = _gamma_series_log_pdf(1.0, rates, np.append(near, 600.0), m=8)
+        # the near points are done by 64 terms; the far one needs 1024
+        assert pending == [(8, 5), (16, 4), (32, 3), (64, 1), (128, 1),
+                           (256, 1), (512, 1), (1024, 1)]
+        monkeypatch.undo()
+        np.testing.assert_allclose(out, [mp_erlang_log_pdf(rates, z) for z in
+                                         np.append(near, 600.0)], rtol=0, atol=1e-12)
+
     def test_z_outside_support_errors(self):
         spec = make_family("exponential")
         with pytest.raises(SupportError):
@@ -531,6 +555,111 @@ class TestSumDensity:
         spec2 = make_family("bernoulli")
         with pytest.raises(SupportError):
             spec2.sum_log_pdf([0.5, 0.5], 3.0)
+
+
+def mp_erlang_log_pdf(rates, z, dps=60):
+    """Oracle: log-density at z of a sum of exponentials with these rates,
+    the sum of the residues of e^(s z) prod_i r_i / (r_i + s), each pole's
+    derivative taken by mpmath's numerical differentiation in ``dps``-digit
+    arithmetic, which outlasts the cancellation of nearly tied rates."""
+    with mpmath.workdps(dps):
+        mult = {}
+        for r in map(mpmath.mpf, rates):
+            mult[r] = mult.get(r, 0) + 1
+        zz, total = mpmath.mpf(z), 0
+        for rj, mj in mult.items():
+            def residue(s, rj=rj, mj=mj):
+                return rj**mj * mpmath.exp(s * zz) * mpmath.fprod(
+                    (ri / (ri + s)) ** mi for ri, mi in mult.items() if ri != rj)
+            total += mpmath.diff(residue, -rj, mj - 1) / mpmath.factorial(mj - 1)
+        return float(mpmath.log(total))
+
+
+class TestGammaSum:
+    """One evaluator per rate set: tied rates take the generalized-Erlang
+    partial fractions where their rounding bound holds, the series
+    elsewhere."""
+
+    PTS = [1e-4, 0.05, 0.7, 3.0, 10.0, 40.0, 600.0]
+
+    @pytest.mark.parametrize("b", [1.5, 7.0])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tied_pairs_match_hypergeometric_closed_form(self, b, k):
+        # Gamma(k, b) + Gamma(k, b + 1) has the density b^k (b+1)^k z^(2k-1)
+        # e^(-(b+1) z) 1F1(k; 2k; z) / Gamma(2k)
+        rates = [b, b + 1.0] * k
+        z, _ = sum_nodes(make_family("exponential"), [1.0 / r for r in rates],
+                         2 * k, n=64)
+        z = np.concatenate([self.PTS, z])
+        with mpmath.workdps(40):
+            bb = mpmath.mpf(b)
+            want = [float(k * mpmath.log(bb * (bb + 1)) + (2 * k - 1) * mpmath.log(zz)
+                          - (bb + 1) * zz - mpmath.loggamma(2 * k)
+                          + mpmath.log(mpmath.hyp1f1(k, 2 * k, zz)))
+                    for zz in map(mpmath.mpf, z)]
+        gamma_sum = _GammaSum(1.0, rates)
+        assert list(gamma_sum.mult) == [k, k]
+        np.testing.assert_allclose(gamma_sum(z), want, rtol=0, atol=1e-12)
+        assert np.array_equal(_hypoexponential_log_pdf(1.0, rates, z), gamma_sum(z))
+
+    @pytest.mark.parametrize("rates, n_series", [([1.0, 1.0, 1 / 0.7, 2.0], 3),
+                                                 ([1.0, 1.0, 1.0 + 1e-7, 2.0], 7)],
+                             ids=["stream-block", "near-tie-1e-7"])
+    def test_tied_and_nearly_tied_match_residues(self, rates, n_series):
+        # the tied block keeps the fractions from z = 3 on; the 1e-7 pair is
+        # two rates, whose fractions cancel by ~1e14, so the rounding bound
+        # sends every point to the series
+        gamma_sum = _GammaSum(1.0, rates)
+        coef, bound = gamma_sum._coef
+        assert np.all(bound >= np.abs(coef))
+        series = []
+        run_series = gamma_sum._series
+        gamma_sum._series = lambda z: series.extend(z) or run_series(z)
+        got = gamma_sum(np.array(self.PTS))
+        assert series == self.PTS[:n_series]
+        want = [mp_erlang_log_pdf(rates, zz) for zz in self.PTS]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_cond_stream_builds_its_gamma_sums_once(self, monkeypatch):
+        # multiplicities (2, 1, 1): the alternative's rates (1, 1, 1/0.7, 2)
+        # are tied, the null's are equal; each is built with the statistic
+        built = []
+        init = _GammaSum.__init__
+
+        def counting_init(self, shape, rates):
+            built.append(list(rates))
+            init(self, shape, rates)
+
+        monkeypatch.setattr(_GammaSum, "__init__", counting_init)
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [1.0, 0.7, 0.5])
+        st = sequential.StreamState(spec, alt, "cond", 0.05, multiplicities=[2, 1, 1])
+        assert len(built) == 2
+        flat = sequential.expand_multiplicities(spec, alt, [2, 1, 1])
+        rng = np.random.default_rng(3)
+        blocks = np.stack([spec.sample(mu, 40, rng) for mu in flat.mu], axis=-1)
+        for b in blocks:
+            st.ingest_block(b)
+        assert st.blocks_completed == 40 and len(built) == 2
+        # oracle: the block's pooled-mean ratio less the ratio of the sum
+        # densities, the tied one from 60-digit residues, the null Gamma(4)
+        lam, a = spec._natural_params(flat.mu)
+        lam0, a0 = spec._natural_params([flat.mu0_star])
+        rates = [1.0 / mu for mu in flat.mu]
+        want = 0.0
+        for b in blocks:
+            z = float(np.sum(b))
+            null = 4 * math.log(-lam0[0]) + 3 * math.log(z) + lam0[0] * z - math.log(6)
+            want += (float(np.sum((lam - lam0) * b - (a - a0)))
+                     - mp_erlang_log_pdf(rates, z) + null)
+        assert st.log_evalue == pytest.approx(want, rel=1e-12)
+
+    def test_rates_within_1e12_are_one_group(self):
+        gamma_sum = _GammaSum(1.0, [2.0, 1.0, 1.0 + 1e-13, 1.0])
+        assert list(gamma_sum.mult) == [3, 1]
+        assert gamma_sum.lam[1] == 2.0
+        # exact ties keep their rate exactly
+        assert _GammaSum(1.0, [0.1] * 3 + [0.2]).lam[0] == 0.1
 
 
 def test_families_state_laws_not_entry_points():
@@ -623,6 +752,29 @@ class TestBetaGeneralAlpha:
         p = np.exp(spec.sum_log_pdf(mus, z))
         assert np.sum(w * p) == pytest.approx(1.0, abs=1e-9)
         assert np.sum(w * z * p) == pytest.approx(sum(mus), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0])
+    def test_integer_alpha_mean_map_round_trip_matches_mpmath(self, alpha):
+        # mu(b) = -sum_(j < n) 1/(b + j); the digamma difference it replaces
+        # was off by 8.4e-9 relative at alpha = 2, b = 1e7
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        for b in np.geomspace(1e-3, 1e7, 21):
+            with mpmath.workdps(50):
+                mu = float(-mpmath.fsum(1 / (mpmath.mpf(b) + j)
+                                        for j in range(int(alpha))))
+            assert spec.mean_from_natural(b) == pytest.approx(mu, rel=2e-15)
+            assert spec.natural_from_mean(mu) == pytest.approx(b, rel=2e-15)
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0, 2.5])
+    def test_log_partition_matches_mpmath(self, alpha):
+        # gammaln(alpha) + gammaln(b) - gammaln(alpha + b), and betaln too,
+        # cancel past b ~ 1e3: 1e-8 absolute at b = 1e7
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        b = np.geomspace(1e-3, 1e7, 31)
+        with mpmath.workdps(50):
+            want = [float(mpmath.log(mpmath.beta(alpha, bb))) for bb in b]
+        np.testing.assert_allclose(spec.log_partition(b), want, rtol=0, atol=5e-14)
+        assert [spec.log_partition(bb) for bb in b] == list(spec.log_partition(b))
 
     def test_non_integer_alpha_refused_past_k2(self):
         spec = make_family("beta_fixed_alpha", alpha=2.5)
