@@ -106,26 +106,20 @@ def _log_equal_mixture(lam: np.ndarray, a: np.ndarray, x) -> np.ndarray:
 
 def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
     """z -> log p_alt_Z(z) - log p_null_Z(z) for the coordinate sum z of
-    checked blocks, with the null i.i.d. at the checked mean mu0.  A finite
-    sum support is tabulated once.  Any other builds both sum densities once
-    (``FamilySpec._sum_density``: for the gamma sums, their rate groups,
-    partial-fraction coefficients and series weights) and evaluates them at
-    no z, so that a family without a sum density for this k refuses before
-    any block."""
-    means, null = list(alt.mu), [mu0] * alt.k
+    checked blocks, with the null i.i.d. at the checked mean mu0.  Both sum
+    densities are built once (``FamilySpec._sum_density``: for the gamma
+    sums, their rate groups, partial-fraction coefficients and series
+    weights), so a family without a sum density for this k refuses before any
+    block.  A finite sum support is tabulated once."""
+    alt_sum = spec._sum_density(list(alt.mu))
+    null_sum = spec._sum_density([mu0] * alt.k)
     s = spec.support
     if s.kind == "finite":
         lo = round(alt.k * s.lo)
         zs = np.arange(lo, round(alt.k * s.hi) + 1, dtype=float)
-        table = spec._sum_log_pdf(means, zs) - spec._sum_log_pdf(null, zs)
+        table = alt_sum(zs) - null_sum(zs)
         return lambda z: table[np.round(z).astype(int) - lo]
-    alt_sum, null_sum = spec._sum_density(means), spec._sum_density(null)
-
-    def ratio(z):
-        return alt_sum(z) - null_sum(z)
-
-    ratio(np.empty(0))
-    return ratio
+    return lambda z: alt_sum(z) - null_sum(z)
 
 
 def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,

@@ -54,7 +54,6 @@ every stochastic operation is bit-reproducible.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from abc import ABC, abstractmethod
@@ -178,19 +177,20 @@ class FamilySpec(ABC):
     mean) and ``sum_quantile``.  Everything derived lives here: densities, KL,
     Fisher information, central moments, and the two checked entry points
     ``sample`` and ``sum_log_pdf``.  ``sum_log_pdf`` checks the means and the
-    sum's support, is ``log_pdf`` at k = 1 and calls ``_sum_log_pdf`` at
-    k >= 2, whose base form is the one lattice convolution; a family with a
-    closed form or its own routine (Poisson, gaussian_mean, the gamma sums,
-    the beta convolution) overrides it.  ``_sum_density`` returns the same
-    density as a function of z for one set of means; the gamma sums build
-    their ``_GammaSum`` there once.
+    sum's support, is ``log_pdf`` at k = 1 and ``_sum_density(mus)(z)`` at
+    k >= 2.  ``_sum_density`` is the one sum-density override: it builds,
+    once per set of means, the k >= 2 density as a function of z.  Its base
+    form is the lattice convolution; Poisson and gaussian_mean return their
+    closed forms, the gamma sums their ``_GammaSum``, and beta its gamma sum
+    (integer alpha) or convolution (non-integer alpha, k = 2 only).
 
     A family with a quadratic variance function
     V(mu) = v0 + v1 mu + v2 mu^2 (Morris 1982) gives it as the triple
     ``variance_function = (v0, v1, v2)``, from which ``variance`` and its two
     derivatives follow, and with them the delta^4 coefficients of ``growth``
-    in closed form.  A family without one (beta with alpha != 1) overrides
-    those three methods and leaves ``variance_function`` unset.
+    in closed form.  Beta overrides those three methods with its psi-gaps at
+    every alpha and sets ``variance_function`` only at alpha = 1, the one
+    alpha where it has a quadratic variance function.
     """
 
     family_id: str
@@ -331,32 +331,31 @@ class FamilySpec(ABC):
         z = self.check_sum_support(len(mus), z)
         if len(mus) == 1:
             return self.log_pdf(mus[0], z)
-        return self._sum_log_pdf(mus, z)
+        return self._sum_density(mus)(z)
 
     def _sum_density(self, mus: list[float]):
-        """z -> ``_sum_log_pdf(mus, z)`` at checked means and z, for a caller
-        that evaluates one sum at many z; a family whose sum density has parts
-        that do not depend on z (the gamma sums) builds them here once."""
-        return functools.partial(self._sum_log_pdf, mus)
-
-    def _sum_log_pdf(self, mus: list[float], z: np.ndarray) -> np.ndarray:
-        """The k >= 2 sum density at checked means and z; this one convolves
+        """z -> log-density of the k >= 2 sum at checked means, for checked z;
+        whatever does not depend on z is built here once.  This one convolves
         the pmfs exp(lambda x - A + log h) of a lattice on 0, 1, ..., each
         truncated at max z, which keeps every entry up to max z exact.  Every
         pmf is first tilted by e^(-lambda_max x), which flattens the slowest
         decaying one, so the convolution does not underflow where the density
         is representable; adding lambda_max z in log space undoes the tilt."""
-        idx = np.round(z).astype(int)
-        zmax = int(idx.max()) if idx.size else 0
-        xs = np.arange(min(zmax, self.support.hi) + 1.0)
         lam, la = self._natural_params(mus)
         top = lam.max()
-        pmfs = np.exp(np.outer(lam - top, xs) - la[:, None] + self.log_carrier(xs))
-        pmf = pmfs[0]
-        for row in pmfs[1:]:
-            pmf = np.convolve(pmf, row)[: zmax + 1]
-        with np.errstate(divide="ignore"):
-            return np.log(pmf[idx]) + top * idx
+
+        def log_pdf(z):
+            idx = np.round(z).astype(int)
+            zmax = int(idx.max()) if idx.size else 0
+            xs = np.arange(min(zmax, self.support.hi) + 1.0)
+            pmfs = np.exp(np.outer(lam - top, xs) - la[:, None] + self.log_carrier(xs))
+            pmf = pmfs[0]
+            for row in pmfs[1:]:
+                pmf = np.convolve(pmf, row)[: zmax + 1]
+            with np.errstate(divide="ignore"):
+                return np.log(pmf[idx]) + top * idx
+
+        return log_pdf
 
     def check_sum_support(self, k: int, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -464,9 +463,10 @@ class GaussianFreeMean(FamilySpec):
                     -math.inf * sd + k * mu, math.inf * sd + k * mu,
                     valid=mu == mu)
 
-    def _sum_log_pdf(self, mus, z):
-        var = len(mus) * self.sigma2
-        return -0.5 * (z - sum(mus)) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
+    def _sum_density(self, mus):
+        mean, var = sum(mus), len(mus) * self.sigma2
+        log_norm = 0.5 * math.log(2.0 * math.pi * var)
+        return lambda z: -0.5 * (z - mean) ** 2 / var - log_norm
 
     def default_std_range(self):
         return (-2.0, 2.0)
@@ -512,9 +512,6 @@ class GaussianFreeVariance(FamilySpec):
                     0.0 * scale, math.inf * scale,
                     valid=scale > 0)
 
-    def _sum_log_pdf(self, mus, z):
-        return _hypoexponential_log_pdf(0.5, 0.5 / np.array(mus), z)
-
     def _sum_density(self, mus):
         return _GammaSum(0.5, 0.5 / np.array(mus))
 
@@ -550,9 +547,10 @@ class Poisson(FamilySpec):
         return _ppf(q, lambda q: _poisson_ppf(q, k * mu), -1.0, math.inf,
                     valid=k * mu >= 0)
 
-    def _sum_log_pdf(self, mus, z):
+    def _sum_density(self, mus):
         lam = sum(mus)
-        return z * math.log(lam) - lam - special.gammaln(z + 1.0)
+        log_lam = math.log(lam)
+        return lambda z: z * log_lam - lam - special.gammaln(z + 1.0)
 
     def default_std_range(self):
         return (0.5, 5.0)
@@ -582,9 +580,6 @@ class Exponential(FamilySpec):
         return _ppf(q, lambda q: special.gammaincinv(k, q) * mu,
                     0.0 * mu, math.inf * mu,
                     valid=mu > 0)
-
-    def _sum_log_pdf(self, mus, z):
-        return _hypoexponential_log_pdf(1.0, 1.0 / np.array(mus), z)
 
     def _sum_density(self, mus):
         return _GammaSum(1.0, 1.0 / np.array(mus))
@@ -662,27 +657,26 @@ class BetaFixedAlpha(FamilySpec):
 
     def natural_from_mean(self, mu):
         mu = self.check_mean(mu)
-        if self.alpha == 1.0:
-            return -1.0 / mu
         if self.alpha.is_integer():
             # Newton on the convex decreasing sum_j 1/(b + j) = -mu, from a
             # lower bound on its root, so every step rises and none
-            # overshoots; q_j = b / (b + j) keeps the sums in (0, n]
+            # overshoots; q_j = b / (b + j) keeps the sums in (0, n].  A step
+            # is tested before it is taken, so at n = 1 the start 1/(-mu),
+            # whose step is rounding, is returned as it is.
             s, n = -mu, int(self.alpha)
             b = max(1.0 / s, n / s - (n - 1.0))
             for _ in range(100):
                 q = [b / (b + j) for j in range(n)]
                 step = b * (math.fsum(q) - s * b) / math.fsum(x * x for x in q)
-                b += step
                 if abs(step) <= 1e-15 * b:
                     break
+                b += step
             return b
         # invert mu(beta) = psi(beta) - psi(alpha + beta), increasing in beta
         from scipy.optimize import brentq
 
         def g(t):
-            b = math.exp(t)
-            return special.digamma(b) - special.digamma(self.alpha + b) - mu
+            return self._psi_gap(0, math.exp(t)) - mu
 
         lo, hi = -30.0, 30.0
         while g(lo) > 0:
@@ -698,19 +692,32 @@ class BetaFixedAlpha(FamilySpec):
                 f"canonical parameter {lam} outside (0, inf) for family "
                 f"'{self.family_id}'"
             )
+        return self._psi_gap(0, lam)
+
+    def _psi_gap(self, m: int, b: float) -> float:
+        """psi^(m)(b) - psi^(m)(alpha + b), the m-th derivative of the mean
+        map in the free shape b.  For an integer alpha = n it is the exact
+        sum -(-1)^m m! sum_(j < n) 1 / (b + j)^(m + 1), free of the
+        cancellation of the polygamma difference at large b (1.6e-9 relative
+        in the variance at alpha = 2, b = 1e7); otherwise that difference."""
         if self.alpha.is_integer():
-            return -math.fsum(1.0 / (lam + j) for j in range(int(self.alpha)))
-        return float(special.digamma(lam) - special.digamma(self.alpha + lam))
+            return -(-1) ** m * math.factorial(m) * math.fsum(
+                1.0 / (b + j) ** (m + 1) for j in range(int(self.alpha)))
+        if m == 0:  # polygamma(0, .) is digamma behind a much slower wrapper
+            return float(special.digamma(b) - special.digamma(self.alpha + b))
+        return float(special.polygamma(m, b) - special.polygamma(m, self.alpha + b))
 
     def log_partition(self, lam):
-        """log B(alpha, b): ``special.betaln`` below b = 100, and past it
-        log Gamma(alpha) minus Stirling's series for log Gamma(b + alpha) -
-        log Gamma(b), where betaln's difference of log-gammas cancels (2e-9
-        absolute at alpha = 2.5, b = 10^6)."""
+        """log B(alpha, b).  For an integer alpha = n, B(n, b) = Gamma(n) /
+        prod_(j < n) (b + j).  Otherwise ``special.betaln`` below b = 100,
+        and past it log Gamma(alpha) minus Stirling's series for
+        log Gamma(b + alpha) - log Gamma(b), where betaln's difference of
+        log-gammas cancels (2e-9 absolute at alpha = 2.5, b = 10^6)."""
         lam = np.asarray(lam, dtype=float)
         a = self.alpha
-        if a == 1.0:
-            return -np.log(lam)
+        if a.is_integer():
+            return -(np.log(lam[..., None] + np.arange(a)).sum(axis=-1)
+                     - special.gammaln(a))
         b = np.maximum(lam, 100.0)
 
         def stirling(x):  # log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2
@@ -722,39 +729,26 @@ class BetaFixedAlpha(FamilySpec):
         return np.where(lam < 100.0, special.betaln(a, lam),
                         special.gammaln(a) - ratio)[()]
 
-    # alpha != 1 has no quadratic variance function: polygamma forms in the
-    # free shape b, differentiated through dmu/db = Var
+    # the variance and its derivatives in mu, through dmu/db = Var: psi-gaps
+    # of the free shape b at every alpha (alpha = 1 also states its quadratic
+    # variance function, for the closed-form growth coefficients)
 
     def variance(self, mu):
-        if self.alpha == 1.0:
-            return super().variance(mu)
-        b = self.natural_from_mean(mu)
-        return float(special.polygamma(1, b) - special.polygamma(1, self.alpha + b))
+        return self._psi_gap(1, self.natural_from_mean(mu))
 
     def variance_d1(self, mu):
-        if self.alpha == 1.0:
-            return super().variance_d1(mu)
         b = self.natural_from_mean(mu)
-        dvar_db = special.polygamma(2, b) - special.polygamma(2, self.alpha + b)
-        dmu_db = special.polygamma(1, b) - special.polygamma(1, self.alpha + b)
-        return float(dvar_db / dmu_db)
+        return self._psi_gap(2, b) / self._psi_gap(1, b)
 
     def variance_d2(self, mu):
-        if self.alpha == 1.0:
-            return super().variance_d2(mu)
         b = self.natural_from_mean(mu)
-        p1 = special.polygamma(1, b) - special.polygamma(1, self.alpha + b)
-        p2 = special.polygamma(2, b) - special.polygamma(2, self.alpha + b)
-        p3 = special.polygamma(3, b) - special.polygamma(3, self.alpha + b)
+        p1, p2, p3 = (self._psi_gap(m, b) for m in (1, 2, 3))
         # d/dmu (p2/p1) = (p3*p1 - p2^2) / p1^3
-        return float((p3 * p1 - p2 * p2) / p1**3)
+        return (p3 * p1 - p2 * p2) / p1**3
 
     def log_carrier(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.alpha == 1.0:
-            return np.zeros_like(x)
         # 1 - e^x via expm1 keeps precision as x -> 0-
-        return (self.alpha - 1.0) * np.log(-np.expm1(x))
+        return (self.alpha - 1.0) * np.log(-np.expm1(np.asarray(x, dtype=float)))
 
     def mean_from_beta_mean(self, mean_u: float) -> float:
         """Convert E[U] of the beta observation to the mean of X = log(1-U)."""
@@ -788,36 +782,34 @@ class BetaFixedAlpha(FamilySpec):
         if q < 0.5:
             u = _ppf(q / k, lambda q: _beta_ppf(q, b, self.alpha), 0.0, 1.0,
                      valid=b > 0)
+            if q > 0.0 and u < 1e-290:
+                # u has underflowed (small b): solve in log space the bound
+                # I_u(b, alpha) <= 2^max(0, 1 - alpha) u^b / (b B(b, alpha))
+                # for u <= 1/2 instead, whose root lies below the quantile
+                return k * (math.log(q / k) + math.log(b) + float(self.log_partition(b))
+                            - max(0.0, 1.0 - self.alpha) * math.log(2.0)) / b
             return k * float(np.log(u))
         p = (1.0 - q) ** (1.0 / k) if q <= 1.0 else math.nan
         u = _ppf(p, lambda p: _beta_ppf(p, self.alpha, b), 0.0, 1.0, valid=b > 0)
         return float(np.log1p(-u))
 
-    def _sum_log_pdf(self, mus, z):
-        """The k >= 2 sum density.  With alpha an integer n, 1 - U ~ Beta(b, n)
-        makes -X a sum of n independent exponentials with rates b, b + 1, ...,
-        b + n - 1 (Tang & Gupta, Stat. Probab. Lett. 2:165, 1984), so -Z is a
-        gamma sum of shape 1 over the k n rates, at every k.  Non-integer
-        alpha convolves numerically, at k = 2 only."""
+    def _sum_density(self, mus):
+        """With alpha an integer n, 1 - U ~ Beta(b, n) makes -X a sum of n
+        independent exponentials with rates b, b + 1, ..., b + n - 1 (Tang &
+        Gupta, Stat. Probab. Lett. 2:165, 1984), so -Z is a gamma sum of
+        shape 1 over the k n rates, at every k.  Non-integer alpha convolves
+        numerically, at k = 2 only; other k are refused here."""
         if self.alpha.is_integer():
-            return _hypoexponential_log_pdf(1.0, self._gamma_rates(mus), -z)
+            b = np.array([self.natural_from_mean(m) for m in mus])
+            gamma_sum = _GammaSum(1.0, (b[:, None] + np.arange(self.alpha)).ravel())
+            return lambda z: gamma_sum(-z)
         if len(mus) == 2:
-            return _convolve_log_pdf(self, mus, z)
+            lam, la = self._natural_params(sorted(mus, reverse=True))
+            return lambda z: _convolve_log_pdf(self, lam, la, z)
         raise ComputationError(
             f"sum density for beta with non-integer alpha={self.alpha!r} is "
             f"only available for k = 2, not k = {len(mus)}"
         )
-
-    def _gamma_rates(self, mus):
-        """The k n exponential rates b_i + j of -Z, for an integer alpha = n."""
-        b = np.array([self.natural_from_mean(m) for m in mus])
-        return (b[:, None] + np.arange(int(self.alpha))).ravel()
-
-    def _sum_density(self, mus):
-        if not self.alpha.is_integer():
-            return super()._sum_density(mus)
-        gamma_sum = _GammaSum(1.0, self._gamma_rates(mus))
-        return lambda z: gamma_sum(-z)
 
     def default_std_range(self):
         return (1.0, 8.0)
@@ -1019,22 +1011,18 @@ class _GammaSum:
 
 
 def _hypoexponential_log_pdf(shape: float, rates, z) -> np.ndarray:
-    """Log-pdf at z of a sum of independent Gamma(shape, rate_i), one per
-    rate: ``_GammaSum(shape, rates)(z)``.  A caller that evaluates one rate
-    set at many z builds the ``_GammaSum`` once instead."""
+    """``_GammaSum(shape, rates)(z)`` for one call.  The package builds its
+    ``_GammaSum``s in ``_sum_density`` and no longer calls this; it is kept
+    because the span tracer of ``perfbench/spans.py`` wraps it by name."""
     return _GammaSum(shape, rates)(z)
 
 
-def _gamma_series_log_pdf(shape: float, rates: np.ndarray, z: np.ndarray, m=64):
-    """Moschopoulos' series for the same sum at every z, whatever the rates:
-    ``_GammaSum._series`` with m the first term count tried."""
-    return _GammaSum(shape, rates)._series(np.asarray(z, dtype=float), m)
-
-
-def _convolve_log_pdf(spec: BetaFixedAlpha, mus: Sequence[float], z) -> np.ndarray:
+def _convolve_log_pdf(spec: BetaFixedAlpha, lam: np.ndarray, la: np.ndarray,
+                      z) -> np.ndarray:
     """Log-density of X_1 + X_2 by numeric convolution, for non-integer alpha.
 
-    Order the groups so that X_1 has the larger mean, and so the larger free
+    ``lam`` and ``la`` are the free shapes and log-normalizers of the two
+    groups, ordered so that X_1 has the larger mean, and so the larger free
     shape; with y = -X_1 and L = -z the integrand is, up to a constant,
     e^(-r y) h(y) h(L - y), where r >= 0 is the gap between the free shapes
     and h(y) = (1 - e^-y)^(alpha-1).  Less than e^-50 of the mass of
@@ -1050,7 +1038,6 @@ def _convolve_log_pdf(spec: BetaFixedAlpha, mus: Sequence[float], z) -> np.ndarr
     """
     z = np.asarray(z, dtype=float)
     flat = z.reshape(-1, 1)
-    lam, la = spec._natural_params(sorted(mus, reverse=True))
     a = spec.alpha - math.ceil(spec.alpha) + 1.0
     with np.errstate(divide="ignore"):  # equal shapes: r = 0 cuts at L/2
         cut = np.maximum(0.5 * flat, -(60.0 + 2.0 * spec.alpha) / (lam[0] - lam[1]))
@@ -1069,8 +1056,8 @@ def _convolve_log_pdf(spec: BetaFixedAlpha, mus: Sequence[float], z) -> np.ndarr
     out = special.logsumexp(np.concatenate(terms, axis=1), axis=1)
     if not np.all(np.isfinite(out)):
         raise ComputationError(
-            f"beta sum density with alpha={spec.alpha!r} and means "
-            f"{[float(m) for m in mus]} is not finite at "
+            f"beta sum density with alpha={spec.alpha!r} and free shapes "
+            f"{lam.tolist()} is not finite at "
             f"z={float(z.ravel()[~np.isfinite(out)][0])!r}")
     return out.reshape(z.shape)
 

@@ -25,7 +25,6 @@ from ksample_evalues._quad import sum_nodes, support_nodes
 from ksample_evalues.expfam import (
     _FAMILIES,
     _GammaSum,
-    _gamma_series_log_pdf,
     _hypoexponential_log_pdf,
 )
 
@@ -515,8 +514,8 @@ class TestSumDensity:
         rates = np.array(rates)
         spec = make_family("exponential" if shape == 1.0 else "gaussian_variance")
         z, _ = sum_nodes(spec, shape / rates, 2, n=512)
-        np.testing.assert_allclose(_gamma_series_log_pdf(shape, rates, z),
-                                   _hypoexponential_log_pdf(shape, rates, z),
+        gamma_sum = _GammaSum(shape, rates)
+        np.testing.assert_allclose(gamma_sum._series(z, 64), gamma_sum(z),
                                    rtol=0, atol=1e-12)
 
     def test_series_term_cap_refuses(self):
@@ -540,7 +539,7 @@ class TestSumDensity:
         monkeypatch.setattr(expfam.special, "gammainc", record)
         rates = np.array([1.0, 1.0, 1.0 + 1e-7, 2.0])
         near = np.array([1e-4, 0.05, 0.7, 3.0])
-        out = _gamma_series_log_pdf(1.0, rates, np.append(near, 600.0), m=8)
+        out = _GammaSum(1.0, rates)._series(np.append(near, 600.0), 8)
         # the near points are done by 64 terms; the far one needs 1024
         assert pending == [(8, 5), (16, 4), (32, 3), (64, 1), (128, 1),
                            (256, 1), (512, 1), (1024, 1)]
@@ -663,9 +662,11 @@ class TestGammaSum:
 
 
 def test_families_state_laws_not_entry_points():
-    # the checked entry points live on FamilySpec only
+    # the checked entry points live on FamilySpec only, and a sum density is
+    # stated once, as _sum_density
     for cls in _FAMILIES.values():
         assert "sum_log_pdf" not in vars(cls) and "sample" not in vars(cls), cls
+        assert not hasattr(cls, "_sum_log_pdf"), cls
 
 
 def mp_beta_sum_log_pdf(alpha, shapes, z):
@@ -775,6 +776,55 @@ class TestBetaGeneralAlpha:
             want = [float(mpmath.log(mpmath.beta(alpha, bb))) for bb in b]
         np.testing.assert_allclose(spec.log_partition(b), want, rtol=0, atol=5e-14)
         assert [spec.log_partition(bb) for bb in b] == list(spec.log_partition(b))
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 5.0])
+    def test_integer_alpha_moments_match_mpmath(self, alpha):
+        # log B(n, b), and the variance and its two mu-derivatives from
+        # 50-digit polygammas at the b that mu maps to; the double-precision
+        # polygamma differences cancel at large b (1.6e-9 relative in the
+        # variance at alpha = 2, b = 1e7)
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        for b in np.geomspace(1e-3, 1e7, 11):
+            mu = spec.mean_from_natural(b)
+            b = spec.natural_from_mean(mu)
+            with mpmath.workdps(50):
+                bb, a = mpmath.mpf(b), mpmath.mpf(alpha)
+                p1, p2, p3 = (mpmath.polygamma(m, bb) - mpmath.polygamma(m, a + bb)
+                              for m in (1, 2, 3))
+                want = [mpmath.log(mpmath.beta(a, bb)), p1, p2 / p1,
+                        (p3 * p1 - p2 * p2) / p1**3]
+            got = [spec.log_partition(b), spec.variance(mu), spec.variance_d1(mu),
+                   spec.variance_d2(mu)]
+            np.testing.assert_allclose(got, [float(w) for w in want], rtol=1e-13, atol=0)
+
+    def test_alpha2_variance_at_large_shape(self):
+        spec = make_family("beta_fixed_alpha", alpha=2.0)
+        with mpmath.workdps(50):
+            b = mpmath.mpf(1e7)
+            want = float(mpmath.polygamma(1, b) - mpmath.polygamma(1, b + 2))
+        got = spec.variance(spec.mean_from_natural(1e7))
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_alpha_one_maps_are_exact(self):
+        # alpha = 1 is a negated exponential: b = -1/mu and A(b) = -log b
+        spec = make_family("beta_fixed_alpha")
+        for mu in (-1e3, -3.0, -1.0, -1.0 / 3.0, -0.15, -1e-5):
+            b = spec.natural_from_mean(mu)
+            assert same_float(b, -1.0 / mu)
+            assert same_float(float(spec.log_partition(b)), float(-np.log(b)))
+
+    # each grid's lower end was k log(u) with u the beta quantile, which
+    # underflows at small b: these grids held 1 - 7.2e-2, 1 - 5.2e-3,
+    # 1 - 5.6e-3 and 1 - 2.6e-8 of the mass
+    @pytest.mark.parametrize("alpha, beta_means", [
+        (0.3, (0.99,)), (0.3, (0.99, 0.001)), (2.0, (0.999, 0.5, 1e-4)), (2.0, (0.99,)),
+    ])
+    def test_underflowing_quantile_grid_holds_the_mass(self, alpha, beta_means):
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        mus = [spec.mean_from_beta_mean(m) for m in beta_means]
+        z, w = sum_nodes(spec, mus, len(mus), n=3000)
+        mass = np.sum(w * np.exp(spec.sum_log_pdf(mus, z)))
+        assert abs(1.0 - mass) <= 1e-12
 
     def test_non_integer_alpha_refused_past_k2(self):
         spec = make_family("beta_fixed_alpha", alpha=2.5)
