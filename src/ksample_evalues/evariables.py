@@ -97,13 +97,6 @@ def _as_block(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
     return x
 
 
-def _log_equal_mixture(lam: np.ndarray, a: np.ndarray, x) -> np.ndarray:
-    """log (1/k) sum_i exp(lam_i x - a_i) at every entry of x, by logsumexp."""
-    comp = lam * x[..., None] - a  # [..., i] = log p_{mu_i}(x) w.r.t. rho
-    cmax = comp.max(axis=-1, keepdims=True)
-    return np.squeeze(cmax, -1) + np.log(np.mean(np.exp(comp - cmax), axis=-1))
-
-
 def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
     """z -> log p_alt_Z(z) - log p_null_Z(z) for the coordinate sum z of
     checked blocks, with the null i.i.d. at the checked mean mu0.  Both sum
@@ -146,8 +139,9 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
         return lambda x: np.zeros(np.shape(x)[:-1])
     lam, a = spec._natural_params(alt.mu)
     if kind is EValueKind.GRO_IID:
+        offsets = a + np.log(alt.k)  # per coordinate, (1/k) sum_i p_{mu_i}
         return lambda x: (np.sum(lam * x - a, axis=-1)
-                          - np.sum(_log_equal_mixture(lam, a, x), axis=-1))
+                          - np.sum(_log_sum_of_tilts(lam, offsets, x), axis=-1))
     if kind is EValueKind.GRO_M:
         tilts = mixture._tilts(spec, alt.k)
         return lambda x: (np.sum(lam * x - a, axis=-1)

@@ -665,6 +665,8 @@ class BetaFixedAlpha(FamilySpec):
             # whose step is rounding, is returned as it is.
             s, n = -mu, int(self.alpha)
             b = max(1.0 / s, n / s - (n - 1.0))
+            if not math.isfinite(b):
+                raise MeanDomainError(f"mu={mu!r} too close to 0: its shape b overflows")
             for _ in range(100):
                 q = [b / (b + j) for j in range(n)]
                 step = b * (math.fsum(q) - s * b) / math.fsum(x * x for x in q)
@@ -683,7 +685,12 @@ class BetaFixedAlpha(FamilySpec):
             lo -= 20.0
         while g(hi) < 0:
             hi += 20.0
-        return math.exp(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        b = math.exp(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        # the digamma difference rounds by eps (|psi(b)| + |psi(alpha + b)|)
+        lost = abs(special.digamma(b)) + abs(special.digamma(self.alpha + b))
+        if np.finfo(float).eps * lost > 1e-6 * -mu:
+            raise MeanDomainError(f"mu={mu!r} too close to 0 for the digamma gap")
+        return b
 
     def mean_from_natural(self, lam):
         lam = float(lam)

@@ -102,10 +102,11 @@ def gap_pseudo_iid(spec: FamilySpec, alt: Alternative) -> float:
     """
     if alt.delta == 0.0:
         return 0.0
-    x, w = _quad.support_nodes(spec, list(alt.mu) + [alt.mu0_star], n=_GAP_NODES)
+    x, w = _quad.support_nodes(spec, alt.mu, n=_GAP_NODES)
     lams, las = spec._natural_params([*alt.mu, alt.mu0_star])
     # sum_j E_{mu_j}[log mixture(X) - log p_{mu0*}(X)], all w.r.t. rho
-    diff = ev._log_equal_mixture(lams[:-1], las[:-1], x) - (lams[-1] * x - las[-1])
+    diff = (ripr._log_sum_of_tilts(lams[:-1], las[:-1] + math.log(alt.k), x)
+            - (lams[-1] * x - las[-1]))
     logh = spec.log_carrier(x)
     total = 0.0
     for lam, la in zip(lams[:-1], las[:-1]):
@@ -118,7 +119,7 @@ def gap_pseudo_cond(spec: FamilySpec, alt: Alternative) -> float:
     alternative and of the pooled i.i.d. null."""
     if alt.delta == 0.0:
         return 0.0
-    z, w = _quad.sum_nodes(spec, list(alt.mu) + [alt.mu0_star], alt.k, n=_GAP_NODES)
+    z, w = _quad.sum_nodes(spec, alt.mu, alt.k, n=_GAP_NODES)
     log_a = spec.sum_log_pdf(list(alt.mu), z)
     log_0 = spec.sum_log_pdf([alt.mu0_star] * alt.k, z)
     pa = np.exp(log_a)

@@ -14,9 +14,8 @@ Two searches are provided:
 * ``li_approximate`` -- greedy mixture growth: each step adds one component,
   choosing the convex weight and the new null mean that minimize the KL
   divergence from the alternative to the mixture.
-* ``brute_force_two_component`` -- grid search over two-component mixtures
-  (weight, two null means), minimizing the worst-case null expectation
-  directly.
+* ``brute_force_two_component`` -- one table of two-component mixtures
+  (weight, two null means), minimizing the worst-case null expectation.
 
 Both searches run on a coarse z grid and certify on a fine one.  The search
 grid has ``_SEARCH_NZ`` = 400 nodes, the certification grid ``n_z`` (3000 by
@@ -37,7 +36,8 @@ null expectation, with p and q the two components of a pair.  The step runs a
 ternary search over the weight grid (``_convex_argmin``) rather than sweeping
 every grid point.  Each objective is convex in the weight, so the ternary
 search returns the grid point the exhaustive sweep would, with ties going to
-the lowest weight index.
+the lowest weight index.  Both searches rank the step's output by one rule
+(``_ranked``): lowest objective, then lowest weight, then lowest candidate.
 
 Every null expectation here reduces to a one-dimensional integral: a mixture
 of i.i.d. product nulls depends on the block only through the sum z of the
@@ -47,7 +47,8 @@ sufficient statistics, so for any k
         = integral of  exp(lam0 z - k A(lam0)) * m_alt(z) / d_mix(z)  dz,
 
 with m_alt the sum density under the alternative and d_mix(z) the mixture of
-tilts sum_c w_c exp(lam_c z - k A(lam_c)).  The same collapse turns
+tilts sum_c w_c exp(lam_c z - k A(lam_c)), whose log (``_log_sum_of_tilts``)
+is every mixture denominator of ``evariables``.  The same collapse turns
 D(alt || mixture) into a one-dimensional integral.  Grid searches evaluate
 these as matrix products over a fixed z grid.
 
@@ -190,11 +191,11 @@ class MixtureNull:
         """
         return _log_sum_of_tilts(*self._tilts(spec, k), z)
 
-    def _tilts(self, spec: FamilySpec, k: int) -> tuple[np.ndarray, ...]:
-        """Each component's lam_c, log w_c and k A(lam_c): its term of the
-        density of a k-sum z is exp(log w_c + lam_c z - k A(lam_c))."""
+    def _tilts(self, spec: FamilySpec, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each component's lam_c and offset k A(lam_c) - log w_c: its term
+        of the density of a k-sum z is exp(lam_c z - offset_c)."""
         lams, las = spec._natural_params(self.means)
-        return lams, np.log(np.maximum(self.weights, 1e-300)), k * las
+        return lams, k * las - np.log(np.maximum(self.weights, 1e-300))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -225,10 +226,10 @@ class MixtureNull:
         return cls(comps, cert, config)
 
 
-def _log_sum_of_tilts(lams, log_w, k_a, z) -> np.ndarray:
-    """log sum_c exp(log_w_c + lams_c z - k_a_c) at every entry of z, by
-    logsumexp; the arrays are ``MixtureNull._tilts``."""
-    logs = log_w + lams * np.asarray(z, dtype=float)[..., None] - k_a
+def _log_sum_of_tilts(lams, offsets, z) -> np.ndarray:
+    """log sum_c exp(lams_c z - offsets_c) at every entry of z, by logsumexp;
+    offsets k A(lam_c) - log w_c (``MixtureNull._tilts``) or A(lam_c) + log k."""
+    logs = lams * np.asarray(z, dtype=float)[..., None] - offsets
     mx = logs.max(axis=-1)
     return mx + np.log(np.sum(np.exp(logs - mx[..., None]), axis=-1))
 
@@ -298,13 +299,13 @@ class _SumGrid:
     a weighted sum over these nodes.  ``mu0s`` holds ``count`` equally spaced
     null means over [lo, hi], each end defaulting to ``default_search_range``.
     Both ends must lie in the mean space with lo <= hi; lo == hi is a single
-    point.  The z grid resolves the alternative, both ends and any
-    ``envelope`` means.
+    point.  The z grid resolves the alternative, whose sum density weights
+    every integral over it, and both ends.
     """
 
     def __init__(self, spec: FamilySpec, alt: Alternative, count: int = 1000,
                  lo: float | None = None, hi: float | None = None,
-                 n_z: int = 3000, envelope: Sequence[float] = ()):
+                 n_z: int = 3000):
         _require_at_least(1, count=count)
         if lo is None or hi is None:
             dlo, dhi = default_search_range(spec, alt)
@@ -327,9 +328,7 @@ class _SumGrid:
         self.k = alt.k
         self.lo, self.hi = lo, hi
         self.mu0s = np.linspace(self.lo, self.hi, int(count))
-        z, w = _quad.sum_nodes(
-            spec, list(alt.mu) + [self.lo, self.hi] + list(envelope), alt.k, n=n_z
-        )
+        z, w = _quad.sum_nodes(spec, list(alt.mu) + [self.lo, self.hi], alt.k, n=n_z)
         log_m = spec.sum_log_pdf(list(alt.mu), z)
         wm = w * np.exp(log_m)
         keep = wm > wm.max() * 1e-280
@@ -410,15 +409,14 @@ def _certify(grid: _SumGrid, ws, mus, method: str) -> MixtureNull:
 
 
 def _search_and_cert_grids(spec: FamilySpec, alt: Alternative, count: int,
-                            lo, hi, n_z: int, envelope: Sequence[float] = ()
-                            ) -> tuple[_SumGrid, _SumGrid]:
+                            lo, hi, n_z: int) -> tuple[_SumGrid, _SumGrid]:
     """The search grid of ``min(n_z, _SEARCH_NZ)`` nodes and the n_z-node
     certification grid of one problem: one grid when the two coincide, as
     they do for a discrete family, whose lattice ignores the node count."""
-    cert = _SumGrid(spec, alt, count, lo, hi, n_z, envelope)
+    cert = _SumGrid(spec, alt, count, lo, hi, n_z)
     if spec.support.discrete or n_z <= _SEARCH_NZ:
         return cert, cert
-    return _SumGrid(spec, alt, count, lo, hi, _SEARCH_NZ, envelope), cert
+    return _SumGrid(spec, alt, count, lo, hi, _SEARCH_NZ), cert
 
 
 def _log_search(name: str, search: _SumGrid, cert: _SumGrid, steps: str,
@@ -467,8 +465,8 @@ def expectation_profile(
 
 
 def kl_to_mixture(spec: FamilySpec, alt: Alternative, mixture: MixtureNull) -> float:
-    """D(alternative || mixture), by quadrature over the z grid."""
-    grid = _SumGrid(spec, alt, envelope=mixture.means)
+    """D(alternative || mixture), by quadrature over the default z grid."""
+    grid = _SumGrid(spec, alt)
     return float(grid.kl(grid.mixture(mixture.weights, mixture.means)))
 
 
@@ -517,6 +515,12 @@ def _weight_step(objective, p, q, alphas) -> tuple[np.ndarray, np.ndarray]:
     return _convex_argmin(at, alphas.size, q.shape[0])
 
 
+def _ranked(rows, ai, objective) -> np.ndarray:
+    """``rows`` by lowest ``objective`` (NaN last), then lowest weight index
+    ``ai[rows]``, then lowest row: the order both searches rank by."""
+    return rows[np.lexsort((rows, ai[rows], objective))]
+
+
 def li_approximate(
     spec: FamilySpec,
     alt: Alternative,
@@ -549,8 +553,7 @@ def li_approximate(
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, cert_count=cert_count)
     t_start = time.perf_counter()
-    search, cert = _search_and_cert_grids(spec, alt, cert_count, mu_lo, mu_hi,
-                                          n_z, envelope=[alt.mu0_star])
+    search, cert = _search_and_cert_grids(spec, alt, cert_count, mu_lo, mu_hi, n_z)
     cand_mus = np.linspace(search.lo, search.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
     u = search.tilt_rows(cand_mus)  # (mu_count, search nodes)
@@ -572,8 +575,7 @@ def li_approximate(
             break
 
         ai, kls = _weight_step(search.kl, d[None, :], u, alphas)
-        # lowest KL, then lowest weight, then lowest candidate
-        j = int(np.lexsort((np.arange(mu_count), ai, kls))[0])
+        j = int(_ranked(np.arange(mu_count), ai, kls)[0])
         kl_new, a = float(kls[j]), alphas[ai[j]]
         if kl_new > kl + 1e-12:
             raise ComputationError(
@@ -613,15 +615,15 @@ def brute_force_two_component(
 
     Candidates are (weight a, mu01, mu02) on equally spaced grids; the
     objective is the maximum over the certification grid of the null
-    expectation of the induced ratio.  A coarse certification pass (every
-    fourth point) ranks every pair of means at its best weight; the best 500
-    are re-ranked on every point, and the winner is returned with its
-    certificate.  Ranking and re-ranking run on the search grid of at most
-    ``_SEARCH_NZ`` z nodes; the certificate is computed on the n_z-node grid.
-    Each pair's weight comes from ``_weight_step``.  Every null expectation
-    is convex in a (1/x is convex and the mixture density is affine in a), so
-    their coarse maximum is too, and the search returns the exhaustive
-    sweep's grid point, ties going to the lowest weight index.
+    expectation of the induced ratio.  One table holds every pair of means
+    i <= j (i = j is a single component) at its best weight from
+    ``_weight_step`` and its worst case on every fourth certification point;
+    its best 500 rows (``_ranked``) are re-ranked on every point, and the
+    winner alone is resolved to its components and certified.  Ranking runs
+    on the search grid of at most ``_SEARCH_NZ`` z nodes, the certificate on
+    the n_z-node grid.  Every null expectation is convex in a (1/x is convex
+    and the mixture density is affine in a), so their coarse maximum is too:
+    each weight is the exhaustive sweep's grid point.
     """
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, mu0_count=mu0_count)
@@ -636,32 +638,27 @@ def brute_force_two_component(
     def coarse_sup(d):
         return ((1.0 / d) @ t_coarse).max(axis=1)
 
-    # single-component candidates (the two-component grid with i = j)
-    top = [(float(s), 1.0, i, i) for i, s in enumerate(coarse_sup(u))]
-
-    pi, pj = np.triu_indices(mu_count, 1)
+    # the candidate table: pair (pi, pj) at weight alphas[ai] has coarse sup
+    pi, pj = np.triu_indices(mu_count)
+    ai, sup = np.empty(pi.size, dtype=np.intp), np.empty(pi.size)
     chunk = max(1, int(5e6 // (3 * search.z.size)))  # ~40 MB per (chunk, 3, nodes) tensor
     for start in range(0, pi.size, chunk):
-        bi, bj = pi[start : start + chunk], pj[start : start + chunk]
-        ai, sup = _weight_step(coarse_sup, u[bi], u[bj], alphas)
-        top.extend(zip(sup.tolist(), alphas[ai].tolist(), bi.tolist(), bj.tolist()))
+        part = slice(start, start + chunk)
+        ai[part], sup[part] = _weight_step(coarse_sup, u[pi[part]], u[pj[part]], alphas)
 
-    # a NaN coarse sup ranks after every finite one
-    top.sort(key=lambda t: (math.isnan(t[0]), t[0]))
-
-    def components(a, i, j):
-        # a weight of 0 or 1 leaves a single component
-        if i == j or a in (0.0, 1.0):
-            return [1.0], [float(comp_mus[i if (i == j or a == 1.0) else j])]
-        return [a, 1.0 - a], [float(comp_mus[i]), float(comp_mus[j])]
-
-    ws, mus = min(
-        (components(a, i, j) for _, a, i, j in top[:_REFINE_TOP]),
-        key=lambda c: search.sup(search.mixture(*c))[0],
-    )
+    top = _ranked(np.arange(pi.size), ai, sup)[:_REFINE_TOP]
+    wt = alphas[ai[top]][:, None]
+    d = wt * u[pi[top]] + (1.0 - wt) * u[pj[top]]  # re-ranked on every point
+    best = _ranked(top, ai, ((1.0 / d) @ search.cert_rows().T).max(axis=1))[0]
+    i, j, a = int(pi[best]), int(pj[best]), float(alphas[ai[best]])
+    # a weight of 0 or 1 leaves a single component
+    if i == j or a in (0.0, 1.0):
+        ws, mus = [1.0], [float(comp_mus[j if a == 0.0 else i])]
+    else:
+        ws, mus = [a, 1.0 - a], [float(comp_mus[i]), float(comp_mus[j])]
     t_cert = time.perf_counter()
     mix = _certify(cert, ws, mus, "brute_force_2")
     _log_search("brute_force_two_component", search, cert,
-                f"{len(top)} candidates ranked, {min(len(top), _REFINE_TOP)} "
-                "re-ranked", t_start, t_cert)
+                f"{pi.size} candidates ranked, {top.size} re-ranked",
+                t_start, t_cert)
     return mix

@@ -130,19 +130,19 @@ class StreamState:
         """Ingest one fully formed block (m_j values per group, in order).
 
         A block of the wrong size or with an out-of-support value is rejected
-        with the state unchanged.
+        with the state unchanged.  Its values queue behind pending ones.
         """
-        block = np.asarray(block, dtype=float)
+        block = np.asarray(block, dtype=float).ravel()
         if block.size != sum(self.multiplicities):
             raise ValueError(
                 f"block must carry {sum(self.multiplicities)} values"
             )
         self.spec.check_support(block)
         pos = 0
-        for j, m in enumerate(self.multiplicities):
-            for v in block[pos : pos + m]:
-                self.ingest(j + 1, v)
+        for buf, m in zip(self._buffers, self.multiplicities):
+            buf.extend(block[pos : pos + m].tolist())
             pos += m
+        self._drain()
         return self
 
     def _drain(self) -> None:
@@ -272,6 +272,7 @@ def simulate(
         draw_means = list(flat_alt.mu)
     else:
         raise ValueError("truth must be 'null' or 'alt'")
+    draw_means = [spec.check_mean(m) for m in draw_means]
 
     log_thresh = -math.log(alpha)
     # per-trial substreams: draw data (and any policy budget) independently
@@ -281,9 +282,8 @@ def simulate(
         rng = spawn_generator(seed, t)
         if policy == "budget":
             budgets[t] = int(rng.integers(1, max_blocks + 1))
-        blocks[t] = np.stack(
-            [spec.sample(m, max_blocks, rng) for m in draw_means], axis=-1
-        )
+        for j, m in enumerate(draw_means):
+            blocks[t, :, j] = spec._draw(m, max_blocks, rng)
     logs = log_statistic(blocks)
     running = np.cumsum(logs, axis=1)
 

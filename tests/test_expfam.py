@@ -766,6 +766,34 @@ class TestBetaGeneralAlpha:
             assert spec.mean_from_natural(b) == pytest.approx(mu, rel=2e-15)
             assert spec.natural_from_mean(mu) == pytest.approx(b, rel=2e-15)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_integer_alpha_mean_map_refuses_overflowing_shape(self, alpha):
+        # the Newton start 1/(-mu) overflows at a subnormal mean; it gave NaN
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        with pytest.raises(MeanDomainError, match=r"mu=-1e-310 "):
+            spec.natural_from_mean(-1e-310)
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.5])
+    @pytest.mark.parametrize("mu", [-1e-12, -1e-14, -1e-16, -1e-300])
+    def test_mean_map_refuses_unresolved_digamma_difference(self, alpha, mu):
+        # the root of the rounded digamma difference was off by 1.3e-4
+        # relative at alpha = 2.5, mu = -1e-12, and ~7e14 for every smaller |mu|
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        with pytest.raises(MeanDomainError, match=rf"mu={mu!r} "):
+            spec.natural_from_mean(mu)
+
+    @pytest.mark.parametrize("alpha, mu", [(2.0, -1e-300), (0.3, -1e-6), (2.5, -1e-6)])
+    def test_mean_map_near_zero_matches_mpmath(self, alpha, mu):
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        # t = b (-mu) is of order alpha at every scale of mu; 400 digits
+        # resolve the digamma difference at |mu| = 1e-300
+        with mpmath.workdps(400):
+            s, a = -mpmath.mpf(mu), mpmath.mpf(alpha)
+            t = mpmath.findroot(
+                lambda t: (mpmath.digamma(t / s) - mpmath.digamma(a + t / s)) / s + 1, a)
+            want = float(t / s)
+        assert spec.natural_from_mean(mu) == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("alpha", [0.3, 2.0, 2.5])
     def test_log_partition_matches_mpmath(self, alpha):
         # gammaln(alpha) + gammaln(b) - gammaln(alpha + b), and betaln too,

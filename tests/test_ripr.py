@@ -208,6 +208,27 @@ class TestKLToMixture:
             closed, abs=1e-10
         )
 
+    @pytest.mark.parametrize("name, fixed, mus", [
+        ("exponential", {}, [0.5, 0.25]), ("geometric", {}, [10 / 3, 1.25]),
+        ("gaussian_variance", {}, [0.5, 0.25]), ("poisson", {}, [2.0, 1.0]),
+        ("bernoulli", {}, [0.6, 0.4]), ("gaussian_mean", {}, [0.5, -0.5]),
+        ("beta_fixed_alpha", {"alpha": 1.0}, [-1.0, -0.5]),
+        ("beta_fixed_alpha", {"alpha": 2.0}, [-1.0, -0.5]),
+    ])
+    def test_point_mixtures_outside_the_window(self, name, fixed, mus):
+        # the z grid spans the alternative and the default window only; the
+        # integrand carries the alternative's sum density, so a mixture mean
+        # beyond the window needs no more of the grid
+        spec = make_family(name, **fixed)
+        alt = Alternative.from_means(spec, mus)
+        lo, hi = ripr.default_search_range(spec, alt)
+        a, b = spec.mean_space
+        below = a + 0.5 * (lo - a) if math.isfinite(a) else lo - (hi - lo)
+        above = b - 0.5 * (b - hi) if math.isfinite(b) else hi + (hi - lo)
+        for mu0 in (below, above):
+            got = ripr.kl_to_mixture(spec, alt, ripr.MixtureNull(((1.0, mu0),)))
+            assert got == pytest.approx(sum(spec.kl(m, mu0) for m in mus), rel=1e-10)
+
     def test_two_components_beat_best_single(self, expo):
         spec, alt = expo
         mix2 = ripr.brute_force_two_component(
@@ -403,9 +424,8 @@ def _li_sweep(spec, alt, n_alpha=100, mu_count=100, cert_count=1000,
     the 3000-node certification grid for the trace and the certificate;
     returns the mixture, the trace and each step's (n_alpha, mu_count) KL
     objectives."""
-    env = [alt.mu0_star]
-    search = ripr._SumGrid(spec, alt, cert_count, n_z=search_nz, envelope=env)
-    cert = ripr._SumGrid(spec, alt, cert_count, envelope=env)
+    search = ripr._SumGrid(spec, alt, cert_count, n_z=search_nz)
+    cert = ripr._SumGrid(spec, alt, cert_count)
     cand_mus = np.linspace(search.lo, search.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
     u, u_cert = search.tilt_rows(cand_mus), cert.tilt_rows(cand_mus)

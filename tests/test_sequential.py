@@ -183,6 +183,25 @@ class TestIngest:
         vectorized = float(np.sum(ev._log_statistic(spec, flat, blocks, kind, mix)))
         assert st_stream.log_evalue == pytest.approx(vectorized, abs=1e-12)
 
+    def test_block_behind_pending_values_matches_per_value_ingest(self):
+        # a partial block is pending; whole blocks queue behind it, first in
+        # first out, as their values would one at a time
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [1.0, 0.7, 0.5])
+        mult = [2, 1, 1]
+        blocks = np.random.default_rng(3).exponential(1.0, size=(6, 4))
+        by_value = sq.StreamState(spec, alt, "cond", 0.05, mult)
+        by_block = sq.StreamState(spec, alt, "cond", 0.05, mult)
+        for st in (by_value, by_block):
+            st.ingest(1, 0.3).ingest(1, 1.2).ingest(1, 0.8).ingest(3, 2.0)
+        for b in blocks:
+            for g, v in zip([1, 1, 2, 3], b):
+                by_value.ingest(g, v)
+            by_block.ingest_block(b)
+        assert by_block.block_log_values == by_value.block_log_values
+        assert by_block.pending() == by_value.pending() == (3, 0, 1)
+        assert by_block.blocks_completed == 6
+
 class TestScalarSupportCheck:
     """ingest checks its value with Support.contains_scalar; refused values
     raise through check_support."""
