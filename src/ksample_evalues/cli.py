@@ -112,15 +112,12 @@ def _multiplicities(args) -> list[int] | None:
     return [int(m) for m in args.multiplicities.split(",")]
 
 
-def _load_mixture(path: str, spec, alt, multiplicities=None) -> ripr.MixtureNull:
-    """Read a mixture file and refuse it unless it was projected for this run.
-
-    The file's family, fixed params and means must equal the run's, with
+def _load_mixture(path: str) -> ripr.MixtureNull:
+    """Read a mixture file, refusing one with no ``config``: the problem it
+    was certified for would be unknown.  The statistic refuses the mixture
+    unless that problem is the run's (``evariables._check_mixture``), with
     means compared after the --beta-means conversion and, when blocks carry
-    multiplicities, after their expansion (the statistic's alternative).
-    """
-    if multiplicities:
-        alt = sq.expand_multiplicities(spec, alt, multiplicities)
+    multiplicities, after their expansion."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not {"family", "mean_params"} <= set(payload.get("config", {})):
@@ -130,34 +127,21 @@ def _load_mixture(path: str, spec, alt, multiplicities=None) -> ripr.MixtureNull
             "'ksev project'"
         )
     try:
-        mixture = ripr.MixtureNull.from_json_dict(payload)
+        return ripr.MixtureNull.from_json_dict(payload)
     except ValueError as exc:
         raise SystemExit(f"{path}: {exc}")
-    try:
-        mixture.require_problem(spec, alt.mu)
-    except ripr.CertificationError as exc:
-        raise SystemExit(f"{path}: {exc}; run 'ksev project' for this configuration")
-    return mixture
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     spec, alt = _spec_alt(cfg)
     kind = ev.EValueKind(args.kind)
-    mixture = None
-    if kind is ev.EValueKind.GRO_M:
-        if not args.mixture:
-            raise SystemExit(
-                "kind gro_m needs --mixture <file.json>; produce one with "
-                "'ksev project'"
-            )
-        mult = _multiplicities(args) if args.stream else None
-        mixture = _load_mixture(args.mixture, spec, alt, mult)
+    mixture = _load_mixture(args.mixture) if args.mixture else None
     if args.stream:
         return _evaluate_stream(args, cfg, spec, alt, kind, mixture)
     blocks = []
     if args.block:
-        blocks.append((0, _parse_floats(args.block)))
+        blocks.append(("--block", _parse_floats(args.block)))
     if args.data:
         with open(args.data, "r", encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
@@ -165,7 +149,7 @@ def cmd_evaluate(args) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    blocks.append((ln, _parse_floats(line)))
+                    blocks.append((f"{args.data}:{ln}", _parse_floats(line)))
                 except ValueError as exc:
                     raise SystemExit(f"{args.data}:{ln}: unparseable block: {exc}")
     if not blocks:
@@ -174,15 +158,11 @@ def cmd_evaluate(args) -> int:
     cert = mixture.certificate_dict() if kind is ev.EValueKind.GRO_M else None
     results = []
     total = 0.0
-    for ln, blk in blocks:
-        if len(blk) != alt.k:
-            raise SystemExit(
-                f"line {ln}: block has {len(blk)} values, expected k={alt.k}"
-            )
+    for where, blk in blocks:
         try:
-            value = log_statistic(spec.check_support(blk))
+            value = log_statistic(ev._as_block(spec, alt, blk))
         except Exception as exc:
-            raise SystemExit(f"line {ln}: {exc}")
+            raise SystemExit(f"{where}: {exc}")
         res = ev.EValueResult(kind, float(value), cert)
         total += res.log_evalue
         row = {"block": blk, "kind": kind.value, "log_evalue": res.log_evalue,
@@ -268,7 +248,7 @@ def cmd_growth(args) -> int:
     cfg = _load_config(args)
     spec, alt = _spec_alt(cfg)
     kinds = _parse_kinds(args.kinds)
-    mixture = _load_mixture(args.mixture, spec, alt) if args.mixture else None
+    mixture = _load_mixture(args.mixture) if args.mixture else None
     report = gr.growth_report(
         spec,
         alt,
@@ -335,7 +315,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     spec, alt = _spec_alt(cfg)
     mult = _multiplicities(args)
-    mixture = _load_mixture(args.mixture, spec, alt, mult) if args.mixture else None
+    mixture = _load_mixture(args.mixture) if args.mixture else None
     summary = sq.simulate(
         spec,
         alt,

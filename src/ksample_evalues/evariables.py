@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .expfam import Alternative, FamilySpec, MeanDomainError, as_generator
-from .ripr import MixtureNull, _log_sum_of_tilts
+from .ripr import MixtureNull, _log_sum_of_tilts, _require_at_least
 
 
 class EValueKind(str, enum.Enum):
@@ -115,12 +115,28 @@ def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
     return lambda z: alt_sum(z) - null_sum(z)
 
 
+def _check_mixture(spec: FamilySpec, alt: Alternative, mixture) -> None:
+    """The one gate of the certified-mixture ratio: refuse a mixture that is
+    missing, not a MixtureNull, uncertified or certified for a problem other
+    than (spec, alt.mu); the last refusal names both problems."""
+    if mixture is None:
+        raise ValueError(
+            "kind 'gro_m' needs a certified mixture; run the projection "
+            "first (ripr.li_approximate or ripr.brute_force_two_component, "
+            "or 'ksev project' and pass its file with --mixture)"
+        )
+    if not isinstance(mixture, MixtureNull):
+        raise TypeError("mixture must be a ripr.MixtureNull")
+    mixture.require_certificate()
+    mixture.require_problem(spec, alt.mu)
+
+
 def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
                mu0: float | None = None):
     """The statistic of ``kind`` for one problem, built once.
 
-    Building checks what does not depend on the block: a ``gro_m`` mixture
-    must be a certified MixtureNull, certified for (spec, alt.mu), and a
+    Building checks what does not depend on the block, before any zero-effect
+    shortcut: a ``gro_m`` mixture must pass ``_check_mixture``, and a
     ``cond`` baseline null mean ``mu0`` (the pooled mean by default) must lie
     in the mean space.  It then computes every parameter of the block
     function: lambda(mu_i) and A(lambda_i), their differences to lambda and A
@@ -130,11 +146,7 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
     """
     kind = EValueKind(kind)
     if kind is EValueKind.GRO_M:
-        _require_mixture(kind, mixture)
-        if not isinstance(mixture, MixtureNull):
-            raise TypeError("mixture must be a ripr.MixtureNull")
-        mixture.require_certificate()
-        mixture.require_problem(spec, alt.mu)
+        _check_mixture(spec, alt, mixture)
     if alt.delta == 0.0:
         return lambda x: np.zeros(np.shape(x)[:-1])
     lam, a = spec._natural_params(alt.mu)
@@ -249,15 +261,6 @@ def expectation_pseudo(spec: FamilySpec, alt: Alternative, mu0: float) -> float:
     return float(np.exp(total))
 
 
-def _require_mixture(kind: EValueKind, mixture) -> None:
-    """Refuse the certified-mixture ratio when no mixture is given."""
-    if kind is EValueKind.GRO_M and mixture is None:
-        raise ValueError(
-            "kind 'gro_m' needs a certified mixture; run the projection "
-            "first (ripr.li_approximate or ripr.brute_force_two_component)"
-        )
-
-
 def _log_statistic(spec, alt, block, kind, mixture=None):
     """The statistic of ``kind`` on ``block``: the one map from kind to code.
 
@@ -310,11 +313,14 @@ def null_expectation_profile(
     return out
 
 
-def _mc_mean(spec: FamilySpec, means, n: int, rng, fn) -> tuple[float, float]:
-    """Mean and stderr of fn(x) over n blocks, coordinate i drawn at means[i]."""
-    x = np.stack([spec.sample(m, n, rng) for m in means], axis=-1)
-    v = fn(x)
-    return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n))
+def _mc_draws(spec: FamilySpec, means, n: int, rng) -> np.ndarray:
+    """n blocks (shape [n, k]) from ``rng``, coordinate i drawn at means[i]."""
+    return np.stack([spec.sample(m, n, rng) for m in means], axis=-1)
+
+
+def _mean_stderr(v) -> tuple[float, float]:
+    """Mean and stderr of the per-block values v."""
+    return float(v.mean()), float(v.std(ddof=1) / np.sqrt(len(v)))
 
 
 def null_expectation_mc(
@@ -326,11 +332,11 @@ def null_expectation_mc(
     seed: int = 0,
     mixture=None,
 ) -> tuple[float, float]:
-    """Monte Carlo E under the i.i.d. null at mu0 (any k), with stderr."""
-    return _mc_mean(
-        spec, [mu0] * alt.k, n, as_generator(seed),
-        lambda x: np.exp(_log_statistic(spec, alt, x, kind, mixture)),
-    )
+    """Monte Carlo E under the i.i.d. null at mu0 (any k), with stderr, over
+    n >= 2 blocks."""
+    _require_at_least(2, n=n)
+    x = _mc_draws(spec, [mu0] * alt.k, n, as_generator(seed))
+    return _mean_stderr(np.exp(_log_statistic(spec, alt, x, kind, mixture)))
 
 
 def log_evalue(

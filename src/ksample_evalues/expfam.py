@@ -213,9 +213,10 @@ class FamilySpec(ABC):
         """Log-normalizer A(lambda)."""
 
     def _natural_params(self, mus) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays lambda(mu) and A(lambda(mu)) over a list of means."""
-        lam = np.array([self.natural_from_mean(m) for m in mus])
-        return lam, np.array([float(self.log_partition(l)) for l in lam])
+        """Arrays lambda(mu) and A(lambda(mu)) over a list of means; every
+        ``log_partition`` takes the whole lambda array at once."""
+        lam = np.array([self.natural_from_mean(m) for m in mus], dtype=float)
+        return lam, np.asarray(self.log_partition(lam), dtype=float)
 
     # -- moments ---------------------------------------------------------
 
@@ -279,7 +280,7 @@ class FamilySpec(ABC):
         if not np.all(ok):
             bad = np.asarray(x)[~ok]
             raise SupportError(
-                f"value(s) {bad[:5]!r} outside support of family "
+                f"value(s) {bad[:5].tolist()} outside support of family "
                 f"'{self.family_id}' ({self.support.kind}, "
                 f"[{self.support.lo}, {self.support.hi}])"
             )
@@ -364,7 +365,7 @@ class FamilySpec(ABC):
         if not np.all(ok):
             bad = z[~ok]
             raise SupportError(
-                f"z value(s) {bad[:5]!r} outside the support of the "
+                f"z value(s) {bad[:5].tolist()} outside the support of the "
                 f"k={k} sum for family '{self.family_id}'"
             )
         return z

@@ -126,6 +126,18 @@ def gap_pseudo_cond(spec: FamilySpec, alt: Alternative) -> float:
     return float(np.sum(w * pa * (log_a - log_0)))
 
 
+def _quadrature_rate(spec: FamilySpec, alt: Alternative, kind, mixture):
+    """E under the alternative of log S for one kind, by one-dimensional
+    quadrature, for an alternative off the equal-means ray."""
+    if kind is ev.EValueKind.PSEUDO:
+        return growth_pseudo(spec, alt)
+    if kind is ev.EValueKind.GRO_IID:
+        return growth_pseudo(spec, alt) - gap_pseudo_iid(spec, alt)
+    if kind is ev.EValueKind.COND:
+        return growth_pseudo(spec, alt) - gap_pseudo_cond(spec, alt)
+    return ripr.kl_to_mixture(spec, alt, mixture)
+
+
 def growth_rate(
     spec: FamilySpec,
     alt: Alternative,
@@ -135,29 +147,10 @@ def growth_rate(
     mc_n: int = 10**6,
     seed: int = 0,
 ) -> GrowthEntry:
-    """E under the alternative of log S, by quadrature or seeded Monte Carlo."""
+    """E under the alternative of log S for one kind: the entry of
+    ``growth_report`` with that kind alone, so it refuses what that refuses."""
     kind = ev.EValueKind(kind)
-    if alt.delta == 0.0:
-        return GrowthEntry(kind, 0.0, 0.0, method)
-    ev._require_mixture(kind, mixture)
-    if method == "quadrature":
-        if kind is ev.EValueKind.PSEUDO:
-            rate = growth_pseudo(spec, alt)
-        elif kind is ev.EValueKind.GRO_IID:
-            rate = growth_pseudo(spec, alt) - gap_pseudo_iid(spec, alt)
-        elif kind is ev.EValueKind.COND:
-            rate = growth_pseudo(spec, alt) - gap_pseudo_cond(spec, alt)
-        else:
-            mixture.require_problem(spec, alt.mu)
-            rate = ripr.kl_to_mixture(spec, alt, mixture)
-        return GrowthEntry(kind, float(rate), 0.0, method)
-    if method == "mc":
-        rate, stderr = ev._mc_mean(
-            spec, alt.mu, mc_n, spawn_generator(seed, 0),
-            lambda x: ev._log_statistic(spec, alt, x, kind, mixture),
-        )
-        return GrowthEntry(kind, rate, stderr, method)
-    raise ValueError("method must be 'quadrature' or 'mc'")
+    return growth_report(spec, alt, [kind], method, mixture, mc_n, seed).entries[kind]
 
 
 def growth_report(
@@ -169,12 +162,30 @@ def growth_report(
     mc_n: int = 10**6,
     seed: int = 0,
 ) -> GrowthReport:
-    entries = {}
-    for kind in kinds:
-        k = ev.EValueKind(kind)
-        entries[k] = growth_rate(
-            spec, alt, k, method=method, mixture=mixture, mc_n=mc_n, seed=seed
-        )
+    """E under the alternative of log S for every kind, by quadrature or
+    seeded Monte Carlo.
+
+    Before any zero-effect shortcut it refuses an unknown method, a ``gro_m``
+    mixture that ``evariables._check_mixture`` refuses (in both methods) and
+    Monte Carlo sizes ``mc_n`` below 2.  Monte Carlo draws mc_n blocks once,
+    from ``spawn_generator(seed, 0)``, and scores every kind on those draws.
+    """
+    kinds = [ev.EValueKind(k) for k in kinds]
+    if method not in ("quadrature", "mc"):
+        raise ValueError("method must be 'quadrature' or 'mc'")
+    if ev.EValueKind.GRO_M in kinds:
+        ev._check_mixture(spec, alt, mixture)
+    if method == "mc":
+        ripr._require_at_least(2, mc_n=mc_n)
+    if alt.delta == 0.0:
+        entries = {kind: GrowthEntry(kind, 0.0, 0.0, method) for kind in kinds}
+    elif method == "mc":
+        x = ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, 0))
+        entries = {kind: GrowthEntry(kind, *ev._mean_stderr(ev._log_statistic(
+            spec, alt, x, kind, mixture)), method) for kind in kinds}
+    else:
+        entries = {kind: GrowthEntry(kind, float(_quadrature_rate(
+            spec, alt, kind, mixture)), 0.0, method) for kind in kinds}
     return GrowthReport(alt, entries, method)
 
 
@@ -331,8 +342,9 @@ def heatmap(
     alternative, not to every grid cell.  The grid needs n >= 2 points per
     axis: a smaller one has no pair of distinct groups.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n!r}")
+    ripr._require_at_least(2, n=n)
+    if method == "mc":
+        ripr._require_at_least(2, mc_n=mc_n)
     kind_a = ev.EValueKind(kinds[0])
     kind_b = ev.EValueKind(kinds[1])
     if ev.EValueKind.GRO_M in (kind_a, kind_b):
@@ -356,11 +368,10 @@ def heatmap(
         try:
             alt = Alternative.from_means(spec, [mus[i], mus[j]])
             if method == "mc":
-                gap[i, j], se[i, j] = ev._mc_mean(
-                    spec, alt.mu, mc_n, spawn_generator(seed, i, j),
-                    lambda x: ev._log_statistic(spec, alt, x, kind_a)
-                    - ev._log_statistic(spec, alt, x, kind_b),
-                )
+                x = ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, i, j))
+                gap[i, j], se[i, j] = ev._mean_stderr(
+                    ev._log_statistic(spec, alt, x, kind_a)
+                    - ev._log_statistic(spec, alt, x, kind_b))
             else:
                 ea, eb = (growth_rate(spec, alt, kind, method=method)
                           for kind in (kind_a, kind_b))

@@ -48,6 +48,16 @@ class TestEvaluate:
                 "--data", str(data),
             ])
 
+    def test_block_refusals_name_their_source(self, tmp_path):
+        with pytest.raises(SystemExit, match="^--block: block has 3 entries"):
+            main(["evaluate", *EXPO, "--block", "0.7,0.4,0.1"])
+        data = tmp_path / "blocks.csv"
+        data.write_text("0.7,0.4\n\n0.1,-1.5\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", *EXPO, "--data", str(data)])
+        msg = str(exc.value)
+        assert msg.startswith(f"{data}:3: ") and "[-1.5] outside support" in msg
+
     def test_data_file_scored_with_one_statistic(self, capsys, tmp_path, monkeypatch):
         data = tmp_path / "blocks.csv"
         data.write_text("0.7,0.4\n# skipped\n0.1,1.5\n2.5,0.01\n", encoding="utf-8")
@@ -172,6 +182,7 @@ class TestMixtureConfig:
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--kind", "gro_m", "--block", "3,0"],
         ["growth", "--kinds", "gro_m", "--method", "mc", "--mc-n", "1000"],
+        ["growth", "--kinds", "gro_m"],
         ["simulate", "--kind", "gro_m", "--trials", "10", "--max-blocks", "5"],
     ])
     def test_foreign_mixture_refused(self, tmp_path, argv):
@@ -368,6 +379,8 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
     (["project", *EXPO, "--max-iters", "0"], "max_iters must be at least 1, got 0"),
     (["heatmap", "--family", "exponential", "--kinds", "pseudo,cond", "--n", "0"],
      "n must be at least 2, got 0"),
+    # bare NaN tokens in the JSON, exit 0, once
+    (["growth", *EXPO, "--method", "mc", "--mc-n", "0"], "mc_n must be at least 2, got 0"),
     # a ComputationError: the certificate's quadrature fails at the grid's end
     (["project", "--family", "gaussian_variance", "--mu", "3.3333333333333335,1.25",
       "--max-iters", "2"], "not converged at mu0=6.666666666666667"),
@@ -378,7 +391,7 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
 ], ids=["unknown-family", "mean-outside", "fixed-evaluate", "fixed-project",
         "fixed-growth", "fixed-heatmap", "fixed-simulate", "trials-0", "alpha-2",
         "multiplicity-0", "stream-alpha-2", "mu-lo-outside", "max-iters-0",
-        "heatmap-n-0", "quadrature-not-converged", "beta-cond-k3"])
+        "heatmap-n-0", "growth-mc-n-0", "quadrature-not-converged", "beta-cond-k3"])
 def test_input_errors_exit_with_one_line(tmp_path, argv, names):
     argv = [write_stream(tmp_path / "s.csv") if a == "STREAM" else a for a in argv]
     with pytest.raises(SystemExit) as exc:

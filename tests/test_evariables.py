@@ -285,6 +285,13 @@ class TestEVariableProperty:
                 )
                 assert mean <= 1.0 + 4 * se + 1e-3
 
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    def test_monte_carlo_size_below_two_refused(self, n):
+        spec = make_family("poisson")
+        alt = Alternative.from_means(spec, [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
+            ev.null_expectation_mc(spec, alt, "cond", 1.5, n=n)
+
 
 class TestResultSerialization:
     def test_json_fields(self):

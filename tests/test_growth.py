@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ksample_evalues import Alternative, default_direction, make_family
+from ksample_evalues import evariables as ev
 from ksample_evalues import growth as gr
 from ksample_evalues import ripr
+from ksample_evalues.expfam import spawn_generator
 
 
 class TestGrowthRates:
@@ -66,6 +68,67 @@ class TestGrowthRates:
             gr.growth_rate(poisson, other, "gro_m", mixture=mix)
         msg = str(exc.value)
         assert "exponential" in msg and "poisson" in msg and "[5.0, 0.1]" in msg
+
+    def test_gro_m_quadrature_refuses_uncertified_mixture(self):
+        # quadrature once gave rate 0.1159 where Monte Carlo refused
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        raw = ripr.MixtureNull(((0.5, 0.3), (0.5, 0.45)))
+        for method in ("quadrature", "mc"):
+            with pytest.raises(ripr.CertificationError):
+                gr.growth_rate(spec, alt, "gro_m", method=method, mixture=raw,
+                               mc_n=100)
+
+    def test_zero_effect_refuses_before_its_shortcut(self):
+        # at delta = 0 a missing mixture once gave rate 0.0, and an unknown
+        # method was accepted
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.4, 0.4])
+        with pytest.raises(ValueError, match="run the projection first"):
+            gr.growth_rate(spec, alt, "gro_m")
+        with pytest.raises(ValueError, match="method must be"):
+            gr.growth_rate(spec, alt, "pseudo", method="bogus")
+
+    @pytest.mark.parametrize("mc_n", [0, 1, -3])
+    def test_monte_carlo_size_below_two_refused(self, mc_n):
+        # 0 once gave NaN, 1 a NaN stderr and -3 numpy's "negative
+        # dimensions are not allowed"
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        with pytest.raises(ValueError, match=f"^mc_n must be at least 2, got {mc_n}$"):
+            gr.growth_rate(spec, alt, "pseudo", method="mc", mc_n=mc_n)
+
+    @pytest.mark.parametrize("family, means, kinds", [
+        ("exponential", [0.5, 0.25], ["pseudo", "gro_iid", "cond"]),
+        ("poisson", [2.0, 1.0], ["pseudo", "gro_iid", "cond"]),
+        ("exponential", [0.5, 0.25], ["pseudo", "gro_m", "cond"]),
+    ])
+    def test_monte_carlo_report_equals_per_kind_draws(self, family, means, kinds):
+        # one draw scored for every kind gives bit for bit what a fresh
+        # spawn_generator(seed, 0) draw per kind gave
+        spec = make_family(family)
+        alt = Alternative.from_means(spec, means)
+        mix = ripr.point_mixture(spec, alt, alt.mu0_star)
+        rep = gr.growth_report(spec, alt, kinds, method="mc", mixture=mix,
+                               mc_n=5000, seed=7)
+        for kind in kinds:
+            rng = spawn_generator(7, 0)
+            x = np.stack([spec.sample(m, 5000, rng) for m in alt.mu], axis=-1)
+            v = ev._log_statistic(spec, alt, x, kind, mix)
+            entry = rep.entries[ev.EValueKind(kind)]
+            assert entry.rate == float(v.mean())
+            assert entry.stderr == float(v.std(ddof=1) / np.sqrt(5000))
+
+    def test_monte_carlo_report_draws_once(self, monkeypatch):
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        calls = []
+        sample = type(spec).sample
+        monkeypatch.setattr(type(spec), "sample",
+                            lambda self, *a: calls.append(a) or sample(self, *a))
+        gr.growth_report(spec, alt, ["pseudo", "gro_iid", "cond"], method="mc",
+                         mc_n=1000)
+        assert len(calls) == alt.k
 
     def test_report_gaps_are_exact_rate_differences(self):
         spec = make_family("geometric")
@@ -260,6 +323,17 @@ class TestHeatmap:
                             classmethod(lambda cls, spec, mus: cells.append(mus)))
         with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
             gr.heatmap(make_family("exponential"), ("pseudo", "cond"), n=n)
+        assert not cells
+
+    @pytest.mark.parametrize("mc_n", [0, 1, -3])
+    def test_monte_carlo_size_below_two_refused(self, monkeypatch, mc_n):
+        # mc_n = 0 once gave NaN cells and no failures
+        cells = []
+        monkeypatch.setattr(gr.Alternative, "from_means",
+                            classmethod(lambda cls, spec, mus: cells.append(mus)))
+        with pytest.raises(ValueError, match=f"^mc_n must be at least 2, got {mc_n}$"):
+            gr.heatmap(make_family("exponential"), ("pseudo", "cond"), n=3,
+                       method="mc", mc_n=mc_n)
         assert not cells
 
     def test_cell_failures_recorded_not_fatal(self):
