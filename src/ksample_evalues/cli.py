@@ -209,38 +209,21 @@ def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
 def cmd_project(args) -> int:
     cfg = _load_config(args)
     spec, alt = _spec_alt(cfg)
-    kw = {}
-    if args.mu_lo is not None:
-        kw["mu_lo"] = args.mu_lo
-    if args.mu_hi is not None:
-        kw["mu_hi"] = args.mu_hi
     if args.method == "li":
         mixture, trace = ripr.li_approximate(
-            spec, alt, max_iters=args.max_iters, **kw
+            spec, alt, max_iters=args.max_iters, mu_lo=args.mu_lo, mu_hi=args.mu_hi
         )
     else:
-        mixture = ripr.brute_force_two_component(spec, alt, **kw)
-        trace = [
-            {
-                "iter": 1,
-                "kl": ripr.kl_to_mixture(spec, alt, mixture),
-                "sup_expectation": mixture.certificate.sup_expectation,
-            }
-        ]
-    out = _out_dir(args)
-    mix_path = out / (args.out or "mixture.json")
-    payload = mixture.to_json_dict()
-    payload["config"] = cfg
-    mix_path.write_text(canonical_json(payload), encoding="utf-8")
-    print(f"wrote {mix_path}", file=sys.stderr)
-    if args.trace:
-        trace_path = out / args.trace
-        _write_csv(
-            trace_path,
-            ["iter", "kl", "sup_expectation"],
-            [(t["iter"], t["kl"], t["sup_expectation"]) for t in trace],
+        mixture = ripr.brute_force_two_component(
+            spec, alt, mu_lo=args.mu_lo, mu_hi=args.mu_hi
         )
-        print(f"wrote {trace_path}", file=sys.stderr)
+        trace = [{"iter": 1, "kl": ripr.kl_to_mixture(spec, alt, mixture),
+                  "sup_expectation": mixture.certificate.sup_expectation}]
+    _report(args, mixture.to_json_dict(), cfg)
+    if args.trace:
+        path, fields = _out_dir(args) / args.trace, ["iter", "kl", "sup_expectation"]
+        _write_csv(path, fields, [[t[f] for f in fields] for t in trace])
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -275,12 +258,9 @@ def cmd_heatmap(args) -> int:
     if args.fixed:
         cfg["fixed_params"] = json.loads(args.fixed)
     spec = family_from_config(cfg)
-    kinds = _parse_kinds(args.kinds)
-    if len(kinds) != 2:
-        raise SystemExit("--kinds must name exactly two statistics, e.g. groiid,cond")
     result = gr.heatmap(
         spec,
-        tuple(kinds),
+        _parse_kinds(args.kinds),
         n=args.n,
         std_lo=args.std_lo,
         std_hi=args.std_hi,
@@ -395,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iters", type=int, default=15)
     sp.add_argument("--mu-lo", type=float, default=None)
     sp.add_argument("--mu-hi", type=float, default=None)
-    sp.add_argument("--out", help="mixture JSON filename (default mixture.json)")
+    sp.add_argument("--out", default="mixture.json",
+                    help="mixture JSON filename (default mixture.json)")
     sp.add_argument("--trace", help="per-iteration CSV trace filename")
     sp.set_defaults(func=cmd_project)
 
@@ -447,14 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  An input it refuses (a ``ValueError``, which
-    includes ``MeanDomainError``, ``SupportError`` and ``CertificationError``)
-    or a computation that fails on it (``ComputationError``) exits nonzero
-    with one line naming the subcommand and the reason."""
+    includes ``MeanDomainError``, ``SupportError`` and ``CertificationError``),
+    a file it cannot read or write (``OSError``) or a computation that fails
+    on it (``ComputationError``) exits nonzero with one line naming the
+    subcommand and the reason."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ComputationError) as exc:
+    except (ValueError, ComputationError, OSError) as exc:
         raise SystemExit(f"ksev {args.command}: {exc}") from None
 
 

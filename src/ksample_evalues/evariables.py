@@ -38,8 +38,9 @@ from typing import Optional
 
 import numpy as np
 
-from .expfam import Alternative, FamilySpec, MeanDomainError, as_generator
-from .ripr import MixtureNull, _log_sum_of_tilts, _require_at_least
+from .expfam import Alternative, FamilySpec, MeanDomainError, _require_at_least
+from .expfam import as_generator
+from .ripr import MixtureNull, _log_sum_of_tilts
 
 
 class EValueKind(str, enum.Enum):
@@ -298,6 +299,7 @@ def null_expectation_profile(
 
     if alt.k != 2:
         raise ValueError("tensor quadrature check is restricted to k = 2")
+    _require_at_least(1, n=n)
     mu0s = np.atleast_1d(np.asarray(mu0s, dtype=float))
     x, w = _quad.support_nodes(
         spec, list(alt.mu) + [mu0s.min(), mu0s.max()], n=n

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -83,6 +84,19 @@ class ComputationError(RuntimeError):
     """A numeric routine (quadrature, convolution) failed to converge."""
 
 
+def _require_at_least(least: int, **sizes) -> None:
+    """The one check of a size, count or seed argument: each value must be an
+    integer (``operator.index`` accepts it, so 2.0 and 2.5 are refused) of at
+    least ``least``.  The refusal names the argument and the value."""
+    for name, value in sizes.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 def as_generator(seed) -> np.random.Generator:
     """Return a counter-based generator for an int seed (the root stream of
     ``spawn_generator``); pass through Generators."""
@@ -92,7 +106,9 @@ def as_generator(seed) -> np.random.Generator:
 
 
 def spawn_generator(seed: int, *stream: int) -> np.random.Generator:
-    """Independent, reproducible sub-stream (e.g. one per trial or grid cell)."""
+    """Independent, reproducible sub-stream (e.g. one per trial or grid cell)
+    of a non-negative integer seed."""
+    _require_at_least(0, seed=seed)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -1176,7 +1192,8 @@ class Alternative:
 
 
 def default_direction(k: int) -> np.ndarray:
-    """The canonical positive-effect direction, (1, -1)/sqrt(2) for k = 2."""
+    """The canonical positive-effect direction for k >= 2, (1, -1)/sqrt(2) at k = 2."""
+    _require_at_least(2, k=k)
     d = np.zeros(k)
     d[0] = 1.0
     d[-1] = -1.0

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import _quad
 from . import ripr
-from .expfam import Alternative, ComputationError, FamilySpec, spawn_generator
+from .expfam import Alternative, ComputationError, FamilySpec, _require_at_least
+from .expfam import spawn_generator
 from . import evariables as ev
 
 # Gauss-Legendre nodes of the one-dimensional gap integrals
@@ -138,6 +139,16 @@ def _quadrature_rate(spec: FamilySpec, alt: Alternative, kind, mixture):
     return ripr.kl_to_mixture(spec, alt, mixture)
 
 
+def _check_method(method: str, mc_n: int, seed) -> None:
+    """Refuse an unknown method, naming it, and for Monte Carlo an ``mc_n``
+    below 2 or a ``seed`` that is not a non-negative integer."""
+    if method not in ("quadrature", "mc"):
+        raise ValueError(f"method must be 'quadrature' or 'mc', got {method!r}")
+    if method == "mc":
+        _require_at_least(2, mc_n=mc_n)
+        _require_at_least(0, seed=seed)
+
+
 def growth_rate(
     spec: FamilySpec,
     alt: Alternative,
@@ -165,18 +176,15 @@ def growth_report(
     """E under the alternative of log S for every kind, by quadrature or
     seeded Monte Carlo.
 
-    Before any zero-effect shortcut it refuses an unknown method, a ``gro_m``
-    mixture that ``evariables._check_mixture`` refuses (in both methods) and
-    Monte Carlo sizes ``mc_n`` below 2.  Monte Carlo draws mc_n blocks once,
-    from ``spawn_generator(seed, 0)``, and scores every kind on those draws.
+    Before any zero-effect shortcut it refuses what ``_check_method``
+    refuses and a ``gro_m`` mixture that ``evariables._check_mixture``
+    refuses (in both methods).  Monte Carlo draws mc_n blocks once, from
+    ``spawn_generator(seed, 0)``, and scores every kind on those draws.
     """
     kinds = [ev.EValueKind(k) for k in kinds]
-    if method not in ("quadrature", "mc"):
-        raise ValueError("method must be 'quadrature' or 'mc'")
+    _check_method(method, mc_n, seed)
     if ev.EValueKind.GRO_M in kinds:
         ev._check_mixture(spec, alt, mixture)
-    if method == "mc":
-        ripr._require_at_least(2, mc_n=mc_n)
     if alt.delta == 0.0:
         entries = {kind: GrowthEntry(kind, 0.0, 0.0, method) for kind in kinds}
     elif method == "mc":
@@ -196,6 +204,7 @@ def coeff_iid_gap(spec: FamilySpec, mu0: float, k: int = 2) -> FourthOrderCoeffi
     which for every natural exponential family is (2 + V''(mu0)) / (8k V^2).
     """
     mu0 = spec.check_mean(mu0)
+    _require_at_least(2, k=k)
     i0 = spec.fisher_info(mu0)
     val = (2.0 + spec.variance_d2(mu0)) * i0 * i0 / (8.0 * k)
     return _coefficient(spec, mu0, val, GapKind.IID_GAP)
@@ -216,8 +225,7 @@ def coeff_cond_gap(spec: FamilySpec, mu0: float, k: int = 2) -> FourthOrderCoeff
     integrates numerically.
     """
     mu0 = spec.check_mean(mu0)
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    _require_at_least(2, k=k)
     i0 = spec.fisher_info(mu0)
     if hasattr(spec, "variance_function"):
         v2 = spec.variance_function[2]
@@ -339,15 +347,18 @@ def heatmap(
     substream ``spawn_generator(seed, i, j)`` and scores both kinds on those
     draws; its gap and stderr are those of the paired difference.  The
     certified-mixture ratio is refused: a certified mixture is bound to one
-    alternative, not to every grid cell.  The grid needs n >= 2 points per
-    axis: a smaller one has no pair of distinct groups.
+    alternative, not to every grid cell.  Before any cell it also refuses
+    n < 2 (no pair of distinct groups), what ``_check_method`` refuses and
+    ``kinds`` other than exactly two statistics.
     """
-    ripr._require_at_least(2, n=n)
-    if method == "mc":
-        ripr._require_at_least(2, mc_n=mc_n)
-    kind_a = ev.EValueKind(kinds[0])
-    kind_b = ev.EValueKind(kinds[1])
-    if ev.EValueKind.GRO_M in (kind_a, kind_b):
+    _require_at_least(2, n=n)
+    _check_method(method, mc_n, seed)
+    kinds = [ev.EValueKind(k) for k in kinds]
+    if len(kinds) != 2:
+        raise ValueError(f"heatmap needs exactly two statistics, got "
+                         f"{[k.value for k in kinds]}")
+    kind_a, kind_b = kinds
+    if ev.EValueKind.GRO_M in kinds:
         raise ValueError("heatmap cannot score gro_m: a certified mixture is "
                          "bound to one alternative, not to every grid cell")
     lo, hi = spec.default_std_range()

@@ -65,7 +65,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,6 +76,7 @@ from .expfam import (
     ComputationError,
     FamilySpec,
     MeanDomainError,
+    _require_at_least,
     problem_from_config,
 )
 
@@ -99,14 +100,7 @@ class Certificate:
             raise ValueError(f"certificate sup_expectation must be finite, got {sup!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "sup_expectation": self.sup_expectation,
-            "mu0_grid_size": self.mu0_grid_size,
-            "mu0_lo": self.mu0_lo,
-            "mu0_hi": self.mu0_hi,
-            "method": self.method,
-            "argmax_mu0": self.argmax_mu0,
-        }
+        return asdict(self)
 
 
 class CertificationError(ValueError):
@@ -272,13 +266,6 @@ def default_search_range(spec: FamilySpec, alt: Alternative) -> tuple[float, flo
             b - 0.5 * (b - hi) if math.isfinite(b) else a + 2.0 * (hi - a))
 
 
-def _require_at_least(least: int, **sizes) -> None:
-    """Refuse a grid size below ``least``, naming the argument and value."""
-    for name, value in sizes.items():
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value!r}")
-
-
 # Li's search stops once its certificate is this close to 1; for families
 # whose projection is a single point that happens at the first step.
 _STOP_SUP = 1.0 + 1e-6
@@ -327,7 +314,7 @@ class _SumGrid:
         self.alt = alt
         self.k = alt.k
         self.lo, self.hi = lo, hi
-        self.mu0s = np.linspace(self.lo, self.hi, int(count))
+        self.mu0s = np.linspace(self.lo, self.hi, count)
         z, w = _quad.sum_nodes(spec, list(alt.mu) + [self.lo, self.hi], alt.k, n=n_z)
         log_m = spec.sum_log_pdf(list(alt.mu), z)
         wm = w * np.exp(log_m)

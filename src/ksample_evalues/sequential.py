@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expfam import Alternative, FamilySpec, spawn_generator
+from .expfam import Alternative, FamilySpec, _require_at_least, spawn_generator
 from . import evariables as ev
 
 
@@ -42,20 +42,28 @@ class BlockBoundaryError(RuntimeError):
     """Multiplicities were changed while a block was partially filled."""
 
 
+def _checked_multiplicities(k: int, multiplicities) -> tuple[int, ...]:
+    """The one check of multiplicities: ``None`` means one per group, and
+    each of k given ones must pass ``_require_at_least(1, ...)``."""
+    ms = [1] * k if multiplicities is None else list(multiplicities)
+    if len(ms) != k:
+        raise ValueError(f"need one multiplicity per group ({k}), got {ms}")
+    try:
+        for m in ms:
+            _require_at_least(1, multiplicity=m)
+    except ValueError:
+        raise ValueError(f"multiplicities must be positive integers, got {ms}") from None
+    return tuple(int(m) for m in ms)
+
+
 def expand_multiplicities(
-    spec: FamilySpec, alt: Alternative, multiplicities: Sequence[int]
+    spec: FamilySpec, alt: Alternative, multiplicities: Sequence[int] | None
 ) -> Alternative:
-    """Flatten a multiplicity block to sum(m_j) groups with repeated means."""
-    if len(multiplicities) != alt.k:
-        raise ValueError(f"need one multiplicity per group ({alt.k}), got "
-                         f"{list(multiplicities)}")
-    if any(int(m) != m or m < 1 for m in multiplicities):
-        raise ValueError(f"multiplicities must be positive integers, got "
-                         f"{list(multiplicities)}")
-    means: list[float] = []
-    for mu, m in zip(alt.mu, multiplicities):
-        means.extend([mu] * int(m))
-    return Alternative.from_means(spec, means)
+    """Flatten a multiplicity block to sum(m_j) groups with repeated means,
+    after ``_checked_multiplicities``."""
+    ms = _checked_multiplicities(alt.k, multiplicities)
+    return Alternative.from_means(
+        spec, [mu for mu, m in zip(alt.mu, ms) for _ in range(m)])
 
 
 POLICIES = ("threshold", "fixed", "budget")
@@ -84,12 +92,9 @@ class StreamState:
         self.alt = alt
         self.kind = ev.EValueKind(kind)
         self.mixture = mixture
-        self.multiplicities = tuple(
-            int(m) for m in (multiplicities or [1] * alt.k)
-        )
-        # fails at construction rather than at the first completed block
-        self._statistic = self._expand(self.multiplicities)
         self._buffers: list[list[float]] = [[] for _ in range(alt.k)]
+        # fails at construction rather than at the first completed block
+        self.set_multiplicities(multiplicities)
         self.blocks_completed = 0
         self.log_evalue = 0.0
         self.block_log_values: list[float] = []
@@ -97,14 +102,6 @@ class StreamState:
     @property
     def k(self) -> int:
         return self.alt.k
-
-    def _expand(self, multiplicities):
-        """The statistic of blocks with these multiplicities, built once for
-        every block until they change.  It scores the alternative with the
-        means repeated; a certified mixture must have been certified for
-        exactly that alternative."""
-        flat = expand_multiplicities(self.spec, self.alt, multiplicities)
-        return ev._statistic(self.spec, flat, self.kind, self.mixture)
 
     def _evaluate_block(self, block) -> float:
         """Log e-value of one completed block, whose values were checked as
@@ -167,15 +164,22 @@ class StreamState:
             return Decision.REJECT_NULL
         return Decision.CONTINUE_OR_STOP_FREELY
 
-    def set_multiplicities(self, new: Sequence[int]) -> "StreamState":
-        """Adopt new multiplicities for future blocks; only at a boundary."""
+    def set_multiplicities(self, new: Sequence[int] | None) -> "StreamState":
+        """Adopt new multiplicities for future blocks; only at a boundary.
+
+        ``None`` means one per group, as in the constructor, which calls this.
+        The statistic of the expanded alternative (``expand_multiplicities``)
+        is built once for every block until they change, so a certified
+        mixture must have been certified for exactly that alternative."""
         if any(len(b) for b in self._buffers):
             raise BlockBoundaryError(
                 f"multiplicity change refused: pending observations {self.pending()} "
                 "belong to a partially filled block"
             )
-        self._statistic = self._expand(new)
-        self.multiplicities = tuple(int(m) for m in new)
+        ms = _checked_multiplicities(self.k, new)
+        flat = expand_multiplicities(self.spec, self.alt, ms)
+        self._statistic = ev._statistic(self.spec, flat, self.kind, self.mixture)
+        self.multiplicities = ms
         return self
 
     def validity_caveat(self) -> Optional[dict]:
@@ -210,17 +214,9 @@ class SimulationSummary:
     final_log_evalues: np.ndarray = field(repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "rejection_rate": self.rejection_rate,
-            "rejection_stderr": self.rejection_stderr,
-            "mean_stop_time": self.mean_stop_time,
-            "truth": self.truth,
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "policy": self.policy,
-            "seed": self.seed,
-        }
+        """Every field but the per-trial arrays."""
+        return {name: value for name, value in vars(self).items()
+                if not isinstance(value, np.ndarray)}
 
 
 def simulate(
@@ -247,7 +243,9 @@ def simulate(
 
     ``policy`` is "threshold", "fixed" or "budget" (evaluated vectorized), or
     any object with ``should_stop(block_log_values, alpha)``, consulted after
-    every completed block on the trace prefix only.
+    every completed block on the trace prefix only.  Every argument is
+    checked before any trial is drawn; ``multiplicities`` (``None``: one per
+    group) go through ``expand_multiplicities``.
     """
     kind = ev.EValueKind(kind)
     _check_alpha(alpha)
@@ -255,10 +253,8 @@ def simulate(
             else hasattr(policy, "should_stop")):
         raise ValueError(f"policy must be one of {', '.join(POLICIES)} or an "
                          f"object with should_stop, got {policy!r}")
-    for name, value in (("trials", trials), ("max_blocks", max_blocks)):
-        if int(value) != value or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    multiplicities = tuple(int(m) for m in (multiplicities or [1] * alt.k))
+    _require_at_least(1, trials=trials, max_blocks=max_blocks)
+    _require_at_least(0, seed=seed)
     flat_alt = expand_multiplicities(spec, alt, multiplicities)
     # refuses a mixture that is missing, uncertified or certified for another
     # problem before any trial is drawn

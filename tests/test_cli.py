@@ -16,6 +16,11 @@ def run(capsys, *argv):
 
 
 class TestEvaluate:
+    def test_nothing_to_evaluate_refused(self):
+        with pytest.raises(SystemExit, match="^nothing to evaluate: give --block, "
+                           "--data or --stream$"):
+            main(["evaluate", "--family", "exponential", "--mu", "0.5,0.25"])
+
     def test_single_block_matches_library(self, capsys):
         code, out, _ = run(
             capsys,
@@ -371,7 +376,7 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
     (["heatmap", "--family", "exponential", "--fixed", '{"bogus": 1}',
       "--kinds", "pseudo,cond"], "'bogus'"),
     (["simulate", *EXPO, "--fixed", '{"bogus": 1}'], "'bogus'"),
-    (["simulate", *EXPO, "--trials", "0"], "trials must be a positive integer, got 0"),
+    (["simulate", *EXPO, "--trials", "0"], "trials must be at least 1, got 0"),
     (["simulate", *EXPO, "--alpha", "2"], "got 2.0"),
     (["simulate", *EXPO, "--multiplicities", "0,1"], "got [0, 1]"),
     (["evaluate", *EXPO, "--stream", "STREAM", "--alpha", "2"], "got 2.0"),
@@ -388,12 +393,24 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
     (["evaluate", "--family", "beta", "--fixed", '{"alpha": 2.5}',
       "--mu=-1,-0.5,-0.7", "--kind", "cond", "--block=-1,-0.5,-0.7"],
      "non-integer alpha=2.5 is only available for k = 2, not k = 3"),
+    # the library refuses kinds other than two, naming them
+    (["heatmap", "--family", "exponential", "--kinds", "pseudo"], "got ['pseudo']"),
+    # unreadable files once ended in a FileNotFoundError traceback
+    (["evaluate", "--config", "MISSING", "--block", "1,2"], "No such file or directory"),
+    (["evaluate", *EXPO, "--data", "MISSING"], "No such file or directory"),
+    (["evaluate", *EXPO, "--stream", "MISSING"], "No such file or directory"),
+    (["evaluate", *EXPO, "--kind", "gro_m", "--mixture", "MISSING", "--block", "1,2"],
+     "No such file or directory"),
 ], ids=["unknown-family", "mean-outside", "fixed-evaluate", "fixed-project",
         "fixed-growth", "fixed-heatmap", "fixed-simulate", "trials-0", "alpha-2",
         "multiplicity-0", "stream-alpha-2", "mu-lo-outside", "max-iters-0",
-        "heatmap-n-0", "growth-mc-n-0", "quadrature-not-converged", "beta-cond-k3"])
+        "heatmap-n-0", "growth-mc-n-0", "quadrature-not-converged", "beta-cond-k3",
+        "heatmap-one-kind", "missing-config", "missing-data", "missing-stream",
+        "missing-mixture"])
 def test_input_errors_exit_with_one_line(tmp_path, argv, names):
-    argv = [write_stream(tmp_path / "s.csv") if a == "STREAM" else a for a in argv]
+    files = {"STREAM": lambda: write_stream(tmp_path / "s.csv"),
+             "MISSING": lambda: str(tmp_path / "missing.csv")}
+    argv = [files[a]() if a in files else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(["--out-dir", str(tmp_path)] + argv)
     msg = str(exc.value)

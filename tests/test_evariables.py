@@ -145,6 +145,12 @@ class TestCondIdentities:
 
 
 class TestGroM:
+    def test_mixture_of_another_type_refused(self):
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        with pytest.raises(TypeError, match="mixture must be a ripr.MixtureNull"):
+            ev.log_s_gro_m(spec, alt, [0.7, 0.4], {"components": []})
+
     def test_single_point_reduces_to_pseudo(self):
         spec = make_family("exponential")
         alt = Alternative.from_means(spec, [0.5, 0.25])
@@ -284,6 +290,12 @@ class TestEVariableProperty:
                     spec, alt, kind, mu0, n=200_000, seed=3
                 )
                 assert mean <= 1.0 + 4 * se + 1e-3
+
+    def test_tensor_quadrature_only_at_k2(self):
+        spec = make_family("poisson")
+        alt = Alternative.from_means(spec, [1.0, 2.0, 1.5])
+        with pytest.raises(ValueError, match="restricted to k = 2"):
+            ev.null_expectation_profile(spec, alt, "cond", [1.5])
 
     @pytest.mark.parametrize("n", [0, 1, -3])
     def test_monte_carlo_size_below_two_refused(self, n):

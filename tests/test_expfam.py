@@ -921,6 +921,15 @@ class TestReduceSufficient:
         with pytest.raises(MeanDomainError):
             reduce_sufficient("lognormal", -1.0)
 
+    @pytest.mark.parametrize("v", [None, 0.0])
+    def test_pareto_needs_a_positive_scale(self, v):
+        with pytest.raises(ValueError, match="needs a positive fixed scale v"):
+            reduce_sufficient("pareto", 2.0, v=v)
+
+    def test_unknown_source_refused(self):
+        with pytest.raises(ValueError, match="unknown source 'weibull'"):
+            reduce_sufficient("Weibull", 2.0)
+
 
 class TestAlternative:
     def test_reconstruction_identity(self):
@@ -947,6 +956,36 @@ class TestAlternative:
         spec = make_family("bernoulli")
         with pytest.raises(MeanDomainError):
             Alternative.from_means(spec, [0.5, 1.5])
+
+    def test_one_group_refused(self):
+        with pytest.raises(ValueError, match="needs k >= 2 groups"):
+            Alternative.from_means(make_family("poisson"), [2.0])
+
+    @pytest.mark.parametrize("direction, match", [
+        ([1.0, 0.5], "must sum to 0"),
+        ([0.0, 0.0], "must be nonzero"),
+    ])
+    def test_from_effect_refuses_bad_direction(self, direction, match):
+        with pytest.raises(ValueError, match=match):
+            Alternative.from_effect(make_family("gaussian_mean"), 0.0, 0.2, direction)
+
+
+class TestFamilyRefusals:
+    @pytest.mark.parametrize("name, fixed, match", [
+        ("gaussian_mean", {"sigma2": 0.0}, "sigma2 must be positive"),
+        ("beta_fixed_alpha", {"alpha": 0.0}, "alpha must be positive"),
+    ])
+    def test_fixed_parameter_must_be_positive(self, name, fixed, match):
+        with pytest.raises(ValueError, match=match):
+            _FAMILIES[name](**fixed)
+
+    def test_beta_natural_parameter_outside_its_space(self):
+        with pytest.raises(MeanDomainError, match=r"canonical parameter 0.0 outside"):
+            make_family("beta_fixed_alpha").mean_from_natural(0.0)
+
+    def test_beta_observation_mean_outside_unit_interval(self):
+        with pytest.raises(MeanDomainError, match=r"E\[U\]=1.0 must lie in \(0, 1\)"):
+            make_family("beta_fixed_alpha", alpha=2.0).mean_from_beta_mean(1.0)
 
 
 class TestConfig:

@@ -343,6 +343,19 @@ class TestHeatmap:
         assert res.failures
         assert np.isnan(res.gap).any()
 
+    @pytest.mark.parametrize("name", ["bernoulli", "gaussian_mean", "gaussian_variance",
+                                      "poisson", "exponential", "geometric",
+                                      "beta_fixed_alpha"])
+    def test_default_range_of_every_family(self, name):
+        spec = make_family(name)
+        res = gr.heatmap(spec, ("gro_iid", "cond"), n=3)
+        lo, hi = spec.default_std_range()
+        assert res.std_values[0] == lo and res.std_values[-1] == hi
+        assert res.mu_values[0] == spec.mean_from_std(lo)
+        assert not res.failures and np.isfinite(res.gap).all()
+        assert np.array_equal(res.gap, res.gap.T)
+        assert np.all(np.diag(res.gap) == 0.0)
+
     def test_custom_range_in_standard_parameterization(self):
         spec = make_family("exponential")
         res = gr.heatmap(spec, ("pseudo", "cond"), n=5, std_lo=1.0, std_hi=2.0)

@@ -81,6 +81,12 @@ class TestMixtureNullValidation:
         with pytest.raises(ValueError, match=msg):
             ripr.MixtureNull.from_json_dict(payload)
 
+    def test_config_without_means_refused(self):
+        payload = {"components": [{"w": 1.0, "mu0": 0.3}],
+                   "config": {"family": "exponential"}}
+        with pytest.raises(ValueError, match="needs 'family' and 'mean_params'"):
+            ripr.MixtureNull.from_json_dict(payload)
+
     def test_json_roundtrip(self):
         cert = ripr.Certificate(1.0005, 1000, 0.1, 1.0, "brute_force_2", 0.4)
         problem = {"family": "exponential", "fixed_params": {},

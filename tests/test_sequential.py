@@ -403,8 +403,9 @@ class TestSimulate:
         ("policy", object(), "threshold, fixed, budget"),
         ("trials", 0, "trials"),
         ("max_blocks", 0, "max_blocks"),
+        ("truth", "bogus", "truth must be 'null' or 'alt'"),
     ], ids=["gro_m-without-mixture", "alpha-above-1", "alpha-0", "policy-typo", "policy-object",
-            "trials-0", "max_blocks-0"])
+            "trials-0", "max_blocks-0", "truth-unknown"])
     def test_unusable_arguments_refused_before_drawing(self, monkeypatch, arg,
                                                         value, match):
         spec = make_family("bernoulli")
