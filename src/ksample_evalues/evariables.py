@@ -40,7 +40,7 @@ import numpy as np
 
 from .expfam import Alternative, FamilySpec, MeanDomainError, _require_at_least
 from .expfam import as_generator
-from .ripr import MixtureNull, _log_sum_of_tilts
+from .ripr import MixtureNull, _log_sum_of_tilts, _sum_leading
 
 
 class EValueKind(str, enum.Enum):
@@ -132,6 +132,12 @@ def _check_mixture(spec: FamilySpec, alt: Alternative, mixture) -> None:
     mixture.require_problem(spec, alt.mu)
 
 
+def _sum_coordinates(x) -> np.ndarray:
+    """Sum over the trailing (coordinate) axis of x as the sum of the rows of
+    x.T, bit for bit ``np.sum(x, axis=-1)`` (``ripr._sum_leading``)."""
+    return _sum_leading(x.T).T
+
+
 def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
                mu0: float | None = None):
     """The statistic of ``kind`` for one problem, built once.
@@ -153,20 +159,21 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
     lam, a = spec._natural_params(alt.mu)
     if kind is EValueKind.GRO_IID:
         offsets = a + np.log(alt.k)  # per coordinate, (1/k) sum_i p_{mu_i}
-        return lambda x: (np.sum(lam * x - a, axis=-1)
-                          - np.sum(_log_sum_of_tilts(lam, offsets, x), axis=-1))
+        return lambda x: (_sum_coordinates(lam * x - a)
+                          - _sum_coordinates(_log_sum_of_tilts(lam, offsets, x)))
     if kind is EValueKind.GRO_M:
         tilts = mixture._tilts(spec, alt.k)
-        return lambda x: (np.sum(lam * x - a, axis=-1)
-                          - _log_sum_of_tilts(*tilts, np.sum(x, axis=-1)))
+        return lambda x: (_sum_coordinates(lam * x - a)
+                          - _log_sum_of_tilts(*tilts, _sum_coordinates(x)))
     # pseudo and cond: the ratio to the i.i.d. product at mu0
     mu0 = spec.check_mean(alt.mu0_star if mu0 is None else mu0)
     lam0, a0 = spec._natural_params([mu0])
     dlam, da = lam - lam0, a - a0
     if kind is EValueKind.PSEUDO:
-        return lambda x: np.sum(dlam * x - da, axis=-1)
+        return lambda x: _sum_coordinates(dlam * x - da)
     log_z_ratio = _log_sum_ratio(spec, alt, mu0)
-    return lambda x: np.sum(dlam * x - da, axis=-1) - log_z_ratio(np.sum(x, axis=-1))
+    return lambda x: (_sum_coordinates(dlam * x - da)
+                      - log_z_ratio(_sum_coordinates(x)))
 
 
 def log_s_pseudo(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:

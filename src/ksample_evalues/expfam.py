@@ -113,6 +113,65 @@ def spawn_generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence: its pool size and its hash and mix constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def spawn_keys(seed: int, count: int) -> np.ndarray:
+    """The Philox keys of ``spawn_generator(seed, t)`` for every t < count,
+    shape (count, 2) uint64, all at once.
+
+    A port of ``SeedSequence(entropy=seed, spawn_key=(t,))`` and its
+    ``generate_state(2, np.uint64)`` to uint32 arrays over t: the seed's
+    little-endian 32-bit words, padded with zeros to the pool size, then t,
+    are hashed into the pool, and the pool is hashed into four words.  A
+    Philox at one of these keys, counter 0 and an empty buffer draws the
+    same stream as ``spawn_generator(seed, t)``."""
+    _require_at_least(0, seed=seed)
+    _require_at_least(1, count=count)
+    if count > 2**32:  # t must be one 32-bit word of the spawn key
+        raise ValueError(f"count must be at most 2**32, got {count!r}")
+    seed, words = operator.index(seed), []
+    while True:
+        words.append(np.array([seed & _MASK32], dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    words.append(np.arange(count, dtype=np.uint32))
+
+    def hasher(const: int, mult: int):
+        def hashmix(value):  # SeedSequence's hashmix with its own constant
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _MASK32
+            value = value * np.uint32(const)
+            return value ^ value >> np.uint32(16)
+        return hashmix
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ out >> np.uint32(16)
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    generate = hasher(_INIT_B, _MULT_B)
+    state = [generate(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
 def _ppf(q: float, inverse, lower: float, upper: float, valid: bool) -> float:
     """Quantile at level q with ``scipy.stats``' ``ppf`` conventions.
 

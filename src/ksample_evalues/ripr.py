@@ -62,6 +62,7 @@ meaningless for any finite mixture that is not the exact RIPr.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -220,12 +221,27 @@ class MixtureNull:
         return cls(comps, cert, config)
 
 
+def _sum_leading(terms) -> np.ndarray:
+    """Sum over the leading axis of ``terms``, bit for bit as ``np.sum`` sums
+    the same terms on a contiguous trailing axis.  np.sum adds fewer than 8
+    terms one after the other, so they are added as whole arrays, with no
+    reduction over a short axis; from 8 on it adds them in pairs, so they are
+    copied to a trailing axis and np.sum adds them."""
+    if len(terms) < 8:
+        return functools.reduce(np.add, terms)
+    return np.sum(np.ascontiguousarray(terms.T), axis=-1).T
+
+
 def _log_sum_of_tilts(lams, offsets, z) -> np.ndarray:
     """log sum_c exp(lams_c z - offsets_c) at every entry of z, by logsumexp;
-    offsets k A(lam_c) - log w_c (``MixtureNull._tilts``) or A(lam_c) + log k."""
-    logs = lams * np.asarray(z, dtype=float)[..., None] - offsets
-    mx = logs.max(axis=-1)
-    return mx + np.log(np.sum(np.exp(logs - mx[..., None]), axis=-1))
+    offsets k A(lam_c) - log w_c (``MixtureNull._tilts``) or A(lam_c) + log k.
+    The component axis comes first, so max and sum run over whole arrays of
+    z's shape rather than over a short trailing axis."""
+    z = np.asarray(z, dtype=float)
+    shape = (-1,) + (1,) * z.ndim
+    logs = np.reshape(lams, shape) * z - np.reshape(offsets, shape)
+    mx = logs.max(axis=0)
+    return mx + np.log(_sum_leading(np.exp(logs - mx)))
 
 
 def _describe(config: dict) -> str:
@@ -293,7 +309,7 @@ class _SumGrid:
     def __init__(self, spec: FamilySpec, alt: Alternative, count: int = 1000,
                  lo: float | None = None, hi: float | None = None,
                  n_z: int = 3000):
-        _require_at_least(1, count=count)
+        _require_at_least(1, count=count, n_z=n_z)
         if lo is None or hi is None:
             dlo, dhi = default_search_range(spec, alt)
             lo = dlo if lo is None else lo

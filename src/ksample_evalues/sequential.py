@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expfam import Alternative, FamilySpec, _require_at_least, spawn_generator
+from .expfam import Alternative, FamilySpec, _require_at_least, spawn_keys
 from . import evariables as ev
 
 
@@ -45,7 +45,9 @@ class BlockBoundaryError(RuntimeError):
 def _checked_multiplicities(k: int, multiplicities) -> tuple[int, ...]:
     """The one check of multiplicities: ``None`` means one per group, and
     each of k given ones must pass ``_require_at_least(1, ...)``."""
-    ms = [1] * k if multiplicities is None else list(multiplicities)
+    # numpy integers as plain ones, so that a refusal prints [2, 0]
+    ms = [1] * k if multiplicities is None else [
+        m.item() if isinstance(m, np.generic) else m for m in multiplicities]
     if len(ms) != k:
         raise ValueError(f"need one multiplicity per group ({k}), got {ms}")
     try:
@@ -112,15 +114,20 @@ class StreamState:
         """Append one observation to stream ``group`` (1-based).
 
         Out-of-support values are rejected with the state unchanged.
-        Completes as many blocks as the buffers allow.
+        Completes as many blocks as the buffers allow.  After a drain some
+        buffer is short of its multiplicity, so a block can complete only
+        when this value brings its own group's buffer to exactly its
+        multiplicity.
         """
         if not 1 <= group <= self.k:
             raise ValueError(f"group must be in 1..{self.k}, got {group}")
         value = float(value)
         if not self.spec.support.contains_scalar(value):
             self.spec.check_support(value)  # raises the family's message
-        self._buffers[group - 1].append(value)
-        self._drain()
+        buf = self._buffers[group - 1]
+        buf.append(value)
+        if len(buf) == self.multiplicities[group - 1]:
+            self._drain()
         return self
 
     def ingest_block(self, block) -> "StreamState":
@@ -237,9 +244,12 @@ def simulate(
 
     ``truth`` is "null" (all streams i.i.d. at ``null_mu``, defaulting to the
     pooled mean of the alternative) or "alt" (streams follow the alternative).
-    Per-block e-values use the declared alternative either way.  Every trial
-    draws from an independent counter-based substream, so campaigns are
-    reproducible bit-for-bit and parallelizable across trials.
+    Per-block e-values use the declared alternative either way.  Trial t
+    draws from its own counter-based substream, the stream of
+    ``spawn_generator(seed, t)``, so campaigns are reproducible bit-for-bit
+    and parallelizable across trials.  The Philox keys of all trials are
+    derived at once (``spawn_keys``), and one Philox is reset to trial t's key
+    with counter 0 before the trial draws.
 
     ``policy`` is "threshold", "fixed" or "budget" (evaluated vectorized), or
     any object with ``should_stop(block_log_values, alpha)``, consulted after
@@ -271,11 +281,17 @@ def simulate(
     draw_means = [spec.check_mean(m) for m in draw_means]
 
     log_thresh = -math.log(alpha)
-    # per-trial substreams: draw data (and any policy budget) independently
+    # trial t draws its data (and any policy budget) from one Philox reset to
+    # t's key, counter 0 and an empty buffer: spawn_generator(seed, t)'s stream
+    keys = spawn_keys(seed, trials)
+    bit_generator = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
     blocks = np.empty((trials, max_blocks, kprime))
     budgets = np.zeros(trials, dtype=int)
     for t in range(trials):
-        rng = spawn_generator(seed, t)
+        fresh["state"]["key"] = keys[t]
+        bit_generator.state = fresh
         if policy == "budget":
             budgets[t] = int(rng.integers(1, max_blocks + 1))
         for j, m in enumerate(draw_means):

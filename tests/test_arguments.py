@@ -28,6 +28,8 @@ SIZES = [
     (ripr.brute_force_two_component, (SPEC, ALT), {}, "mu_count", 1),
     (ripr.brute_force_two_component, (SPEC, ALT), {}, "mu0_count", 1),
     (ripr.point_mixture, (SPEC, ALT, 0.375), {}, "count", 1),
+    (ripr.li_approximate, (SPEC, ALT), {}, "n_z", 1),
+    (ripr.brute_force_two_component, (SPEC, ALT), {}, "n_z", 1),
     (ripr.worst_case_expectation, (SPEC, ALT, MIX), {}, "count", 1),
     (ripr.expectation_profile, (SPEC, ALT, MIX), {}, "count", 1),
     (gr.growth_rate, (SPEC, ALT, "pseudo"), {"method": "mc"}, "mc_n", 2),
@@ -58,7 +60,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr(_quad, "sum_nodes", forbidden)
     monkeypatch.setattr(_quad, "support_nodes", forbidden)
     monkeypatch.setattr(ev, "_mc_draws", forbidden)
-    monkeypatch.setattr(sq, "spawn_generator", forbidden)
+    monkeypatch.setattr(sq, "spawn_keys", forbidden)
     monkeypatch.setattr(Alternative, "from_means", classmethod(forbidden))
 
 
@@ -138,6 +140,18 @@ def test_numpy_multiplicities_accepted_everywhere():
     a, b = _simulate(given), _simulate([2, 1])
     assert a.to_json_dict() == b.to_json_dict()
     assert np.array_equal(a.final_log_evalues, b.final_log_evalues)
+
+
+@pytest.mark.parametrize("given, message", [
+    (np.array([2, 0]), "multiplicities must be positive integers, got [2, 0]"),
+    (np.array([1, 1, 1]), "need one multiplicity per group (2), got [1, 1, 1]"),
+], ids=["zero", "too-many"])
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_numpy_multiplicities_refused_as_plain_integers(entry, given, message):
+    # an array was once printed as [np.int64(2), np.int64(0)]
+    with pytest.raises(ValueError) as exc:
+        ENTRIES[entry](given)
+    assert str(exc.value) == message
 
 
 def test_none_multiplicities_mean_one_per_group():

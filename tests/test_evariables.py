@@ -328,3 +328,57 @@ class TestResultSerialization:
         alt = Alternative.from_means(spec, [1.0, 2.0])
         with pytest.raises(ValueError, match="k=2"):
             ev.log_s_pseudo(spec, alt, [1, 2, 3])
+
+
+def _trailing_axis_statistic(spec, alt, kind):
+    """pseudo, gro_iid and cond as numpy sums over the trailing axis of a
+    block, the formula the statistic had before it added coordinates as the
+    rows of x.T: the oracle of its bits."""
+    lam, a = spec._natural_params(alt.mu)
+    if kind == "gro_iid":
+        offsets = a + np.log(alt.k)
+
+        def log_sum_of_tilts(x):
+            logs = lam * x[..., None] - offsets
+            mx = logs.max(axis=-1)
+            return mx + np.log(np.sum(np.exp(logs - mx[..., None]), axis=-1))
+        return lambda x: (np.sum(lam * x - a, axis=-1)
+                          - np.sum(log_sum_of_tilts(x), axis=-1))
+    lam0, a0 = spec._natural_params([alt.mu0_star])
+    dlam, da = lam - lam0, a - a0
+    if kind == "pseudo":
+        return lambda x: np.sum(dlam * x - da, axis=-1)
+    log_z_ratio = ev._log_sum_ratio(spec, alt, alt.mu0_star)
+    return lambda x: np.sum(dlam * x - da, axis=-1) - log_z_ratio(np.sum(x, axis=-1))
+
+
+ORACLE_FAMILIES = [
+    ("bernoulli", {}, (0.6, 0.4, 0.3, 0.5)),
+    ("gaussian_mean", {}, (0.3, -0.3, 0.1, 0.0)),
+    ("gaussian_variance", {}, (1.0, 0.6, 0.8, 1.0)),
+    ("poisson", {}, (2.0, 1.0, 1.5, 2.0)),
+    ("exponential", {}, (1.0, 0.7, 0.5, 0.9)),
+    ("geometric", {}, (1.0, 0.5, 2.0, 1.0)),
+    ("beta_fixed_alpha", {"alpha": 2.0}, (-1.0, -0.5, -0.7, -0.6)),
+]
+
+
+@pytest.mark.parametrize("kind", ["pseudo", "gro_iid", "cond"])
+@pytest.mark.parametrize("multiplicities", [(1, 1), (1, 1, 1), (1, 1, 1, 1),
+                                            (4, 4), (5, 4), (3, 3, 3)],
+                         ids=lambda m: "x".join(map(str, m)))
+@pytest.mark.parametrize("family, fixed, means", ORACLE_FAMILIES,
+                         ids=[f for f, _, _ in ORACLE_FAMILIES])
+def test_statistic_bitwise_equal_to_trailing_axis_sums(family, fixed, means,
+                                                       multiplicities, kind):
+    # k' = sum(m) coordinates, below 8 and from 8 on, where np.sum pairs terms
+    spec = make_family(family, **fixed)
+    alt = Alternative.from_means(
+        spec, np.repeat(means[:len(multiplicities)], multiplicities))
+    rng = as_generator(alt.k)
+    blocks = np.stack([spec.sample(mu, 5 * 7, rng) for mu in alt.mu],
+                      axis=-1).reshape(5, 7, alt.k)  # (T, B, k')
+    got, want = ev._statistic(spec, alt, kind), _trailing_axis_statistic(spec, alt, kind)
+    assert np.array_equal(got(blocks), want(blocks))
+    for block in blocks[0]:
+        assert np.array_equal(got(block), want(block))

@@ -26,6 +26,7 @@ from ksample_evalues.expfam import (
     _FAMILIES,
     _GammaSum,
     _hypoexponential_log_pdf,
+    spawn_keys,
 )
 
 ALL_FAMILIES = [
@@ -1086,3 +1087,31 @@ def test_import_does_not_load_scipy_stats():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+class TestSpawnKeys:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
+    def test_keys_are_seed_sequence_keys(self, seed):
+        # one- to five-word seeds: padded to the pool, and hashed in past it
+        keys = spawn_keys(seed, 10**4 + 1)
+        assert keys.dtype == np.uint64 and keys.shape == (10**4 + 1, 2)
+        want = np.array([np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(
+            2, np.uint64) for t in range(10**4 + 1)])
+        assert np.array_equal(keys, want)
+
+    def test_philox_at_a_key_draws_the_spawned_stream(self):
+        keys = spawn_keys(7, 3)
+        for t in range(3):
+            rng = np.random.Generator(np.random.Philox(key=keys[t]))
+            want = np.random.SeedSequence(7, spawn_key=(t,))
+            assert np.array_equal(
+                rng.random(9), np.random.Generator(np.random.Philox(want)).random(9))
+
+    @pytest.mark.parametrize("seed, count, match", [
+        (-1, 3, "^seed must be at least 0, got -1$"),
+        (1.5, 3, "^seed must be an integer, got 1.5$"),
+        (0, 0, "^count must be at least 1, got 0$"),
+    ])
+    def test_refusals_name_the_argument(self, seed, count, match):
+        with pytest.raises(ValueError, match=match):
+            spawn_keys(seed, count)

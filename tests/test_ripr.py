@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import ksample_evalues
 from ksample_evalues import Alternative, MeanDomainError, make_family
@@ -703,3 +703,21 @@ class TestDefaultRange:
         spec = make_family(name, **fixed)
         alt = Alternative.from_means(spec, mus)
         assert ripr.default_search_range(spec, alt) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(), (64,), (4, 5, 3)], ids=["scalar", "n", "TBk"])
+@pytest.mark.parametrize("c", [1, 2, 3, 14, 40])
+def test_log_sum_of_tilts_matches_logsumexp(c, shape):
+    rng = np.random.default_rng(c)
+    # terms of one size, so that the order of their sum shows in its bits
+    lams, offsets = rng.normal(size=c), rng.normal(size=c)
+    z = rng.normal(size=shape)
+    got = ripr._log_sum_of_tilts(lams, offsets, z)
+    want = special.logsumexp(lams * z[..., None] - offsets, axis=-1)
+    assert np.shape(got) == shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+    # bit for bit the formula with the component axis last
+    logs = lams * z[..., None] - offsets
+    mx = logs.max(axis=-1)
+    trailing = mx + np.log(np.sum(np.exp(logs - mx[..., None]), axis=-1))
+    assert np.array_equal(got, trailing)

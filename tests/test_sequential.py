@@ -7,6 +7,7 @@ from ksample_evalues import Alternative, SupportError, make_family
 from ksample_evalues import evariables as ev
 from ksample_evalues import ripr
 from ksample_evalues import sequential as sq
+from ksample_evalues.expfam import spawn_generator
 
 
 # (family, fixed params, three group means); k = 2 uses the first two
@@ -202,6 +203,32 @@ class TestIngest:
         assert by_block.pending() == by_value.pending() == (3, 0, 1)
         assert by_block.blocks_completed == 6
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_arrival_orders_match_blocks_and_vectorized(self, seed):
+        # ingest drains only when a group's buffer reaches its multiplicity
+        rng = np.random.default_rng(seed)
+        spec = make_family("poisson")
+        alt = Alternative.from_means(spec, [2.0, 1.0, 1.5])
+        kind = ("cond", "gro_iid", "pseudo")[seed % 3]
+        mult = [int(m) for m in rng.integers(1, 4, size=3)]
+        flat = sq.expand_multiplicities(spec, alt, mult)
+        blocks = np.stack([spec.sample(mu, 12, rng) for mu in flat.mu], axis=-1)
+        edges = np.cumsum([0] + mult)
+        queues = [list(blocks[:, edges[j]:edges[j + 1]].ravel()) for j in range(3)]
+        arrivals = rng.permutation(np.repeat([1, 2, 3], [len(q) for q in queues]))
+        by_value = sq.StreamState(spec, alt, kind, 0.05, mult)
+        for g in arrivals:
+            by_value.ingest(int(g), queues[g - 1].pop(0))
+        by_block = sq.StreamState(spec, alt, kind, 0.05, mult)
+        for b in blocks:
+            by_block.ingest_block(b)
+        assert by_value.block_log_values == by_block.block_log_values
+        assert by_value.blocks_completed == 12 and by_value.pending() == (0, 0, 0)
+        vectorized = ev._statistic(spec, flat, kind)(blocks)
+        np.testing.assert_allclose(by_value.block_log_values, vectorized,
+                                   rtol=1e-14, atol=1e-14)
+
+
 class TestScalarSupportCheck:
     """ingest checks its value with Support.contains_scalar; refused values
     raise through check_support."""
@@ -395,6 +422,35 @@ class TestSimulate:
         s = sq.simulate(spec, alt, "cond", 0.05, StopAtFive(), 50, seed=6, max_blocks=20)
         assert np.all(s.stop_times == 5)
 
+    @pytest.mark.parametrize("policy", sq.POLICIES)
+    @pytest.mark.parametrize("family, fixed, means", FAMILIES,
+                             ids=[case_id(*case) for case in FAMILIES])
+    def test_trial_draws_are_spawn_generator_streams(self, monkeypatch, family,
+                                                     fixed, means, policy):
+        # trial t draws from spawn_generator(seed, t): a budget's integers
+        # first, then max_blocks values for each flattened group in turn
+        spec = make_family(family, **fixed)
+        alt = Alternative.from_means(spec, means[:2])
+        seen = []
+        build = ev._statistic
+
+        def recording(*args, **kwargs):
+            statistic = build(*args, **kwargs)
+            return lambda x: seen.append(x.copy()) or statistic(x)
+
+        monkeypatch.setattr(ev, "_statistic", recording)
+        trials, max_blocks, seed = 25, 6, 2**40 + 17
+        s = sq.simulate(spec, alt, "pseudo", 0.05, policy, trials, seed,
+                        max_blocks=max_blocks, truth="alt", multiplicities=[2, 1])
+        (blocks,) = seen
+        flat = sq.expand_multiplicities(spec, alt, [2, 1])
+        for t in range(trials):
+            rng = spawn_generator(seed, t)
+            if policy == "budget":
+                assert s.stop_times[t] == rng.integers(1, max_blocks + 1)
+            for j, mu in enumerate(flat.mu):
+                assert np.array_equal(blocks[t, :, j], spec._draw(mu, max_blocks, rng))
+
     @pytest.mark.parametrize("arg, value, match", [
         ("kind", "gro_m", "needs a certified mixture"),
         ("alpha", 1.5, r"alpha must lie in \(0, 1\)"),
@@ -414,7 +470,7 @@ class TestSimulate:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew data before checking the arguments")
 
-        monkeypatch.setattr(sq, "spawn_generator", no_draws)
+        monkeypatch.setattr(sq, "spawn_keys", no_draws)
         kwargs = dict(kind="cond", alpha=0.05, policy="threshold", trials=10,
                       seed=0, max_blocks=5)
         kwargs[arg] = value
