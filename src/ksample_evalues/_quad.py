@@ -111,8 +111,6 @@ def sum_nodes(spec: FamilySpec, mus, k: int, n: int = 2048):
     s = spec.support
     if s.discrete:
         hi = max(spec.sum_quantile(m, k, 1.0 - TAIL) for m in mus)
-        if np.isfinite(s.hi):
-            hi = min(hi, k * s.hi)
         z = np.arange(int(k * s.lo), int(hi) + 1, dtype=float)
         return z, np.ones_like(z)
     lo = min(spec.sum_quantile(m, k, TAIL) for m in mus)

@@ -172,29 +172,6 @@ def spawn_keys(seed: int, count: int) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=-1)
 
 
-def _ppf(q: float, inverse, lower: float, upper: float, valid: bool) -> float:
-    """Quantile at level q with ``scipy.stats``' ``ppf`` conventions.
-
-    ``inverse`` is the special function that the matching ``scipy.stats``
-    distribution's ``_ppf`` calls, applied with the same scale and location
-    arithmetic, so the result is the same float bit for bit without the
-    ~1 ms cost of building a frozen distribution.  At q = 0 and q = 1 the
-    result is ``lower`` and ``upper`` (``a - 1`` and ``b`` of a discrete
-    support {a, ..., b}; ``a * scale + loc`` and ``b * scale + loc`` of a
-    continuous one).  It is NaN for q outside [0, 1], and when
-    ``valid``, the distribution's own parameter check, fails.
-    """
-    if not valid:
-        return math.nan
-    if 0.0 < q < 1.0:
-        return float(inverse(q))
-    if q == 0.0:
-        return float(lower)
-    if q == 1.0:
-        return float(upper)
-    return math.nan
-
-
 def _poisson_ppf(q: float, mu: float):
     """``scipy.stats.poisson._ppf``: ceil of the inverse, checked one below."""
     vals = np.ceil(special.pdtrik(q, mu))
@@ -248,16 +225,19 @@ class FamilySpec(ABC):
     """Base class for the concrete families.
 
     A family states its law: the parameter maps lambda(mu), mu(lambda) and
-    A(lambda), the carrier log h, the support, ``_draw`` (draws at a checked
-    mean) and ``sum_quantile``.  Everything derived lives here: densities, KL,
-    Fisher information, central moments, and the two checked entry points
-    ``sample`` and ``sum_log_pdf``.  ``sum_log_pdf`` checks the means and the
-    sum's support, is ``log_pdf`` at k = 1 and ``_sum_density(mus)(z)`` at
-    k >= 2.  ``_sum_density`` is the one sum-density override: it builds,
-    once per set of means, the k >= 2 density as a function of z.  Its base
-    form is the lattice convolution; Poisson and gaussian_mean return their
-    closed forms, the gamma sums their ``_GammaSum``, and beta its gamma sum
-    (integer alpha) or convolution (non-integer alpha, k = 2 only).
+    A(lambda), the carrier log h, the support, and three laws on arguments
+    already checked: ``_draw`` (draws at a mean), ``_sum_quantile`` (the
+    inverse CDF of a k-sum) and ``_sum_density``.  Everything derived lives
+    here: densities, KL, Fisher information, central moments, and the three
+    checked entry points ``sample``, ``sum_quantile`` and ``sum_log_pdf``,
+    which refuse a bad argument by name before any law runs.  ``sum_log_pdf``
+    checks the means and the sum's support, is ``log_pdf`` at k = 1 and
+    ``_sum_density(mus)(z)`` at k >= 2.  ``_sum_density`` is the one
+    sum-density override: it builds, once per set of means, the k >= 2
+    density as a function of z.  Its base form is the lattice convolution;
+    Poisson and gaussian_mean return their closed forms, the gamma sums their
+    ``_GammaSum``, and beta its gamma sum (integer alpha) or convolution
+    (non-integer alpha, k = 2 only).
 
     A family with a quadratic variance function
     V(mu) = v0 + v1 mu + v2 mu^2 (Morris 1982) gives it as the triple
@@ -385,16 +365,32 @@ class FamilySpec(ABC):
     def sample(self, mu: float, n: int, rng) -> np.ndarray:
         """n i.i.d. draws of the sufficient statistic under P_mu; ``rng`` is a
         seed or a Generator."""
-        return self._draw(self.check_mean(mu), n, as_generator(rng))
+        mu = self.check_mean(mu)
+        _require_at_least(0, n=n)
+        return self._draw(mu, n, as_generator(rng))
 
     @abstractmethod
     def _draw(self, mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws at a mean already checked, from a Generator."""
 
-    @abstractmethod
     def sum_quantile(self, mu: float, k: int, q: float) -> float:
-        """Quantile of Z = sum of k i.i.d. copies under P_mu (used for support
-        truncation; k = 1 is one observation)."""
+        """Quantile at level q in (0, 1) of Z = sum of k i.i.d. copies under
+        P_mu (the ends of every quadrature grid; k = 1 is one observation).
+        A mean outside the mean space, a k that is no integer of at least 1
+        and a level outside (0, 1) are refused by name."""
+        mu = self.check_mean(mu)
+        _require_at_least(1, k=k)
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"q must lie in (0, 1), got {q!r}")
+        return float(self._sum_quantile(mu, k, q))
+
+    @abstractmethod
+    def _sum_quantile(self, mu: float, k: int, q: float) -> float:
+        """The quantile at a checked mean, k and level: the inverse CDF that
+        the matching ``scipy.stats`` distribution's ``_ppf`` calls, with its
+        scale and location arithmetic, so it equals that distribution's
+        quantile bit for bit without building a frozen distribution (beta
+        with alpha != 1 returns outer bounds from one observation's)."""
 
     # -- Z marginal ---------------------------------------------------------
 
@@ -493,9 +489,8 @@ class Bernoulli(FamilySpec):
     def _draw(self, mu, n, rng):
         return (rng.random(n) < mu).astype(float)
 
-    def sum_quantile(self, mu, k, q):
-        return _ppf(q, lambda q: _binom_ppf(q, k, mu), -1.0, float(k),
-                    valid=0.0 <= mu <= 1.0)
+    def _sum_quantile(self, mu, k, q):
+        return _binom_ppf(q, k, mu)
 
     def default_std_range(self):
         return (0.1, 0.9)
@@ -509,9 +504,9 @@ class GaussianFreeMean(FamilySpec):
     support = Support("interval", -math.inf, math.inf)
 
     def __init__(self, sigma2: float = 1.0):
-        if sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
         self.sigma2 = float(sigma2)
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
         self.variance_function = (self.sigma2, 0.0, 0.0)
 
     def fixed_params(self):
@@ -533,11 +528,8 @@ class GaussianFreeMean(FamilySpec):
     def _draw(self, mu, n, rng):
         return rng.normal(mu, math.sqrt(self.sigma2), n)
 
-    def sum_quantile(self, mu, k, q):
-        sd = math.sqrt(k * self.sigma2)
-        return _ppf(q, lambda q: special.ndtri(q) * sd + k * mu,
-                    -math.inf * sd + k * mu, math.inf * sd + k * mu,
-                    valid=mu == mu)
+    def _sum_quantile(self, mu, k, q):
+        return special.ndtri(q) * math.sqrt(k * self.sigma2) + k * mu
 
     def _sum_density(self, mus):
         mean, var = sum(mus), len(mus) * self.sigma2
@@ -562,6 +554,8 @@ class GaussianFreeVariance(FamilySpec):
 
     def __init__(self, fixed_mean: float = 0.0):
         self.fixed_mean = float(fixed_mean)
+        if not math.isfinite(self.fixed_mean):
+            raise ValueError(f"fixed_mean must be finite, got {fixed_mean!r}")
 
     def fixed_params(self):
         return {"fixed_mean": self.fixed_mean}
@@ -582,11 +576,8 @@ class GaussianFreeVariance(FamilySpec):
     def _draw(self, mu, n, rng):
         return mu * rng.chisquare(1, n)
 
-    def sum_quantile(self, mu, k, q):
-        a, scale = 0.5 * k, 2.0 * mu
-        return _ppf(q, lambda q: special.gammaincinv(a, q) * scale,
-                    0.0 * scale, math.inf * scale,
-                    valid=scale > 0)
+    def _sum_quantile(self, mu, k, q):
+        return special.gammaincinv(0.5 * k, q) * (2.0 * mu)
 
     def _sum_density(self, mus):
         return _GammaSum(0.5, 0.5 / np.array(mus))
@@ -619,9 +610,8 @@ class Poisson(FamilySpec):
     def _draw(self, mu, n, rng):
         return rng.poisson(mu, n).astype(float)
 
-    def sum_quantile(self, mu, k, q):
-        return _ppf(q, lambda q: _poisson_ppf(q, k * mu), -1.0, math.inf,
-                    valid=k * mu >= 0)
+    def _sum_quantile(self, mu, k, q):
+        return _poisson_ppf(q, k * mu)
 
     def _sum_density(self, mus):
         lam = sum(mus)
@@ -652,10 +642,8 @@ class Exponential(FamilySpec):
     def _draw(self, mu, n, rng):
         return rng.exponential(mu, n)
 
-    def sum_quantile(self, mu, k, q):
-        return _ppf(q, lambda q: special.gammaincinv(k, q) * mu,
-                    0.0 * mu, math.inf * mu,
-                    valid=mu > 0)
+    def _sum_quantile(self, mu, k, q):
+        return special.gammaincinv(k, q) * mu
 
     def _sum_density(self, mus):
         return _GammaSum(1.0, 1.0 / np.array(mus))
@@ -691,10 +679,8 @@ class Geometric(FamilySpec):
     def _draw(self, mu, n, rng):
         return (rng.geometric(self._p(mu), n) - 1).astype(float)
 
-    def sum_quantile(self, mu, k, q):
-        p = self._p(mu)
-        return _ppf(q, lambda q: _nbinom_ppf_quiet(q, k, p), -1.0, math.inf,
-                    valid=0 < p <= 1)
+    def _sum_quantile(self, mu, k, q):
+        return _nbinom_ppf_quiet(q, k, self._p(mu))
 
     def default_std_range(self):
         return (0.15, 0.6)
@@ -722,9 +708,9 @@ class BetaFixedAlpha(FamilySpec):
     support = Support("interval", -math.inf, 0.0)
 
     def __init__(self, alpha: float = 1.0):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
         if self.alpha == 1.0:
             self.variance_function = (0.0, 0.0, 1.0)
 
@@ -847,34 +833,41 @@ class BetaFixedAlpha(FamilySpec):
         return self.alpha / (self.alpha + b)
 
     def _draw(self, mu, n, rng):
+        """X = log(1 - U) in log space: 1 - U = G_b / (G_b + G_alpha) for
+        independent G_s ~ Gamma(s), and log G_s = log G_(s+1) - E / s with
+        E ~ Exp(1) (Marsaglia & Tsang, ACM TOMS 26:363, 2000), so X stays
+        finite where G_b and 1 - U underflow to 0 at a small free shape b."""
         b = self.natural_from_mean(mu)
-        # 1 - U ~ Beta(beta, alpha); sampling it directly keeps log() accurate
-        return np.log(rng.beta(b, self.alpha, n))
+        log_b, log_a = (np.log(rng.standard_gamma(s + 1.0, n))
+                        - rng.standard_exponential(n) / s for s in (b, self.alpha))
+        return -np.logaddexp(0.0, log_a - log_b)
 
-    def sum_quantile(self, mu, k, q):
+    def _sum_quantile(self, mu, k, q):
         if self.alpha == 1.0:
-            scale = 1.0 / (-1.0 / mu)
-            return -_ppf(1.0 - q, lambda q: special.gammaincinv(k, q) * scale,
-                         0.0 * scale, math.inf * scale,
-                         valid=scale > 0)
+            return -(special.gammaincinv(k, 1.0 - q) * (1.0 / (-1.0 / mu)))
         # Outer bounds from one observation, exact at k = 1: P(Z < k x) <=
         # k P(X < x) in the lower tail, and P(Z > x) <= P(X > x)^k at the
         # near-zero end, found through U = 1 - e^X ~ Beta(alpha, beta) so that
         # log1p keeps the digits of a U far below eps.
         b = self.natural_from_mean(mu)
         if q < 0.5:
-            u = _ppf(q / k, lambda q: _beta_ppf(q, b, self.alpha), 0.0, 1.0,
-                     valid=b > 0)
-            if q > 0.0 and u < 1e-290:
+            u = _beta_ppf(q / k, b, self.alpha)
+            if u < 1e-290:
                 # u has underflowed (small b): solve in log space the bound
                 # I_u(b, alpha) <= 2^max(0, 1 - alpha) u^b / (b B(b, alpha))
                 # for u <= 1/2 instead, whose root lies below the quantile
                 return k * (math.log(q / k) + math.log(b) + float(self.log_partition(b))
                             - max(0.0, 1.0 - self.alpha) * math.log(2.0)) / b
             return k * float(np.log(u))
-        p = (1.0 - q) ** (1.0 / k) if q <= 1.0 else math.nan
-        u = _ppf(p, lambda p: _beta_ppf(p, self.alpha, b), 0.0, 1.0, valid=b > 0)
-        return float(np.log1p(-u))
+        p = (1.0 - q) ** (1.0 / k)
+        u = _beta_ppf(p, self.alpha, b)
+        if u == 1.0:
+            # 1 - u has underflowed (small b): solve in log space
+            # v^b / (b B(b, alpha)) = 1 - p instead, a lower bound on
+            # I_v(b, alpha) (to rounding at v < eps), whose root lies above
+            # the quantile v of 1 - U
+            return (math.log1p(-p) + math.log(b) + float(self.log_partition(b))) / b
+        return np.log1p(-u)
 
     def _sum_density(self, mus):
         """With alpha an integer n, 1 - U ~ Beta(b, n) makes -X a sum of n
@@ -901,19 +894,16 @@ class BetaFixedAlpha(FamilySpec):
         return self.mean_from_natural(float(s))
 
 
-def _log_sinch(w: np.ndarray) -> np.ndarray:
-    """log(sinh(w)/w) for w >= 0, stable for both tiny and large w."""
+def _log_sinch_damped(w: np.ndarray) -> np.ndarray:
+    """log(e^-w sinh(w)/w) = log((1 - e^(-2w)) / (2w)) for w >= 0, without
+    forming e^w, so that adding it to a large negative exponent cancels
+    nothing; a series below w = 1e-4, which also holds at w = 0."""
     w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0, replaced below
+        out = np.log(-np.expm1(-2.0 * w) / (2.0 * w))
     tiny = w < 1e-4
-    big = w > 20.0
-    mid = ~(tiny | big)
     wt = w[tiny]
-    out[tiny] = np.log1p(wt * wt / 6.0 * (1.0 + wt * wt / 20.0))
-    wm = w[mid]
-    out[mid] = np.log(np.sinh(wm) / wm)
-    wb = w[big]
-    out[big] = wb - np.log(2.0 * wb) + np.log1p(-np.exp(-2.0 * wb))
+    out[tiny] = np.log1p(wt * wt / 6.0 * (1.0 + wt * wt / 20.0)) - wt
     return out
 
 
@@ -975,15 +965,21 @@ class _GammaSum:
         a, r = self.k * self.shape, self.lam[0]
         return a * np.log(r) + (a - 1.0) * np.log(z) - r * z - special.gammaln(a)
 
+    # Both k = 2 forms are e^(-(r0 + r1) z / 2) times a function of
+    # w = |r0 - r1| z / 2 that grows like e^w; they take e^(-r_min z) times
+    # the function damped by e^-w instead, since adding w to
+    # -(r0 + r1) z / 2 in floats loses eps (r0 + r1) z: up to 1e-7 of the
+    # log-density at a rate ratio of 2e7.
+
     def _sinch(self, z):
         r0, r1 = self.rates
-        return (np.log(r0 * r1) + np.log(z) - 0.5 * (r0 + r1) * z
-                + _log_sinch(0.5 * abs(r0 - r1) * z))
+        return (np.log(r0 * r1) + np.log(z) - min(r0, r1) * z
+                + _log_sinch_damped(0.5 * abs(r0 - r1) * z))
 
     def _bessel(self, z):
-        a0, a1 = 0.5 * self.rates
-        u, v = np.abs(z * (a0 - a1)), z * (a0 + a1)
-        return np.log(special.i0e(u)) + (u - v) + 0.5 * np.log(self.rates[0] * self.rates[1])
+        r0, r1 = self.rates
+        return (np.log(special.i0e(0.5 * abs(r0 - r1) * z)) - min(r0, r1) * z
+                + 0.5 * np.log(r0 * r1))
 
     def _fractions(self) -> np.ndarray:
         """c[0, j, l] = g_j[m_j - 1 - l] / l! and c[1, j, l], the same from

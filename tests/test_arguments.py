@@ -47,6 +47,8 @@ SIZES = [
     (gr.coeff_iid_gap, (SPEC, 0.375), {}, "k", 2),
     (gr.coeff_cond_gap, (SPEC, 0.375), {}, "k", 2),
     (default_direction, (), {}, "k", 2),
+    # n = -1 and 2.5 once failed inside numpy without naming n
+    (SPEC.sample, (0.5,), {"rng": 0}, "n", 0),
 ]
 
 

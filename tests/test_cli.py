@@ -376,6 +376,9 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
     (["heatmap", "--family", "exponential", "--fixed", '{"bogus": 1}',
       "--kinds", "pseudo,cond"], "'bogus'"),
     (["simulate", *EXPO, "--fixed", '{"bogus": 1}'], "'bogus'"),
+    # a NaN sigma2 was accepted, and the pseudo log e-value was NaN
+    (["evaluate", "--family", "gaussian_mean", "--mu", "0.5,0.25", "--fixed",
+      '{"sigma2": NaN}', "--block", "1,2"], "sigma2 must be positive and finite, got nan"),
     (["simulate", *EXPO, "--trials", "0"], "trials must be at least 1, got 0"),
     (["simulate", *EXPO, "--alpha", "2"], "got 2.0"),
     (["simulate", *EXPO, "--multiplicities", "0,1"], "got [0, 1]"),
@@ -402,9 +405,9 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
     (["evaluate", *EXPO, "--kind", "gro_m", "--mixture", "MISSING", "--block", "1,2"],
      "No such file or directory"),
 ], ids=["unknown-family", "mean-outside", "fixed-evaluate", "fixed-project",
-        "fixed-growth", "fixed-heatmap", "fixed-simulate", "trials-0", "alpha-2",
-        "multiplicity-0", "stream-alpha-2", "mu-lo-outside", "max-iters-0",
-        "heatmap-n-0", "growth-mc-n-0", "quadrature-not-converged", "beta-cond-k3",
+        "fixed-growth", "fixed-heatmap", "fixed-simulate", "fixed-nan-sigma2",
+        "trials-0", "alpha-2", "multiplicity-0", "stream-alpha-2", "mu-lo-outside",
+        "max-iters-0", "heatmap-n-0", "growth-mc-n-0", "quadrature-not-converged", "beta-cond-k3",
         "heatmap-one-kind", "missing-config", "missing-data", "missing-stream",
         "missing-mixture"])
 def test_input_errors_exit_with_one_line(tmp_path, argv, names):

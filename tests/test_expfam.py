@@ -20,7 +20,7 @@ from ksample_evalues import (
     make_family,
     reduce_sufficient,
 )
-from ksample_evalues import sequential
+from ksample_evalues import evariables, sequential
 from ksample_evalues._quad import sum_nodes, support_nodes
 from ksample_evalues.expfam import (
     _FAMILIES,
@@ -245,6 +245,25 @@ class TestSampling:
         mu = float(np.mean(MU_RANGES[name]))
         x = spec.sample(mu, 1000, as_generator(3))
         assert np.all(spec.support.contains(x))
+
+    # P(X <= t) = I_(e^t)(b, alpha) in closed form, with e^t never formed
+    BETA_CDFS = {1.0: lambda b, t: np.exp(b * t),
+                 2.0: lambda b, t: np.exp(b * t) * (b + 1.0 - b * np.exp(t))}
+
+    @pytest.mark.parametrize("mean_u", [0.999, 0.99999])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_beta_draws_finite_at_a_small_free_shape(self, alpha, mean_u):
+        # 1 - U underflowed to 0 at a small free shape b: at alpha = 1 and
+        # E[U] = 0.999, 47.7 % of 10^4 draws were -inf
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        mu = spec.mean_from_beta_mean(mean_u)
+        x = spec.sample(mu, 10**4, as_generator(0))
+        assert np.all(np.isfinite(x)) and np.all(spec.support.contains(x))
+        assert abs(x.mean() - mu) < 4 * x.std() / 100
+        if alpha in self.BETA_CDFS:
+            b = spec.natural_from_mean(mu)
+            cdf = self.BETA_CDFS[alpha]
+            assert stats.kstest(x, lambda t: cdf(b, t)).pvalue > 1e-3
 
 
 class TestKL:
@@ -975,6 +994,14 @@ class TestFamilyRefusals:
     @pytest.mark.parametrize("name, fixed, match", [
         ("gaussian_mean", {"sigma2": 0.0}, "sigma2 must be positive"),
         ("beta_fixed_alpha", {"alpha": 0.0}, "alpha must be positive"),
+        # NaN and inf sigma2 were accepted (the pseudo log e-value was NaN);
+        # alpha = NaN failed inside brentq and inf raised OverflowError
+        ("gaussian_mean", {"sigma2": math.nan}, "^sigma2 must be positive and finite, got nan$"),
+        ("gaussian_mean", {"sigma2": math.inf}, "^sigma2 must be positive and finite, got inf$"),
+        ("beta_fixed_alpha", {"alpha": math.nan}, "^alpha must be positive and finite, got nan$"),
+        ("beta_fixed_alpha", {"alpha": math.inf}, "^alpha must be positive and finite, got inf$"),
+        ("gaussian_variance", {"fixed_mean": math.nan}, "^fixed_mean must be finite, got nan$"),
+        ("gaussian_variance", {"fixed_mean": -math.inf}, "^fixed_mean must be finite, got -inf$"),
     ])
     def test_fixed_parameter_must_be_positive(self, name, fixed, match):
         with pytest.raises(ValueError, match=match):
@@ -1012,20 +1039,23 @@ class TestConfig:
 
 # Means for the quantile parity check.  The geometric means above 10 have
 # success probability p < 0.09, where scipy's public nbdtrik + nbdtr returns
-# fewer support points at q = 1 - 1e-15 than scipy.stats.nbinom.  The last
-# mean of each non-beta family lies outside the mean space: NaN, as in
-# scipy.stats.
+# fewer support points at q = 1 - 1e-15 than scipy.stats.nbinom.
 PARITY_FAMILIES = [
-    ("bernoulli", {}, [0.05, 0.3, 0.5, 0.9, 1.5]),
-    ("gaussian_mean", {"sigma2": 0.7}, [-3.0, 0.0, 0.4, 2.5, math.nan]),
-    ("gaussian_variance", {}, [0.01, 0.5, 1.0, 5.0, -1.0]),
-    ("poisson", {}, [0.01, 0.2, 5.0, 30.0, -1.0]),
-    ("exponential", {}, [0.01, 0.25, 1.0, 4.0, -1.0]),
-    ("geometric", {}, [0.2, 10.0 / 3, 11.0, 20.0, 50.0, 100.0, -0.5]),
+    ("bernoulli", {}, [0.05, 0.3, 0.5, 0.9]),
+    ("gaussian_mean", {"sigma2": 0.7}, [-3.0, 0.0, 0.4, 2.5]),
+    ("gaussian_variance", {}, [0.01, 0.5, 1.0, 5.0]),
+    ("poisson", {}, [0.01, 0.2, 5.0, 30.0]),
+    ("exponential", {}, [0.01, 0.25, 1.0, 4.0]),
+    ("geometric", {}, [0.2, 10.0 / 3, 11.0, 20.0, 50.0, 100.0]),
     ("beta_fixed_alpha", {"alpha": 1.0}, [-3.0, -1.0, -0.15]),
     ("beta_fixed_alpha", {"alpha": 2.0}, [-3.0, -0.5, -0.15]),
 ]
-PARITY_QS = [0.0, 1e-15, 1e-9, 0.3, 0.5, 1 - 1e-9, 1 - 1e-15, 1.0]
+PARITY_QS = [1e-15, 1e-9, 0.3, 0.5, 1 - 1e-9, 1 - 1e-15]
+# a mean outside each family's mean space, which scipy.stats answers with NaN
+OUTSIDE_MEANS = [("bernoulli", {}, 1.5), ("gaussian_mean", {}, math.nan),
+                 ("gaussian_variance", {}, -1.0), ("poisson", {}, -1.0),
+                 ("exponential", {}, -1.0), ("geometric", {}, -0.5),
+                 ("beta_fixed_alpha", {"alpha": 2.0}, 0.5)]
 
 
 def stats_sum_quantile(spec, mu, k, q):
@@ -1055,8 +1085,7 @@ def stats_sum_quantile(spec, mu, k, q):
 
 
 def same_float(a, b):
-    return type(a) is float and (a == b or (math.isnan(a) and math.isnan(b))) and (
-        math.copysign(1.0, a) == math.copysign(1.0, b))
+    return type(a) is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 class TestQuantileParity:
@@ -1067,15 +1096,51 @@ class TestQuantileParity:
     def test_bitwise_equal_to_scipy_stats(self, name, fixed, mus):
         spec = make_family(name, **fixed)
         bad = []
-        with np.errstate(divide="ignore"):  # log of the beta quantile at q = 0
-            for mu in mus:
-                for q in PARITY_QS:
-                    for k in range(1, 9):
-                        got = spec.sum_quantile(mu, k, q)
-                        want = float(stats_sum_quantile(spec, mu, k, q))
-                        if not same_float(got, want):
-                            bad.append(("sum_quantile", mu, k, q, got, want))
+        for mu in mus:
+            for q in PARITY_QS:
+                for k in range(1, 9):
+                    got = spec.sum_quantile(mu, k, q)
+                    want = float(stats_sum_quantile(spec, mu, k, q))
+                    if not same_float(got, want):
+                        bad.append(("sum_quantile", mu, k, q, got, want))
         assert not bad
+
+
+class TestQuantileRefusals:
+    """``sum_quantile`` refuses what scipy.stats answers with NaN or a
+    support bound, and what no k-sum has, naming the value."""
+
+    @pytest.mark.parametrize("name, fixed, mu", OUTSIDE_MEANS,
+                             ids=[n for n, _, _ in OUTSIDE_MEANS])
+    def test_mean_outside_the_mean_space(self, name, fixed, mu):
+        with pytest.raises(MeanDomainError, match=f"^mu={mu!r} outside mean space"):
+            make_family(name, **fixed).sum_quantile(mu, 2, 0.5)
+
+    @pytest.mark.parametrize("k, q, message", [
+        (0, 0.5, "k must be at least 1, got 0"), (-1, 0.5, "k must be at least 1, got -1"),
+        (2.5, 0.5, "k must be an integer, got 2.5"),
+        *[(2, q, f"q must lie in (0, 1), got {q!r}") for q in (0.0, 1.0, -0.1, 1.5, math.nan)]])
+    @pytest.mark.parametrize("name, fixed", [(n, fx) for n, fx, _ in PARITY_FAMILIES],
+                             ids=[f"{n}{fx.get('alpha', '')}" for n, fx, _ in PARITY_FAMILIES])
+    def test_k_and_level_refused_by_name(self, name, fixed, k, q, message):
+        # k = 2.5 once gave 2.1757 (exponential), beta k = 0 raised
+        # ZeroDivisionError, and q outside (0, 1) gave NaN
+        spec = make_family(name, **fixed)
+        mu = spec.mean_from_std(spec.default_std_range()[0])
+        with pytest.raises(ValueError) as exc:
+            spec.sum_quantile(mu, k, q)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("build", [
+        lambda spec, alt: sum_nodes(spec, [0.5, -1.0], 2),
+        lambda spec, alt: evariables.null_expectation_profile(spec, alt, "cond", [-1.0]),
+    ], ids=["sum_nodes", "null_expectation_profile"])
+    def test_grid_refused_before_it_is_built(self, build):
+        # an exponential mean of -1 once built an all-NaN grid
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        with pytest.raises(MeanDomainError, match=r"^mu=-1.0 outside"):
+            build(spec, alt)
 
 
 def test_import_does_not_load_scipy_stats():

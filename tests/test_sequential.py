@@ -422,6 +422,18 @@ class TestSimulate:
         s = sq.simulate(spec, alt, "cond", 0.05, StopAtFive(), 50, seed=6, max_blocks=20)
         assert np.all(s.stop_times == 5)
 
+    @pytest.mark.parametrize("kind", ["pseudo", "gro_iid", "cond"])
+    def test_beta_campaign_at_a_small_free_shape_is_finite(self, kind):
+        # draws of 1 - U underflowed to 0 here, and every final log e-value
+        # of cond and gro_iid was NaN while rejection_rate read 0.0
+        spec = make_family("beta_fixed_alpha")
+        alt = Alternative.from_means(
+            spec, [spec.mean_from_beta_mean(m) for m in (0.999, 0.99)])
+        s = sq.simulate(spec, alt, kind, 0.05, "threshold", 200, seed=1,
+                        max_blocks=20)
+        assert np.all(np.isfinite(s.final_log_evalues))
+        assert s.rejection_rate <= 0.05 + 3 * s.rejection_stderr
+
     @pytest.mark.parametrize("policy", sq.POLICIES)
     @pytest.mark.parametrize("family, fixed, means", FAMILIES,
                              ids=[case_id(*case) for case in FAMILIES])
