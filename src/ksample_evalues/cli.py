@@ -120,7 +120,8 @@ def _load_mixture(path: str) -> ripr.MixtureNull:
     multiplicities, after their expansion."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not {"family", "mean_params"} <= set(payload.get("config", {})):
+    config = payload.get("config") if isinstance(payload, dict) else None
+    if not isinstance(config, dict) or not {"family", "mean_params"} <= set(config):
         raise SystemExit(
             f"{path}: mixture file has no 'config' with family and mean_params, "
             "so the problem it was certified for is unknown; produce it with "

@@ -113,61 +113,51 @@ def spawn_generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# numpy's SeedSequence: its pool size and its hash and mix constants
-_POOL_SIZE = 4
+# numpy's SeedSequence: its hash and mix constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix of a uint32 array at hash constant ``const``:
+    returns the hashed words and the next constant, ``const * mult``."""
+    stepped = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(stepped)
+    return value ^ value >> np.uint32(16), stepped
+
+
 def spawn_keys(seed: int, count: int) -> np.ndarray:
     """The Philox keys of ``spawn_generator(seed, t)`` for every t < count,
     shape (count, 2) uint64, all at once.
 
-    A port of ``SeedSequence(entropy=seed, spawn_key=(t,))`` and its
-    ``generate_state(2, np.uint64)`` to uint32 arrays over t: the seed's
-    little-endian 32-bit words, padded with zeros to the pool size, then t,
-    are hashed into the pool, and the pool is hashed into four words.  A
-    Philox at one of these keys, counter 0 and an empty buffer draws the
-    same stream as ``spawn_generator(seed, t)``."""
+    numpy builds the seed's pool (``SeedSequence(seed).pool``); only the
+    steps that depend on t are ported, to uint32 arrays over t: mixing the
+    spawn-key word t into each pool word, and ``generate_state(2,
+    np.uint64)``.  A Philox at one of these keys, counter 0 and an empty
+    buffer draws the same stream as ``spawn_generator(seed, t)``."""
     _require_at_least(0, seed=seed)
     _require_at_least(1, count=count)
     if count > 2**32:  # t must be one 32-bit word of the spawn key
         raise ValueError(f"count must be at most 2**32, got {count!r}")
-    seed, words = operator.index(seed), []
-    while True:
-        words.append(np.array([seed & _MASK32], dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
-    words.append(np.arange(count, dtype=np.uint32))
-
-    def hasher(const: int, mult: int):
-        def hashmix(value):  # SeedSequence's hashmix with its own constant
-            nonlocal const
-            value = value ^ np.uint32(const)
-            const = const * mult & _MASK32
-            value = value * np.uint32(const)
-            return value ^ value >> np.uint32(16)
-        return hashmix
-
-    def mix(x, y):
-        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return out ^ out >> np.uint32(16)
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    generate = hasher(_INIT_B, _MULT_B)
-    state = [generate(word).astype(np.uint64) for word in pool]
+    root = np.random.SeedSequence(seed)
+    size, words = root.pool_size, max(1, -(-operator.index(seed).bit_length() // 32))
+    # The spawned pool before t is the seed's own: the zero words that pad a
+    # short seed when a spawn key follows hash as the unspawned pool's filler.
+    # numpy's mix_entropy has made c = P**2 + P * max(0, w - P) hashmix calls
+    # by then (P = pool size, w = seed words: P fills, P * (P - 1) cross-mixes
+    # and P per word past the pool), so t meets the constant _INIT_A * _MULT_A**c
+    calls = size * size + size * max(0, words - size)
+    const = _INIT_A * pow(_MULT_A, calls, 2**32) & _MASK32
+    # pool word i is final once t is mixed in, and generate_state hashes the
+    # words in order with a constant of its own
+    t, key_const, state = np.arange(count, dtype=np.uint32), _INIT_B, []
+    for word in root.pool.tolist():
+        hashed, const = _hashmix(t, const, _MULT_A)
+        mixed = np.uint32(_MIX_MULT_L * word & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
+        hashed, key_const = _hashmix(mixed ^ mixed >> np.uint32(16), key_const, _MULT_B)
+        state.append(hashed.astype(np.uint64))
     return np.stack([state[0] | state[1] << np.uint64(32),
                      state[2] | state[3] << np.uint64(32)], axis=-1)
 
@@ -224,20 +214,21 @@ class Support:
 class FamilySpec(ABC):
     """Base class for the concrete families.
 
-    A family states its law: the parameter maps lambda(mu), mu(lambda) and
-    A(lambda), the carrier log h, the support, and three laws on arguments
-    already checked: ``_draw`` (draws at a mean), ``_sum_quantile`` (the
-    inverse CDF of a k-sum) and ``_sum_density``.  Everything derived lives
-    here: densities, KL, Fisher information, central moments, and the three
-    checked entry points ``sample``, ``sum_quantile`` and ``sum_log_pdf``,
-    which refuse a bad argument by name before any law runs.  ``sum_log_pdf``
-    checks the means and the sum's support, is ``log_pdf`` at k = 1 and
-    ``_sum_density(mus)(z)`` at k >= 2.  ``_sum_density`` is the one
-    sum-density override: it builds, once per set of means, the k >= 2
-    density as a function of z.  Its base form is the lattice convolution;
-    Poisson and gaussian_mean return their closed forms, the gamma sums their
-    ``_GammaSum``, and beta its gamma sum (integer alpha) or convolution
-    (non-integer alpha, k = 2 only).
+    A family states its law: the parameter maps lambda(mu), mu(lambda) (as
+    ``_mean_from_natural``) and A(lambda), the carrier log h, the support,
+    and three laws on arguments already checked: ``_draw`` (draws at a
+    mean), ``_sum_quantile`` (the inverse CDF of a k-sum) and
+    ``_sum_density``.  Everything derived lives here: densities,
+    KL, Fisher information, central moments, and the four checked entry
+    points ``mean_from_natural``, ``sample``, ``sum_quantile`` and
+    ``sum_log_pdf``, which refuse a bad argument by name before any law
+    runs.  ``sum_log_pdf`` checks the means and the sum's support, is
+    ``log_pdf`` at k = 1 and ``_sum_density(mus)(z)`` at k >= 2.
+    ``_sum_density`` is the one sum-density override: it builds, once per
+    set of means, the k >= 2 density as a function of z.  Its base form is
+    the lattice convolution; Poisson and gaussian_mean return their closed
+    forms, the gamma sums their ``_GammaSum``, and beta its gamma sum
+    (integer alpha) or convolution (non-integer alpha, k = 2 only).
 
     A family with a quadratic variance function
     V(mu) = v0 + v1 mu + v2 mu^2 (Morris 1982) gives it as the triple
@@ -259,9 +250,27 @@ class FamilySpec(ABC):
     def natural_from_mean(self, mu: float) -> float:
         """Canonical parameter lambda(mu); inverse of mean_from_natural."""
 
-    @abstractmethod
     def mean_from_natural(self, lam: float) -> float:
-        """Mean parameter A'(lambda)."""
+        """Mean parameter A'(lambda).  A lambda whose mean rounds out of the
+        open mean space is refused by name; so is every lambda outside the
+        natural space, whose mean leaves the mean space in every family but
+        beta, and beta refuses it itself."""
+        lam = float(lam)
+        try:
+            mu = self._mean_from_natural(lam)
+        except ArithmeticError:  # past the largest float, or 1 / 0 at lambda = 0
+            mu = math.inf
+        lo, hi = self.mean_space
+        if not lo < mu < hi:
+            raise MeanDomainError(
+                f"canonical parameter {lam!r} of family '{self.family_id}' has "
+                f"mean {mu!r}, outside the mean space ({lo}, {hi})"
+            )
+        return mu
+
+    @abstractmethod
+    def _mean_from_natural(self, lam: float) -> float:
+        """A'(lambda) at a float lambda, for ``mean_from_natural`` to check."""
 
     @abstractmethod
     def log_partition(self, lam) -> float:
@@ -480,7 +489,7 @@ class Bernoulli(FamilySpec):
         mu = self.check_mean(mu)
         return math.log(mu / (1.0 - mu))
 
-    def mean_from_natural(self, lam):
+    def _mean_from_natural(self, lam):
         return float(special.expit(lam))
 
     def log_partition(self, lam):
@@ -515,8 +524,8 @@ class GaussianFreeMean(FamilySpec):
     def natural_from_mean(self, mu):
         return self.check_mean(mu) / self.sigma2
 
-    def mean_from_natural(self, lam):
-        return float(lam) * self.sigma2
+    def _mean_from_natural(self, lam):
+        return lam * self.sigma2
 
     def log_partition(self, lam):
         return 0.5 * self.sigma2 * np.asarray(lam) ** 2
@@ -563,8 +572,8 @@ class GaussianFreeVariance(FamilySpec):
     def natural_from_mean(self, mu):
         return -0.5 / self.check_mean(mu)
 
-    def mean_from_natural(self, lam):
-        return -0.5 / float(lam)
+    def _mean_from_natural(self, lam):
+        return -0.5 / lam
 
     def log_partition(self, lam):
         return -0.5 * np.log(-2.0 * np.asarray(lam))
@@ -598,7 +607,7 @@ class Poisson(FamilySpec):
     def natural_from_mean(self, mu):
         return math.log(self.check_mean(mu))
 
-    def mean_from_natural(self, lam):
+    def _mean_from_natural(self, lam):
         return math.exp(lam)
 
     def log_partition(self, lam):
@@ -633,8 +642,8 @@ class Exponential(FamilySpec):
     def natural_from_mean(self, mu):
         return -1.0 / self.check_mean(mu)
 
-    def mean_from_natural(self, lam):
-        return -1.0 / float(lam)
+    def _mean_from_natural(self, lam):
+        return -1.0 / lam
 
     def log_partition(self, lam):
         return -np.log(-np.asarray(lam))
@@ -667,7 +676,7 @@ class Geometric(FamilySpec):
         mu = self.check_mean(mu)
         return math.log(mu / (1.0 + mu))
 
-    def mean_from_natural(self, lam):
+    def _mean_from_natural(self, lam):
         return 1.0 / math.expm1(-lam)
 
     def log_partition(self, lam):
@@ -754,11 +763,10 @@ class BetaFixedAlpha(FamilySpec):
             raise MeanDomainError(f"mu={mu!r} too close to 0 for the digamma gap")
         return b
 
-    def mean_from_natural(self, lam):
-        lam = float(lam)
-        if lam <= 0:
+    def _mean_from_natural(self, lam):
+        if not lam > 0:  # a negative shape's psi-gap can lie in the mean space
             raise MeanDomainError(
-                f"canonical parameter {lam} outside (0, inf) for family "
+                f"canonical parameter {lam!r} outside (0, inf) for family "
                 f"'{self.family_id}'"
             )
         return self._psi_gap(0, lam)
@@ -848,7 +856,9 @@ class BetaFixedAlpha(FamilySpec):
         # Outer bounds from one observation, exact at k = 1: P(Z < k x) <=
         # k P(X < x) in the lower tail, and P(Z > x) <= P(X > x)^k at the
         # near-zero end, found through U = 1 - e^X ~ Beta(alpha, beta) so that
-        # log1p keeps the digits of a U far below eps.
+        # log1p keeps the digits of a U far below eps, or, where U's quantile
+        # passes 1/2, through V = 1 - U ~ Beta(beta, alpha), whose digits
+        # 1 - u would lose.
         b = self.natural_from_mean(mu)
         if q < 0.5:
             u = _beta_ppf(q / k, b, self.alpha)
@@ -861,13 +871,17 @@ class BetaFixedAlpha(FamilySpec):
             return k * float(np.log(u))
         p = (1.0 - q) ** (1.0 / k)
         u = _beta_ppf(p, self.alpha, b)
-        if u == 1.0:
-            # 1 - u has underflowed (small b): solve in log space
+        if u <= 0.5:
+            return np.log1p(-u)
+        # V's level 1 - p, rounded up so that the end stays outer
+        v = _beta_ppf(np.nextafter(1.0 - p, 1.0), b, self.alpha)
+        if v < 1e-290:
+            # v has underflowed (small b): solve in log space
             # v^b / (b B(b, alpha)) = 1 - p instead, a lower bound on
             # I_v(b, alpha) (to rounding at v < eps), whose root lies above
             # the quantile v of 1 - U
             return (math.log1p(-p) + math.log(b) + float(self.log_partition(b))) / b
-        return np.log1p(-u)
+        return math.log(v)
 
     def _sum_density(self, mus):
         """With alpha an integer n, 1 - U ~ Beta(b, n) makes -X a sum of n
@@ -1054,9 +1068,13 @@ class _GammaSum:
         at most e^x P(m, x) / Gamma(k shape) in the units of the sum.  Each
         point starts at m terms and doubles its own count, adding only the
         new terms to its running log-sum, until that bound is below e^-40 of
-        the sum, up to 16384 terms.
+        the sum, up to 16384 terms.  A point is refused as soon as the cap is
+        out of reach: no partial sum exceeds e^val plus the bound, and at
+        x >= 16384 the terms past the cap add at least e^x / (2 Gamma(k
+        shape)), since the gamma median lies below its shape.
         """
-        r, rho = self.lam[-1], self.k * self.shape
+        cap, r, rho = 2**14, self.lam[-1], self.k * self.shape
+        log_gamma = special.gammaln(rho)
         x = (1.0 - self.lam[0] / r) * r * z
         with np.errstate(divide="ignore"):
             log_x = np.log(x)
@@ -1076,14 +1094,17 @@ class _GammaSum:
                 top[at] = new
             val = top[todo] + np.log(acc[todo])
             with np.errstate(divide="ignore"):
-                tail = x[todo] + np.log(special.gammainc(m, x[todo])) - special.gammaln(rho)
+                tail = x[todo] + np.log(special.gammainc(m, x[todo])) - log_gamma
             short = tail - val > -40.0
+            # one nat of slack on the bound past the cap
+            reach = x[todo] - math.log(2.0) - log_gamma - np.logaddexp(val, tail)
+            hopeless = short & ((m >= cap) | (x[todo] >= cap) & (reach > -39.0))
+            if hopeless.any():
+                raise ComputationError(
+                    f"gamma-sum series needs more than {cap} terms for rates "
+                    f"{self.rates.tolist()} at z={float(z[todo[hopeless]].max())!r}")
             out[todo[~short]] = val[~short]
             todo = todo[short]
-            if todo.size and m >= 2**14:
-                raise ComputationError(
-                    f"gamma-sum series needs more than {m} terms for rates "
-                    f"{self.rates.tolist()} at z={float(z[todo].max())!r}")
             done, m = m, 2 * m
         return out + (self.shape * np.dot(self.mult, np.log(self.lam / r)) + math.log(r)
                       + (rho - 1.0) * np.log(r * z) - r * z)

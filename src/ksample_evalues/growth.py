@@ -342,9 +342,11 @@ def heatmap(
 
     Grid points are equally spaced in the family's standard parameterization
     (documented per family; the default ranges are artifact choices).  Cells
-    where evaluation fails are recorded in ``failures`` and set to NaN rather
-    than aborting the run.  A Monte Carlo cell draws once from its own
-    substream ``spawn_generator(seed, i, j)`` and scores both kinds on those
+    whose evaluation is refused by name (a ``ValueError`` or a
+    ``ComputationError``) are recorded in ``failures`` and set to NaN rather
+    than aborting the run; any other exception propagates.  A Monte Carlo
+    cell draws once from its own substream ``spawn_generator(seed, i, j)``
+    and scores both kinds on those
     draws; its gap and stderr are those of the paired difference.  The
     certified-mixture ratio is refused: a certified mixture is bound to one
     alternative, not to every grid cell.  Before any cell it also refuses
@@ -387,7 +389,7 @@ def heatmap(
                 ea, eb = (growth_rate(spec, alt, kind, method=method)
                           for kind in (kind_a, kind_b))
                 gap[i, j] = ea.rate - eb.rate
-        except Exception as exc:  # per-cell failures are data, not fatal
+        except (ValueError, ComputationError) as exc:  # a refused cell is data
             failures.append({"i": i, "j": j, "mu1": mus[i], "mu2": mus[j], "error": str(exc)})
     if method == "quadrature":
         lower = np.tril_indices(n, -1)

@@ -66,7 +66,7 @@ import functools
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -207,9 +207,16 @@ class MixtureNull:
         """Inverse of ``to_json_dict``; also reads a ``ksev project`` file,
         whose ``config`` may omit default fixed params and give beta means of
         the observation (``beta_means``)."""
+        _check_keys("mixture", d, ("components",), ("certificate", "config"))
+        if not isinstance(d["components"], list):
+            raise ValueError(f"mixture components must be a list, got {d['components']!r}")
+        for c in d["components"]:
+            _check_keys("mixture component", c, ("w", "mu0"))
         comps = tuple((c["w"], c["mu0"]) for c in d["components"])
         cert = None
         if "certificate" in d:
+            _check_keys("mixture certificate", d["certificate"],
+                        [f.name for f in fields(Certificate)])
             cert = Certificate(**d["certificate"])
         config = None
         if "config" in d:
@@ -219,6 +226,19 @@ class MixtureNull:
             spec, means = problem_from_config(cfg)
             config = spec.to_config(means)
         return cls(comps, cert, config)
+
+
+def _check_keys(what: str, d, required, optional=()) -> None:
+    """Refuse a JSON object of a mixture file that lacks a required key or
+    has an unknown one, naming the keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+    unknown = [key for key in d if key not in required and key not in optional]
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def _sum_leading(terms) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +225,39 @@ class TestMixtureConfig:
         with pytest.raises(SystemExit, match="no 'config'"):
             main(["evaluate", "--family", "exponential", "--mu", "0.5,0.25",
                   "--kind", "gro_m", "--block", "0.7,0.4", "--mixture", mix])
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda p: p.pop("components"), "mixture is missing 'components'"),
+        (lambda p: p.update(certificate={"sup_expectation": 1.0}),
+         "mixture certificate is missing 'mu0_grid_size', 'mu0_lo', 'mu0_hi', "
+         "'method', 'argmax_mu0'"),
+    ], ids=["no-components", "partial-certificate"])
+    def test_malformed_file_exits_with_one_line(self, tmp_path, edit, reason):
+        # these files once ended in a KeyError and a TypeError traceback
+        mix = tmp_path / "mix.json"
+        write_mixture(mix, "exponential", [0.5, 0.25])
+        payload = json.loads(mix.read_text())
+        edit(payload)
+        mix.write_text(json.dumps(payload))
+        argv = ["evaluate", *EXPO, "--kind", "gro_m", "--block", "0.7,0.4",
+                "--mixture", str(mix)]
+        with pytest.raises(SystemExit, match=f"^{re.escape(f'{mix}: {reason}')}$"):
+            main(argv)
+        src = str(Path(ripr.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "ksample_evalues.cli", *argv],
+                              cwd=src, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"{mix}: {reason}\n"
+
+    @pytest.mark.parametrize("text", ['[{"components": []}]',
+                                      '{"components": [], "config": 5}'])
+    def test_file_without_config_object_refused(self, tmp_path, text):
+        # these once ended in an AttributeError and a TypeError traceback
+        mix = tmp_path / "mix.json"
+        mix.write_text(text)
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(mix))}: .*no 'config'"):
+            main(["evaluate", *EXPO, "--kind", "gro_m", "--block", "0.7,0.4",
+                  "--mixture", str(mix)])
 
     def test_means_compared_after_beta_conversion(self, capsys, tmp_path):
         mix = write_mixture(tmp_path / "mix.json", "beta", [0.5, 0.25],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from ksample_evalues import (
     Alternative,
@@ -78,6 +79,56 @@ class TestParameterMaps:
             lam = spec.natural_from_mean(mu)
             back = spec.mean_from_natural(lam)
             assert back == pytest.approx(mu, abs=1e-10 * max(1.0, abs(mu)))
+
+    # the maps as closed forms, to check the checked map returns them bit for bit
+    MEAN_MAPS = {
+        "bernoulli": lambda spec, lam: float(special.expit(lam)),
+        "gaussian_mean": lambda spec, lam: lam * spec.sigma2,
+        "gaussian_variance": lambda spec, lam: -0.5 / lam,
+        "poisson": lambda spec, lam: math.exp(lam),
+        "exponential": lambda spec, lam: -1.0 / lam,
+        "geometric": lambda spec, lam: 1.0 / math.expm1(-lam),
+        "beta_fixed_alpha": lambda spec, lam: spec._psi_gap(0, lam),
+    }
+
+    @pytest.mark.parametrize("name, fixed", [
+        *[(name, {}) for name in ALL_FAMILIES],
+        ("gaussian_mean", {"sigma2": 2.5}),
+        ("beta_fixed_alpha", {"alpha": 2.0}),
+        ("beta_fixed_alpha", {"alpha": 0.5}),
+    ])
+    def test_valid_lambda_keeps_its_mean(self, name, fixed):
+        spec = make_family(name, **fixed)
+        lo, hi = spec.mean_space
+        if name == "bernoulli":
+            mus = np.linspace(1e-6, 1.0 - 1e-6, 201)
+        else:
+            mus = np.geomspace(1e-6, 1e6, 201)
+            mus = mus if lo == 0.0 else -mus if hi == 0.0 else np.concatenate([mus, -mus])
+        for mu in mus:
+            lam = spec.natural_from_mean(mu)
+            back = spec.mean_from_natural(lam)
+            assert back == self.MEAN_MAPS[name](spec, lam)
+            assert back == pytest.approx(mu, rel=1e-9)
+
+    @pytest.mark.parametrize("name, fixed, lam", [
+        ("exponential", {}, 1.0), ("gaussian_variance", {}, 0.5),
+        ("geometric", {}, 0.5), ("geometric", {}, 1e-300),
+        ("bernoulli", {}, 40.0), ("bernoulli", {}, math.inf),
+        *[(name, {}, math.nan) for name in ALL_FAMILIES if name != "beta_fixed_alpha"],
+        ("exponential", {}, 0.0), ("geometric", {}, 0.0), ("gaussian_variance", {}, 0.0),
+        ("poisson", {}, 710.0), ("poisson", {}, -800.0),
+        ("gaussian_mean", {"sigma2": 2.0}, 1e308),
+        ("exponential", {}, -1e-320), ("exponential", {}, -math.inf),
+        ("beta_fixed_alpha", {"alpha": 0.5}, -0.9), ("beta_fixed_alpha", {}, 1e-320),
+    ])
+    def test_lambda_outside_its_space_or_mean_refused(self, name, fixed, lam):
+        # these once gave a wrong mean (exponential -1.0 at 1.0, bernoulli 1.0
+        # at 40, NaN at NaN) or raised ZeroDivisionError or OverflowError
+        spec = make_family(name, **fixed)
+        match = rf"^canonical parameter {re.escape(repr(lam))} .*'{name}'"
+        with pytest.raises(MeanDomainError, match=match):
+            spec.mean_from_natural(lam)
 
     def test_known_natural_values(self):
         assert make_family("bernoulli").natural_from_mean(0.5) == pytest.approx(0.0)
@@ -543,6 +594,20 @@ class TestSumDensity:
         with pytest.raises(ComputationError,
                            match=r"rates \[50\.0, 0\.5, 0\.05\] at z=900\.0"):
             spec.sum_log_pdf([0.01, 1.0, 10.0], np.array([1.0, 900.0]))
+
+    @pytest.mark.parametrize("shape, rates, z", [
+        (0.5, [50.0, 0.5, 0.05], 900.0),
+        # beta alpha = 2, k = 4 at E[U] about (1 - 1.6e-6, 0.00085, 1 - 1.2e-6, 0.982)
+        (1.0, [3.2e-06, 1.0000032, 2350.94, 2351.94, 2.4e-06, 1.0000024,
+               0.0366599, 1.0366599], 12655.1),
+    ])
+    def test_series_refuses_once_the_cap_is_out_of_reach(self, shape, rates, z):
+        # the weights once grew to the 16384-term cap before the refusal
+        gamma_sum = _GammaSum(shape, rates)
+        with pytest.raises(ComputationError,
+                           match=rf"more than 16384 terms .* at z={re.escape(repr(z))}$"):
+            gamma_sum._series(np.array([1.0, z]))
+        assert gamma_sum._log_w.size < 2**14
 
     def test_series_term_count_is_per_point(self, monkeypatch):
         # each point doubles its own term count: a far point that needs
@@ -1077,11 +1142,17 @@ def stats_sum_quantile(spec, mu, k, q):
         # negated gamma sum
         return -float(stats.gamma(k, scale=1.0 / (-1.0 / mu)).ppf(1.0 - q))
     # outer bounds from one observation X = log(1 - U), U ~ Beta(alpha, beta):
-    # k q1(q / k) in the lower tail, q1(1 - (1 - q)^(1/k)) at the near-zero end
+    # k q1(q / k) in the lower tail, q1(1 - (1 - q)^(1/k)) at the near-zero end,
+    # through V = 1 - U ~ Beta(beta, alpha) at V's level rounded up where U's
+    # quantile passes 1/2
     b = spec.natural_from_mean(mu)
     if q < 0.5:
         return k * np.log(stats.beta(b, spec.alpha).ppf(q / k))
-    return np.log1p(-stats.beta(spec.alpha, b).ppf((1.0 - q) ** (1.0 / k)))
+    p = (1.0 - q) ** (1.0 / k)
+    u = stats.beta(spec.alpha, b).ppf(p)
+    if u <= 0.5:
+        return np.log1p(-u)
+    return np.log(stats.beta(b, spec.alpha).ppf(np.nextafter(1.0 - p, 1.0)))
 
 
 def same_float(a, b):
@@ -1104,6 +1175,40 @@ class TestQuantileParity:
                     if not same_float(got, want):
                         bad.append(("sum_quantile", mu, k, q, got, want))
         assert not bad
+
+
+def beta_upper_one_observation(alpha, b, p):
+    """Oracle: x with P(X > x) = p for X = log V, V ~ Beta(b, alpha), by
+    bisection in log v on mpmath's upper incomplete beta; a lower end within
+    1e-20 relative of the root."""
+    with mpmath.workdps(40):
+        a, bb, pp = mpmath.mpf(alpha), mpmath.mpf(b), mpmath.mpf(p)
+        lo, hi = mpmath.mpf(-1e12), mpmath.mpf(0)
+        while hi - lo > 1e-20 * abs(hi):
+            mid = (lo + hi) / 2
+            if mpmath.betainc(bb, a, mpmath.exp(mid), 1, regularized=True) > pp:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+class TestBetaNearZeroEnd:
+    @pytest.mark.parametrize("alpha, b, k, q", [
+        # once -36.7368 through log1p(-u), below the one-observation -36.56155
+        (2.0, 5.000012500064007e-06, 4, 1 - 1e-15),
+        (2.0, 5e-6, 2, 1 - 1e-9), (0.5, 1e-4, 4, 1 - 1e-9), (0.5, 1e-4, 4, 1 - 1e-15),
+        (3.7, 1e-5, 2, 1 - 1e-9), (3.7, 1e-5, 4, 1 - 1e-15),
+        (2.0, 1e-3, 1, 0.9), (1.5, 0.05, 1, 0.9), (2.0, 1e-9, 1, 1 - 1e-9),
+    ])
+    def test_end_bounds_one_observation_quantile(self, alpha, b, k, q):
+        # where U's quantile lies within a few eps of 1, the end goes through
+        # V = 1 - U; it bounds the one-observation quantile (exact at k = 1)
+        # from above, also where V's level 1 - p rounds
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        got = spec.sum_quantile(spec.mean_from_natural(b), k, q)
+        want = beta_upper_one_observation(alpha, b, (1.0 - q) ** (1.0 / k))
+        assert want <= got <= want + 1e-7 * abs(want)
 
 
 class TestQuantileRefusals:
@@ -1155,9 +1260,10 @@ def test_import_does_not_load_scipy_stats():
 
 
 class TestSpawnKeys:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5, 3**150])
     def test_keys_are_seed_sequence_keys(self, seed):
-        # one- to five-word seeds: padded to the pool, and hashed in past it
+        # one- to eight-word seeds: padded to the pool, and hashed in past it
         keys = spawn_keys(seed, 10**4 + 1)
         assert keys.dtype == np.uint64 and keys.shape == (10**4 + 1, 2)
         want = np.array([np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(

@@ -343,6 +343,15 @@ class TestHeatmap:
         assert res.failures
         assert np.isnan(res.gap).any()
 
+    def test_programming_error_in_a_cell_propagates(self, monkeypatch):
+        # only named refusals are cell failures; a TypeError was once a NaN cell
+        def broken(*args, **kwargs):
+            raise TypeError("broken cell")
+
+        monkeypatch.setattr(gr, "growth_rate", broken)
+        with pytest.raises(TypeError, match="^broken cell$"):
+            gr.heatmap(make_family("exponential"), ("gro_iid", "cond"), n=3)
+
     @pytest.mark.parametrize("name", ["bernoulli", "gaussian_mean", "gaussian_variance",
                                       "poisson", "exponential", "geometric",
                                       "beta_fixed_alpha"])

@@ -87,6 +87,28 @@ class TestMixtureNullValidation:
         with pytest.raises(ValueError, match="needs 'family' and 'mean_params'"):
             ripr.MixtureNull.from_json_dict(payload)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda p: p.pop("components"), r"^mixture is missing 'components'$"),
+        (lambda p: p.update(weights=[1.0]), r"^mixture has unknown key\(s\) 'weights'$"),
+        (lambda p: p["components"][0].pop("mu0"),
+         r"^mixture component is missing 'mu0'$"),
+        (lambda p: p.update(components=5), r"^mixture components must be a list, got 5$"),
+        (lambda p: p.update(components=["w"]),
+         r"^mixture component must be a JSON object, got 'w'$"),
+        (lambda p: [p["certificate"].pop(key) for key in ("mu0_lo", "method")],
+         r"^mixture certificate is missing 'mu0_lo', 'method'$"),
+        (lambda p: p["certificate"].update(sup=1.0),
+         r"^mixture certificate has unknown key\(s\) 'sup'$"),
+        (lambda p: p.update(certificate=[1.0]),
+         r"^mixture certificate must be a JSON object, got \[1\.0\]$"),
+    ])
+    def test_malformed_file_refused_by_key(self, edit, match):
+        cert = ripr.Certificate(1.0005, 100, 0.1, 1.0, "li", 0.5)
+        payload = ripr.MixtureNull(((1.0, 0.3),), cert).to_json_dict()
+        edit(payload)
+        with pytest.raises(ValueError, match=match):
+            ripr.MixtureNull.from_json_dict(payload)
+
     def test_json_roundtrip(self):
         cert = ripr.Certificate(1.0005, 1000, 0.1, 1.0, "brute_force_2", 0.4)
         problem = {"family": "exponential", "fixed_params": {},
