@@ -43,15 +43,26 @@ def _parse_floats(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]
 
 
+def _json_object(what: str, text: str) -> dict:
+    """Parse ``text`` as JSON, refusing anything but an object by name."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
 def _load_config(args) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = _json_object(f"--config {args.config}", fh.read())
     if getattr(args, "family", None):
         cfg["family"] = args.family
     if getattr(args, "fixed", None):
-        cfg.setdefault("fixed_params", {}).update(json.loads(args.fixed))
+        fixed = _json_object("--fixed", args.fixed)
+        merged = cfg.setdefault("fixed_params", {})
+        if isinstance(merged, dict):  # anything else is refused with the family
+            merged.update(fixed)
     if getattr(args, "mu", None):
         cfg["mean_params"] = _parse_floats(args.mu)
     if getattr(args, "beta_means", False):
@@ -59,7 +70,9 @@ def _load_config(args) -> dict:
     errors = []
     if "family" not in cfg:
         errors.append("family: missing (flag --family or config key 'family')")
-    if "mean_params" not in cfg or len(cfg.get("mean_params", [])) < 2:
+    means = cfg.get("mean_params", [])
+    # problem_from_config refuses a mean_params that is no list, naming it
+    if isinstance(means, list) and len(means) < 2:
         errors.append("mean_params: need at least two group means (--mu)")
     if errors:
         raise SystemExit("invalid configuration:\n  " + "\n  ".join(errors))
@@ -162,7 +175,7 @@ def cmd_evaluate(args) -> int:
     for where, blk in blocks:
         try:
             value = log_statistic(ev._as_block(spec, alt, blk))
-        except Exception as exc:
+        except (ValueError, ComputationError) as exc:
             raise SystemExit(f"{where}: {exc}")
         res = ev.EValueResult(kind, float(value), cert)
         total += res.log_evalue
@@ -189,7 +202,7 @@ def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
             try:
                 group_txt, value_txt = line.split(",", 1)
                 state.ingest(int(group_txt), float(value_txt))
-            except Exception as exc:
+            except (ValueError, ComputationError) as exc:
                 raise SystemExit(f"{args.stream}:{ln}: {exc}")
     payload = {
         "blocks_completed": state.blocks_completed,
@@ -257,7 +270,7 @@ def cmd_growth(args) -> int:
 def cmd_heatmap(args) -> int:
     cfg: dict = {"family": args.family}
     if args.fixed:
-        cfg["fixed_params"] = json.loads(args.fixed)
+        cfg["fixed_params"] = _json_object("--fixed", args.fixed)
     spec = family_from_config(cfg)
     result = gr.heatmap(
         spec,

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -95,6 +96,15 @@ def _require_at_least(least: int, **sizes) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
+def _require_real(**values) -> None:
+    """The one check of a number read from a configuration or a file: each
+    value must be a real number (a bool or a string is refused).  The
+    refusal names the key and the value."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -214,15 +224,19 @@ class Support:
 class FamilySpec(ABC):
     """Base class for the concrete families.
 
-    A family states its law: the parameter maps lambda(mu), mu(lambda) (as
-    ``_mean_from_natural``) and A(lambda), the carrier log h, the support,
-    and three laws on arguments already checked: ``_draw`` (draws at a
-    mean), ``_sum_quantile`` (the inverse CDF of a k-sum) and
-    ``_sum_density``.  Everything derived lives here: densities,
-    KL, Fisher information, central moments, and the four checked entry
-    points ``mean_from_natural``, ``sample``, ``sum_quantile`` and
-    ``sum_log_pdf``, which refuse a bad argument by name before any law
-    runs.  ``sum_log_pdf`` checks the means and the sum's support, is
+    A family states its laws and its data.  The laws: the parameter maps
+    lambda(mu) and mu(lambda) (as ``_natural_from_mean`` and
+    ``_mean_from_natural``), A(lambda), the carrier log h, and three laws on
+    arguments already checked: ``_draw`` (draws at a mean),
+    ``_sum_quantile`` (the inverse CDF of a k-sum) and ``_sum_density``.
+    The data: ``family_id``, the mean space, the support, the heatmap range
+    ``std_range`` and the constructor's fixed parameters, stored under their
+    own names, which ``fixed_params`` reads.  Everything derived lives here:
+    densities, KL, Fisher information, central moments, and the five
+    checked entry points ``natural_from_mean``, ``mean_from_natural``,
+    ``sample``, ``sum_quantile`` and ``sum_log_pdf``, which refuse a bad
+    argument by name before any law runs.  ``sum_log_pdf`` checks the means
+    and the sum's support, is
     ``log_pdf`` at k = 1 and ``_sum_density(mus)(z)`` at k >= 2.
     ``_sum_density`` is the one sum-density override: it builds, once per
     set of means, the k >= 2 density as a function of z.  Its base form is
@@ -243,12 +257,18 @@ class FamilySpec(ABC):
     mean_space: tuple[float, float]
     support: Support
     variance_function: tuple[float, float, float]
+    std_range: tuple[float, float]
 
     # -- parameter maps -------------------------------------------------
 
-    @abstractmethod
     def natural_from_mean(self, mu: float) -> float:
-        """Canonical parameter lambda(mu); inverse of mean_from_natural."""
+        """Canonical parameter lambda(mu); inverse of mean_from_natural.  A
+        mean outside the open mean space is refused by name."""
+        return self._natural_from_mean(self.check_mean(mu))
+
+    @abstractmethod
+    def _natural_from_mean(self, mu: float) -> float:
+        """lambda(mu) at a checked float mu, for ``natural_from_mean``."""
 
     def mean_from_natural(self, lam: float) -> float:
         """Mean parameter A'(lambda).  A lambda whose mean rounds out of the
@@ -456,17 +476,20 @@ class FamilySpec(ABC):
         return float(s)
 
     def default_std_range(self) -> tuple[float, float]:
-        """Default grid range in the standard parameterization.
+        """Default grid range in the standard parameterization: the family's
+        ``std_range``.
 
         These endpoints are artifact choices (documented in the README); they
         are configurable everywhere they are used.
         """
-        raise NotImplementedError
+        return self.std_range
 
     # -- config -------------------------------------------------------------
 
     def fixed_params(self) -> dict:
-        return {}
+        """The constructor's parameters and their values, e.g. {"sigma2": 1.0}."""
+        return {name: getattr(self, name)
+                for name in inspect.signature(type(self)).parameters}
 
     def to_config(self, mean_params: Sequence[float] | None = None) -> dict:
         cfg = {"family": self.family_id, "fixed_params": self.fixed_params()}
@@ -484,9 +507,9 @@ class Bernoulli(FamilySpec):
     mean_space = (0.0, 1.0)
     support = Support("finite", 0, 1)
     variance_function = (0.0, 1.0, -1.0)
+    std_range = (0.1, 0.9)
 
-    def natural_from_mean(self, mu):
-        mu = self.check_mean(mu)
+    def _natural_from_mean(self, mu):
         return math.log(mu / (1.0 - mu))
 
     def _mean_from_natural(self, lam):
@@ -501,9 +524,6 @@ class Bernoulli(FamilySpec):
     def _sum_quantile(self, mu, k, q):
         return _binom_ppf(q, k, mu)
 
-    def default_std_range(self):
-        return (0.1, 0.9)
-
 
 class GaussianFreeMean(FamilySpec):
     """Gaussian with free mean and fixed variance sigma^2."""
@@ -511,6 +531,7 @@ class GaussianFreeMean(FamilySpec):
     family_id = "gaussian_mean"
     mean_space = (-math.inf, math.inf)
     support = Support("interval", -math.inf, math.inf)
+    std_range = (-2.0, 2.0)
 
     def __init__(self, sigma2: float = 1.0):
         self.sigma2 = float(sigma2)
@@ -518,11 +539,8 @@ class GaussianFreeMean(FamilySpec):
             raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
         self.variance_function = (self.sigma2, 0.0, 0.0)
 
-    def fixed_params(self):
-        return {"sigma2": self.sigma2}
-
-    def natural_from_mean(self, mu):
-        return self.check_mean(mu) / self.sigma2
+    def _natural_from_mean(self, mu):
+        return mu / self.sigma2
 
     def _mean_from_natural(self, lam):
         return lam * self.sigma2
@@ -545,9 +563,6 @@ class GaussianFreeMean(FamilySpec):
         log_norm = 0.5 * math.log(2.0 * math.pi * var)
         return lambda z: -0.5 * (z - mean) ** 2 / var - log_norm
 
-    def default_std_range(self):
-        return (-2.0, 2.0)
-
 
 class GaussianFreeVariance(FamilySpec):
     """Gaussian with fixed location and free variance.
@@ -560,17 +575,15 @@ class GaussianFreeVariance(FamilySpec):
     mean_space = (0.0, math.inf)
     support = Support("interval", 0.0, math.inf)
     variance_function = (0.0, 0.0, 2.0)
+    std_range = (0.6, 2.4)
 
     def __init__(self, fixed_mean: float = 0.0):
         self.fixed_mean = float(fixed_mean)
         if not math.isfinite(self.fixed_mean):
             raise ValueError(f"fixed_mean must be finite, got {fixed_mean!r}")
 
-    def fixed_params(self):
-        return {"fixed_mean": self.fixed_mean}
-
-    def natural_from_mean(self, mu):
-        return -0.5 / self.check_mean(mu)
+    def _natural_from_mean(self, mu):
+        return -0.5 / mu
 
     def _mean_from_natural(self, lam):
         return -0.5 / lam
@@ -591,9 +604,6 @@ class GaussianFreeVariance(FamilySpec):
     def _sum_density(self, mus):
         return _GammaSum(0.5, 0.5 / np.array(mus))
 
-    def default_std_range(self):
-        return (0.6, 2.4)
-
     def mean_from_std(self, s):
         return float(s) ** 2
 
@@ -603,9 +613,10 @@ class Poisson(FamilySpec):
     mean_space = (0.0, math.inf)
     support = Support("lattice", 0, math.inf)
     variance_function = (0.0, 1.0, 0.0)
+    std_range = (0.5, 5.0)
 
-    def natural_from_mean(self, mu):
-        return math.log(self.check_mean(mu))
+    def _natural_from_mean(self, mu):
+        return math.log(mu)
 
     def _mean_from_natural(self, lam):
         return math.exp(lam)
@@ -627,9 +638,6 @@ class Poisson(FamilySpec):
         log_lam = math.log(lam)
         return lambda z: z * log_lam - lam - special.gammaln(z + 1.0)
 
-    def default_std_range(self):
-        return (0.5, 5.0)
-
 
 class Exponential(FamilySpec):
     """Exponential distribution with mean mu (rate 1/mu)."""
@@ -638,9 +646,10 @@ class Exponential(FamilySpec):
     mean_space = (0.0, math.inf)
     support = Support("interval", 0.0, math.inf)
     variance_function = (0.0, 0.0, 1.0)
+    std_range = (0.5, 4.0)
 
-    def natural_from_mean(self, mu):
-        return -1.0 / self.check_mean(mu)
+    def _natural_from_mean(self, mu):
+        return -1.0 / mu
 
     def _mean_from_natural(self, lam):
         return -1.0 / lam
@@ -657,9 +666,6 @@ class Exponential(FamilySpec):
     def _sum_density(self, mus):
         return _GammaSum(1.0, 1.0 / np.array(mus))
 
-    def default_std_range(self):
-        return (0.5, 4.0)
-
     def mean_from_std(self, s):
         return 1.0 / float(s)
 
@@ -671,9 +677,9 @@ class Geometric(FamilySpec):
     mean_space = (0.0, math.inf)
     support = Support("lattice", 0, math.inf)
     variance_function = (0.0, 1.0, 1.0)
+    std_range = (0.15, 0.6)
 
-    def natural_from_mean(self, mu):
-        mu = self.check_mean(mu)
+    def _natural_from_mean(self, mu):
         return math.log(mu / (1.0 + mu))
 
     def _mean_from_natural(self, lam):
@@ -690,9 +696,6 @@ class Geometric(FamilySpec):
 
     def _sum_quantile(self, mu, k, q):
         return _nbinom_ppf_quiet(q, k, self._p(mu))
-
-    def default_std_range(self):
-        return (0.15, 0.6)
 
     def mean_from_std(self, s):
         return (1.0 - float(s)) / float(s)
@@ -715,6 +718,7 @@ class BetaFixedAlpha(FamilySpec):
     family_id = "beta_fixed_alpha"
     mean_space = (-math.inf, 0.0)
     support = Support("interval", -math.inf, 0.0)
+    std_range = (1.0, 8.0)
 
     def __init__(self, alpha: float = 1.0):
         self.alpha = float(alpha)
@@ -723,11 +727,7 @@ class BetaFixedAlpha(FamilySpec):
         if self.alpha == 1.0:
             self.variance_function = (0.0, 0.0, 1.0)
 
-    def fixed_params(self):
-        return {"alpha": self.alpha}
-
-    def natural_from_mean(self, mu):
-        mu = self.check_mean(mu)
+    def _natural_from_mean(self, mu):
         if self.alpha.is_integer():
             # Newton on the convex decreasing sum_j 1/(b + j) = -mu, from a
             # lower bound on its root, so every step rises and none
@@ -900,9 +900,6 @@ class BetaFixedAlpha(FamilySpec):
             f"sum density for beta with non-integer alpha={self.alpha!r} is "
             f"only available for k = 2, not k = {len(mus)}"
         )
-
-    def default_std_range(self):
-        return (1.0, 8.0)
 
     def mean_from_std(self, s):
         return self.mean_from_natural(float(s))
@@ -1162,19 +1159,15 @@ def _convolve_log_pdf(spec: BetaFixedAlpha, lam: np.ndarray, la: np.ndarray,
     return out.reshape(z.shape)
 
 
-_FAMILIES = {
-    "bernoulli": Bernoulli,
-    "gaussian_mean": GaussianFreeMean,
-    "gaussian_variance": GaussianFreeVariance,
-    "poisson": Poisson,
-    "exponential": Exponential,
-    "geometric": Geometric,
-    "beta_fixed_alpha": BetaFixedAlpha,
-}
+_FAMILIES = {cls.family_id: cls for cls in (
+    Bernoulli, GaussianFreeMean, GaussianFreeVariance, Poisson, Exponential,
+    Geometric, BetaFixedAlpha)}
 
 
 def make_family(name: str, **fixed) -> FamilySpec:
     """Construct a family by id, e.g. make_family("gaussian_mean", sigma2=2.0)."""
+    if not isinstance(name, str):
+        raise ValueError(f"family must be a string, got {name!r}")
     key = name.strip().lower()
     aliases = {
         "beta": "beta_fixed_alpha",
@@ -1195,12 +1188,16 @@ def make_family(name: str, **fixed) -> FamilySpec:
                 f"family '{key}' has no fixed parameter {param!r}; it takes "
                 f"{takes or 'none'}"
             )
+    _require_real(**fixed)
     return cls(**fixed)
 
 
 def family_from_config(cfg: dict) -> FamilySpec:
     """Inverse of FamilySpec.to_config; ignores any mean_params entry."""
-    return make_family(cfg["family"], **cfg.get("fixed_params", {}))
+    fixed = cfg.get("fixed_params", {})
+    if not isinstance(fixed, dict):
+        raise ValueError(f"fixed_params must be a JSON object, got {fixed!r}")
+    return make_family(cfg["family"], **fixed)
 
 
 def problem_from_config(cfg: dict) -> tuple[FamilySpec, list[float]]:
@@ -1212,7 +1209,13 @@ def problem_from_config(cfg: dict) -> tuple[FamilySpec, list[float]]:
     """
     spec = family_from_config(cfg)
     means = cfg["mean_params"]
-    if cfg.get("beta_means"):
+    if not isinstance(means, list):
+        raise ValueError(f"mean_params must be a list of numbers, got {means!r}")
+    _require_real(**{f"mean_params[{i}]": m for i, m in enumerate(means)})
+    beta_means = cfg.get("beta_means", False)
+    if not isinstance(beta_means, bool):
+        raise ValueError(f"beta_means must be true or false, got {beta_means!r}")
+    if beta_means:
         if not isinstance(spec, BetaFixedAlpha):
             raise ValueError(f"beta_means applies only to beta_fixed_alpha, not "
                              f"to family '{spec.family_id}'")

@@ -78,6 +78,7 @@ from .expfam import (
     FamilySpec,
     MeanDomainError,
     _require_at_least,
+    _require_real,
     problem_from_config,
 )
 
@@ -96,9 +97,14 @@ class Certificate:
     argmax_mu0: float
 
     def __post_init__(self):
-        sup = self.sup_expectation
-        if not math.isfinite(sup):
-            raise ValueError(f"certificate sup_expectation must be finite, got {sup!r}")
+        for name in ("sup_expectation", "mu0_lo", "mu0_hi", "argmax_mu0"):
+            value = getattr(self, name)
+            _require_real(**{name: value})
+            if not math.isfinite(value):
+                raise ValueError(f"certificate {name} must be finite, got {value!r}")
+        _require_at_least(1, mu0_grid_size=self.mu0_grid_size)
+        if not isinstance(self.method, str):
+            raise ValueError(f"certificate method must be a string, got {self.method!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -131,6 +137,7 @@ class MixtureNull:
         if not self.components:
             raise ValueError("mixture needs at least one component")
         for w, m in self.components:
+            _require_real(w=w, mu0=m)
             for name, v in (("weight", w), ("mean", m)):
                 if not math.isfinite(v):
                     raise ValueError(f"mixture {name} must be finite, got {v!r}")

@@ -1,0 +1,76 @@
+"""``tools/bench_pairs.py`` writes its record and exits 1 when a run printed
+no result or reported an incorrect one, naming the run and the metrics it
+left out of the summary.  The tool is loaded from its path; git, the export
+and the benchmark runs are replaced by stand-ins."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+TOOL = REPO / "tools" / "bench_pairs.py"
+METRICS = [m["name"] for m in
+           json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tool(tmp_path, monkeypatch):
+    module = load_tool()
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "git", lambda *args: f"commit-{args[-1]}")
+    monkeypatch.setattr(module, "export", lambda commit, dest: dest.mkdir(parents=True))
+    return module
+
+
+def fake_runs(module, monkeypatch, outcome):
+    """run_once stand-in: the n-th run's result is outcome(n), or a valid one."""
+    calls = []
+
+    def run_once(tree, command, workload, seed, seconds):
+        n = len(calls)
+        calls.append(tree.name.split("-")[0])
+        good = {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {name: 1.0 + n for name in METRICS}}
+        return outcome(n, good)
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["valid", "no-result", "incorrect"])
+def test_failed_or_incorrect_run_is_named_and_exits_1(tool, monkeypatch, capsys,
+                                                      tmp_path, case):
+    broken = {
+        "valid": None,
+        "no-result": {"correct": False, "returncode": 2, "stderr": "boom"},
+        "incorrect": {"correct": False, "attempted": 3, "failed": 1,
+                      "metrics": {name: 0.5 for name in METRICS}},
+    }[case]
+    # run 3 is the change side of pair 1 (the change runs first in odd pairs)
+    calls = fake_runs(tool, monkeypatch,
+                      lambda n, good: broken if n == 2 and broken else good)
+    code = tool.main(["PARENT", "CHANGE", "--workload", "ripr_project", "--pairs", "2"])
+    assert calls == ["parent", "change", "change", "parent"]
+    record = json.loads((tmp_path / "BENCH_ripr_project.json").read_text())
+    err = capsys.readouterr().err
+    assert len(record["runs"]) == 4
+    if case == "valid":
+        assert code == 0 and record["all_correct"]
+        assert sorted(record["summary"]) == sorted(METRICS) and record["left_out"] == []
+        return
+    assert code == 1 and not record["all_correct"]
+    assert record["summary"] == {} and record["left_out"] == METRICS
+    reason = "no result" if case == "no-result" else "incorrect"
+    assert f"pair 1 change: {reason}; its metrics are not compared" in err
+    assert f"left out of the summary: {', '.join(METRICS)}" in err

@@ -10,6 +10,7 @@ from ksample_evalues import Alternative, make_family
 from ksample_evalues import evariables as ev
 from ksample_evalues import growth as gr
 from ksample_evalues import ripr
+from ksample_evalues import sequential as sq
 from ksample_evalues.cli import canonical_json, main
 
 
@@ -116,6 +117,21 @@ class TestEvaluate:
         )
         assert payload["log_evalue"] == pytest.approx(expect)
         assert payload["decision"] == "continue_or_stop_freely"
+
+    @pytest.mark.parametrize("mode", ["block", "stream"])
+    def test_programming_error_propagates(self, tmp_path, monkeypatch, mode):
+        # only refusals of the input become one line naming the block or line
+        def broken(*args, **kwargs):
+            raise TypeError("broken")
+
+        if mode == "block":
+            monkeypatch.setattr(ev, "_statistic", lambda *args, **kw: broken)
+            argv = ["--block", "0.7,0.4"]
+        else:
+            monkeypatch.setattr(sq.StreamState, "ingest", broken)
+            argv = ["--stream", write_stream(tmp_path / "s.csv")]
+        with pytest.raises(TypeError, match="^broken$"):
+            main(["evaluate", *EXPO, *argv])
 
     def test_stream_mode_bad_line(self, tmp_path):
         stream = tmp_path / "stream.csv"
@@ -231,9 +247,17 @@ class TestMixtureConfig:
         (lambda p: p.update(certificate={"sup_expectation": 1.0}),
          "mixture certificate is missing 'mu0_grid_size', 'mu0_lo', 'mu0_hi', "
          "'method', 'argmax_mu0'"),
-    ], ids=["no-components", "partial-certificate"])
+        (lambda p: p["components"][0].update(w="x"), "w must be a number, got 'x'"),
+        (lambda p: p["certificate"].update(sup_expectation="1"),
+         "sup_expectation must be a number, got '1'"),
+        (lambda p: p["certificate"].update(mu0_grid_size="x"),
+         "mu0_grid_size must be an integer, got 'x'"),
+        (lambda p: p["config"].update(family=3), "family must be a string, got 3"),
+    ], ids=["no-components", "partial-certificate", "weight-string", "sup-string",
+            "grid-size-string", "family-number"])
     def test_malformed_file_exits_with_one_line(self, tmp_path, edit, reason):
-        # these files once ended in a KeyError and a TypeError traceback
+        # these files once ended in a KeyError, AttributeError or TypeError
+        # traceback, or (a string grid size) were accepted
         mix = tmp_path / "mix.json"
         write_mixture(mix, "exponential", [0.5, 0.25])
         payload = json.loads(mix.read_text())
@@ -334,18 +358,21 @@ class TestGrowth:
 
 
 class TestHeatmap:
-    def test_cell_count(self, capsys, tmp_path):
+    @pytest.mark.parametrize("offsets, slices", [
+        ("0", ["slices.csv"]), ("0,1", ["0_slices.csv", "1_slices.csv"])])
+    def test_cell_count(self, capsys, tmp_path, offsets, slices):
         code, out, _ = run(
             capsys,
             "--out-dir", str(tmp_path),
             "heatmap", "--family", "beta", "--kinds", "groiid,cond",
             "--n", "5", "--out", "heat.csv", "--slices", "slices.csv",
+            "--slice-offsets", offsets,
         )
         assert code == 0
         lines = (tmp_path / "heat.csv").read_text().strip().splitlines()
         assert lines[0] == "mu1,mu2,gap,gap_fourth_root"
         assert len(lines) == 26  # header + 25 cells
-        assert (tmp_path / "slices.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["heat.csv", *slices])
 
     def test_strict_mode_fails_on_cell_errors(self, capsys, tmp_path):
         code, out, err = run(
@@ -456,6 +483,61 @@ def test_input_errors_exit_with_one_line(tmp_path, argv, names):
     msg = str(exc.value)
     assert msg.startswith(f"ksev {argv[0]}: ")
     assert names in msg and "\n" not in msg
+
+
+CONFIG = {"family": "exponential", "mean_params": [0.5, 0.25]}
+GAUSS = {"family": "gaussian_mean", "mean_params": [0.5, 0.25]}
+HEATMAP = ["heatmap", "--family", "exponential", "--kinds", "pseudo,cond", "--n", "2"]
+
+
+@pytest.mark.parametrize("config, argv, reason", [
+    ({**CONFIG, "family": 3}, [], "family must be a string, got 3"),
+    ({**CONFIG, "fixed_params": [1]}, [], "fixed_params must be a JSON object, got [1]"),
+    ({**CONFIG, "fixed_params": [1]}, ["--fixed", "{}"],
+     "fixed_params must be a JSON object, got [1]"),
+    (CONFIG, ["--fixed", "[1]"], "--fixed must be a JSON object, got [1]"),
+    (CONFIG, ["--fixed", "5"], "--fixed must be a JSON object, got 5"),
+    (None, [*HEATMAP, "--fixed", "[1]"], "--fixed must be a JSON object, got [1]"),
+    (None, [*HEATMAP, "--fixed", "5"], "--fixed must be a JSON object, got 5"),
+    (GAUSS, ["--fixed", '{"sigma2": [1]}'], "sigma2 must be a number, got [1]"),
+    (GAUSS, ["--fixed", '{"sigma2": "2"}'], "sigma2 must be a number, got '2'"),
+    (None, ["heatmap", "--family", "gaussian_mean", "--kinds", "pseudo,cond",
+            "--fixed", '{"sigma2": "2"}'], "sigma2 must be a number, got '2'"),
+    ({**CONFIG, "mean_params": 5}, [], "mean_params must be a list of numbers, got 5"),
+    ({**CONFIG, "mean_params": [0.5, [1]]}, [], "mean_params[1] must be a number, got [1]"),
+    ({**CONFIG, "mean_params": "0.5"}, [],
+     "mean_params must be a list of numbers, got '0.5'"),
+    ({**CONFIG, "beta_means": 1}, [], "beta_means must be true or false, got 1"),
+    ([CONFIG], ["--family", "exponential"],
+     "--config CONFIG must be a JSON object, got [{'family': 'exponential', "
+     "'mean_params': [0.5, 0.25]}]"),
+], ids=["family-number", "fixed-list", "fixed-list-and-flag", "fixed-flag-list",
+        "fixed-flag-number", "heatmap-fixed-list", "heatmap-fixed-number",
+        "fixed-value-list", "fixed-value-string", "heatmap-fixed-value-string",
+        "means-number", "means-nested", "means-string", "beta-means-number",
+        "config-array"])
+def test_config_of_wrong_type_exits_with_one_line(tmp_path, config, argv, reason):
+    # these once ended in an AttributeError or TypeError traceback, or (a
+    # string fixed value) were accepted
+    path = tmp_path / "run.json"
+    if config is not None:
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["evaluate", "--config", str(path), "--block", "0.7,0.4", *argv]
+    reason = reason.replace("CONFIG", str(path))
+    with pytest.raises(SystemExit, match=f"^{re.escape(f'ksev {argv[0]}: {reason}')}$"):
+        main(["--out-dir", str(tmp_path)] + argv)
+    assert not path.with_name("heatmap_exponential.csv").exists()
+
+
+def test_config_of_wrong_type_exits_with_one_line_in_a_subprocess(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**CONFIG, "family": 3}), encoding="utf-8")
+    src = str(Path(ripr.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "ksample_evalues.cli", "evaluate",
+                           "--config", str(path), "--block", "0.7,0.4"],
+                          cwd=src, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "ksev evaluate: family must be a string, got 3\n"
 
 
 class TestSimulate:

@@ -202,13 +202,19 @@ class TestGroM:
             b = float(ev.log_s_gro_iid(spec, alt, blk))
             assert a == pytest.approx(b, abs=max(10 * tol, 1e-8))
 
-    def test_certificate_attached_to_result(self):
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "by-hand"])
+    def test_certificate_attached_to_result(self, bound):
+        # a mixture built by hand has no config and is taken on trust
         spec = make_family("exponential")
         alt = Alternative.from_means(spec, [0.5, 0.25])
         mix = ripr.point_mixture(spec, alt, alt.mu0_star)
+        want = ev.log_evalue(spec, alt, [0.7, 0.4], "gro_m", mixture=mix).log_evalue
+        if not bound:
+            mix = ripr.MixtureNull(mix.components, mix.certificate)
         res = ev.log_evalue(spec, alt, [0.7, 0.4], "gro_m", mixture=mix)
-        assert res.certificate is not None
-        assert "sup_expectation" in res.certificate
+        assert res.log_evalue == want
+        assert res.certificate == mix.certificate.to_dict()
+        assert json.loads(res.to_json())["certificate"] == res.certificate
 
 
 class TestFCriterion:

@@ -27,6 +27,7 @@ from ksample_evalues.expfam import (
     _FAMILIES,
     _GammaSum,
     _hypoexponential_log_pdf,
+    problem_from_config,
     spawn_keys,
 )
 
@@ -747,11 +748,15 @@ class TestGammaSum:
 
 
 def test_families_state_laws_not_entry_points():
-    # the checked entry points live on FamilySpec only, and a sum density is
-    # stated once, as _sum_density
-    for cls in _FAMILIES.values():
-        assert "sum_log_pdf" not in vars(cls) and "sample" not in vars(cls), cls
+    # the checked entry points, the heatmap range and the fixed parameters
+    # are derived on FamilySpec only, a sum density is stated once, as
+    # _sum_density, and the family table is keyed by each class's own id
+    derived = ("sum_log_pdf", "sample", "natural_from_mean", "default_std_range",
+               "fixed_params")
+    for family_id, cls in _FAMILIES.items():
+        assert not set(derived) & set(vars(cls)), cls
         assert not hasattr(cls, "_sum_log_pdf"), cls
+        assert cls.family_id == family_id and "std_range" in vars(cls), cls
 
 
 def mp_beta_sum_log_pdf(alpha, shapes, z):
@@ -866,6 +871,14 @@ class TestBetaGeneralAlpha:
         spec = make_family("beta_fixed_alpha", alpha=alpha)
         with pytest.raises(MeanDomainError, match=rf"mu={mu!r} "):
             spec.natural_from_mean(mu)
+
+    @pytest.mark.parametrize("mu", [-1e15, -1e200])
+    def test_non_integer_alpha_mean_map_widens_its_bracket(self, mu):
+        # the free shape's log lies below the first bracket's end, -30
+        spec = make_family("beta_fixed_alpha", alpha=2.5)
+        assert math.log(spec.natural_from_mean(mu)) < -30.0
+        assert spec.mean_from_natural(spec.natural_from_mean(mu)) == pytest.approx(
+            mu, rel=1e-13)
 
     @pytest.mark.parametrize("alpha, mu", [(2.0, -1e-300), (0.3, -1e-6), (2.5, -1e-6)])
     def test_mean_map_near_zero_matches_mpmath(self, alpha, mu):
@@ -1090,6 +1103,46 @@ class TestConfig:
         assert back.family_id == spec.family_id
         assert back.fixed_params() == spec.fixed_params()
 
+    @pytest.mark.parametrize("name, fixed, params, text", [
+        ("bernoulli", {}, {}, "Bernoulli()"),
+        ("gaussian_mean", {"sigma2": 2.0}, {"sigma2": 2.0}, "GaussianFreeMean(sigma2=2.0)"),
+        ("gaussian_mean", {}, {"sigma2": 1.0}, "GaussianFreeMean(sigma2=1.0)"),
+        ("gaussian_variance", {}, {"fixed_mean": 0.0},
+         "GaussianFreeVariance(fixed_mean=0.0)"),
+        ("poisson", {}, {}, "Poisson()"),
+        ("exponential", {}, {}, "Exponential()"),
+        ("geometric", {}, {}, "Geometric()"),
+        ("beta_fixed_alpha", {"alpha": 2.5}, {"alpha": 2.5}, "BetaFixedAlpha(alpha=2.5)"),
+    ])
+    def test_fixed_params_config_and_repr(self, name, fixed, params, text):
+        # read off the constructor's parameters
+        spec = make_family(name, **fixed)
+        assert spec.fixed_params() == params and repr(spec) == text
+        assert spec.to_config([0.5, 0.25]) == {
+            "family": name, "fixed_params": params, "mean_params": [0.5, 0.25]}
+
+    @pytest.mark.parametrize("name, fixed, match", [
+        (3, {}, "^family must be a string, got 3$"),
+        ("gaussian_mean", {"sigma2": "2"}, "^sigma2 must be a number, got '2'$"),
+        ("gaussian_mean", {"sigma2": [1]}, r"^sigma2 must be a number, got \[1\]$"),
+        ("beta", {"alpha": True}, "^alpha must be a number, got True$"),
+    ])
+    def test_wrong_types_refused_by_key(self, name, fixed, match):
+        with pytest.raises(ValueError, match=match):
+            make_family(name, **fixed)
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"fixed_params": [1]}, r"^fixed_params must be a JSON object, got \[1\]$"),
+        ({"mean_params": 5}, "^mean_params must be a list of numbers, got 5$"),
+        ({"mean_params": "0.5"}, "^mean_params must be a list of numbers, got '0.5'$"),
+        ({"mean_params": [0.5, [1]]}, r"^mean_params\[1\] must be a number, got \[1\]$"),
+        ({"beta_means": "yes"}, "^beta_means must be true or false, got 'yes'$"),
+    ])
+    def test_config_of_wrong_types_refused_by_key(self, edit, match):
+        cfg = {"family": "exponential", "fixed_params": {}, "mean_params": [0.5, 0.25]}
+        with pytest.raises(ValueError, match=match):
+            problem_from_config({**cfg, **edit})
+
     def test_fixed_params_respected(self):
         spec = make_family("gaussian_mean", sigma2=2.5)
         back = family_from_config(spec.to_config())
@@ -1282,6 +1335,7 @@ class TestSpawnKeys:
         (-1, 3, "^seed must be at least 0, got -1$"),
         (1.5, 3, "^seed must be an integer, got 1.5$"),
         (0, 0, "^count must be at least 1, got 0$"),
+        (0, 2**32 + 1, r"^count must be at most 2\*\*32, got 4294967297$"),
     ])
     def test_refusals_name_the_argument(self, seed, count, match):
         with pytest.raises(ValueError, match=match):

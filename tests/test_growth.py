@@ -35,6 +35,10 @@ class TestGrowthRates:
         spec = make_family("bernoulli")
         alt = Alternative.from_means(spec, [0.5, 0.25])
         assert gr.gap_pseudo_iid(spec, alt) == pytest.approx(0.0, abs=1e-12)
+        # no effect: both gaps are zero exactly, without quadrature
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.5])
+        assert gr.gap_pseudo_iid(spec, alt) == gr.gap_pseudo_cond(spec, alt) == 0.0
 
     def test_bernoulli_cond_ranked_below_pseudo(self):
         spec = make_family("bernoulli")

@@ -70,14 +70,17 @@ class TestMixtureNullValidation:
             with pytest.raises(ValueError, match=msg):
                 ripr.MixtureNull.from_json_dict(payload)
 
+    @pytest.mark.parametrize("field", ["sup_expectation", "mu0_lo", "mu0_hi", "argmax_mu0"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_certificate_refused(self, bad):
-        msg = f"certificate sup_expectation must be finite, got {bad!r}"
+    def test_non_finite_certificate_refused(self, bad, field):
+        msg = f"certificate {field} must be finite, got {bad!r}"
+        good = {"sup_expectation": 1.0005, "mu0_grid_size": 100, "mu0_lo": 0.1,
+                "mu0_hi": 1.0, "method": "li", "argmax_mu0": 0.5}
         with pytest.raises(ValueError, match=msg):
-            ripr.Certificate(bad, 100, 0.1, 1.0, "li", 0.5)
-        cert = ripr.Certificate(1.0005, 100, 0.1, 1.0, "li", 0.5)
+            ripr.Certificate(**{**good, field: bad})
+        cert = ripr.Certificate(**good)
         payload = ripr.MixtureNull(((1.0, 0.3),), cert).to_json_dict()
-        payload["certificate"]["sup_expectation"] = bad
+        payload["certificate"][field] = bad
         with pytest.raises(ValueError, match=msg):
             ripr.MixtureNull.from_json_dict(payload)
 
@@ -101,6 +104,20 @@ class TestMixtureNullValidation:
          r"^mixture certificate has unknown key\(s\) 'sup'$"),
         (lambda p: p.update(certificate=[1.0]),
          r"^mixture certificate must be a JSON object, got \[1\.0\]$"),
+        # values of the wrong type once raised TypeError, or passed
+        (lambda p: p["components"][0].update(w="x"), r"^w must be a number, got 'x'$"),
+        (lambda p: p["components"][0].update(mu0=None), r"^mu0 must be a number, got None$"),
+        (lambda p: p["certificate"].update(sup_expectation="1.0"),
+         r"^sup_expectation must be a number, got '1\.0'$"),
+        (lambda p: p["certificate"].update(mu0_lo=True), r"^mu0_lo must be a number, got True$"),
+        (lambda p: p["certificate"].update(mu0_grid_size="x"),
+         r"^mu0_grid_size must be an integer, got 'x'$"),
+        (lambda p: p["certificate"].update(mu0_grid_size=0),
+         r"^mu0_grid_size must be at least 1, got 0$"),
+        (lambda p: p["certificate"].update(method=1),
+         r"^certificate method must be a string, got 1$"),
+        (lambda p: p.update(config={"family": 3, "mean_params": [0.5, 0.25]}),
+         r"^family must be a string, got 3$"),
     ])
     def test_malformed_file_refused_by_key(self, edit, match):
         cert = ripr.Certificate(1.0005, 100, 0.1, 1.0, "li", 0.5)

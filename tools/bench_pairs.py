@@ -11,7 +11,10 @@ unlike a ``git worktree``, leaves no record in the repository.
 ``BENCH_<workload>.json`` at the repository root (``BENCH_<workload>_seed<S>.json``
 for a seed other than 1) then holds the commits, nproc, every run's metrics
 and correctness, and for each end-to-end metric the medians and quartiles of
-both sides and the number of pairs the change won.  PARENT and CHANGE are
+both sides and the number of pairs the change won.  A run that printed no
+result or reported ``correct: false`` is named on stderr and its metrics are
+not compared: a metric without a valid run in every pair is left out of the
+summary, listed under ``left_out``, and the tool exits 1.  PARENT and CHANGE are
 anything ``git archive`` takes; ``git stash create`` names a commit of
 uncommitted tracked changes.
 """
@@ -99,13 +102,20 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    summary = {}
+    bad = [r for r in runs if not r["correct"]]
+    for r in bad:
+        print(f"pair {r['pair']} {r['side']}: "
+              + ("incorrect" if "metrics" in r else "no result")
+              + "; its metrics are not compared", file=sys.stderr)
+    summary, left_out = {}, []
     for metric in bench["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         by_side = {side: [r["metrics"][name] for r in runs
-                          if r["side"] == side and "metrics" in r] for side in sides}
+                          if r["side"] == side and r["correct"]
+                          and name in r.get("metrics", {})] for side in sides}
         if not all(len(v) == args.pairs for v in by_side.values()):
-            continue  # a run printed no result; its metrics are not compared
+            left_out.append(name)
+            continue
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(by_side["parent"], by_side["change"]))
         stats = {side: summarize(v) for side, v in by_side.items()}
@@ -117,11 +127,13 @@ def main(argv=None) -> int:
     out.write_text(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": seconds,
         "pairs": args.pairs, "commits": sides, "nproc": len(os.sched_getaffinity(0)),
-        "all_correct": all(r["correct"] for r in runs),
-        "summary": summary, "runs": runs}, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8")
+        "all_correct": not bad,
+        "summary": summary, "left_out": left_out, "runs": runs},
+        indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    if left_out:
+        print(f"left out of the summary: {', '.join(left_out)}", file=sys.stderr)
+    return 1 if bad or left_out else 0
 
 
 if __name__ == "__main__":
