@@ -103,6 +103,16 @@ def _report(args, payload: dict, cfg: dict) -> None:
         sys.stdout.write(text)
 
 
+def _evalue(log_evalue: float) -> float | None:
+    """e^log_evalue for a JSON report, or None (null) where it overflows a
+    double: JSON has no infinity."""
+    try:
+        value = math.exp(log_evalue)
+    except OverflowError:
+        return None
+    return None if math.isinf(value) else value
+
+
 _KIND_ALIASES = {"groiid": "gro_iid", "grom": "gro_m"}
 
 
@@ -180,7 +190,7 @@ def cmd_evaluate(args) -> int:
         res = ev.EValueResult(kind, float(value), cert)
         total += res.log_evalue
         row = {"block": blk, "kind": kind.value, "log_evalue": res.log_evalue,
-               "evalue": res.evalue}
+               "evalue": _evalue(res.log_evalue)}
         if res.certificate is not None:
             row["certificate"] = res.certificate
         results.append(row)
@@ -207,7 +217,7 @@ def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
     payload = {
         "blocks_completed": state.blocks_completed,
         "log_evalue": state.log_evalue,
-        "evalue": math.exp(state.log_evalue),
+        "evalue": _evalue(state.log_evalue),
         "decision": state.decide().value,
         "pending": list(state.pending()),
         "kind": kind.value,

@@ -62,10 +62,13 @@ meaningless for any finite mixture that is not the exact RIPr.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import logging
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -653,7 +656,10 @@ def brute_force_two_component(
     on the search grid of at most ``_SEARCH_NZ`` z nodes, the certificate on
     the n_z-node grid.  Every null expectation is convex in a (1/x is convex
     and the mixture density is affine in a), so their coarse maximum is too:
-    each weight is the exhaustive sweep's grid point.
+    each weight is the exhaustive sweep's grid point.  The table is built in
+    chunks of a fixed number of pairs, on a thread per usable CPU (at most
+    one per chunk); the chunk size does not depend on the worker count, so
+    neither does the result.
     """
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, mu0_count=mu0_count)
@@ -668,13 +674,25 @@ def brute_force_two_component(
     def coarse_sup(d):
         return ((1.0 / d) @ t_coarse).max(axis=1)
 
-    # the candidate table: pair (pi, pj) at weight alphas[ai] has coarse sup
+    # the candidate table: pair (pi, pj) at weight alphas[ai] has coarse sup.
+    # Chunks write disjoint slices; their size is fixed, whatever the worker
+    # count, because the BLAS row shape decides the last bit of a sup.
     pi, pj = np.triu_indices(mu_count)
     ai, sup = np.empty(pi.size, dtype=np.intp), np.empty(pi.size)
-    chunk = max(1, int(5e6 // (3 * search.z.size)))  # ~40 MB per (chunk, 3, nodes) tensor
-    for start in range(0, pi.size, chunk):
+    chunk = max(1, int(1.5e5 // (3 * search.z.size)))  # ~1.2 MB per (chunk, 3, nodes) tensor
+    starts = range(0, pi.size, chunk)
+
+    def fill(start):
         part = slice(start, start + chunk)
         ai[part], sup[part] = _weight_step(coarse_sup, u[pi[part]], u[pj[part]], alphas)
+
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    with ThreadPoolExecutor(workers) as pool:
+        # np.errstate is a context variable: each chunk runs in a copy of the
+        # caller's context, so the caller's error handling holds in the workers
+        futures = [pool.submit(contextvars.copy_context().run, fill, s) for s in starts]
+        for future in futures:
+            future.result()
 
     top = _ranked(np.arange(pi.size), ai, sup)[:_REFINE_TOP]
     wt = alphas[ai[top]][:, None]
@@ -689,6 +707,7 @@ def brute_force_two_component(
     t_cert = time.perf_counter()
     mix = _certify(cert, ws, mus, "brute_force_2")
     _log_search("brute_force_two_component", search, cert,
-                f"{pi.size} candidates ranked, {top.size} re-ranked",
+                f"{pi.size} candidates ranked in {len(starts)} chunks on "
+                f"{workers} workers, {top.size} re-ranked",
                 t_start, t_cert)
     return mix

@@ -1,11 +1,13 @@
 """``tools/bench_pairs.py`` writes its record and exits 1 when a run printed
 no result or reported an incorrect one, naming the run and the metrics it
-left out of the summary.  The tool is loaded from its path; git, the export
-and the benchmark runs are replaced by stand-ins."""
+left out of the summary.  It also summarizes, ungated, each run's wall-time
+named metrics.  The tool is loaded from its path; git, the export and the
+benchmark runs are replaced by stand-ins."""
 
 import importlib.util
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,7 +43,8 @@ def fake_runs(module, monkeypatch, outcome):
         n = len(calls)
         calls.append(tree.name.split("-")[0])
         good = {"correct": True, "attempted": 3, "failed": 0,
-                "metrics": {name: 1.0 + n for name in METRICS}}
+                "metrics": {name: 1.0 + n for name in METRICS},
+                "wall": {"project_brute2_s": 10.0 + n, "reference_ms": 0.5}}
         return outcome(n, good)
 
     monkeypatch.setattr(module, "run_once", run_once)
@@ -68,9 +71,34 @@ def test_failed_or_incorrect_run_is_named_and_exits_1(tool, monkeypatch, capsys,
     if case == "valid":
         assert code == 0 and record["all_correct"]
         assert sorted(record["summary"]) == sorted(METRICS) and record["left_out"] == []
+        # runs 0 and 3 are the parent's, 1 and 2 the change's
+        brute2 = record["wall"]["project_brute2_s"]
+        assert brute2["parent"] == {"median": 11.5, "q1": 10.75, "q3": 12.25, "iqr": 1.5}
+        assert brute2["change"] == {"median": 11.5, "q1": 11.25, "q3": 11.75, "iqr": 0.5}
+        assert record["wall"]["reference_ms"]["change"]["median"] == 0.5
         return
     assert code == 1 and not record["all_correct"]
     assert record["summary"] == {} and record["left_out"] == METRICS
+    assert record["wall"] == {}
     reason = "no result" if case == "no-result" else "incorrect"
     assert f"pair 1 change: {reason}; its metrics are not compared" in err
     assert f"left out of the summary: {', '.join(METRICS)}" in err
+
+
+def test_wall_metrics_read_from_the_detail_line(tmp_path):
+    # a stand-in benchmark printing perfbench/run.py's last two lines
+    detail = {"named": {
+        "setup_s": {"value": 0.5, "unit": "s"},
+        "project_brute2_s": {"value": 0.8, "unit": "s"},
+        "reference_ms": {"value": 1.25, "unit": "ms"},
+        "peak_rss_mb": {"value": 160.0, "unit": "MB"},
+        "fail_ratio": {"value": 0.0, "unit": "ratio"}}}
+    result = {"correct": True, "attempted": 2, "failed": 0,
+              "metrics": {"secondary_ref": {"value": 21.8, "unit": "ref"}}}
+    script = f"print('detail ' + {json.dumps(detail)!r}); print({json.dumps(result)!r})"
+    run = load_tool().run_once(tmp_path, [sys.executable, "-c", script],
+                               "ripr_project", 1, 1.0)
+    assert run == {"correct": True, "attempted": 2, "failed": 0,
+                   "metrics": {"secondary_ref": 21.8},
+                   "wall": {"setup_s": 0.5, "project_brute2_s": 0.8,
+                            "reference_ms": 1.25}}

@@ -2,8 +2,10 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ksample_evalues import Alternative, make_family
@@ -132,6 +134,34 @@ class TestEvaluate:
             argv = ["--stream", write_stream(tmp_path / "s.csv")]
         with pytest.raises(TypeError, match="^broken$"):
             main(["evaluate", *EXPO, *argv])
+
+    @pytest.mark.parametrize("mode", ["block", "stream"])
+    def test_overflowing_evalue_is_null(self, capsys, tmp_path, mode):
+        # e^log_evalue past ~709.78 is no double; JSON has no infinity
+        if mode == "block":
+            argv = ["--family", "poisson", "--mu", "3000,1", "--kind", "pseudo",
+                    "--block", "3000,1"]
+        else:
+            rng = np.random.default_rng(3)
+            draws = rng.exponential([0.5, 0.25], size=(7000, 2))
+            stream = tmp_path / "stream.csv"
+            stream.write_text("".join(f"1,{a!r}\n2,{b!r}\n" for a, b in draws.tolist()),
+                              encoding="utf-8")
+            argv = [*EXPO, "--stream", str(stream)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "evaluate", *argv)
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        row = payload["results"][0] if mode == "block" else payload
+        assert code == 0 and row["evalue"] is None
+        if mode == "block":
+            assert row["log_evalue"] == pytest.approx(2071.1, abs=0.05)
+        else:
+            assert row["log_evalue"] > 710
 
     def test_stream_mode_bad_line(self, tmp_path):
         stream = tmp_path / "stream.csv"

@@ -364,6 +364,49 @@ class TestBruteForce:
             mix = ripr.brute_force_two_component(spec, alt, mu_count=50, mu0_count=400)
         assert mix.certificate.sup_expectation < 1.005
 
+    def test_callers_errstate_holds_in_the_workers(self):
+        # the same row divides by zero in the table's coarse sups, which the
+        # pool computes off the calling thread
+        spec = make_family("beta_fixed_alpha", alpha=2.0)
+        alt = Alternative.from_means(spec, [-3.0, -1.5])
+        with np.errstate(divide="raise", over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError) as excinfo:
+            ripr.brute_force_two_component(spec, alt, mu_count=50, mu0_count=400)
+        assert "coarse_sup" in [entry.name for entry in excinfo.traceback]
+
+    @pytest.mark.parametrize("name,mus", [("geometric", [10.0 / 3, 1.25]),
+                                          ("gaussian_variance", [0.5, 0.25])])
+    def test_mixture_does_not_depend_on_worker_count(self, name, mus, monkeypatch,
+                                                     caplog):
+        spec = make_family(name)
+        alt = Alternative.from_means(spec, mus)
+        caplog.set_level(logging.DEBUG, logger="ksample_evalues")
+        mixtures = []
+        for cpus in ({0}, set(range(8))):
+            monkeypatch.setattr(ripr.os, "sched_getaffinity", lambda pid, c=cpus: c)
+            mixtures.append(ripr.brute_force_two_component(spec, alt).to_json_dict())
+        assert mixtures[0] == mixtures[1]
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "ksample_evalues.ripr"]
+        assert " chunks on 1 workers, " in logged[0]
+        assert " chunks on 8 workers, " in logged[1]
+
+    @pytest.mark.parametrize("mu_count,chunks", [(5, 1), (20, 2)])
+    def test_no_more_workers_than_chunks(self, expo, monkeypatch, mu_count, chunks):
+        # 400 search nodes make chunks of 125 pairs: 15 and 210 pairs here
+        started = []
+
+        class Pool(ripr.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(ripr, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(ripr.os, "sched_getaffinity", lambda pid: set(range(8)))
+        spec, alt = expo
+        ripr.brute_force_two_component(spec, alt, mu_count=mu_count, mu0_count=20)
+        assert started == [chunks]
+
 
 class TestDegenerateGrids:
     @pytest.mark.parametrize(
@@ -672,6 +715,9 @@ class TestLogging:
                                   "certification grid 600 nodes, ")
             assert "search " in msg and " s, certification " in msg
         assert "2 iterations" in records[0].getMessage()
+        # 5 means give 15 pairs, one chunk, so one worker whatever the host
+        assert ", 15 candidates ranked in 1 chunks on 1 workers, 15 re-ranked, " \
+            in records[1].getMessage()
 
 
 class TestCertificateReproduces:

@@ -11,12 +11,18 @@ unlike a ``git worktree``, leaves no record in the repository.
 ``BENCH_<workload>.json`` at the repository root (``BENCH_<workload>_seed<S>.json``
 for a seed other than 1) then holds the commits, nproc, every run's metrics
 and correctness, and for each end-to-end metric the medians and quartiles of
-both sides and the number of pairs the change won.  A run that printed no
-result or reported ``correct: false`` is named on stderr and its metrics are
-not compared: a metric without a valid run in every pair is left out of the
-summary, listed under ``left_out``, and the tool exits 1.  PARENT and CHANGE are
-anything ``git archive`` takes; ``git stash create`` names a commit of
-uncommitted tracked changes.
+both sides and the number of pairs the change won.  Under ``wall`` it also
+holds the medians and quartiles of the run's named metrics in seconds or
+milliseconds from its ``detail`` line (``project_brute2_s``, ``reference_ms``,
+...).  They are never gated: the in-command reference sampler runs on the
+main thread while worker threads keep computing, so reference units alone
+could flatter a threaded change, and wall time shows what it saved.  A run
+that printed no result or reported ``correct: false`` is named on stderr and
+its metrics are not compared: a metric without a valid run in every pair is
+left out of the summary, listed under ``left_out``, and the tool exits 1 (a
+wall metric is left out of ``wall`` alone).  PARENT and CHANGE are anything
+``git archive`` takes; ``git stash create`` names a commit of uncommitted
+tracked changes.
 """
 
 from __future__ import annotations
@@ -49,8 +55,9 @@ def export(commit: str, dest: Path) -> None:
 
 def run_once(tree: Path, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
-    """One benchmark run from ``tree``: its result line, and the stderr
-    tail if the run printed no result."""
+    """One benchmark run from ``tree``: its result line, its wall-time named
+    metrics from the ``detail`` line, and the stderr tail if the run printed
+    no result."""
     proc = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, text=True, capture_output=True)
@@ -60,14 +67,25 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "returncode": proc.returncode,
                 "stderr": proc.stderr[-2000:]}
+    named = next((json.loads(line[len("detail "):])["named"] for line in lines
+                  if line.startswith("detail ")), {})
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "wall": {k: v["value"] for k, v in named.items() if v["unit"] in ("s", "ms")}}
 
 
 def summarize(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def by_side(runs: list[dict], group: str, name: str) -> dict:
+    """The values of metric ``name`` under ``group`` of each side's correct
+    runs, in run order."""
+    return {side: [r[group][name] for r in runs
+                   if r["side"] == side and r["correct"] and name in r.get(group, {})]
+            for side in ("parent", "change")}
 
 
 def main(argv=None) -> int:
@@ -110,25 +128,28 @@ def main(argv=None) -> int:
     summary, left_out = {}, []
     for metric in bench["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
-        by_side = {side: [r["metrics"][name] for r in runs
-                          if r["side"] == side and r["correct"]
-                          and name in r.get("metrics", {})] for side in sides}
-        if not all(len(v) == args.pairs for v in by_side.values()):
+        values = by_side(runs, "metrics", name)
+        if not all(len(v) == args.pairs for v in values.values()):
             left_out.append(name)
             continue
         wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(by_side["parent"], by_side["change"]))
-        stats = {side: summarize(v) for side, v in by_side.items()}
+                   for p, c in zip(values["parent"], values["change"]))
+        stats = {side: summarize(v) for side, v in values.items()}
         summary[name] = {**stats, "change_wins": wins, "pairs": args.pairs,
                          "median_change": stats["change"]["median"] - stats["parent"]["median"],
                          "better": metric["better"]}
+    wall = {}
+    for name in sorted({n for r in runs for n in r.get("wall", {})}):
+        values = by_side(runs, "wall", name)
+        if all(len(v) == args.pairs for v in values.values()):
+            wall[name] = {side: summarize(v) for side, v in values.items()}
     suffix = "" if args.seed == 1 else f"_seed{args.seed}"
     out = ROOT / f"BENCH_{args.workload}{suffix}.json"
     out.write_text(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": seconds,
         "pairs": args.pairs, "commits": sides, "nproc": len(os.sched_getaffinity(0)),
         "all_correct": not bad,
-        "summary": summary, "left_out": left_out, "runs": runs},
+        "summary": summary, "left_out": left_out, "wall": wall, "runs": runs},
         indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     if left_out:
