@@ -104,12 +104,9 @@ def _report(args, payload: dict, cfg: dict) -> None:
 
 
 def _evalue(log_evalue: float) -> float | None:
-    """e^log_evalue for a JSON report, or None (null) where it overflows a
-    double: JSON has no infinity."""
-    try:
-        value = math.exp(log_evalue)
-    except OverflowError:
-        return None
+    """e^log_evalue for a JSON report, as ``EValueResult.evalue``, or None
+    (null) where it overflows a double: JSON has no infinity."""
+    value = ev._exp(log_evalue)
     return None if math.isinf(value) else value
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,13 +79,21 @@ class EValueResult:
 
     @property
     def evalue(self) -> float:
-        return float(np.exp(self.log_evalue))
+        return _exp(self.log_evalue)
 
     def to_json(self) -> str:
         payload = {"kind": self.kind.value, "log_evalue": self.log_evalue}
         if self.certificate is not None:
             payload["certificate"] = self.certificate
         return json.dumps(payload, sort_keys=True)
+
+
+def _exp(log_evalue: float) -> float:
+    """e^log_evalue, inf without a warning where that overflows a double."""
+    try:
+        return math.exp(log_evalue)
+    except OverflowError:
+        return math.inf
 
 
 def _as_block(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:

@@ -1194,6 +1194,8 @@ def make_family(name: str, **fixed) -> FamilySpec:
 
 def family_from_config(cfg: dict) -> FamilySpec:
     """Inverse of FamilySpec.to_config; ignores any mean_params entry."""
+    if "family" not in cfg:
+        raise ValueError("config is missing 'family'")
     fixed = cfg.get("fixed_params", {})
     if not isinstance(fixed, dict):
         raise ValueError(f"fixed_params must be a JSON object, got {fixed!r}")
@@ -1207,6 +1209,10 @@ def problem_from_config(cfg: dict) -> tuple[FamilySpec, list[float]]:
     observations and are converted to means of X; any other family refuses
     that key with a ``ValueError``.
     """
+    missing = [key for key in ("family", "mean_params") if key not in cfg]
+    if missing:
+        raise ValueError("config needs 'family' and 'mean_params', missing "
+                         + " and ".join(map(repr, missing)))
     spec = family_from_config(cfg)
     means = cfg["mean_params"]
     if not isinstance(means, list):

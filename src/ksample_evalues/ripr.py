@@ -27,17 +27,19 @@ quadrature edge check refuses the pooled-mean point of exponential
 (0.5, 0.25), which 3000 nodes pass.  So every certificate, and Li's trace and
 stop rule, are computed on the ``n_z`` grid.
 
-Both searches take the same weight step (``_weight_step``): for a fixed
-density p and each candidate density q on the z grid, it finds the convex
-weight a on a grid that minimizes an objective of a * p + (1 - a) * q.  Li's
-objective is the KL divergence from the alternative, with p the current
-mixture and q one new component; the brute force's is the coarse worst-case
-null expectation, with p and q the two components of a pair.  The step runs a
-ternary search over the weight grid (``_convex_argmin``) rather than sweeping
-every grid point.  Each objective is convex in the weight, so the ternary
-search returns the grid point the exhaustive sweep would, with ties going to
-the lowest weight index.  Both searches rank the step's output by one rule
-(``_ranked``): lowest objective, then lowest weight, then lowest candidate.
+Both searches run on one search object (``_Search``): it builds the grids and
+the candidates' tilts once, takes every weight step through one table and
+certifies and logs the result.  For a density p and each candidate density q
+on the z grid, the table finds the convex weight a on a grid minimizing an
+objective of a * p + (1 - a) * q: for Li the KL divergence from the
+alternative, p the current mixture and q a new component; for the brute force
+the coarse worst-case null expectation, p and q a pair's components.  Each
+objective is convex in a, so a ternary search (``_convex_argmin``) returns
+the exhaustive sweep's grid point, ties going to the lowest index.  The
+table's fixed-size chunks run on a thread per usable CPU, at most one per
+chunk, or on the calling thread when that is one (Li at default sizes), so no
+result depends on the worker count.  Both searches rank the table by one rule
+(``_ranked``): lowest objective, then weight, then candidate.
 
 Every null expectation here reduces to a one-dimensional integral: a mixture
 of i.i.d. product nulls depends on the block only through the sum z of the
@@ -230,10 +232,7 @@ class MixtureNull:
             cert = Certificate(**d["certificate"])
         config = None
         if "config" in d:
-            cfg = d["config"]
-            if not {"family", "mean_params"} <= set(cfg):
-                raise ValueError("mixture config needs 'family' and 'mean_params'")
-            spec, means = problem_from_config(cfg)
+            spec, means = problem_from_config(d["config"])
             config = spec.to_config(means)
         return cls(comps, cert, config)
 
@@ -441,28 +440,6 @@ def _certify(grid: _SumGrid, ws, mus, method: str) -> MixtureNull:
     )
 
 
-def _search_and_cert_grids(spec: FamilySpec, alt: Alternative, count: int,
-                            lo, hi, n_z: int) -> tuple[_SumGrid, _SumGrid]:
-    """The search grid of ``min(n_z, _SEARCH_NZ)`` nodes and the n_z-node
-    certification grid of one problem: one grid when the two coincide, as
-    they do for a discrete family, whose lattice ignores the node count."""
-    cert = _SumGrid(spec, alt, count, lo, hi, n_z)
-    if spec.support.discrete or n_z <= _SEARCH_NZ:
-        return cert, cert
-    return _SumGrid(spec, alt, count, lo, hi, _SEARCH_NZ), cert
-
-
-def _log_search(name: str, search: _SumGrid, cert: _SumGrid, steps: str,
-                t_start: float, t_cert: float) -> None:
-    """One DEBUG record per search: both grids' node counts, its steps and
-    the wall time of search and certification.  The search time runs from
-    the call to ``_certify``, so it includes building both grids and Li's
-    trace on the certification grid."""
-    _log.debug("%s: search grid %d nodes, certification grid %d nodes, %s, "
-               "search %.3f s, certification %.3f s", name, search.z.size,
-               cert.z.size, steps, t_cert - t_start, time.perf_counter() - t_cert)
-
-
 def worst_case_expectation(
     spec: FamilySpec,
     alt: Alternative,
@@ -530,28 +507,77 @@ def _convex_argmin(f, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[r, best], vals[r, best]
 
 
-def _weight_step(objective, p, q, alphas) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of q, the lowest index into ``alphas`` minimizing
-    ``objective`` of a * p + (1 - a) * q[row], and that minimum.
-
-    ``objective`` maps a stack of densities on the z grid, one per row, to
-    one value per row, and must be convex in a.  p broadcasts against q: one
-    density for every row, or one per row.
-    """
-    p, q = p[:, None, :], q[:, None, :]
-
-    def at(ai):
-        a = alphas[ai][..., None]
-        d = a * p + (1.0 - a) * q
-        return objective(d.reshape(-1, d.shape[-1])).reshape(ai.shape)
-
-    return _convex_argmin(at, alphas.size, q.shape[0])
-
-
 def _ranked(rows, ai, objective) -> np.ndarray:
     """``rows`` by lowest ``objective`` (NaN last), then lowest weight index
     ``ai[rows]``, then lowest row: the order both searches rank by."""
     return rows[np.lexsort((rows, ai[rows], objective))]
+
+
+class _Search:
+    """Setup, weight table and certify-and-log of both searches: the search
+    ``grid`` of ``min(n_z, _SEARCH_NZ)`` nodes and the n_z-node ``cert`` grid
+    (one grid for a discrete family, whose lattice ignores the node count,
+    or when n_z <= _SEARCH_NZ), the ``mu_count`` candidate means ``mus``,
+    their tilts ``u`` on the search grid and the weight grid ``alphas``."""
+
+    def __init__(self, spec: FamilySpec, alt: Alternative, count: int, lo, hi,
+                 n_z: int, mu_count: int, n_alpha: int):
+        self.t_start = time.perf_counter()
+        self.cert = self.grid = _SumGrid(spec, alt, count, lo, hi, n_z)
+        if not spec.support.discrete and n_z > _SEARCH_NZ:
+            self.grid = _SumGrid(spec, alt, count, lo, hi, _SEARCH_NZ)
+        self.mus = np.linspace(self.grid.lo, self.grid.hi, mu_count)
+        self.alphas = np.linspace(0.0, 1.0, n_alpha)
+        self.u = self.grid.tilt_rows(self.mus)  # (mu_count, search nodes)
+
+    def table(self, objective, p, q) -> tuple[np.ndarray, np.ndarray, str]:
+        """Per row r, the lowest index into ``alphas`` minimizing ``objective``
+        (one value per density row on the search grid, convex in a) of
+        a * p_r + (1 - a) * u[q[r]], that minimum, and how the table ran; p_r
+        is u[p[r]] for indices p, or p for one density of shape (1, nodes).
+        Chunks write disjoint slices; their size is fixed, whatever the worker
+        count, because the BLAS row shape decides an objective's last bit."""
+        u, alphas = self.u, self.alphas
+        ai, vals = np.empty(q.size, dtype=np.intp), np.empty(q.size)
+        chunk = max(1, int(1.5e5 // (3 * u.shape[1])))  # ~1.2 MB per (chunk, 3, nodes) tensor
+        starts = range(0, q.size, chunk)
+
+        def fill(start):
+            part = slice(start, start + chunk)
+            dp = (u[p[part]] if p.ndim == 1 else p)[:, None, :]
+            dq = u[q[part]][:, None, :]
+
+            def at(i):
+                a = alphas[i][..., None]
+                d = a * dp + (1.0 - a) * dq
+                return objective(d.reshape(-1, d.shape[-1])).reshape(i.shape)
+
+            ai[part], vals[part] = _convex_argmin(at, alphas.size, dq.shape[0])
+
+        workers = min(len(os.sched_getaffinity(0)), len(starts))
+        if workers == 1:
+            for start in starts:
+                fill(start)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                # np.errstate is a context variable: each chunk runs in a copy
+                # of the caller's context, so its error handling holds there
+                for future in [pool.submit(contextvars.copy_context().run, fill, s)
+                               for s in starts]:
+                    future.result()
+        return ai, vals, f"{len(starts)} chunks on {workers} workers"
+
+    def certify(self, name: str, ws, mus, method: str, steps: str) -> MixtureNull:
+        """The mixture (ws, mus) certified on ``cert``, in one DEBUG record with
+        both grids' node counts, the search's steps and the wall time of search
+        (from setup, so with both grids and Li's trace) and certification."""
+        t_cert = time.perf_counter()
+        mix = _certify(self.cert, ws, mus, method)
+        _log.debug("%s: search grid %d nodes, certification grid %d nodes, %s, "
+                   "search %.3f s, certification %.3f s", name, self.grid.z.size,
+                   self.cert.z.size, steps, t_cert - self.t_start,
+                   time.perf_counter() - t_cert)
+        return mix
 
 
 def li_approximate(
@@ -570,8 +596,9 @@ def li_approximate(
     Step 1 picks the best single null mean (the KL minimizer); step m >= 2
     minimizes D(alt || a * current + (1-a) * candidate) over a convex-weight
     grid times a candidate-mean grid.  For each candidate the weight comes
-    from ``_weight_step``, which finds the sweep's grid point because the KL
-    is convex in a; ties go to the lowest KL, then the lowest a, then the
+    from the one table (``_Search.table``), which finds the sweep's grid
+    point because the KL is convex in a, on the calling thread at default
+    sizes (one chunk); ties go to the lowest KL, then the lowest a, then the
     lowest candidate.  Keeping a = 1 is always available (``n_alpha >= 2``),
     so the search grid's KL is nonincreasing.  The steps run on the search
     grid of at most ``_SEARCH_NZ`` nodes; the current mixture is also kept on
@@ -585,39 +612,37 @@ def li_approximate(
     _require_at_least(1, max_iters=max_iters)
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, cert_count=cert_count)
-    t_start = time.perf_counter()
-    search, cert = _search_and_cert_grids(spec, alt, cert_count, mu_lo, mu_hi, n_z)
-    cand_mus = np.linspace(search.lo, search.hi, mu_count)
-    alphas = np.linspace(0.0, 1.0, n_alpha)
-    u = search.tilt_rows(cand_mus)  # (mu_count, search nodes)
+    search = _Search(spec, alt, cert_count, mu_lo, mu_hi, n_z, mu_count, n_alpha)
+    grid, cert = search.grid, search.cert
 
     # first component: the single-point projection has the closed-form
     # minimizer at the pooled mean, no grid search needed.  d and kl are on
     # the search grid, d_cert on the certification grid.
     weights = {float(alt.mu0_star): 1.0}
-    d = search.tilt_rows([alt.mu0_star])[0].copy()
+    d = grid.tilt_rows([alt.mu0_star])[0].copy()
     d_cert = cert.tilt_rows([alt.mu0_star])[0].copy()
     # at delta = 0 the pooled mean is the alternative itself
-    kl = float(search.kl(d)) if alt.delta else 0.0
+    kl = float(grid.kl(d)) if alt.delta else 0.0
     sup, _ = cert.sup(d_cert)
     trace = [{"iter": 1, "kl": float(cert.kl(d_cert)) if alt.delta else 0.0,
               "sup_expectation": sup}]
 
+    rows = np.arange(mu_count)
     for it in range(2, max_iters + 1):
         if sup <= _STOP_SUP:
             break
 
-        ai, kls = _weight_step(search.kl, d[None, :], u, alphas)
-        j = int(_ranked(np.arange(mu_count), ai, kls)[0])
-        kl_new, a = float(kls[j]), alphas[ai[j]]
+        ai, kls, _ = search.table(grid.kl, d[None, :], rows)
+        j = int(_ranked(rows, ai, kls)[0])
+        kl_new, a = float(kls[j]), search.alphas[ai[j]]
         if kl_new > kl + 1e-12:
             raise ComputationError(
                 f"greedy KL step failed to improve at iteration {it}"
             )
         weights = {mu: w * a for mu, w in weights.items()}
-        mu_new = float(cand_mus[j])
+        mu_new = float(search.mus[j])
         weights[mu_new] = weights.get(mu_new, 0.0) + (1.0 - a)
-        d = a * d + (1.0 - a) * u[j]
+        d = a * d + (1.0 - a) * search.u[j]
         kl = kl_new
         d_cert = a * d_cert + (1.0 - a) * cert.tilt_rows([mu_new])[0]
         sup, _ = cert.sup(d_cert)
@@ -627,10 +652,8 @@ def li_approximate(
     comps = sorted(((w, mu) for mu, w in weights.items() if w > 0), key=lambda t: -t[0])
     total = sum(w for w, _ in comps)
     ws = [w / total for w, _ in comps]
-    t_cert = time.perf_counter()
-    mix = _certify(cert, ws, [m for _, m in comps], "li")
-    _log_search("li_approximate", search, cert, f"{len(trace)} iterations",
-                t_start, t_cert)
+    mix = search.certify("li_approximate", ws, [m for _, m in comps], "li",
+                         f"{len(trace)} iterations")
     return mix, trace
 
 
@@ -650,64 +673,38 @@ def brute_force_two_component(
     objective is the maximum over the certification grid of the null
     expectation of the induced ratio.  One table holds every pair of means
     i <= j (i = j is a single component) at its best weight from
-    ``_weight_step`` and its worst case on every fourth certification point;
+    ``_Search.table`` and its worst case on every fourth certification point;
     its best 500 rows (``_ranked``) are re-ranked on every point, and the
     winner alone is resolved to its components and certified.  Ranking runs
     on the search grid of at most ``_SEARCH_NZ`` z nodes, the certificate on
     the n_z-node grid.  Every null expectation is convex in a (1/x is convex
     and the mixture density is affine in a), so their coarse maximum is too:
-    each weight is the exhaustive sweep's grid point.  The table is built in
-    chunks of a fixed number of pairs, on a thread per usable CPU (at most
-    one per chunk); the chunk size does not depend on the worker count, so
-    neither does the result.
+    each weight is the exhaustive sweep's grid point.  The table's chunks of
+    a fixed number of pairs run on a thread per usable CPU (at most one per
+    chunk, and on the calling thread when that is one), so the result does
+    not depend on the worker count.
     """
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, mu0_count=mu0_count)
-    t_start = time.perf_counter()
-    search, cert = _search_and_cert_grids(spec, alt, mu0_count, mu_lo, mu_hi, n_z)
-    comp_mus = np.linspace(search.lo, search.hi, mu_count)
-    alphas = np.linspace(0.0, 1.0, n_alpha)
-
-    u = search.tilt_rows(comp_mus)  # (mu_count, search nodes)
-    t_coarse = search.cert_rows()[::_COARSE_STRIDE].T  # (search nodes, n_coarse)
+    search = _Search(spec, alt, mu0_count, mu_lo, mu_hi, n_z, mu_count, n_alpha)
+    grid, u, alphas = search.grid, search.u, search.alphas
+    t_coarse = grid.cert_rows()[::_COARSE_STRIDE].T  # (search nodes, n_coarse)
 
     def coarse_sup(d):
         return ((1.0 / d) @ t_coarse).max(axis=1)
 
-    # the candidate table: pair (pi, pj) at weight alphas[ai] has coarse sup.
-    # Chunks write disjoint slices; their size is fixed, whatever the worker
-    # count, because the BLAS row shape decides the last bit of a sup.
+    # the candidate table: pair (pi, pj) at weight alphas[ai] has coarse sup
     pi, pj = np.triu_indices(mu_count)
-    ai, sup = np.empty(pi.size, dtype=np.intp), np.empty(pi.size)
-    chunk = max(1, int(1.5e5 // (3 * search.z.size)))  # ~1.2 MB per (chunk, 3, nodes) tensor
-    starts = range(0, pi.size, chunk)
-
-    def fill(start):
-        part = slice(start, start + chunk)
-        ai[part], sup[part] = _weight_step(coarse_sup, u[pi[part]], u[pj[part]], alphas)
-
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
-    with ThreadPoolExecutor(workers) as pool:
-        # np.errstate is a context variable: each chunk runs in a copy of the
-        # caller's context, so the caller's error handling holds in the workers
-        futures = [pool.submit(contextvars.copy_context().run, fill, s) for s in starts]
-        for future in futures:
-            future.result()
-
+    ai, sup, ran = search.table(coarse_sup, pi, pj)
     top = _ranked(np.arange(pi.size), ai, sup)[:_REFINE_TOP]
     wt = alphas[ai[top]][:, None]
     d = wt * u[pi[top]] + (1.0 - wt) * u[pj[top]]  # re-ranked on every point
-    best = _ranked(top, ai, ((1.0 / d) @ search.cert_rows().T).max(axis=1))[0]
+    best = _ranked(top, ai, ((1.0 / d) @ grid.cert_rows().T).max(axis=1))[0]
     i, j, a = int(pi[best]), int(pj[best]), float(alphas[ai[best]])
     # a weight of 0 or 1 leaves a single component
     if i == j or a in (0.0, 1.0):
-        ws, mus = [1.0], [float(comp_mus[j if a == 0.0 else i])]
+        ws, mus = [1.0], [float(search.mus[j if a == 0.0 else i])]
     else:
-        ws, mus = [a, 1.0 - a], [float(comp_mus[i]), float(comp_mus[j])]
-    t_cert = time.perf_counter()
-    mix = _certify(cert, ws, mus, "brute_force_2")
-    _log_search("brute_force_two_component", search, cert,
-                f"{pi.size} candidates ranked in {len(starts)} chunks on "
-                f"{workers} workers, {top.size} re-ranked",
-                t_start, t_cert)
-    return mix
+        ws, mus = [a, 1.0 - a], [float(search.mus[i]), float(search.mus[j])]
+    return search.certify("brute_force_two_component", ws, mus, "brute_force_2",
+                          f"{pi.size} candidates ranked in {ran}, {top.size} re-ranked")

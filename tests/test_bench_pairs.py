@@ -14,8 +14,9 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 TOOL = REPO / "tools" / "bench_pairs.py"
-METRICS = [m["name"] for m in
-           json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+BENCH = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+METRICS = [m["name"] for m in BENCH["end_to_end"]]
+WORKLOADS = [w["name"] for w in BENCH["workloads"]]
 
 
 def load_tool():
@@ -83,6 +84,21 @@ def test_failed_or_incorrect_run_is_named_and_exits_1(tool, monkeypatch, capsys,
     reason = "no result" if case == "no-result" else "incorrect"
     assert f"pair 1 change: {reason}; its metrics are not compared" in err
     assert f"left out of the summary: {', '.join(METRICS)}" in err
+
+
+def test_unknown_workload_refused_before_any_export(tool, monkeypatch, capsys,
+                                                    tmp_path):
+    exported = []
+    monkeypatch.setattr(tool, "export", lambda commit, dest: exported.append(commit))
+    calls = fake_runs(tool, monkeypatch, lambda n, good: good)
+    with pytest.raises(SystemExit) as excinfo:
+        tool.main(["PARENT", "CHANGE", "--workload", "ripr_projekt", "--pairs", "2"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'ripr_projekt'" in err
+    assert all(repr(name) in err for name in WORKLOADS)
+    assert exported == [] and calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCHMARK.json"]
 
 
 def test_wall_metrics_read_from_the_detail_line(tmp_path):

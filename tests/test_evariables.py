@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,16 @@ class TestResultSerialization:
         payload = json.loads(res.to_json())
         assert payload["kind"] == "pseudo"
         assert payload["log_evalue"] == pytest.approx(math.log(64.0 / 27.0))
+
+    def test_overflowing_evalue_is_inf_without_warning(self):
+        # log e = 2071.1 is past a double's ~709.78
+        spec = make_family("poisson")
+        alt = Alternative.from_means(spec, [3000.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ev.log_evalue(spec, alt, [3000, 1], "pseudo")
+            assert res.evalue == math.inf
+        assert res.log_evalue == pytest.approx(2071.1, abs=0.05)
 
     def test_vectorized_blocks(self):
         spec = make_family("poisson")

@@ -1143,6 +1143,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             problem_from_config({**cfg, **edit})
 
+    @pytest.mark.parametrize("cfg, missing", [
+        ({}, "'family' and 'mean_params'"),
+        ({"family": "poisson"}, "'mean_params'"),
+        ({"mean_params": [1, 2]}, "'family'"),
+    ])
+    def test_missing_keys_refused_by_name(self, cfg, missing):
+        # once a KeyError from the public readers
+        with pytest.raises(ValueError, match=f"^config needs 'family' and "
+                                             f"'mean_params', missing {missing}$"):
+            problem_from_config(cfg)
+        if "family" not in cfg:
+            with pytest.raises(ValueError, match="^config is missing 'family'$"):
+                family_from_config(cfg)
+
     def test_fixed_params_respected(self):
         spec = make_family("gaussian_mean", sigma2=2.5)
         back = family_from_config(spec.to_config())

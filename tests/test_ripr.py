@@ -30,6 +30,20 @@ def expo_pair(expo):
     )
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each thread pool the searches start."""
+    started = []
+
+    class Pool(ripr.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ripr, "ThreadPoolExecutor", Pool)
+    return started
+
+
 def test_ripr_does_not_import_evariables():
     # the projection and its certificate need no statistic; Monte Carlo
     # checks of a mixture go through evariables and growth
@@ -392,20 +406,51 @@ class TestBruteForce:
         assert " chunks on 8 workers, " in logged[1]
 
     @pytest.mark.parametrize("mu_count,chunks", [(5, 1), (20, 2)])
-    def test_no_more_workers_than_chunks(self, expo, monkeypatch, mu_count, chunks):
-        # 400 search nodes make chunks of 125 pairs: 15 and 210 pairs here
-        started = []
-
-        class Pool(ripr.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(ripr, "ThreadPoolExecutor", Pool)
+    def test_no_more_workers_than_chunks(self, expo, monkeypatch, pools, mu_count,
+                                         chunks):
+        # 400 search nodes make chunks of 125 pairs: 15 and 210 pairs here;
+        # a table of one chunk runs on the calling thread
         monkeypatch.setattr(ripr.os, "sched_getaffinity", lambda pid: set(range(8)))
         spec, alt = expo
         ripr.brute_force_two_component(spec, alt, mu_count=mu_count, mu0_count=20)
-        assert started == [chunks]
+        assert pools == ([chunks] if chunks > 1 else [])
+
+
+class TestCandidateTable:
+    # both searches take their weight steps through one table; at the default
+    # 100 candidates on 400 search nodes Li's table is one chunk of 125 rows
+    # and brute2's 5050 pairs are 41 chunks
+    def test_default_li_starts_no_pool(self, expo, monkeypatch):
+        def refuse(max_workers):
+            raise AssertionError(f"Li started a pool of {max_workers}")
+
+        monkeypatch.setattr(ripr, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(ripr.os, "sched_getaffinity", lambda pid: set(range(8)))
+        spec, alt = expo
+        mix, trace = ripr.li_approximate(spec, alt)
+        assert len(trace) > 1 and len(mix.components) > 1
+
+    def test_default_brute2_starts_one_pool_per_usable_cpu(self, expo, monkeypatch,
+                                                           pools):
+        monkeypatch.setattr(ripr.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        spec, alt = expo
+        ripr.brute_force_two_component(spec, alt)
+        assert pools == [3]
+
+    @pytest.mark.parametrize("name,mus", [("exponential", [0.5, 0.25]),
+                                          ("gaussian_variance", [0.5, 0.25])])
+    def test_li_does_not_depend_on_worker_count(self, name, mus, monkeypatch, pools):
+        # 300 candidates are three chunks: on the calling thread with one
+        # usable CPU, on a pool of three with eight
+        spec = make_family(name)
+        alt = Alternative.from_means(spec, mus)
+        runs = []
+        for cpus in ({0}, set(range(8))):
+            monkeypatch.setattr(ripr.os, "sched_getaffinity", lambda pid, c=cpus: c)
+            mix, trace = ripr.li_approximate(spec, alt, mu_count=300)
+            runs.append((mix.to_json_dict(), trace))
+        assert runs[0] == runs[1]
+        assert pools == [3] * (len(runs[0][1]) - 1)
 
 
 class TestDegenerateGrids:

@@ -2,7 +2,8 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S
 
-Each commit's files are exported with ``git archive`` into a directory of
+W is one of the ``workloads`` of ``BENCHMARK.json``; any other is refused,
+naming them, before anything is exported, run or written.  Each commit's files are exported with ``git archive`` into a directory of
 its own under a temporary directory (``TMPDIR`` picks where), and the
 benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``) runs from
 each export in turn for its ``run_seconds``: N pairs, the parent first in
@@ -89,17 +90,18 @@ def by_side(runs: list[dict], group: str, name: str) -> dict:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    choices=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
 
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     sides = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     workdir = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
