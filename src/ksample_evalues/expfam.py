@@ -54,6 +54,7 @@ every stochastic operation is bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import numbers
@@ -229,35 +230,45 @@ class FamilySpec(ABC):
     ``_mean_from_natural``), A(lambda), the carrier log h, and three laws on
     arguments already checked: ``_draw`` (draws at a mean),
     ``_sum_quantile`` (the inverse CDF of a k-sum) and ``_sum_density``.
-    The data: ``family_id``, the mean space, the support, the heatmap range
-    ``std_range`` and the constructor's fixed parameters, stored under their
-    own names, which ``fixed_params`` reads.  Everything derived lives here:
-    densities, KL, Fisher information, central moments, and the five
-    checked entry points ``natural_from_mean``, ``mean_from_natural``,
-    ``sample``, ``sum_quantile`` and ``sum_log_pdf``, which refuse a bad
-    argument by name before any law runs.  ``sum_log_pdf`` checks the means
-    and the sum's support, is
-    ``log_pdf`` at k = 1 and ``_sum_density(mus)(z)`` at k >= 2.
-    ``_sum_density`` is the one sum-density override: it builds, once per
-    set of means, the k >= 2 density as a function of z.  Its base form is
-    the lattice convolution; Poisson and gaussian_mean return their closed
-    forms, the gamma sums their ``_GammaSum``, and beta its gamma sum
-    (integer alpha) or convolution (non-integer alpha, k = 2 only).
+    The data: ``family_id``, the mean space, whether X is ``discrete``, the
+    heatmap range ``std_range`` and the constructor's fixed parameters,
+    stored under their own names, which ``fixed_params`` reads.  Everything
+    derived lives here: the support, densities, KL, Fisher information,
+    central moments, and the five checked entry points ``natural_from_mean``,
+    ``mean_from_natural``, ``sample``, ``sum_quantile`` and ``sum_log_pdf``,
+    which refuse a bad argument by name before any law runs.
+    ``sum_log_pdf`` checks the means and the sum's support, is ``log_pdf``
+    at k = 1 and ``_sum_density(mus)(z)`` at k >= 2.  ``_sum_density`` is
+    the one sum-density override: it builds, once per set of means, the
+    k >= 2 density as a function of z.  Its base form is the lattice
+    convolution; Poisson and gaussian_mean return their closed forms, the
+    gamma sums their ``_GammaSum``, and beta its gamma sum (integer alpha)
+    or convolution (non-integer alpha, k = 2 only).
 
-    A family with a quadratic variance function
-    V(mu) = v0 + v1 mu + v2 mu^2 (Morris 1982) gives it as the triple
-    ``variance_function = (v0, v1, v2)``, from which ``variance`` and its two
-    derivatives follow, and with them the delta^4 coefficients of ``growth``
-    in closed form.  Beta overrides those three methods with its psi-gaps at
-    every alpha and sets ``variance_function`` only at alpha = 1, the one
-    alpha where it has a quadratic variance function.
+    The support follows from the mean space, the interior of its convex
+    hull (Barndorff-Nielsen 1978): the integers in [lo, hi] if ``discrete``
+    ("finite", or "lattice" when hi is infinite), else the interval
+    (lo, hi).  One variance law, ``_variance_law(mu)`` = (V, V', V''), gives
+    every moment.  By default it is the quadratic variance function
+    ``variance_function = (v0, v1, v2)``, V = v0 + v1 mu + v2 mu^2 (Morris
+    1982), which also gives the delta^4 coefficients of ``growth`` in closed
+    form; ``None`` means the family has none.  Beta states its law from its
+    psi-gaps at every alpha, and ``variance_function`` only at alpha = 1.
     """
 
     family_id: str
     mean_space: tuple[float, float]
-    support: Support
-    variance_function: tuple[float, float, float]
+    discrete: bool = False
+    variance_function: tuple[float, float, float] | None = None
     std_range: tuple[float, float]
+
+    @functools.cached_property
+    def support(self) -> Support:
+        """The support of X, built from the mean space once per family."""
+        lo, hi = self.mean_space
+        if self.discrete:
+            return Support("finite" if math.isfinite(hi) else "lattice", lo, hi)
+        return Support("interval", lo, hi)
 
     # -- parameter maps -------------------------------------------------
 
@@ -304,22 +315,22 @@ class FamilySpec(ABC):
 
     # -- moments ---------------------------------------------------------
 
+    def _variance_law(self, mu: float) -> tuple[float, float, float]:
+        """(V, V', V'') at a checked mean, from ``variance_function``."""
+        v0, v1, v2 = self.variance_function
+        return v0 + mu * (v1 + v2 * mu), v1 + 2.0 * v2 * mu, 2.0 * v2
+
     def variance(self, mu: float) -> float:
         """Var[X] under P_mu, i.e. A''(lambda(mu))."""
-        mu = self.check_mean(mu)
-        v0, v1, v2 = self.variance_function
-        return v0 + mu * (v1 + v2 * mu)
+        return self._variance_law(self.check_mean(mu))[0]
 
     def variance_d1(self, mu: float) -> float:
         """d Var / d mu."""
-        mu = self.check_mean(mu)
-        _, v1, v2 = self.variance_function
-        return v1 + 2.0 * v2 * mu
+        return self._variance_law(self.check_mean(mu))[1]
 
     def variance_d2(self, mu: float) -> float:
         """d^2 Var / d mu^2."""
-        self.check_mean(mu)
-        return 2.0 * self.variance_function[2]
+        return self._variance_law(self.check_mean(mu))[2]
 
     def fisher_info(self, mu: float) -> float:
         """Fisher information for the mean parameter: 1 / Var[X]."""
@@ -505,7 +516,7 @@ class FamilySpec(ABC):
 class Bernoulli(FamilySpec):
     family_id = "bernoulli"
     mean_space = (0.0, 1.0)
-    support = Support("finite", 0, 1)
+    discrete = True
     variance_function = (0.0, 1.0, -1.0)
     std_range = (0.1, 0.9)
 
@@ -530,7 +541,6 @@ class GaussianFreeMean(FamilySpec):
 
     family_id = "gaussian_mean"
     mean_space = (-math.inf, math.inf)
-    support = Support("interval", -math.inf, math.inf)
     std_range = (-2.0, 2.0)
 
     def __init__(self, sigma2: float = 1.0):
@@ -573,7 +583,6 @@ class GaussianFreeVariance(FamilySpec):
 
     family_id = "gaussian_variance"
     mean_space = (0.0, math.inf)
-    support = Support("interval", 0.0, math.inf)
     variance_function = (0.0, 0.0, 2.0)
     std_range = (0.6, 2.4)
 
@@ -611,7 +620,7 @@ class GaussianFreeVariance(FamilySpec):
 class Poisson(FamilySpec):
     family_id = "poisson"
     mean_space = (0.0, math.inf)
-    support = Support("lattice", 0, math.inf)
+    discrete = True
     variance_function = (0.0, 1.0, 0.0)
     std_range = (0.5, 5.0)
 
@@ -644,7 +653,6 @@ class Exponential(FamilySpec):
 
     family_id = "exponential"
     mean_space = (0.0, math.inf)
-    support = Support("interval", 0.0, math.inf)
     variance_function = (0.0, 0.0, 1.0)
     std_range = (0.5, 4.0)
 
@@ -675,7 +683,7 @@ class Geometric(FamilySpec):
 
     family_id = "geometric"
     mean_space = (0.0, math.inf)
-    support = Support("lattice", 0, math.inf)
+    discrete = True
     variance_function = (0.0, 1.0, 1.0)
     std_range = (0.15, 0.6)
 
@@ -717,7 +725,6 @@ class BetaFixedAlpha(FamilySpec):
 
     family_id = "beta_fixed_alpha"
     mean_space = (-math.inf, 0.0)
-    support = Support("interval", -math.inf, 0.0)
     std_range = (1.0, 8.0)
 
     def __init__(self, alpha: float = 1.0):
@@ -806,22 +813,13 @@ class BetaFixedAlpha(FamilySpec):
         return np.where(lam < 100.0, special.betaln(a, lam),
                         special.gammaln(a) - ratio)[()]
 
-    # the variance and its derivatives in mu, through dmu/db = Var: psi-gaps
-    # of the free shape b at every alpha (alpha = 1 also states its quadratic
-    # variance function, for the closed-form growth coefficients)
-
-    def variance(self, mu):
-        return self._psi_gap(1, self.natural_from_mean(mu))
-
-    def variance_d1(self, mu):
-        b = self.natural_from_mean(mu)
-        return self._psi_gap(2, b) / self._psi_gap(1, b)
-
-    def variance_d2(self, mu):
+    def _variance_law(self, mu):
+        """V and its derivatives in mu, through dmu/db = V: psi-gaps of the
+        free shape b at every alpha."""
         b = self.natural_from_mean(mu)
         p1, p2, p3 = (self._psi_gap(m, b) for m in (1, 2, 3))
-        # d/dmu (p2/p1) = (p3*p1 - p2^2) / p1^3
-        return (p3 * p1 - p2 * p2) / p1**3
+        # V' = p2 / p1 and V'' = d/dmu (p2/p1) = (p3*p1 - p2^2) / p1^3
+        return p1, p2 / p1, (p3 * p1 - p2 * p2) / p1**3
 
     def log_carrier(self, x):
         # 1 - e^x via expm1 keeps precision as x -> 0-
@@ -1192,10 +1190,23 @@ def make_family(name: str, **fixed) -> FamilySpec:
     return cls(**fixed)
 
 
+def _check_keys(what: str, d, required, optional=()) -> None:
+    """Refuse a JSON object of a run configuration or a mixture file that
+    lacks a required key or has an unknown one, naming the keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+    unknown = [key for key in d if key not in required and key not in optional]
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def family_from_config(cfg: dict) -> FamilySpec:
-    """Inverse of FamilySpec.to_config; ignores any mean_params entry."""
-    if "family" not in cfg:
-        raise ValueError("config is missing 'family'")
+    """Inverse of FamilySpec.to_config (mean_params unread); refuses unknown keys."""
+    _check_keys("config", cfg, ("family",),
+                ("fixed_params", "mean_params", "beta_means"))
     fixed = cfg.get("fixed_params", {})
     if not isinstance(fixed, dict):
         raise ValueError(f"fixed_params must be a JSON object, got {fixed!r}")
@@ -1207,7 +1218,8 @@ def problem_from_config(cfg: dict) -> tuple[FamilySpec, list[float]]:
 
     With ``beta_means`` set, ``mean_params`` are means E[U] of beta
     observations and are converted to means of X; any other family refuses
-    that key with a ``ValueError``.
+    that key with a ``ValueError``, as it does a config with no family or
+    fewer than two means.
     """
     missing = [key for key in ("family", "mean_params") if key not in cfg]
     if missing:
@@ -1217,6 +1229,8 @@ def problem_from_config(cfg: dict) -> tuple[FamilySpec, list[float]]:
     means = cfg["mean_params"]
     if not isinstance(means, list):
         raise ValueError(f"mean_params must be a list of numbers, got {means!r}")
+    if len(means) < 2:
+        raise ValueError(f"mean_params needs at least two group means, got {means!r}")
     _require_real(**{f"mean_params[{i}]": m for i, m in enumerate(means)})
     beta_means = cfg.get("beta_means", False)
     if not isinstance(beta_means, bool):

@@ -205,8 +205,9 @@ def coeff_iid_gap(spec: FamilySpec, mu0: float, k: int = 2) -> FourthOrderCoeffi
     """
     mu0 = spec.check_mean(mu0)
     _require_at_least(2, k=k)
-    i0 = spec.fisher_info(mu0)
-    val = (2.0 + spec.variance_d2(mu0)) * i0 * i0 / (8.0 * k)
+    v, _, d2 = spec._variance_law(mu0)
+    i0 = 1.0 / v
+    val = (2.0 + d2) * i0 * i0 / (8.0 * k)
     return _coefficient(spec, mu0, val, GapKind.IID_GAP)
 
 
@@ -226,8 +227,9 @@ def coeff_cond_gap(spec: FamilySpec, mu0: float, k: int = 2) -> FourthOrderCoeff
     """
     mu0 = spec.check_mean(mu0)
     _require_at_least(2, k=k)
-    i0 = spec.fisher_info(mu0)
-    if hasattr(spec, "variance_function"):
+    v, d1, _ = spec._variance_law(mu0)
+    i0 = 1.0 / v
+    if spec.variance_function is not None:
         v2 = spec.variance_function[2]
         return _coefficient(spec, mu0, v2 * v2 * i0 * i0 / (4.0 * k * (k + v2)),
                             GapKind.COND_GAP)
@@ -235,7 +237,7 @@ def coeff_cond_gap(spec: FamilySpec, mu0: float, k: int = 2) -> FourthOrderCoeff
     log_gz = spec.sum_log_pdf([mu0] * k, z)
     ex2 = _cond_second_moment(spec, mu0, k, z, log_gz)
     ex1x2 = (z * z - k * ex2) / (k * (k - 1.0))
-    c = i0 * i0 * (ex2 - ex1x2) + spec.fisher_info_d1(mu0) * (z / k - mu0) - i0
+    c = i0 * i0 * (ex2 - ex1x2) - d1 / (v * v) * (z / k - mu0) - i0
     val = float(np.sum(wz * np.exp(log_gz) * c * c)) / 8.0
     return _coefficient(spec, mu0, val, GapKind.COND_GAP)
 
@@ -291,10 +293,6 @@ class HeatmapResult:
     stderr: np.ndarray
     method: str
     failures: list = field(default_factory=list)
-
-    @property
-    def gap_fourth_root(self) -> np.ndarray:
-        return signed_fourth_root(self.gap)
 
     def rows(self):
         """CSV rows: mu1, mu2, gap, gap_fourth_root (row-major)."""

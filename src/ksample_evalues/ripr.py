@@ -82,6 +82,7 @@ from .expfam import (
     ComputationError,
     FamilySpec,
     MeanDomainError,
+    _check_keys,
     _require_at_least,
     _require_real,
     problem_from_config,
@@ -235,19 +236,6 @@ class MixtureNull:
             spec, means = problem_from_config(d["config"])
             config = spec.to_config(means)
         return cls(comps, cert, config)
-
-
-def _check_keys(what: str, d, required, optional=()) -> None:
-    """Refuse a JSON object of a mixture file that lacks a required key or
-    has an unknown one, naming the keys."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    missing = [key for key in required if key not in d]
-    if missing:
-        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
-    unknown = [key for key in d if key not in required and key not in optional]
-    if unknown:
-        raise ValueError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def _sum_leading(terms) -> np.ndarray:

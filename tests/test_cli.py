@@ -570,6 +570,54 @@ def test_config_of_wrong_type_exits_with_one_line_in_a_subprocess(tmp_path):
     assert proc.stderr == "ksev evaluate: family must be a string, got 3\n"
 
 
+def run_ksev(*argv):
+    src = str(Path(ripr.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "ksample_evalues.cli", *argv],
+                          cwd=src, capture_output=True, text=True, timeout=120)
+
+
+def test_unknown_config_key_exits_with_one_line(tmp_path):
+    # alpha belongs under fixed_params: the run once went ahead at alpha = 1
+    # and reported "alpha": 2.0 in its config
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"family": "beta_fixed_alpha", "alpha": 2.0,
+                                "mean_params": [-1.0, -0.5]}), encoding="utf-8")
+    proc = run_ksev("growth", "--config", str(path), "--kinds", "pseudo")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "ksev growth: config has unknown key(s) 'alpha'\n"
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["evaluate", "--block", "1,0"], "ksev evaluate: config needs 'family' and "
+     "'mean_params', missing 'family' and 'mean_params'\n"),
+    (["evaluate", *EXPO[:2], "--mu", "1", "--block", "1,0"],
+     "ksev evaluate: mean_params needs at least two group means, got [1.0]\n"),
+], ids=["no-family", "one-mean"])
+def test_incomplete_config_exits_with_one_line(argv, stderr):
+    # once a three-line "invalid configuration:" block with no ksev prefix
+    proc = run_ksev(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == stderr
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["simulate", *EXPO, "--multiplicities", "1.5,1"], "--multiplicities", "1.5,1"),
+    (["simulate", *EXPO, "--multiplicities", "2,x"], "--multiplicities", "2,x"),
+    (["evaluate", *EXPO, "--stream", "STREAM", "--multiplicities", "1,"],
+     "--multiplicities", "1,"),
+    ([*HEATMAP, "--slices", "s.csv", "--slice-offsets", "0,0.5"],
+     "--slice-offsets", "0,0.5"),
+], ids=["multiplicity-float", "multiplicity-word", "stream-multiplicity-empty",
+        "slice-offset-float"])
+def test_integer_list_flag_named(tmp_path, argv, flag, text):
+    # once "invalid literal for int() with base 10: '1.5'", naming no flag
+    argv = [write_stream(tmp_path / "s.csv") if a == "STREAM" else a for a in argv]
+    reason = f"ksev {argv[0]}: {flag} must be comma-separated integers, got {text!r}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+        main(["--out-dir", str(tmp_path)] + argv)
+    assert not (tmp_path / "heatmap_exponential.csv").exists()
+
+
 class TestSimulate:
     def test_summary_and_trace(self, capsys, tmp_path):
         code, out, _ = run(

@@ -748,15 +748,35 @@ class TestGammaSum:
 
 
 def test_families_state_laws_not_entry_points():
-    # the checked entry points, the heatmap range and the fixed parameters
-    # are derived on FamilySpec only, a sum density is stated once, as
-    # _sum_density, and the family table is keyed by each class's own id
+    # the checked entry points, the heatmap range, the fixed parameters, the
+    # support and the variance with its derivatives are derived on FamilySpec
+    # only, a sum density is stated once, as _sum_density, and the family
+    # table is keyed by each class's own id
     derived = ("sum_log_pdf", "sample", "natural_from_mean", "default_std_range",
-               "fixed_params")
+               "fixed_params", "support", "variance", "variance_d1", "variance_d2")
     for family_id, cls in _FAMILIES.items():
         assert not set(derived) & set(vars(cls)), cls
         assert not hasattr(cls, "_sum_log_pdf"), cls
         assert cls.family_id == family_id and "std_range" in vars(cls), cls
+
+
+@pytest.mark.parametrize("name, fixed, kind, lo, hi, discrete", [
+    ("bernoulli", {}, "finite", 0, 1, True),
+    ("gaussian_mean", {}, "interval", -math.inf, math.inf, False),
+    ("gaussian_mean", {"sigma2": 2.0}, "interval", -math.inf, math.inf, False),
+    ("gaussian_variance", {}, "interval", 0.0, math.inf, False),
+    ("poisson", {}, "lattice", 0, math.inf, True),
+    ("exponential", {}, "interval", 0.0, math.inf, False),
+    ("geometric", {}, "lattice", 0, math.inf, True),
+    ("beta_fixed_alpha", {"alpha": 1.0}, "interval", -math.inf, 0.0, False),
+    ("beta_fixed_alpha", {"alpha": 2.5}, "interval", -math.inf, 0.0, False),
+], ids=["bernoulli", "gaussian_mean", "gaussian_mean-sigma2-2", "gaussian_variance",
+        "poisson", "exponential", "geometric", "beta-alpha-1", "beta-alpha-2.5"])
+def test_support_follows_from_the_mean_space(name, fixed, kind, lo, hi, discrete):
+    spec = make_family(name, **fixed)
+    assert (spec.support.kind, spec.support.lo, spec.support.hi) == (kind, lo, hi)
+    assert spec.discrete is discrete and spec.support.discrete is discrete
+    assert spec.support is spec.support  # built once per family
 
 
 def mp_beta_sum_log_pdf(alpha, shapes, z):
@@ -1156,6 +1176,18 @@ class TestConfig:
         if "family" not in cfg:
             with pytest.raises(ValueError, match="^config is missing 'family'$"):
                 family_from_config(cfg)
+
+    def test_unknown_key_refused_by_name(self):
+        # alpha belongs under fixed_params: the family was built at alpha = 1
+        cfg = {"family": "beta_fixed_alpha", "alpha": 2.0, "mean_params": [-1.0, -0.5]}
+        for read in (family_from_config, problem_from_config):
+            with pytest.raises(ValueError, match="^config has unknown key\\(s\\) 'alpha'$"):
+                read(cfg)
+
+    def test_fewer_than_two_means_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^mean_params needs at least two "
+                                             r"group means, got \[1.0\]$"):
+            problem_from_config({"family": "poisson", "mean_params": [1.0]})
 
     def test_fixed_params_respected(self):
         spec = make_family("gaussian_mean", sigma2=2.5)
