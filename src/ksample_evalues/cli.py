@@ -40,8 +40,14 @@ def _out_dir(args) -> Path:
     return p
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.replace(",", " ").split()]
+def _parse_floats(what: str, text: str) -> list[float]:
+    """Comma- or space-separated numbers for ``what`` (a flag, or a block
+    of a data file), refused by name otherwise."""
+    try:
+        return [float(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"{what} must be comma- or space-separated numbers, "
+                         f"got {text!r}") from None
 
 
 def _json_object(what: str, text: str) -> dict:
@@ -65,7 +71,7 @@ def _load_config(args) -> dict:
         if isinstance(merged, dict):  # anything else is refused with the family
             merged.update(fixed)
     if getattr(args, "mu", None):
-        cfg["mean_params"] = _parse_floats(args.mu)
+        cfg["mean_params"] = _parse_floats("--mu", args.mu)
     if getattr(args, "beta_means", False):
         cfg["beta_means"] = True
     return cfg
@@ -162,17 +168,18 @@ def cmd_evaluate(args) -> int:
         return _evaluate_stream(args, cfg, spec, alt, kind, mixture)
     blocks = []
     if args.block:
-        blocks.append(("--block", _parse_floats(args.block)))
+        blocks.append(("--block", _parse_floats("--block", args.block)))
     if args.data:
         with open(args.data, "r", encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
+                where = f"{args.data}:{ln}"
                 try:
-                    blocks.append((f"{args.data}:{ln}", _parse_floats(line)))
+                    blocks.append((where, _parse_floats("a block", line)))
                 except ValueError as exc:
-                    raise SystemExit(f"{args.data}:{ln}: unparseable block: {exc}")
+                    raise SystemExit(f"{where}: {exc}")
     if not blocks:
         raise SystemExit("nothing to evaluate: give --block, --data or --stream")
     log_statistic = ev._statistic(spec, alt, kind, mixture)

@@ -147,6 +147,41 @@ def _sum_coordinates(x) -> np.ndarray:
     return _sum_leading(x.T).T
 
 
+# Block coordinates scored per pass of a built statistic: 2**16, 512 KB of
+# float64, so that every temporary of a pass stays cache-sized however many
+# blocks are scored.
+_CHUNK_ELEMENTS = 2**16
+
+
+def _passes(n: int, step: int):
+    """(start, stop) of passes over n leading items, ``step`` at a time; the
+    last pass takes one item more rather than leave one alone."""
+    start = 0
+    while start < n:
+        stop = n if n - start <= step + 1 else start + step
+        yield start, stop
+        start = stop
+
+
+def _in_chunks(block_map):
+    """``block_map`` scoring about ``_CHUNK_ELEMENTS`` coordinates a pass: a
+    larger input is scored in passes over its leading blocks, written into
+    one preallocated output.  A pass holds at least two blocks, as the whole
+    input does: numpy multiplies a one-column matrix (the Erlang sum density
+    of a single z) by a different BLAS routine, whose bits differ.  Every
+    other block value depends on its own block alone, so the output does not
+    depend on the chunk size."""
+    def score(x):
+        if x.size <= _CHUNK_ELEMENTS:
+            return block_map(x)
+        rows = x.reshape(-1, x.shape[-1])
+        out = np.empty(len(rows))
+        for start, stop in _passes(len(rows), max(2, _CHUNK_ELEMENTS // x.shape[-1])):
+            out[start:stop] = block_map(rows[start:stop])
+        return out.reshape(x.shape[:-1])
+    return score
+
+
 def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
                mu0: float | None = None):
     """The statistic of ``kind`` for one problem, built once.
@@ -158,8 +193,15 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
     function: lambda(mu_i) and A(lambda_i), their differences to lambda and A
     at mu0, the sum-density ratio of ``cond`` (a table when the sum's support
     is finite) and a mixture's tilts.  The function it returns maps blocks
-    already checked (``_as_block``; shape [..., k]) to the log statistic.
+    already checked (``_as_block``; shape [..., k]) to the log statistic,
+    ``_in_chunks``: an input of many blocks is scored a fixed number of
+    coordinates at a time, so its temporaries stay bounded.
     """
+    return _in_chunks(_block_map(spec, alt, kind, mixture, mu0))
+
+
+def _block_map(spec: FamilySpec, alt: Alternative, kind, mixture, mu0):
+    """The block function of ``_statistic``, for any number of blocks."""
     kind = EValueKind(kind)
     if kind is EValueKind.GRO_M:
         _check_mixture(spec, alt, mixture)
@@ -333,7 +375,10 @@ def null_expectation_profile(
 
 def _mc_draws(spec: FamilySpec, means, n: int, rng) -> np.ndarray:
     """n blocks (shape [n, k]) from ``rng``, coordinate i drawn at means[i]."""
-    return np.stack([spec.sample(m, n, rng) for m in means], axis=-1)
+    x = np.empty((n, len(means)))
+    for i, m in enumerate(means):
+        x[:, i] = spec.sample(m, n, rng)
+    return x
 
 
 def _mean_stderr(v) -> tuple[float, float]:

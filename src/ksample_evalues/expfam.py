@@ -449,21 +449,25 @@ class FamilySpec(ABC):
         """z -> log-density of the k >= 2 sum at checked means, for checked z;
         whatever does not depend on z is built here once.  This one convolves
         the pmfs exp(lambda x - A + log h) of a lattice on 0, 1, ..., each
-        truncated at max z, which keeps every entry up to max z exact.  Every
-        pmf is first tilted by e^(-lambda_max x), which flattens the slowest
-        decaying one, so the convolution does not underflow where the density
-        is representable; adding lambda_max z in log space undoes the tilt."""
+        truncated one entry past max z, which keeps every entry up to max z
+        exact.  Every pmf is first tilted by e^(-lambda_max x), which
+        flattens the slowest decaying one, so the convolution does not
+        underflow where the density is representable; adding lambda_max z in
+        log space undoes the tilt.  The extra entry makes numpy sum every entry up to max z over a
+        partial overlap; it sums the full overlap in another order, which
+        would make the entry at max z depend on the other z evaluated with
+        it."""
         lam, la = self._natural_params(mus)
         top = lam.max()
 
         def log_pdf(z):
             idx = np.round(z).astype(int)
             zmax = int(idx.max()) if idx.size else 0
-            xs = np.arange(min(zmax, self.support.hi) + 1.0)
+            xs = np.arange(min(zmax + 1, self.support.hi) + 1.0)
             pmfs = np.exp(np.outer(lam - top, xs) - la[:, None] + self.log_carrier(xs))
             pmf = pmfs[0]
             for row in pmfs[1:]:
-                pmf = np.convolve(pmf, row)[: zmax + 1]
+                pmf = np.convolve(pmf, row)[: zmax + 2]
             with np.errstate(divide="ignore"):
                 return np.log(pmf[idx]) + top * idx
 

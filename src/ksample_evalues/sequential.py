@@ -249,7 +249,11 @@ def simulate(
     ``spawn_generator(seed, t)``, so campaigns are reproducible bit-for-bit
     and parallelizable across trials.  The Philox keys of all trials are
     derived at once (``spawn_keys``), and one Philox is reset to trial t's key
-    with counter 0 before the trial draws.
+    with counter 0 before the trial draws.  Trials are drawn into one reused
+    buffer and scored as many at a time as ``evariables._CHUNK_ELEMENTS``
+    holds (``evariables._passes``), so only the per-block log e-values of
+    all trials are held at once; the chunk size changes no output
+    (``evariables._in_chunks``).
 
     ``policy`` is "threshold", "fixed" or "budget" (evaluated vectorized), or
     any object with ``should_stop(block_log_values, alpha)``, consulted after
@@ -287,16 +291,20 @@ def simulate(
     bit_generator = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bit_generator)
     fresh = bit_generator.state
-    blocks = np.empty((trials, max_blocks, kprime))
+    chunk = max(1, ev._CHUNK_ELEMENTS // (max_blocks * kprime))
+    passes = list(ev._passes(trials, chunk))
+    blocks = np.empty((max(stop - start for start, stop in passes), max_blocks, kprime))
+    logs = np.empty((trials, max_blocks))
     budgets = np.zeros(trials, dtype=int)
-    for t in range(trials):
-        fresh["state"]["key"] = keys[t]
-        bit_generator.state = fresh
-        if policy == "budget":
-            budgets[t] = int(rng.integers(1, max_blocks + 1))
-        for j, m in enumerate(draw_means):
-            blocks[t, :, j] = spec._draw(m, max_blocks, rng)
-    logs = log_statistic(blocks)
+    for start, stop in passes:
+        for t in range(start, stop):
+            fresh["state"]["key"] = keys[t]
+            bit_generator.state = fresh
+            if policy == "budget":
+                budgets[t] = int(rng.integers(1, max_blocks + 1))
+            for j, m in enumerate(draw_means):
+                blocks[t - start, :, j] = spec._draw(m, max_blocks, rng)
+        logs[start:stop] = log_statistic(blocks[:stop - start])
     running = np.cumsum(logs, axis=1)
 
     if policy == "threshold":

@@ -618,6 +618,31 @@ def test_integer_list_flag_named(tmp_path, argv, flag, text):
     assert not (tmp_path / "heatmap_exponential.csv").exists()
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (["evaluate", "--family", "poisson", "--mu", "1,x", "--block", "1,2"],
+     "--mu", "1,x"),
+    (["evaluate", "--family", "poisson", "--mu", "1,2", "--block", "1,y"],
+     "--block", "1,y"),
+    (["simulate", *EXPO[:3], "0.5;0.25", "--trials", "1"], "--mu", "0.5;0.25"),
+], ids=["mu-word", "block-word", "simulate-mu-semicolon"])
+def test_float_list_flag_named(tmp_path, argv, flag, text):
+    # once "could not convert string to float: 'x'", naming no flag
+    reason = f"ksev {argv[0]}: {flag} must be comma- or space-separated numbers, got {text!r}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+        main(["--out-dir", str(tmp_path)] + argv)
+    proc = run_ksev("--out-dir", str(tmp_path), *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == reason + "\n"
+
+
+def test_unparseable_data_line_named_by_path_and_line(tmp_path):
+    data = tmp_path / "blocks.csv"
+    data.write_text("0.7,0.4\n0.1,x\n", encoding="utf-8")
+    reason = f"{data}:2: a block must be comma- or space-separated numbers, got '0.1,x'"
+    with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+        main(["evaluate", *EXPO, "--data", str(data)])
+
+
 class TestSimulate:
     def test_summary_and_trace(self, capsys, tmp_path):
         code, out, _ = run(

@@ -414,6 +414,18 @@ class TestSumDensity:
         got = spec.sum_log_pdf(mus, np.array(z, dtype=float))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("mus", [[0.75, 0.75], [2.0, 2.0], [1.0, 0.5, 2.0]],
+                             ids=["k2-0.75", "k2-2", "k3"])
+    def test_lattice_entry_does_not_depend_on_the_other_z(self, mus):
+        # numpy once summed the entry at max z, and only it, in another order:
+        # at means (0.75, 0.75), z = 2 alone and z = 2 beside larger z
+        # differed in the last bit
+        spec = make_family("geometric")
+        z = np.arange(40.0)
+        together = spec.sum_log_pdf(mus, z)
+        alone = [spec.sum_log_pdf(mus, zi) for zi in z]
+        assert np.array_equal(together, np.array(alone))
+
     def test_poisson_at_zero(self):
         spec = make_family("poisson")
         assert float(np.exp(spec.sum_log_pdf([1.0, 1.0], 0.0))) == pytest.approx(
