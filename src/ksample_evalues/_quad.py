@@ -109,12 +109,17 @@ def sum_nodes(spec: FamilySpec, mus, k: int, n: int = 2048):
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     s = spec.support
+    lo = k * s.lo if s.discrete else min(spec.sum_quantile(m, k, TAIL) for m in mus)
+    return span_nodes(spec, lo, max(spec.sum_quantile(m, k, 1.0 - TAIL) for m in mus), n)
+
+
+def span_nodes(spec: FamilySpec, lo: float, hi: float, n: int):
+    """Nodes and weights over [lo, hi] in the support: its lattice points, or
+    n Gauss-Legendre nodes with a margin at each end."""
+    s = spec.support
     if s.discrete:
-        hi = max(spec.sum_quantile(m, k, 1.0 - TAIL) for m in mus)
-        z = np.arange(int(k * s.lo), int(hi) + 1, dtype=float)
+        z = np.arange(int(lo), int(hi) + 1, dtype=float)
         return z, np.ones_like(z)
-    lo = min(spec.sum_quantile(m, k, TAIL) for m in mus)
-    hi = max(spec.sum_quantile(m, k, 1.0 - TAIL) for m in mus)
     if np.isfinite(s.lo) and s.lo == 0.0:
         # half line (0, inf): log-space nodes cover all scales uniformly
         t, w = _gl(np.log(lo) - 2.0, np.log(hi) + 0.2, n)

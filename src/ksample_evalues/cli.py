@@ -282,10 +282,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    cfg: dict = {"family": args.family}
-    if args.fixed:
-        cfg["fixed_params"] = _json_object("--fixed", args.fixed)
-    spec = family_from_config(cfg)
+    spec = family_from_config(_load_config(args))
     offsets = _parse_ints("--slice-offsets", args.slice_offsets) if args.slices else []
     result = gr.heatmap(
         spec,

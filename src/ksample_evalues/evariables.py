@@ -40,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .expfam import Alternative, FamilySpec, MeanDomainError, _require_at_least
-from .expfam import as_generator
-from .ripr import MixtureNull, _log_sum_of_tilts, _sum_leading
+from .expfam import _CHUNK_ELEMENTS, _sum_leading, as_generator
+from .ripr import MixtureNull, _log_sum_of_tilts
 
 
 class EValueKind(str, enum.Enum):
@@ -143,41 +143,24 @@ def _check_mixture(spec: FamilySpec, alt: Alternative, mixture) -> None:
 
 def _sum_coordinates(x) -> np.ndarray:
     """Sum over the trailing (coordinate) axis of x as the sum of the rows of
-    x.T, bit for bit ``np.sum(x, axis=-1)`` (``ripr._sum_leading``)."""
+    x.T, bit for bit ``np.sum(x, axis=-1)`` (``expfam._sum_leading``)."""
     return _sum_leading(x.T).T
 
 
-# Block coordinates scored per pass of a built statistic: 2**16, 512 KB of
-# float64, so that every temporary of a pass stays cache-sized however many
-# blocks are scored.
-_CHUNK_ELEMENTS = 2**16
-
-
-def _passes(n: int, step: int):
-    """(start, stop) of passes over n leading items, ``step`` at a time; the
-    last pass takes one item more rather than leave one alone."""
-    start = 0
-    while start < n:
-        stop = n if n - start <= step + 1 else start + step
-        yield start, stop
-        start = stop
-
-
 def _in_chunks(block_map):
-    """``block_map`` scoring about ``_CHUNK_ELEMENTS`` coordinates a pass: a
-    larger input is scored in passes over its leading blocks, written into
-    one preallocated output.  A pass holds at least two blocks, as the whole
-    input does: numpy multiplies a one-column matrix (the Erlang sum density
-    of a single z) by a different BLAS routine, whose bits differ.  Every
-    other block value depends on its own block alone, so the output does not
-    depend on the chunk size."""
+    """``block_map`` scoring at most ``_CHUNK_ELEMENTS`` coordinates a pass
+    (one block at least): a larger input is scored in passes over its
+    leading blocks, written into one preallocated output.  Every block value
+    depends on its own block alone, so the output does not depend on the
+    budget."""
     def score(x):
         if x.size <= _CHUNK_ELEMENTS:
             return block_map(x)
         rows = x.reshape(-1, x.shape[-1])
         out = np.empty(len(rows))
-        for start, stop in _passes(len(rows), max(2, _CHUNK_ELEMENTS // x.shape[-1])):
-            out[start:stop] = block_map(rows[start:stop])
+        step = max(1, _CHUNK_ELEMENTS // x.shape[-1])
+        for start in range(0, len(rows), step):
+            out[start:start + step] = block_map(rows[start:start + step])
         return out.reshape(x.shape[:-1])
     return score
 
@@ -351,7 +334,10 @@ def null_expectation_profile(
     (up to quadrature error) for the equal-mixture and conditional ratios.
     It deliberately integrates the statistic itself over the plane rather
     than exploiting any structural shortcut, so it exercises the same code
-    path used on data.
+    path used on data.  Under the null at mu0 the integrand of ``cond`` is
+    p_mu0(z) p_alt(x | z), so the grid reaches the far end of the k-sum at
+    mu0, and it is summed in log space, since S overflows where the null
+    has no mass.
     """
     from . import _quad
 
@@ -359,17 +345,18 @@ def null_expectation_profile(
         raise ValueError("tensor quadrature check is restricted to k = 2")
     _require_at_least(1, n=n)
     mu0s = np.atleast_1d(np.asarray(mu0s, dtype=float))
-    x, w = _quad.support_nodes(
-        spec, list(alt.mu) + [mu0s.min(), mu0s.max()], n=n
-    )
+    ends = [spec.sum_quantile(m, k, q) for m in [*alt.mu, mu0s.min(), mu0s.max()]
+            for k in (1, 2) for q in (_quad.TAIL, 1.0 - _quad.TAIL)]
+    s = spec.support
+    x, w = _quad.span_nodes(spec, max(min(ends), s.lo), min(max(ends), s.hi), n)
     b1, b2 = np.meshgrid(x, x, indexing="ij")
-    blocks = np.stack([b1, b2], axis=-1)
-    s = np.exp(_log_statistic(spec, alt, blocks, kind, mixture))
-    logp = spec.log_pdf  # weighted one-dimensional null densities
+    log_s = _log_statistic(spec, alt, np.stack([b1, b2], axis=-1), kind, mixture)
     out = np.empty(mu0s.size)
     for i, m0 in enumerate(mu0s):
-        u = w * np.exp(logp(m0, x))
-        out[i] = float(u @ s @ u)
+        log_u = np.log(w) + spec.log_pdf(m0, x)
+        t = log_u[:, None] + log_s + log_u
+        top = t.max()
+        out[i] = math.exp(top) * float(np.exp(np.subtract(t, top, out=t), out=t).sum())
     return out
 
 

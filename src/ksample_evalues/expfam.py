@@ -907,6 +907,23 @@ class BetaFixedAlpha(FamilySpec):
         return self.mean_from_natural(float(s))
 
 
+# The one memory budget: a pass over many points holds temporaries of about
+# 2**16 floats (512 KB), so they stay cache-sized however many points there
+# are.  ``evariables`` scores that many block coordinates a pass.
+_CHUNK_ELEMENTS = 2**16
+
+
+def _sum_leading(terms) -> np.ndarray:
+    """Sum over the leading axis of ``terms``, bit for bit as ``np.sum`` sums
+    the same terms on a contiguous trailing axis.  np.sum adds fewer than 8
+    terms one after the other, so they are added as whole arrays, with no
+    reduction over a short axis; from 8 on it adds them in pairs, so they are
+    copied to a trailing axis and np.sum adds them."""
+    if len(terms) < 8:
+        return functools.reduce(np.add, terms)
+    return np.sum(np.ascontiguousarray(terms.T), axis=-1).T
+
+
 def _log_sinch_damped(w: np.ndarray) -> np.ndarray:
     """log(e^-w sinh(w)/w) = log((1 - e^(-2w)) / (2w)) for w >= 0, without
     forming e^w, so that adding it to a large negative exponent cancels
@@ -935,13 +952,15 @@ class _GammaSum:
 
     g_j the Taylor coefficients at s = -r_j of r_j^m_j prod_(i != j)
     (r_i / (r_i + s))^m_i, from (n + 1) g[n + 1] = sum_p g[n - p] H[p] with
-    H[p] = sum_(i != j) m_i / (r_j - r_i)^(p + 1).  The same recursion on
-    absolute values bounds |g_j| and so the coefficients' own rounding; a
-    point keeps the fractions where 3k eps times the bounded sum|terms| is at
-    most 1e-12 of the density and the density, scaled by e^(r_min z), exceeds
-    1e-280.  Every other point (nearly tied rates, small z, shape 1/2 at
-    k >= 3) takes Moschopoulos' series (``_series``), whose weights are built
-    once, up to the most terms a point has needed.
+    H[p] = sum_(i != j) m_i / (r_j - r_i)^(p + 1).  They take no BLAS call:
+    Horner in z and a sum over j as whole arrays (``_sum_leading``), so a
+    point's bits do not depend on the points evaluated with it.  The same
+    recursion on absolute values bounds |g_j| and so the coefficients' own
+    rounding; a point keeps the fractions where 3k eps times the bounded
+    sum|terms| is at most 1e-12 of the density and the density, scaled by
+    e^(r_min z), exceeds 1e-280.  Every other point (nearly tied rates, small
+    z, shape 1/2 at k >= 3) takes Moschopoulos' series (``_series``), whose
+    weights are built once, up to the most terms a point has needed.
     """
 
     def __init__(self, shape: float, rates):
@@ -1025,15 +1044,17 @@ class _GammaSum:
     def _erlang(self, z):
         out = np.empty(z.size)
         exact = np.empty(z.size, dtype=bool)
-        lam0, size = self.lam[0], self.lam.size
-        coef = self._coef.reshape(2 * size, -1)
-        pw, shift = np.arange(coef.shape[1])[:, None], (lam0 - self.lam)[:, None]
-        rows = 2**15  # bounds the (2J, rows) arrays
+        lam0, coef = self.lam[0], self._coef
+        shift = (lam0 - self.lam)[:, None]
+        rows = max(1, _CHUNK_ELEMENTS // coef[..., 0].size)  # (2, J, rows) arrays
         for i in range(0, z.size, rows):
             zc = z[i:i + rows]
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                terms = (coef @ zc ** pw).reshape(2, size, -1) * np.exp(shift * zc)
-                vals, tot = np.einsum("ijn->in", terms)
+                poly = coef[..., -1:]
+                for col in range(coef.shape[-1] - 2, -1, -1):
+                    poly = poly * zc + coef[..., col:col + 1]
+                terms = poly * np.exp(shift * zc)
+                vals, tot = _sum_leading(terms.swapaxes(0, 1))
                 # below ~1e-280 the terms lose relative precision to underflow
                 exact[i:i + rows] = (self._tol * tot <= vals) & (vals > 1e-280)
                 out[i:i + rows] = np.log(vals) - lam0 * zc
@@ -1083,7 +1104,7 @@ class _GammaSum:
         done = 0  # terms summed at every point of todo
         while todo.size:
             coef, n = self._weights(m)[done:], np.arange(done, m)
-            rows = max(1, 2**18 // (m - done))  # bounds the (rows, terms) array
+            rows = max(1, _CHUNK_ELEMENTS // (m - done))  # (rows, terms) arrays
             for i in range(0, todo.size, rows):
                 at = todo[i:i + rows]
                 t = coef + n * log_x[at, None]

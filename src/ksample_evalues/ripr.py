@@ -65,7 +65,6 @@ meaningless for any finite mixture that is not the exact RIPr.
 from __future__ import annotations
 
 import contextvars
-import functools
 import logging
 import math
 import os
@@ -85,6 +84,7 @@ from .expfam import (
     _check_keys,
     _require_at_least,
     _require_real,
+    _sum_leading,
     problem_from_config,
 )
 
@@ -236,17 +236,6 @@ class MixtureNull:
             spec, means = problem_from_config(d["config"])
             config = spec.to_config(means)
         return cls(comps, cert, config)
-
-
-def _sum_leading(terms) -> np.ndarray:
-    """Sum over the leading axis of ``terms``, bit for bit as ``np.sum`` sums
-    the same terms on a contiguous trailing axis.  np.sum adds fewer than 8
-    terms one after the other, so they are added as whole arrays, with no
-    reduction over a short axis; from 8 on it adds them in pairs, so they are
-    copied to a trailing axis and np.sum adds them."""
-    if len(terms) < 8:
-        return functools.reduce(np.add, terms)
-    return np.sum(np.ascontiguousarray(terms.T), axis=-1).T
 
 
 def _log_sum_of_tilts(lams, offsets, z) -> np.ndarray:

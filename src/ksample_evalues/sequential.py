@@ -251,9 +251,9 @@ def simulate(
     derived at once (``spawn_keys``), and one Philox is reset to trial t's key
     with counter 0 before the trial draws.  Trials are drawn into one reused
     buffer and scored as many at a time as ``evariables._CHUNK_ELEMENTS``
-    holds (``evariables._passes``), so only the per-block log e-values of
-    all trials are held at once; the chunk size changes no output
-    (``evariables._in_chunks``).
+    holds (one trial at least), so only the per-block log e-values of all
+    trials are held at once.  Every block value depends on its own block
+    alone, so the chunk size changes no output.
 
     ``policy`` is "threshold", "fixed" or "budget" (evaluated vectorized), or
     any object with ``should_stop(block_log_values, alpha)``, consulted after
@@ -275,10 +275,10 @@ def simulate(
     log_statistic = ev._statistic(spec, flat_alt, kind, mixture)
     kprime = flat_alt.k
     if truth == "null":
-        draw_means = [
-            null_mu if null_mu is not None else alt.mu0_star
-        ] * kprime
+        draw_means = [alt.mu0_star if null_mu is None else null_mu] * kprime
     elif truth == "alt":
+        if null_mu is not None:
+            raise ValueError(f"null_mu={null_mu!r} applies to truth='null' only")
         draw_means = list(flat_alt.mu)
     else:
         raise ValueError("truth must be 'null' or 'alt'")
@@ -291,12 +291,12 @@ def simulate(
     bit_generator = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bit_generator)
     fresh = bit_generator.state
-    chunk = max(1, ev._CHUNK_ELEMENTS // (max_blocks * kprime))
-    passes = list(ev._passes(trials, chunk))
-    blocks = np.empty((max(stop - start for start, stop in passes), max_blocks, kprime))
+    chunk = min(trials, max(1, ev._CHUNK_ELEMENTS // (max_blocks * kprime)))
+    blocks = np.empty((chunk, max_blocks, kprime))
     logs = np.empty((trials, max_blocks))
     budgets = np.zeros(trials, dtype=int)
-    for start, stop in passes:
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
         for t in range(start, stop):
             fresh["state"]["key"] = keys[t]
             bit_generator.state = fresh

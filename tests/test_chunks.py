@@ -109,12 +109,8 @@ def test_simulate_bits_do_not_depend_on_the_chunk(monkeypatch, family, fixed,
 
 
 def pass_sizes(n, step):
-    """Passes of step items over n, the last taking one more rather than
-    leave one alone."""
-    sizes = [step] * (n // step) + ([n % step] if n % step else [])
-    if len(sizes) > 1 and sizes[-1] == 1:
-        sizes[-2:] = [step + 1]
-    return sizes
+    """Passes of step items over n, the last taking what is left."""
+    return [step] * (n // step) + ([n % step] if n % step else [])
 
 
 @pytest.mark.parametrize("name", BUDGETS)
@@ -147,8 +143,7 @@ def test_statistic_passes_hold_at_most_the_budget(monkeypatch, name):
     if x.size <= budget(name, k):
         assert passes == [x.shape]
     else:
-        # at least two blocks a pass: a lone block can take other BLAS calls
-        step = max(2, budget(name, k) // k)
+        step = max(1, budget(name, k) // k)
         assert passes == [(n, k) for n in pass_sizes(35, step)]
 
 
@@ -246,3 +241,52 @@ def test_monte_carlo_growth_peak_memory_is_bounded_by_its_draws():
     peak = traced_peak(lambda: gr.growth_report(
         spec, alt, ["pseudo", "gro_iid", "cond"], method="mc", mc_n=n, seed=0))
     assert peak <= 4 * n * alt.k * 8
+
+
+# (family, fixed params, means, multiplicities, kinds): the nine families of
+# tests/test_sweep.py (beta alpha = 2.5 has cond at k = 2 only; beta alpha = 2
+# takes the Erlang partial fractions with multiplicity 2), gro_m on Li's
+# mixture and the Erlang fractions with multiplicities (2, 1, 1)
+BATCH_PROBLEMS = [
+    ("bernoulli", {}, (0.6, 0.4, 0.3), None, MC_KINDS),
+    ("gaussian_mean", {}, (0.5, -0.25, 1.0), None, MC_KINDS),
+    ("gaussian_variance", {}, (1.0, 0.6, 0.8), None, MC_KINDS),
+    ("poisson", {}, (2.0, 1.0, 3.0), None, MC_KINDS),
+    ("exponential", {}, (1.0, 0.7, 0.5), None, MC_KINDS),
+    ("geometric", {}, (1.0, 0.5, 2.0), None, MC_KINDS),
+    ("beta_fixed_alpha", {"alpha": 1.0}, (-1.0, -0.5, -0.7), None, MC_KINDS),
+    ("beta_fixed_alpha", {"alpha": 2.0}, (-1.0, -0.5), None, MC_KINDS),
+    ("beta_fixed_alpha", {"alpha": 2.5}, (-1.0, -0.5), None, MC_KINDS),
+    ("exponential", {}, (0.5, 0.25), None, ("gro_m",)),
+    ("exponential", {}, (1.0, 0.7, 0.5), [2, 1, 1], MC_KINDS),
+]
+BATCH_CASES = [(family, fixed, means, mult, kind)
+               for family, fixed, means, mult, kinds in BATCH_PROBLEMS for kind in kinds]
+
+
+@pytest.mark.parametrize("family, fixed, means, mult, kind", BATCH_CASES,
+                         ids=[sim_id(*c) for c in BATCH_CASES])
+def test_block_value_does_not_depend_on_the_batch(family, fixed, means, mult, kind):
+    spec, alt, mixture = problem(family, fixed, means, mult, kind)
+    flat = sq.expand_multiplicities(spec, alt, mult)
+    x = ev._mc_draws(spec, flat.mu, 60, np.random.default_rng(8))
+    score = ev._statistic(spec, flat, kind, mixture)
+    assert np.array_equal([score(block) for block in x], score(x))
+
+
+# the two Erlang streams: one z per streamed block
+@pytest.mark.parametrize("family, fixed, means, mult", [
+    ("exponential", {}, (1.0, 0.7, 0.5), [2, 1, 1]),
+    ("beta_fixed_alpha", {"alpha": 2.0}, (-1.0, -0.5), None)],
+    ids=["exponential-m211", "beta_fixed_alpha-alpha2.0-k2"])
+def test_streamed_block_values_equal_the_vectorized_ones(family, fixed, means, mult):
+    spec = make_family(family, **fixed)
+    alt = Alternative.from_means(spec, list(means))
+    flat = sq.expand_multiplicities(spec, alt, mult)
+    x = ev._mc_draws(spec, flat.mu, 60, np.random.default_rng(9))
+    state = sq.StreamState(spec, alt, "cond", 0.05, multiplicities=mult)
+    groups = np.repeat(np.arange(1, alt.k + 1), mult or [1] * alt.k)
+    for block in x:
+        for group, value in zip(groups, block):
+            state.ingest(int(group), float(value))
+    assert np.array_equal(state.block_log_values, ev._log_statistic(spec, flat, x, "cond"))

@@ -492,6 +492,8 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
      "non-integer alpha=2.5 is only available for k = 2, not k = 3"),
     # the library refuses kinds other than two, naming them
     (["heatmap", "--family", "exponential", "--kinds", "pseudo"], "got ['pseudo']"),
+    (["simulate", *EXPO, "--truth", "alt", "--null-mu", "0.3"],
+     "null_mu=0.3 applies to truth='null' only"),
     # unreadable files once ended in a FileNotFoundError traceback
     (["evaluate", "--config", "MISSING", "--block", "1,2"], "No such file or directory"),
     (["evaluate", *EXPO, "--data", "MISSING"], "No such file or directory"),
@@ -502,7 +504,7 @@ EXPO = ["--family", "exponential", "--mu", "0.5,0.25"]
         "fixed-growth", "fixed-heatmap", "fixed-simulate", "fixed-nan-sigma2",
         "trials-0", "alpha-2", "multiplicity-0", "stream-alpha-2", "mu-lo-outside",
         "max-iters-0", "heatmap-n-0", "growth-mc-n-0", "quadrature-not-converged", "beta-cond-k3",
-        "heatmap-one-kind", "missing-config", "missing-data", "missing-stream",
+        "heatmap-one-kind", "null-mu-under-alt", "missing-config", "missing-data", "missing-stream",
         "missing-mixture"])
 def test_input_errors_exit_with_one_line(tmp_path, argv, names):
     files = {"STREAM": lambda: write_stream(tmp_path / "s.csv"),

@@ -288,6 +288,15 @@ class TestEVariableProperty:
         )
         assert vals.max() <= 1.0 + 1e-6
 
+    def test_cond_is_one_where_a_coordinate_reaches_the_far_end_of_the_sum(self):
+        # under the null at 757.95 the integrand puts the second coordinate
+        # near the far end of the 2-sum; a one-observation grid read 2.1e-43
+        spec = make_family("poisson")
+        alt = Alternative.from_means(spec, [16.131704, 757.949398])
+        vals = ev.null_expectation_profile(
+            spec, alt, "cond", [757.949398, alt.mu0_star, 16.131704])
+        np.testing.assert_allclose(vals, 1.0, rtol=0, atol=1e-9)
+
     def test_k3_monte_carlo(self):
         spec = make_family("poisson")
         alt = Alternative.from_means(spec, [1.0, 2.0, 1.5])

@@ -489,6 +489,19 @@ class TestSimulate:
         with pytest.raises(ValueError, match=match):
             sq.simulate(spec, alt, **kwargs)
 
+    def test_null_mean_refused_under_the_alternative(self, monkeypatch):
+        # it was dropped without a word: truth="alt" draws at the alternative
+        spec = make_family("bernoulli")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew data before checking the arguments")
+
+        monkeypatch.setattr(sq, "spawn_keys", no_draws)
+        with pytest.raises(ValueError, match=r"^null_mu=0\.3 applies to truth='null' only"):
+            sq.simulate(spec, alt, "cond", 0.05, "threshold", trials=10, seed=0,
+                        max_blocks=5, truth="alt", null_mu=0.3)
+
     @pytest.mark.parametrize("mixture", ["uncertified", "certified-without-expansion"])
     def test_mixture_refused_before_any_draw(self, monkeypatch, mixture):
         spec = make_family("exponential")
