@@ -3,7 +3,10 @@
 Continuous expectations use Gauss-Legendre nodes, mapped through log space on
 half-line supports so that a single grid resolves every scale in a range of
 mean parameters; convolution integrals over (0, z) use Gauss-Jacobi nodes that
-absorb the densities' power-law factors at both ends.  Discrete expectations
+absorb the densities' power-law factors at both ends.  The Legendre rules of
+the sizes the package uses at its defaults ship precomputed in
+``leggauss_table.npz``, so a process reads them rather than building them;
+every other rule is built once per process.  Discrete expectations
 enumerate the support, truncated where the remaining tail mass is below
 ``TAIL`` for every parameter under consideration.  Tails are chosen far
 smaller than any tolerance used upstream.
@@ -12,27 +15,39 @@ smaller than any tolerance used upstream.
 from __future__ import annotations
 
 from functools import lru_cache
+from importlib.resources import files
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 if TYPE_CHECKING:  # expfam imports this module
     from .expfam import FamilySpec
 
 TAIL = 1e-15
 
+# written by tools/leggauss_table.py from roots_legendre, bit for bit
+_TABLE = "leggauss_table.npz"
+
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], cached read-only.
 
-    ``roots_legendre`` agrees with ``numpy.polynomial.legendre.leggauss`` to
-    rounding (nodes within 2.2e-16, weights within 3e-13) at a fraction of the
-    cold cost: numpy builds and diagonalises an n x n companion matrix, O(n^3).
-    Every grid in the process shares the cached arrays, so writes raise.
+    A size stored in the package's table is read from it; any other is built
+    by ``roots_legendre``, whose arrays the table holds bit for bit.  That
+    build is O(n^2), about 0.5 s at n = 4096, and agrees with
+    ``numpy.polynomial.legendre.leggauss`` to rounding (nodes within 2.2e-16,
+    weights within 3e-13) at a fraction of its cost: numpy builds and
+    diagonalises an n x n companion matrix, O(n^3).  Every grid in the
+    process shares the cached arrays, so writes raise.
     """
-    x, w = special.roots_legendre(n)
+    with (files("ksample_evalues") / _TABLE).open("rb") as f, \
+            np.load(f, allow_pickle=False) as table:
+        if f"x{n}" in table.files:
+            x, w = table[f"x{n}"], table[f"w{n}"]
+        else:
+            x, w = special.roots_legendre(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -57,6 +72,9 @@ def _jacobi01(n: int, a: float, b: float):
     ``roots_jacobi`` derives from polynomial values lose up to 5e-12 of an
     integral at n = 160 and 2e-9 at n = 2048 where an exponent is below 1.
     """
+    # imported here, its one user: scipy.linalg adds ~40 ms and ~6 MB to a process
+    from scipy.linalg import eigh_tridiagonal
+
     p, q = b - 1.0, a - 1.0  # exponents at y = 1 and y = -1
     k = np.arange(1, n, dtype=float)
     s2 = 2.0 * k + p + q
@@ -66,7 +84,7 @@ def _jacobi01(n: int, a: float, b: float):
     ratio = (k[1:] + p + q) / (s2[1:] - 1.0)
     off = 2.0 / s2 * np.sqrt(k * (k + p) * (k + q) / (s2 + 1.0)
                              * np.concatenate(([1.0], ratio)))
-    y, vec = linalg.eigh_tridiagonal(diag, off)
+    y, vec = eigh_tridiagonal(diag, off)
     mass = 2.0 ** (p + q + 1.0) * special.beta(p + 1.0, q + 1.0)
     w = 0.5 * mass * vec[0] ** 2 * (1.0 + y) ** (1.0 - a) * (1.0 - y) ** (1.0 - b)
     s = 0.5 * (1.0 + y)

@@ -713,6 +713,10 @@ class Geometric(FamilySpec):
         return (1.0 - float(s)) / float(s)
 
 
+# B_2, B_4, ..., B_12, for the polygamma series of BetaFixedAlpha._psi_gap
+_BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+
 class BetaFixedAlpha(FamilySpec):
     """Beta observations with fixed first shape alpha and free second shape.
 
@@ -766,7 +770,9 @@ class BetaFixedAlpha(FamilySpec):
         while g(lo) > 0:
             lo -= 20.0
         while g(hi) < 0:
-            hi += 20.0
+            if hi >= 709.0:  # e^t overflows past t = 709.78
+                raise MeanDomainError(f"mu={mu!r} too close to 0: its shape b overflows")
+            hi = min(hi + 20.0, 709.0)
         b = math.exp(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
         # the digamma difference rounds by eps (|psi(b)| + |psi(alpha + b)|)
         lost = abs(special.digamma(b)) + abs(special.digamma(self.alpha + b))
@@ -787,13 +793,34 @@ class BetaFixedAlpha(FamilySpec):
         map in the free shape b.  For an integer alpha = n it is the exact
         sum -(-1)^m m! sum_(j < n) 1 / (b + j)^(m + 1), free of the
         cancellation of the polygamma difference at large b (1.6e-9 relative
-        in the variance at alpha = 2, b = 1e7); otherwise that difference."""
-        if self.alpha.is_integer():
+        in the variance at alpha = 2, b = 1e7).  Otherwise that difference
+        below b = 100, and past it the difference of the asymptotic series
+
+            psi^(m)(x) ~ (-1)^(m+1) [(m-1)! x^-m + m!/2 x^-(m+1)
+                                     + sum_j B_2j (2j+m-1)!/(2j)! x^-(2j+m)]
+
+        (log x in place of (m-1)! x^-m at m = 0) through B_12, term by term:
+        log1p(alpha/b) and each b^-p - (alpha+b)^-p = -b^-p expm1(-p
+        log1p(alpha/b)) keep their digits where the polygamma difference
+        lost 4e-6 relative (m = 0, alpha = 2.5, b = 1e10)."""
+        a = self.alpha
+        if a.is_integer():
             return -(-1) ** m * math.factorial(m) * math.fsum(
-                1.0 / (b + j) ** (m + 1) for j in range(int(self.alpha)))
-        if m == 0:  # polygamma(0, .) is digamma behind a much slower wrapper
-            return float(special.digamma(b) - special.digamma(self.alpha + b))
-        return float(special.polygamma(m, b) - special.polygamma(m, self.alpha + b))
+                1.0 / (b + j) ** (m + 1) for j in range(int(a)))
+        if b < 100.0:
+            if m == 0:  # polygamma(0, .) is digamma behind a much slower wrapper
+                return float(special.digamma(b) - special.digamma(a + b))
+            return float(special.polygamma(m, b) - special.polygamma(m, a + b))
+        log_ratio = math.log1p(a / b)
+
+        def gap(p):  # b^-p - (alpha + b)^-p
+            return -b ** -p * math.expm1(-p * log_ratio)
+
+        lead = log_ratio if m == 0 else math.factorial(m - 1) * gap(m)
+        terms = [lead, 0.5 * math.factorial(m) * gap(m + 1)] + [
+            b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j) * gap(2 * j + m)
+            for j, b2j in enumerate(_BERNOULLI_EVEN, start=1)]
+        return (-1) ** (m + 1) * math.fsum(terms)
 
     def log_partition(self, lam):
         """log B(alpha, b).  For an integer alpha = n, B(n, b) = Gamma(n) /

@@ -896,10 +896,11 @@ class TestBetaGeneralAlpha:
             spec.natural_from_mean(-1e-310)
 
     @pytest.mark.parametrize("alpha", [0.3, 2.5])
-    @pytest.mark.parametrize("mu", [-1e-12, -1e-14, -1e-16, -1e-300])
+    @pytest.mark.parametrize("mu", [-1e-12, -1e-14, -1e-16, -1e-300, -5e-324])
     def test_mean_map_refuses_unresolved_digamma_difference(self, alpha, mu):
         # the root of the rounded digamma difference was off by 1.3e-4
-        # relative at alpha = 2.5, mu = -1e-12, and ~7e14 for every smaller |mu|
+        # relative at alpha = 2.5, mu = -1e-12, and ~7e14 for every smaller
+        # |mu|; at -5e-324 the shape b itself would overflow
         spec = make_family("beta_fixed_alpha", alpha=alpha)
         with pytest.raises(MeanDomainError, match=rf"mu={mu!r} "):
             spec.natural_from_mean(mu)
@@ -934,6 +935,20 @@ class TestBetaGeneralAlpha:
             want = [float(mpmath.log(mpmath.beta(alpha, bb))) for bb in b]
         np.testing.assert_allclose(spec.log_partition(b), want, rtol=0, atol=5e-14)
         assert [spec.log_partition(bb) for bb in b] == list(spec.log_partition(b))
+
+    @pytest.mark.parametrize("alpha", [2.5, 5.5, 50.0])
+    @pytest.mark.parametrize("b", [1e2, 1e4, 1e7, 1e10])
+    def test_non_integer_alpha_psi_gap_matches_mpmath(self, alpha, b):
+        # the polygamma difference was off by 4e-6 relative at m = 0, alpha =
+        # 2.5, b = 1e10, and 1e-9 at b = 1e7; alpha + b is formed in mpmath,
+        # where a float sum would round the oracle's argument at small alpha
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        for m in range(4):
+            with mpmath.workdps(50):
+                bb = mpmath.mpf(b)
+                want = mpmath.polygamma(m, bb) - mpmath.polygamma(m, bb + alpha)
+                err = float(abs(spec._psi_gap(m, b) / want - 1))
+            assert err <= 3e-16, m
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 5.0])
     def test_integer_alpha_moments_match_mpmath(self, alpha):

@@ -1,12 +1,30 @@
+import importlib.util
+import inspect
 import math
+import os
+import subprocess
+import sys
+import tomllib
+from importlib.resources import files
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from ksample_evalues import _quad, make_family
+from ksample_evalues import Alternative, _quad, make_family, ripr
+from ksample_evalues import evariables as ev
 from ksample_evalues import growth as gr
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def stored_table():
+    """{n: (x, w)} for every rule of the shipped table."""
+    with np.load(files("ksample_evalues") / _quad._TABLE, allow_pickle=False) as t:
+        sizes = sorted(int(key[1:]) for key in t.files if key[0] == "x")
+        return {n: (t[f"x{n}"], t[f"w{n}"]) for n in sizes}
 
 
 def legendre_reference(n, x0, dps=40):
@@ -59,6 +77,84 @@ class TestLegendreNodes:
         x2, w2 = _quad._leggauss(7)
         assert x2 is x and w2 is w
         assert w.sum() == pytest.approx(2.0, abs=1e-15)
+
+
+class TestLegendreTable:
+    """The shipped rules are roots_legendre's, bit for bit, and cover every
+    default size, so no default grid builds one."""
+
+    def test_stored_rules_are_roots_legendre_bitwise(self):
+        for n, (x, w) in stored_table().items():
+            xr, wr = special.roots_legendre(n)
+            assert x.dtype == w.dtype == np.float64
+            assert np.array_equal(x, xr) and np.array_equal(w, wr), (
+                f"stored n={n} differs from this SciPy's roots_legendre; "
+                "rewrite the table with tools/leggauss_table.py")
+
+    def test_every_default_size_is_stored(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        defaults = {ripr._SEARCH_NZ, gr._GAP_NODES,
+                    default(ripr._SumGrid.__init__, "n_z"),
+                    default(_quad.sum_nodes, "n"),
+                    default(ev.null_expectation_profile, "n")}
+        assert defaults <= set(stored_table())
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"roots_legendre({n}) built a rule")
+
+        _quad._leggauss.cache_clear()
+        monkeypatch.setattr(special, "roots_legendre", refuse)
+        yield
+        _quad._leggauss.cache_clear()
+
+    def test_default_grids_build_no_rule(self, no_build):
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        ripr._SumGrid(spec, alt, count=5)
+        assert gr.growth_rate(spec, alt, "cond").rate > 0.0
+        beta = make_family("beta_fixed_alpha", alpha=2.5)
+        assert gr.coeff_cond_gap(beta, beta.mean_from_beta_mean(0.3)).value > 0.0
+        assert _quad._leggauss.cache_info().misses >= 2
+
+    def test_other_sizes_are_built(self, no_build):
+        with pytest.raises(AssertionError, match=r"roots_legendre\(5\)"):
+            _quad._leggauss(5)
+
+    def test_table_is_package_data(self):
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
+        assert _quad._TABLE in package_data["ksample_evalues"]
+        assert (files("ksample_evalues") / _quad._TABLE).is_file()
+
+    def test_check_names_stale_sizes_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                        capsys):
+        spec = importlib.util.spec_from_file_location(
+            "leggauss_table", ROOT / "tools" / "leggauss_table.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        arrays = {f"{key}{n}": a for n, rule in stored_table().items()
+                  for key, a in zip("xw", rule)}
+        arrays["w400"] = np.nextafter(arrays["w400"], 0.0)
+        del arrays["x3000"]
+        stale = tmp_path / "stale.npz"
+        np.savez(stale, **arrays)
+        before = stale.read_bytes()
+        monkeypatch.setattr(tool, "TABLE", stale)
+        assert tool.main(["--check"]) == 1
+        assert "n = 400, 3000;" in capsys.readouterr().err
+        assert stale.read_bytes() == before
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # only _quad._jacobi01 needs it, and imports it when first called
+    code = "import sys, ksample_evalues.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.strip() == "False"
 
 
 class TestJacobiNodes:
