@@ -113,7 +113,8 @@ def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
     densities are built once (``FamilySpec._sum_density``: for the gamma
     sums, their rate groups, partial-fraction coefficients and series
     weights), so a family without a sum density for this k refuses before any
-    block.  A finite sum support is tabulated once."""
+    block.  A finite sum support is tabulated once; on a lattice, each batch
+    of sums goes through ``_per_value``."""
     alt_sum = spec._sum_density(list(alt.mu))
     null_sum = spec._sum_density([mu0] * alt.k)
     s = spec.support
@@ -122,7 +123,38 @@ def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
         zs = np.arange(lo, round(alt.k * s.hi) + 1, dtype=float)
         table = alt_sum(zs) - null_sum(zs)
         return lambda z: table[np.round(z).astype(int) - lo]
-    return lambda z: alt_sum(z) - null_sum(z)
+    return _per_value(spec, lambda z: alt_sum(z) - null_sum(z), 1)
+
+
+def _per_value(spec: FamilySpec, term, per_block: int):
+    """``term``, a map of each value alone, through a table on a lattice.
+
+    On a discrete support, an input of more than one block (more than
+    ``per_block`` values) whose values are all exact integers, with fewer
+    integers in [min, max] than it has values, takes ``term`` once per
+    integer in that range and gathers the results: the same ufuncs on the
+    same values, so every value keeps its bits, and the table is never
+    larger than the input.  Any other input goes to ``term`` as it is: a
+    single streamed block, with no extra numpy call, and near-integers,
+    whose bits at the rounded integer would differ.  On a continuous support
+    ``term`` is returned itself.
+    """
+    if not spec.support.discrete:
+        return term
+
+    def apply(v):
+        if v.size > per_block:
+            lo, hi = v.min(), v.max()
+            if hi - lo < v.size - 1:  # False for NaN and inf - inf
+                # for an integer lo, v - lo is exact, so i == d holds just
+                # where v is an integer
+                d = v - lo
+                i = d.astype(np.intp)
+                if float(lo).is_integer() and (i == d).all():
+                    return term(lo + np.arange(int(hi - lo) + 1.0))[i]
+        return term(v)
+
+    return apply
 
 
 def _check_mixture(spec: FamilySpec, alt: Alternative, mixture) -> None:
@@ -178,7 +210,13 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
     is finite) and a mixture's tilts.  The function it returns maps blocks
     already checked (``_as_block``; shape [..., k]) to the log statistic,
     ``_in_chunks``: an input of many blocks is scored a fixed number of
-    coordinates at a time, so its temporaries stay bounded.
+    coordinates at a time, so its temporaries stay bounded.  On a lattice,
+    a pass of more than one block of exact integers, with fewer integers in
+    [min, max] than values, takes the value-only terms (``gro_iid``'s
+    per-coordinate mixture, ``cond``'s sum-density ratio on an infinite
+    lattice, ``gro_m``'s mixture of sums) through tables over that range
+    (``_per_value``); a single block and near-integers do not, and no bit
+    moves.
     """
     return _in_chunks(_block_map(spec, alt, kind, mixture, mu0))
 
@@ -193,12 +231,15 @@ def _block_map(spec: FamilySpec, alt: Alternative, kind, mixture, mu0):
     lam, a = spec._natural_params(alt.mu)
     if kind is EValueKind.GRO_IID:
         offsets = a + np.log(alt.k)  # per coordinate, (1/k) sum_i p_{mu_i}
+        log_mixture = _per_value(spec, lambda v: _log_sum_of_tilts(lam, offsets, v),
+                                 alt.k)
         return lambda x: (_sum_coordinates(lam * x - a)
-                          - _sum_coordinates(_log_sum_of_tilts(lam, offsets, x)))
+                          - _sum_coordinates(log_mixture(x)))
     if kind is EValueKind.GRO_M:
         tilts = mixture._tilts(spec, alt.k)
+        log_mixture = _per_value(spec, lambda z: _log_sum_of_tilts(*tilts, z), 1)
         return lambda x: (_sum_coordinates(lam * x - a)
-                          - _log_sum_of_tilts(*tilts, _sum_coordinates(x)))
+                          - log_mixture(_sum_coordinates(x)))
     # pseudo and cond: the ratio to the i.i.d. product at mu0
     mu0 = spec.check_mean(alt.mu0_star if mu0 is None else mu0)
     lam0, a0 = spec._natural_params([mu0])
@@ -284,23 +325,31 @@ def expectation_pseudo(spec: FamilySpec, alt: Alternative, mu0: float) -> float:
 
     Each coordinate factor tilts to another family member, so the expectation
     is a pure log-partition expression.  Useful as an oracle for the sign
-    criterion: its second derivative in mu0 has the sign of f(mu0).
+    criterion: its second derivative in mu0 has the sign of f(mu0).  Where a
+    tilted parameter lambda_i + lambda0 - lambda0* lies on or outside the
+    boundary of the natural space, that factor diverges and the expectation
+    is inf.
     """
     mu0 = spec.check_mean(mu0)
     lam0 = spec.natural_from_mean(mu0)
     lam0s = spec.natural_from_mean(alt.mu0_star)
     a0 = spec.log_partition(lam0)
     a0s = spec.log_partition(lam0s)
+    lo, hi = spec.natural_space
     total = 0.0
     for m in alt.mu:
         lam_i = spec.natural_from_mean(m)
+        tilted = lam_i + lam0 - lam0s
+        if not lo < tilted < hi:
+            return math.inf
         total += (
-            float(spec.log_partition(lam_i + lam0 - lam0s))
+            float(spec.log_partition(tilted))
             - float(spec.log_partition(lam_i))
             + a0s
             - a0
         )
-    return float(np.exp(total))
+    with np.errstate(over="ignore"):  # a sum past log(max float) is inf
+        return float(np.exp(total))
 
 
 def _log_statistic(spec, alt, block, kind, mixture=None):

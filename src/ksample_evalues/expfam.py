@@ -230,7 +230,8 @@ class FamilySpec(ABC):
     ``_mean_from_natural``), A(lambda), the carrier log h, and three laws on
     arguments already checked: ``_draw`` (draws at a mean),
     ``_sum_quantile`` (the inverse CDF of a k-sum) and ``_sum_density``.
-    The data: ``family_id``, the mean space, whether X is ``discrete``, the
+    The data: ``family_id``, the mean space, the open ``natural_space`` of
+    lambda (the whole line by default), whether X is ``discrete``, the
     heatmap range ``std_range`` and the constructor's fixed parameters,
     stored under their own names, which ``fixed_params`` reads.  Everything
     derived lives here: the support, densities, KL, Fisher information,
@@ -258,6 +259,7 @@ class FamilySpec(ABC):
 
     family_id: str
     mean_space: tuple[float, float]
+    natural_space: tuple[float, float] = (-math.inf, math.inf)
     discrete: bool = False
     variance_function: tuple[float, float, float] | None = None
     std_range: tuple[float, float]
@@ -370,10 +372,21 @@ class FamilySpec(ABC):
         return mu
 
     def check_support(self, x) -> np.ndarray:
+        """x as a float array; a value outside the support is refused by
+        name, with the first five such values in C order.  An input of more
+        than ``_CHUNK_ELEMENTS`` values is checked that many at a time, so the
+        check holds no temporaries of the input's size; a refusal checks the
+        rest of the input from the pass that failed, to name them."""
         x = np.asarray(x, dtype=float)
-        ok = self.support.contains(x)
+        rest = x
+        if x.size > _CHUNK_ELEMENTS:
+            flat = x.reshape(-1)
+            rest = next((flat[s:] for s in range(0, flat.size, _CHUNK_ELEMENTS)
+                         if not np.all(self.support.contains(
+                             flat[s:s + _CHUNK_ELEMENTS]))), flat[:0])
+        ok = self.support.contains(rest)
         if not np.all(ok):
-            bad = np.asarray(x)[~ok]
+            bad = rest[~ok]
             raise SupportError(
                 f"value(s) {bad[:5].tolist()} outside support of family "
                 f"'{self.family_id}' ({self.support.kind}, "
@@ -587,6 +600,7 @@ class GaussianFreeVariance(FamilySpec):
 
     family_id = "gaussian_variance"
     mean_space = (0.0, math.inf)
+    natural_space = (-math.inf, 0.0)
     variance_function = (0.0, 0.0, 2.0)
     std_range = (0.6, 2.4)
 
@@ -657,6 +671,7 @@ class Exponential(FamilySpec):
 
     family_id = "exponential"
     mean_space = (0.0, math.inf)
+    natural_space = (-math.inf, 0.0)
     variance_function = (0.0, 0.0, 1.0)
     std_range = (0.5, 4.0)
 
@@ -687,6 +702,7 @@ class Geometric(FamilySpec):
 
     family_id = "geometric"
     mean_space = (0.0, math.inf)
+    natural_space = (-math.inf, 0.0)
     discrete = True
     variance_function = (0.0, 1.0, 1.0)
     std_range = (0.15, 0.6)
@@ -733,6 +749,7 @@ class BetaFixedAlpha(FamilySpec):
 
     family_id = "beta_fixed_alpha"
     mean_space = (-math.inf, 0.0)
+    natural_space = (0.0, math.inf)
     std_range = (1.0, 8.0)
 
     def __init__(self, alpha: float = 1.0):
@@ -781,9 +798,10 @@ class BetaFixedAlpha(FamilySpec):
         return b
 
     def _mean_from_natural(self, lam):
-        if not lam > 0:  # a negative shape's psi-gap can lie in the mean space
+        lo, hi = self.natural_space
+        if not lo < lam < hi:  # a negative shape's psi-gap may lie in the mean space
             raise MeanDomainError(
-                f"canonical parameter {lam!r} outside (0, inf) for family "
+                f"canonical parameter {lam!r} outside ({lo}, {hi}) for family "
                 f"'{self.family_id}'"
             )
         return self._psi_gap(0, lam)
@@ -877,7 +895,10 @@ class BetaFixedAlpha(FamilySpec):
         b = self.natural_from_mean(mu)
         log_b, log_a = (np.log(rng.standard_gamma(s + 1.0, n))
                         - rng.standard_exponential(n) / s for s in (b, self.alpha))
-        return -np.logaddexp(0.0, log_a - log_b)
+        x = -np.logaddexp(0.0, log_a - log_b)
+        # where log(1 + e^t) underflows, -0.0 lies outside the support: take
+        # the support point nearest 0 instead
+        return np.minimum(x, -math.ulp(0.0), out=x)
 
     def _sum_quantile(self, mu, k, q):
         if self.alpha == 1.0:

@@ -179,7 +179,8 @@ def growth_report(
     Before any zero-effect shortcut it refuses what ``_check_method``
     refuses and a ``gro_m`` mixture that ``evariables._check_mixture``
     refuses (in both methods).  Monte Carlo draws mc_n blocks once, from
-    ``spawn_generator(seed, 0)``, and scores every kind on those draws.
+    ``spawn_generator(seed, 0)``, checks them once and scores every kind on
+    those draws with its built statistic.
     """
     kinds = [ev.EValueKind(k) for k in kinds]
     _check_method(method, mc_n, seed)
@@ -188,9 +189,10 @@ def growth_report(
     if alt.delta == 0.0:
         entries = {kind: GrowthEntry(kind, 0.0, 0.0, method) for kind in kinds}
     elif method == "mc":
-        x = ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, 0))
-        entries = {kind: GrowthEntry(kind, *ev._mean_stderr(ev._log_statistic(
-            spec, alt, x, kind, mixture)), method) for kind in kinds}
+        x = spec.check_support(
+            ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, 0)))
+        entries = {kind: GrowthEntry(kind, *ev._mean_stderr(ev._statistic(
+            spec, alt, kind, mixture)(x)), method) for kind in kinds}
     else:
         entries = {kind: GrowthEntry(kind, float(_quadrature_rate(
             spec, alt, kind, mixture)), 0.0, method) for kind in kinds}
@@ -343,11 +345,11 @@ def heatmap(
     whose evaluation is refused by name (a ``ValueError`` or a
     ``ComputationError``) are recorded in ``failures`` and set to NaN rather
     than aborting the run; any other exception propagates.  A Monte Carlo
-    cell draws once from its own substream ``spawn_generator(seed, i, j)``
-    and scores both kinds on those
-    draws; its gap and stderr are those of the paired difference.  The
-    certified-mixture ratio is refused: a certified mixture is bound to one
-    alternative, not to every grid cell.  Before any cell it also refuses
+    cell draws once from its own substream ``spawn_generator(seed, i, j)``,
+    checks the draws once and scores both kinds on them; its gap and stderr
+    are those of the paired difference.  The certified-mixture ratio is
+    refused: a certified mixture is bound to one alternative, not to every
+    grid cell.  Before any cell it also refuses
     n < 2 (no pair of distinct groups), what ``_check_method`` refuses and
     ``kinds`` other than exactly two statistics.
     """
@@ -379,10 +381,11 @@ def heatmap(
         try:
             alt = Alternative.from_means(spec, [mus[i], mus[j]])
             if method == "mc":
-                x = ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, i, j))
+                x = spec.check_support(
+                    ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, i, j)))
                 gap[i, j], se[i, j] = ev._mean_stderr(
-                    ev._log_statistic(spec, alt, x, kind_a)
-                    - ev._log_statistic(spec, alt, x, kind_b))
+                    ev._statistic(spec, alt, kind_a)(x)
+                    - ev._statistic(spec, alt, kind_b)(x))
             else:
                 ea, eb = (growth_rate(spec, alt, kind, method=method)
                           for kind in (kind_a, kind_b))

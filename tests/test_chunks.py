@@ -8,12 +8,14 @@ its value: one block, an odd number of blocks that splits trials, a few
 whole trials, or more than the input.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ksample_evalues import Alternative, make_family, ripr
+from ksample_evalues import expfam
 from ksample_evalues import evariables as ev
 from ksample_evalues import growth as gr
 from ksample_evalues import sequential as sq
@@ -46,13 +48,18 @@ class StopAtOne:
 
 # (family, fixed params, means, multiplicities, kinds): gro_m uses Li's
 # certified mixture; exponential (2, 1, 1) takes the Erlang partial
-# fractions, gaussian_variance at k = 3 the gamma series
+# fractions, gaussian_variance at k = 3 the gamma series; poisson, geometric
+# and bernoulli take the lattice tables of a batch (not of one block), and
+# bernoulli's cond its finite-support table
 SIM_PROBLEMS = [
     ("exponential", {}, (0.5, 0.25), None, ("pseudo", "gro_iid", "cond", "gro_m")),
     ("exponential", {}, (1.0, 0.7, 0.5), [2, 1, 1],
      ("pseudo", "gro_iid", "cond", "gro_m")),
     ("gaussian_variance", {}, (1.0, 0.6, 0.8), None, ("cond",)),
     ("beta_fixed_alpha", {"alpha": 2.0}, (-1.0, -0.5), None, ("gro_iid", "cond")),
+    ("poisson", {}, (2.0, 1.0), None, ("pseudo", "gro_iid", "cond")),
+    ("geometric", {}, (1.0, 0.5), None, ("cond", "gro_m")),
+    ("bernoulli", {}, (0.6, 0.4, 0.3), None, ("pseudo", "gro_iid", "cond")),
 ]
 SIM_CASES = [(family, fixed, means, mult, kind)
              for family, fixed, means, mult, kinds in SIM_PROBLEMS for kind in kinds]
@@ -290,3 +297,27 @@ def test_streamed_block_values_equal_the_vectorized_ones(family, fixed, means, m
         for group, value in zip(groups, block):
             state.ingest(int(group), float(value))
     assert np.array_equal(state.block_log_values, ev._log_statistic(spec, flat, x, "cond"))
+
+
+def test_support_refusal_in_a_later_pass_names_the_values_of_one_pass(monkeypatch):
+    # the first value outside lies in the second pass of 16, the fifth in the
+    # fourth: the refusal names the same five values as one pass over all
+    spec = make_family("poisson")
+    x = np.zeros((40, 2))
+    x.flat[[17, 20, 33, 40, 70, 75]] = [2.5, -1.0, 0.5, np.nan, 1e-3, 7.25]
+    with pytest.raises(expfam.SupportError) as whole:
+        spec.check_support(x)
+    assert str(whole.value).startswith("value(s) [2.5, -1.0, 0.5, nan, 0.001] outside")
+    monkeypatch.setattr(expfam, "_CHUNK_ELEMENTS", 16)
+    with pytest.raises(expfam.SupportError, match=f"^{re.escape(str(whole.value))}$"):
+        spec.check_support(x)
+    x.flat[[17, 20, 33, 40, 70, 75]] = 3.0
+    assert spec.check_support(x) is not None
+
+
+def test_support_check_holds_no_temporaries_of_the_input_size():
+    # 10^6 blocks of 2 counts hold 16 MB; one pass over all of them peaked at
+    # 32 MB, passes of the budget at ~1 MB
+    spec = make_family("poisson")
+    x = ev._mc_draws(spec, [2.0, 1.0], 10**6, np.random.default_rng(0))
+    assert traced_peak(lambda: spec.check_support(x)) <= 4 * expfam._CHUNK_ELEMENTS * 8

@@ -268,6 +268,28 @@ class TestFCriterion:
         ) / h**2
         assert curv_b < 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family, means, mu0s", [
+        ("exponential", [0.5, 0.25], [1.5, 2.0, 50.0]),
+        ("gaussian_variance", [0.5, 0.25], [1.5, 1.7, 50.0]),
+        ("geometric", [10.0 / 3, 1.25], [50.0]),
+        ("beta_fixed_alpha", [-0.5, -0.25], [-1.5, -10.0]),
+    ])
+    def test_closed_form_null_expectation_inf_past_the_natural_space(
+            self, family, means, mu0s):
+        # lambda_1 + lambda0 - lambda0* reaches the boundary of the natural
+        # space: the expectation once came out NaN, with a RuntimeWarning
+        spec = make_family(family)
+        alt = Alternative.from_means(spec, means)
+        for mu0 in mu0s:
+            assert ev.expectation_pseudo(spec, alt, mu0) == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_closed_form_null_expectation_finite_inside(self):
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.25])
+        assert ev.expectation_pseudo(spec, alt, 1.4) == 5.88662790697671
+
 
 class TestEVariableProperty:
     @pytest.mark.parametrize("kind", ["gro_iid", "cond"])

@@ -81,6 +81,17 @@ class TestParameterMaps:
             back = spec.mean_from_natural(lam)
             assert back == pytest.approx(mu, abs=1e-10 * max(1.0, abs(mu)))
 
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    def test_natural_space_holds_every_lambda_and_ends_where_the_means_do(self, name):
+        spec = make_family(name)
+        lo, hi = spec.natural_space
+        lams = [spec.natural_from_mean(mu) for mu in random_mus(name, 20, seed=2)]
+        assert all(lo < lam < hi for lam in lams)
+        for end in (lo, hi):
+            if math.isfinite(end):
+                with pytest.raises(MeanDomainError, match="^canonical parameter"):
+                    spec.mean_from_natural(end)
+
     # the maps as closed forms, to check the checked map returns them bit for bit
     MEAN_MAPS = {
         "bernoulli": lambda spec, lam: float(special.expit(lam)),
@@ -297,6 +308,15 @@ class TestSampling:
         mu = float(np.mean(MU_RANGES[name]))
         x = spec.sample(mu, 1000, as_generator(3))
         assert np.all(spec.support.contains(x))
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.01])
+    def test_beta_draws_in_support_at_a_small_alpha(self, alpha):
+        # -log(1 + e^t) underflowed to -0.0, outside the support: at
+        # mu = -0.5, 92 960 of 200 000 draws at alpha = 1e-3 and 105 at 0.01
+        spec = make_family("beta_fixed_alpha", alpha=alpha)
+        x = spec.sample(-0.5, 200_000, as_generator(0))
+        assert np.all(spec.support.contains(x))
+        assert np.any(x == -math.ulp(0.0))  # the support point nearest 0
 
     # P(X <= t) = I_(e^t)(b, alpha) in closed form, with e^t never formed
     BETA_CDFS = {1.0: lambda b, t: np.exp(b * t),

@@ -134,6 +134,25 @@ class TestGrowthRates:
                          mc_n=1000)
         assert len(calls) == alt.k
 
+    def test_monte_carlo_report_checks_the_draws_once(self, monkeypatch):
+        spec = make_family("poisson")
+        alt = Alternative.from_means(spec, [2.0, 1.0])
+        shapes = []
+        check = type(spec).check_support
+        monkeypatch.setattr(type(spec), "check_support",
+                            lambda self, x: shapes.append(np.shape(x)) or check(self, x))
+        gr.growth_report(spec, alt, ["pseudo", "gro_iid", "cond"], method="mc",
+                         mc_n=1000)
+        assert shapes == [(1000, 2)]
+
+    def test_monte_carlo_scores_beta_draws_near_zero(self):
+        # at alpha = 0.01 and mu = -0.5, about 1 draw in 2000 underflowed to
+        # -0.0, outside the support, and the rate refused its own draws
+        spec = make_family("beta_fixed_alpha", alpha=0.01)
+        alt = Alternative.from_means(spec, [-0.5, -5.0])
+        entry = gr.growth_rate(spec, alt, "gro_iid", method="mc", mc_n=20_000, seed=0)
+        assert math.isfinite(entry.rate)
+
     def test_report_gaps_are_exact_rate_differences(self):
         spec = make_family("geometric")
         alt = Alternative.from_means(spec, [10.0 / 3, 1.25])
@@ -397,6 +416,16 @@ class TestHeatmap:
                 assert mc.gap[i, j] == pytest.approx(
                     quad.gap[i, j], abs=5 * mc.stderr[i, j] + 1e-9
                 )
+
+    def test_monte_carlo_cell_checks_its_draws_once(self, monkeypatch):
+        spec = make_family("poisson")
+        shapes = []
+        check = type(spec).check_support
+        monkeypatch.setattr(type(spec), "check_support",
+                            lambda self, x: shapes.append(np.shape(x)) or check(self, x))
+        res = gr.heatmap(spec, ("gro_iid", "cond"), n=3, method="mc", mc_n=500, seed=2)
+        assert not res.failures
+        assert shapes == [(500, 2)] * 6  # the six off-diagonal cells
 
     def test_monte_carlo_cells_pair_the_draws(self):
         # poisson pseudo and cond agree on every block, so a cell that scores
