@@ -229,7 +229,10 @@ def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
     }
     caveat = state.validity_caveat()
     if caveat is not None:
-        payload["validity_caveat"] = caveat
+        # null where c^B overflows, as for the e-value: JSON has no infinity
+        factor = caveat["type1_bound_factor"]
+        payload["validity_caveat"] = {
+            **caveat, "type1_bound_factor": None if math.isinf(factor) else factor}
     _report(args, payload, cfg)
     return 0
 

@@ -217,8 +217,35 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
     lattice, ``gro_m``'s mixture of sums) through tables over that range
     (``_per_value``); a single block and near-integers do not, and no bit
     moves.
+
+    On a discrete support a single block (a 1-D float input, as
+    ``_as_block`` gives) is looked up in a memo keyed by its bytes, so a streamed block that has been seen before
+    costs a dict lookup.  Every block value depends on its own block's bits
+    alone, so a stored value is the value a fresh call returns; bytes keep
+    -0.0 apart from 0.0 and an integer apart from the near-integers the
+    support check accepts.  The memo stops storing at ``_CHUNK_ELEMENTS //
+    k`` blocks; later misses are scored and not stored.  Inputs of more than
+    one block, and every continuous support, go to the scoring function
+    itself.
     """
-    return _in_chunks(_block_map(spec, alt, kind, mixture, mu0))
+    score = _in_chunks(_block_map(spec, alt, kind, mixture, mu0))
+    if not spec.support.discrete:
+        return score
+    memo: dict[bytes, np.float64] = {}
+    room = _CHUNK_ELEMENTS // alt.k
+
+    def lookup(x):
+        if x.ndim != 1 or x.dtype != float:
+            return score(x)
+        key = x.tobytes()
+        value = memo.get(key)
+        if value is None:
+            # a numpy scalar, not a 0-d array that a caller could change
+            value = score(x)[()]
+            if len(memo) < room:
+                memo[key] = value
+        return value
+    return lookup
 
 
 def _block_map(spec: FamilySpec, alt: Alternative, kind, mixture, mu0):

@@ -980,8 +980,9 @@ def _log_sinch_damped(w: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0, replaced below
         out = np.log(-np.expm1(-2.0 * w) / (2.0 * w))
     tiny = w < 1e-4
-    wt = w[tiny]
-    out[tiny] = np.log1p(wt * wt / 6.0 * (1.0 + wt * wt / 20.0)) - wt
+    if tiny.any():
+        wt = w[tiny]
+        out[tiny] = np.log1p(wt * wt / 6.0 * (1.0 + wt * wt / 20.0)) - wt
     return out
 
 
@@ -1026,13 +1027,19 @@ class _GammaSum:
                              for g in groups])
         self.mult = np.array([len(g) for g in groups])
         self._log_w = np.empty(0)  # series weights, grown on demand
+        # each branch's constants, built once with the expressions it adds
         if self.lam.size == 1:
             self._eval = self._gamma
+            a, r = self.k * self.shape, self.lam[0]
+            self._const = (a * np.log(r), a - 1.0, r, special.gammaln(a))
         elif self.k == 2 and self.shape in (0.5, 1.0):
             self._eval = self._bessel if self.shape == 0.5 else self._sinch
+            r0, r1 = self.rates
+            self._const = (np.log(r0 * r1), min(r0, r1), 0.5 * abs(r0 - r1))
         elif self.shape == 1.0:
             self._eval = self._erlang
             self._coef = self._fractions()
+            self._shift = (self.lam[0] - self.lam)[:, None]
             self._tol = 3 * self.k * np.finfo(float).eps / 1e-12
         else:
             self._eval = self._series
@@ -1042,8 +1049,8 @@ class _GammaSum:
         return self._eval(z.ravel()).reshape(z.shape)
 
     def _gamma(self, z):
-        a, r = self.k * self.shape, self.lam[0]
-        return a * np.log(r) + (a - 1.0) * np.log(z) - r * z - special.gammaln(a)
+        a_log_r, a_less_1, r, log_gamma = self._const
+        return a_log_r + a_less_1 * np.log(z) - r * z - log_gamma
 
     # Both k = 2 forms are e^(-(r0 + r1) z / 2) times a function of
     # w = |r0 - r1| z / 2 that grows like e^w; they take e^(-r_min z) times
@@ -1052,14 +1059,14 @@ class _GammaSum:
     # log-density at a rate ratio of 2e7.
 
     def _sinch(self, z):
-        r0, r1 = self.rates
-        return (np.log(r0 * r1) + np.log(z) - min(r0, r1) * z
-                + _log_sinch_damped(0.5 * abs(r0 - r1) * z))
+        log_r0_r1, r_min, half_gap = self._const
+        return (log_r0_r1 + np.log(z) - r_min * z
+                + _log_sinch_damped(half_gap * z))
 
     def _bessel(self, z):
-        r0, r1 = self.rates
-        return (np.log(special.i0e(0.5 * abs(r0 - r1) * z)) - min(r0, r1) * z
-                + 0.5 * np.log(r0 * r1))
+        log_r0_r1, r_min, half_gap = self._const
+        return (np.log(special.i0e(half_gap * z)) - r_min * z
+                + 0.5 * log_r0_r1)
 
     def _fractions(self) -> np.ndarray:
         """c[0, j, l] = g_j[m_j - 1 - l] / l! and c[1, j, l], the same from
@@ -1092,8 +1099,7 @@ class _GammaSum:
     def _erlang(self, z):
         out = np.empty(z.size)
         exact = np.empty(z.size, dtype=bool)
-        lam0, coef = self.lam[0], self._coef
-        shift = (lam0 - self.lam)[:, None]
+        lam0, coef, shift = self.lam[0], self._coef, self._shift
         rows = max(1, _CHUNK_ELEMENTS // coef[..., 0].size)  # (2, J, rows) arrays
         for i in range(0, z.size, rows):
             zc = z[i:i + rows]

@@ -78,7 +78,14 @@ def _check_alpha(alpha: float) -> float:
 
 
 class StreamState:
-    """Single-writer state of one sequential k-sample test."""
+    """Single-writer state of one sequential k-sample test.
+
+    Each completed block is scored by the statistic built once for the
+    current multiplicities (``evariables._statistic``).  On a discrete
+    support that statistic keeps a memo of single blocks keyed by the
+    block's bytes, at most ``_CHUNK_ELEMENTS // k'`` of them, so a block
+    seen before costs a lookup and returns the bits a fresh call would.
+    """
 
     def __init__(
         self,
@@ -113,18 +120,24 @@ class StreamState:
     def ingest(self, group: int, value: float) -> "StreamState":
         """Append one observation to stream ``group`` (1-based).
 
-        Out-of-support values are rejected with the state unchanged.
+        A group that is no integer in 1..k (a float such as 1.5 or 1.0, a
+        string) and an out-of-support value are refused with a
+        ``ValueError``, the state unchanged.
         Completes as many blocks as the buffers allow.  After a drain some
         buffer is short of its multiplicity, so a block can complete only
         when this value brings its own group's buffer to exactly its
         multiplicity.
         """
-        if not 1 <= group <= self.k:
-            raise ValueError(f"group must be in 1..{self.k}, got {group}")
+        try:
+            buf = self._buffers[group - 1] if 1 <= group <= self.k else None
+        except TypeError:  # no order against 1 ("1") or no list index (1.5)
+            buf = None
+        if buf is None:
+            shown = group.item() if isinstance(group, np.generic) else group
+            raise ValueError(f"group must be an integer in 1..{self.k}, got {shown!r}")
         value = float(value)
         if not self.spec.support.contains_scalar(value):
             self.spec.check_support(value)  # raises the family's message
-        buf = self._buffers[group - 1]
         buf.append(value)
         if len(buf) == self.multiplicities[group - 1]:
             self._drain()
@@ -194,14 +207,19 @@ class StreamState:
 
         A per-block certificate c bounds each block's null expectation, so
         after B blocks the rejection probability is at most alpha * c^B.
+        The factor c^B is inf once it leaves the double range.
         """
         if self.kind is not ev.EValueKind.GRO_M:
             return None
         c = self.mixture.require_certificate().sup_expectation
+        try:
+            factor = c**self.blocks_completed
+        except OverflowError:
+            factor = math.inf
         return {
             "certified_sup_expectation": c,
             "blocks": self.blocks_completed,
-            "type1_bound_factor": c**self.blocks_completed,
+            "type1_bound_factor": factor,
         }
 
 

@@ -1,8 +1,9 @@
 """``tools/bench_pairs.py`` writes its record and exits 1 when a run printed
 no result or reported an incorrect one, naming the run and the metrics it
 left out of the summary.  It also summarizes, ungated, each run's wall-time
-named metrics.  The tool is loaded from its path; git, the export and the
-benchmark runs are replaced by stand-ins."""
+named metrics, in seconds, milliseconds and microseconds.  The tool is
+loaded from its path; git, the export and the benchmark runs are replaced by
+stand-ins."""
 
 import importlib.util
 import json
@@ -45,7 +46,8 @@ def fake_runs(module, monkeypatch, outcome):
         calls.append(tree.name.split("-")[0])
         good = {"correct": True, "attempted": 3, "failed": 0,
                 "metrics": {name: 1.0 + n for name in METRICS},
-                "wall": {"project_brute2_s": 10.0 + n, "reference_ms": 0.5}}
+                "wall": {"project_brute2_s": 10.0 + n, "reference_ms": 0.5,
+                         "ingest_block_us.p50": 20.0 - n}}
         return outcome(n, good)
 
     monkeypatch.setattr(module, "run_once", run_once)
@@ -77,6 +79,8 @@ def test_failed_or_incorrect_run_is_named_and_exits_1(tool, monkeypatch, capsys,
         assert brute2["parent"] == {"median": 11.5, "q1": 10.75, "q3": 12.25, "iqr": 1.5}
         assert brute2["change"] == {"median": 11.5, "q1": 11.25, "q3": 11.75, "iqr": 0.5}
         assert record["wall"]["reference_ms"]["change"]["median"] == 0.5
+        # microsecond metrics (per-block latency) are summarized too
+        assert record["wall"]["ingest_block_us.p50"]["parent"]["median"] == 18.5
         return
     assert code == 1 and not record["all_correct"]
     assert record["summary"] == {} and record["left_out"] == METRICS
@@ -107,6 +111,10 @@ def test_wall_metrics_read_from_the_detail_line(tmp_path):
         "setup_s": {"value": 0.5, "unit": "s"},
         "project_brute2_s": {"value": 0.8, "unit": "s"},
         "reference_ms": {"value": 1.25, "unit": "ms"},
+        "ingest_block_us.p50": {"value": 7.5, "unit": "us"},
+        "ingest_block_us.p99": {"value": 42.0, "unit": "us"},
+        "ingest_block_us.samples": {"value": 9000, "unit": "count"},
+        "ingest_obs_per_s": {"value": 1.6e5, "unit": "1/s"},
         "peak_rss_mb": {"value": 160.0, "unit": "MB"},
         "fail_ratio": {"value": 0.0, "unit": "ratio"}}}
     result = {"correct": True, "attempted": 2, "failed": 0,
@@ -117,4 +125,5 @@ def test_wall_metrics_read_from_the_detail_line(tmp_path):
     assert run == {"correct": True, "attempted": 2, "failed": 0,
                    "metrics": {"secondary_ref": 21.8},
                    "wall": {"setup_s": 0.5, "project_brute2_s": 0.8,
-                            "reference_ms": 1.25}}
+                            "reference_ms": 1.25, "ingest_block_us.p50": 7.5,
+                            "ingest_block_us.p99": 42.0}}

@@ -360,6 +360,30 @@ class TestMixtureConfig:
         with pytest.raises(SystemExit, match=r"\[0\.5, 0\.5, 0\.25\]"):
             main(argv + ["--mixture", short])
 
+    def test_stream_caveat_past_the_double_range_is_null(self, capsys, tmp_path):
+        # Li certifies c = 3.0164 on this row, so c^700 overflows; the report
+        # once ended in OverflowError after reading the whole stream
+        problem = ["--family", "beta", "--fixed", '{"alpha": 1.0}',
+                   "--mu=-4.28,-8.51,-0.076"]
+        run(capsys, "--out-dir", str(tmp_path), "project", *problem,
+            "--method", "li", "--out", "mix.json")
+        spec = make_family("beta", alpha=1.0)
+        rng = np.random.default_rng(6)
+        blocks = np.stack([spec.sample(m, 700, rng) for m in (-4.28, -8.51, -0.076)],
+                          axis=-1)
+        stream = tmp_path / "stream.csv"
+        stream.write_text("".join(f"{g},{v!r}\n" for b in blocks
+                                  for g, v in enumerate(b.tolist(), start=1)),
+                          encoding="utf-8")
+        code, out, _ = run(capsys, "evaluate", *problem, "--kind", "gro_m",
+                           "--mixture", str(tmp_path / "mix.json"),
+                           "--stream", str(stream))
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        caveat = payload["validity_caveat"]
+        assert code == 0 and payload["blocks_completed"] == caveat["blocks"] == 700
+        assert caveat["certified_sup_expectation"] == pytest.approx(3.0164, abs=1e-4)
+        assert caveat["type1_bound_factor"] is None
+
 
 class TestGrowth:
     def test_poisson_pseudo_cond_gap_zero(self, capsys):

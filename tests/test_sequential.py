@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from ksample_evalues import Alternative, SupportError, make_family
 from ksample_evalues import evariables as ev
@@ -143,9 +144,20 @@ class TestIngest:
         assert st.pending() == (0, 1)
         assert st.blocks_completed == 1
 
-    def test_bad_group_index(self, state):
-        with pytest.raises(ValueError, match="group"):
-            state.ingest(3, 1)
+    @pytest.mark.parametrize("group", [3, 0, -1, 1.5, 1.0, "1", None, math.nan],
+                             ids=repr)
+    def test_bad_group_refused_by_name(self, state, group):
+        state.ingest(1, 1)
+        with pytest.raises(ValueError) as excinfo:
+            state.ingest(group, 1)
+        assert str(excinfo.value) == f"group must be an integer in 1..2, got {group!r}"
+        assert state.pending() == (1, 0) and state.blocks_completed == 0
+
+    def test_numpy_integer_group_accepted(self, state):
+        state.ingest(np.int64(1), 1).ingest(np.int32(2), 0)
+        assert state.blocks_completed == 1 and state.pending() == (0, 0)
+        with pytest.raises(ValueError, match=r"1\.\.2, got 3$"):
+            state.ingest(np.int64(3), 1)
 
     def test_product_correctness(self):
         spec = make_family("gaussian_mean")
@@ -261,6 +273,110 @@ class TestScalarSupportCheck:
             assert (st.pending(), st.blocks_completed, st.log_evalue) == before
 
 
+def memo_cases():
+    """The discrete settings of tests/test_sweep.py, each kind, at k = 2,
+    k = 3 and multiplicities (2, 1, 1), on moderate means and on means drawn
+    over the mean space as the sweep draws them; a hand-certified ``gro_m``
+    mixture needs the moderate ones."""
+    rng = np.random.default_rng(32)
+    for family, fixed, means in FAMILIES:
+        if not make_family(family).support.discrete:
+            continue
+        for k, mult in ((2, None), (3, None), (3, [2, 1, 1])):
+            shape = f"k{k}" + (f"-m{''.join(map(str, mult))}" if mult else "")
+            drawn = (special.expit(rng.uniform(-8.0, 8.0, k)) if family == "bernoulli"
+                     else 10.0 ** rng.uniform(-3.0, 3.0, k))
+            for label, mus in (("moderate", means[:k]), ("drawn", drawn.tolist())):
+                for kind in KINDS if label == "moderate" else KINDS[:3]:
+                    yield pytest.param(family, mus, kind, mult,
+                                       id=f"{family}-{label}-{shape}-{kind}")
+
+
+class TestBlockMemo:
+    """On a discrete support the built statistic stores single blocks by
+    their bytes; a streamed block equals the same block in a batch, bit for
+    bit, whether it was stored, looked up or scored past the memo's bound."""
+
+    @pytest.mark.parametrize("family, means, kind, mult", list(memo_cases()))
+    def test_streamed_blocks_equal_batch_bitwise(self, family, means, kind, mult):
+        spec = make_family(family)
+        alt = Alternative.from_means(spec, means)
+        m = mult or [1] * alt.k
+        flat = sq.expand_multiplicities(spec, alt, m)
+        mix = hand_certified_mixture(spec, flat) if kind == "gro_m" else None
+        rng = np.random.default_rng(5)
+        drawn = np.stack([spec.sample(mu, 30, rng) for mu in flat.mu], axis=-1)
+        signed = drawn[:4].copy()
+        signed[:2, 0] = [0.0, -0.0]  # -0.0 and 0.0 in otherwise equal blocks
+        signed[2:4] = signed[0]
+        signed[3, 0] = -0.0
+        near = drawn[:2].copy()
+        near[:, -1] = [1.0, 1.0 + 1e-10]  # accepted by the support check
+        # every block twice, so the second copy is looked up
+        blocks = np.concatenate([drawn, signed, near, drawn, signed, near])
+        batch = ev._statistic(spec, flat, kind, mix)
+        want = batch(blocks).tolist()
+        # the all-integer batch goes through the per-value tables
+        integer = np.concatenate([drawn, signed, drawn, signed])
+        assert batch(integer).tolist() == want[:34] + want[36:70]
+        total = 0.0
+        for v in want:
+            total += v
+
+        st = sq.StreamState(spec, alt, kind, 0.05, mult, mix)
+        edges = np.cumsum([0] + m)
+        for b in blocks:
+            for j in range(alt.k):
+                for v in b[edges[j]:edges[j + 1]]:
+                    st.ingest(j + 1, v)
+        st.ingest(1, blocks[0, 0])
+        assert st.block_log_values == want
+        assert st.log_evalue == total
+        assert st.blocks_completed == len(blocks)
+        assert st.pending() == (1,) + (0,) * (alt.k - 1)
+        by_block = sq.StreamState(spec, alt, kind, 0.05, mult, mix)
+        for b in blocks:
+            by_block.ingest_block(b)
+        assert by_block.block_log_values == want and by_block.log_evalue == total
+        assert [float(batch(b)) for b in blocks] == want
+
+    def test_memo_stops_storing_at_the_budget(self, monkeypatch):
+        # 12 coordinates of budget hold 6 blocks of k = 2
+        monkeypatch.setattr(ev, "_CHUNK_ELEMENTS", 12)
+        scored = []
+        in_chunks = ev._in_chunks
+
+        def counting(block_map):
+            return in_chunks(lambda x: scored.append(x.shape) or block_map(x))
+
+        monkeypatch.setattr(ev, "_in_chunks", counting)
+        spec = make_family("poisson")
+        alt = Alternative.from_means(spec, [2.0, 1.0])
+        stat = ev._statistic(spec, alt, "cond")
+        blocks = np.array([[a, b] for a in range(4) for b in range(4)], dtype=float)
+        first = [stat(b) for b in blocks]
+        assert scored == [(2,)] * 16
+        del scored[:]
+        again = [stat(b) for b in blocks]
+        # the first 6 blocks were stored; the other 10 are scored again
+        assert scored == [(2,)] * 10
+        want = ev._statistic(spec, alt, "cond")(blocks).tolist()
+        assert first == again == want
+        assert stat(blocks).tolist() == want
+
+    def test_continuous_support_has_no_memo(self, monkeypatch):
+        scored = []
+        in_chunks = ev._in_chunks
+        monkeypatch.setattr(ev, "_in_chunks", lambda block_map: in_chunks(
+            lambda x: scored.append(x.shape) or block_map(x)))
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [1.0, 0.5])
+        stat = ev._statistic(spec, alt, "cond")
+        block = np.array([0.7, 0.4])
+        assert stat(block) == stat(block)
+        assert scored == [(2,), (2,)]
+
+
 class TestDecide:
     def test_fresh_state_continues(self, state):
         assert state.decide() is sq.Decision.CONTINUE_OR_STOP_FREELY
@@ -356,6 +472,25 @@ class TestGroMSequential:
         c = mix.certificate.sup_expectation
         assert caveat["blocks"] == 1
         assert caveat["type1_bound_factor"] == pytest.approx(c)
+
+    def test_validity_caveat_past_the_double_range_is_inf(self):
+        # Li's mixture certifies c = 3.0164 here, and c^700 > 1.8e308; the
+        # factor once raised OverflowError
+        spec = make_family("beta_fixed_alpha", alpha=1.0)
+        alt = Alternative.from_means(spec, [-4.28, -8.51, -0.076])
+        mix, _ = ripr.li_approximate(spec, alt)
+        c = mix.certificate.sup_expectation
+        assert c == pytest.approx(3.0164, abs=1e-4)
+        st = sq.StreamState(spec, alt, "gro_m", 0.05, mixture=mix)
+        rng = np.random.default_rng(4)
+        blocks = np.stack([spec.sample(m, 700, rng) for m in alt.mu], axis=-1)
+        for b in blocks[:642]:
+            st.ingest_block(b)
+        assert st.validity_caveat()["type1_bound_factor"] == c**642
+        for b in blocks[642:]:
+            st.ingest_block(b)
+        assert st.validity_caveat() == {"certified_sup_expectation": c,
+                                        "blocks": 700, "type1_bound_factor": math.inf}
 
 
 class TestSimulate:

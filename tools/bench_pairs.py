@@ -13,9 +13,9 @@ unlike a ``git worktree``, leaves no record in the repository.
 for a seed other than 1) then holds the commits, nproc, every run's metrics
 and correctness, and for each end-to-end metric the medians and quartiles of
 both sides and the number of pairs the change won.  Under ``wall`` it also
-holds the medians and quartiles of the run's named metrics in seconds or
-milliseconds from its ``detail`` line (``project_brute2_s``, ``reference_ms``,
-...).  They are never gated: the in-command reference sampler runs on the
+holds the medians and quartiles of the run's named metrics in seconds,
+milliseconds or microseconds from its ``detail`` line (``project_brute2_s``,
+``reference_ms``, ``ingest_block_us.p50``, ...).  They are never gated: the in-command reference sampler runs on the
 main thread while worker threads keep computing, so reference units alone
 could flatter a threaded change, and wall time shows what it saved.  A run
 that printed no result or reported ``correct: false`` is named on stderr and
@@ -73,7 +73,7 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "wall": {k: v["value"] for k, v in named.items() if v["unit"] in ("s", "ms")}}
+            "wall": {k: v["value"] for k, v in named.items() if v["unit"] in ("s", "ms", "us")}}
 
 
 def summarize(values: list[float]) -> dict:
