@@ -219,14 +219,14 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
     moves.
 
     On a discrete support a single block (a 1-D float input, as
-    ``_as_block`` gives) is looked up in a memo keyed by its bytes, so a streamed block that has been seen before
-    costs a dict lookup.  Every block value depends on its own block's bits
-    alone, so a stored value is the value a fresh call returns; bytes keep
-    -0.0 apart from 0.0 and an integer apart from the near-integers the
-    support check accepts.  The memo stops storing at ``_CHUNK_ELEMENTS //
-    k`` blocks; later misses are scored and not stored.  Inputs of more than
-    one block, and every continuous support, go to the scoring function
-    itself.
+    ``_as_block`` gives) is looked up in a memo keyed by its bytes, so a
+    streamed block that has been seen before costs a dict lookup.  Every
+    block value depends on its own block's bits alone, so a stored value is
+    the value a fresh call returns; bytes keep -0.0 apart from 0.0 and an
+    integer apart from the near-integers the support check accepts.  The
+    memo stops storing at ``_CHUNK_ELEMENTS // k`` blocks; later misses are
+    scored and not stored.  Inputs of more than one block, and every
+    continuous support, go to the scoring function itself.
     """
     score = _in_chunks(_block_map(spec, alt, kind, mixture, mu0))
     if not spec.support.discrete:

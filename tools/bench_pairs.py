@@ -15,9 +15,10 @@ and correctness, and for each end-to-end metric the medians and quartiles of
 both sides and the number of pairs the change won.  Under ``wall`` it also
 holds the medians and quartiles of the run's named metrics in seconds,
 milliseconds or microseconds from its ``detail`` line (``project_brute2_s``,
-``reference_ms``, ``ingest_block_us.p50``, ...).  They are never gated: the in-command reference sampler runs on the
-main thread while worker threads keep computing, so reference units alone
-could flatter a threaded change, and wall time shows what it saved.  A run
+``reference_ms``, ``ingest_block_us.p50``, ...).  They are never gated: the
+in-command reference sampler runs on the main thread while worker threads
+keep computing, so reference units alone could flatter a threaded change,
+and wall time shows what it saved.  A run
 that printed no result or reported ``correct: false`` is named on stderr and
 its metrics are not compared: a metric without a valid run in every pair is
 left out of the summary, listed under ``left_out``, and the tool exits 1 (a
