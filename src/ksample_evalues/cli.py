@@ -188,15 +188,14 @@ def cmd_evaluate(args) -> int:
     total = 0.0
     for where, blk in blocks:
         try:
-            value = log_statistic(ev._as_block(spec, alt, blk))
+            log_evalue = float(log_statistic(ev._as_block(spec, alt, blk)))
         except (ValueError, ComputationError) as exc:
             raise SystemExit(f"{where}: {exc}")
-        res = ev.EValueResult(kind, float(value), cert)
-        total += res.log_evalue
-        row = {"block": blk, "kind": kind.value, "log_evalue": res.log_evalue,
-               "evalue": _evalue(res.log_evalue)}
-        if res.certificate is not None:
-            row["certificate"] = res.certificate
+        total += log_evalue
+        row = {"block": blk, "kind": kind.value, "log_evalue": log_evalue,
+               "evalue": _evalue(log_evalue)}
+        if cert is not None:
+            row["certificate"] = cert
         results.append(row)
     _report(args, {"results": results, "total_log_evalue": total}, cfg)
     return 0

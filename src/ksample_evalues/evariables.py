@@ -109,41 +109,33 @@ def _as_block(spec: FamilySpec, alt: Alternative, block) -> np.ndarray:
 
 def _log_sum_ratio(spec: FamilySpec, alt: Alternative, mu0: float):
     """z -> log p_alt_Z(z) - log p_null_Z(z) for the coordinate sum z of
-    checked blocks, with the null i.i.d. at the checked mean mu0.  Both sum
-    densities are built once (``FamilySpec._sum_density``: for the gamma
-    sums, their rate groups, partial-fraction coefficients and series
-    weights), so a family without a sum density for this k refuses before any
-    block.  A finite sum support is tabulated once; on a lattice, each batch
-    of sums goes through ``_per_value``."""
+    checked blocks, with the null i.i.d. at the checked mean mu0, through
+    ``_per_value``.  Both sum densities are built once
+    (``FamilySpec._sum_density``: for the gamma sums, their rate groups,
+    partial-fraction coefficients and series weights), so a family without a
+    sum density for this k refuses before any block."""
     alt_sum = spec._sum_density(list(alt.mu))
     null_sum = spec._sum_density([mu0] * alt.k)
-    s = spec.support
-    if s.kind == "finite":
-        lo = round(alt.k * s.lo)
-        zs = np.arange(lo, round(alt.k * s.hi) + 1, dtype=float)
-        table = alt_sum(zs) - null_sum(zs)
-        return lambda z: table[np.round(z).astype(int) - lo]
-    return _per_value(spec, lambda z: alt_sum(z) - null_sum(z), 1)
+    return _per_value(spec, lambda z: alt_sum(z) - null_sum(z))
 
 
-def _per_value(spec: FamilySpec, term, per_block: int):
+def _per_value(spec: FamilySpec, term):
     """``term``, a map of each value alone, through a table on a lattice.
 
-    On a discrete support, an input of more than one block (more than
-    ``per_block`` values) whose values are all exact integers, with fewer
-    integers in [min, max] than it has values, takes ``term`` once per
-    integer in that range and gathers the results: the same ufuncs on the
-    same values, so every value keeps its bits, and the table is never
-    larger than the input.  Any other input goes to ``term`` as it is: a
-    single streamed block, with no extra numpy call, and near-integers,
-    whose bits at the rounded integer would differ.  On a continuous support
-    ``term`` is returned itself.
+    On a discrete support, an input of exact integers with fewer integers in
+    [min, max] than it has values takes ``term`` once per integer in that
+    range and gathers the results: the same ufuncs on the same values, so
+    every value keeps its bits, and the table is always smaller than the
+    input.  Any other input goes to ``term`` as it is: one value, values
+    that differ more than their count, and near-integers, whose bits at the
+    rounded integer would differ.  On a continuous support ``term`` is
+    returned itself.
     """
     if not spec.support.discrete:
         return term
 
     def apply(v):
-        if v.size > per_block:
+        if v.size > 1:
             lo, hi = v.min(), v.max()
             if hi - lo < v.size - 1:  # False for NaN and inf - inf
                 # for an integer lo, v - lo is exact, so i == d holds just
@@ -206,27 +198,26 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
     ``cond`` baseline null mean ``mu0`` (the pooled mean by default) must lie
     in the mean space.  It then computes every parameter of the block
     function: lambda(mu_i) and A(lambda_i), their differences to lambda and A
-    at mu0, the sum-density ratio of ``cond`` (a table when the sum's support
-    is finite) and a mixture's tilts.  The function it returns maps blocks
-    already checked (``_as_block``; shape [..., k]) to the log statistic,
-    ``_in_chunks``: an input of many blocks is scored a fixed number of
-    coordinates at a time, so its temporaries stay bounded.  On a lattice,
-    a pass of more than one block of exact integers, with fewer integers in
-    [min, max] than values, takes the value-only terms (``gro_iid``'s
-    per-coordinate mixture, ``cond``'s sum-density ratio on an infinite
-    lattice, ``gro_m``'s mixture of sums) through tables over that range
-    (``_per_value``); a single block and near-integers do not, and no bit
-    moves.
+    at mu0, the sum densities of ``cond`` and a mixture's tilts.  The
+    function it returns maps blocks already checked (``_as_block``; shape
+    [..., k]) to the log statistic, ``_in_chunks``: an input of many blocks
+    is scored a fixed number of coordinates at a time, so its temporaries
+    stay bounded.  On a lattice, every value-only term (``gro_iid``'s
+    per-coordinate mixture, ``cond``'s sum-density ratio, ``gro_m``'s
+    mixture of sums) goes through ``_per_value``'s one rule: exact integers
+    with fewer integers in [min, max] than values take a table over that
+    range, anything else the term itself, and no bit moves.
 
     On a discrete support a single block (a 1-D float input, as
     ``_as_block`` gives) is looked up in a memo keyed by its bytes, so a
-    streamed block that has been seen before costs a dict lookup.  Every
-    block value depends on its own block's bits alone, so a stored value is
-    the value a fresh call returns; bytes keep -0.0 apart from 0.0 and an
-    integer apart from the near-integers the support check accepts.  The
-    memo stops storing at ``_CHUNK_ELEMENTS // k`` blocks; later misses are
-    scored and not stored.  Inputs of more than one block, and every
-    continuous support, go to the scoring function itself.
+    streamed block that has been seen before costs a dict lookup and reaches
+    the tables only on a miss.  Every block value depends on its own block's
+    bits alone, so a stored value is the value a fresh call returns; bytes
+    keep -0.0 apart from 0.0 and an integer apart from the near-integers the
+    support check accepts.  The memo stops storing at ``_CHUNK_ELEMENTS //
+    k`` blocks; later misses are scored and not stored.  Inputs of more than
+    one block, and every continuous support, go to the scoring function
+    itself.
     """
     score = _in_chunks(_block_map(spec, alt, kind, mixture, mu0))
     if not spec.support.discrete:
@@ -258,13 +249,12 @@ def _block_map(spec: FamilySpec, alt: Alternative, kind, mixture, mu0):
     lam, a = spec._natural_params(alt.mu)
     if kind is EValueKind.GRO_IID:
         offsets = a + np.log(alt.k)  # per coordinate, (1/k) sum_i p_{mu_i}
-        log_mixture = _per_value(spec, lambda v: _log_sum_of_tilts(lam, offsets, v),
-                                 alt.k)
+        log_mixture = _per_value(spec, lambda v: _log_sum_of_tilts(lam, offsets, v))
         return lambda x: (_sum_coordinates(lam * x - a)
                           - _sum_coordinates(log_mixture(x)))
     if kind is EValueKind.GRO_M:
         tilts = mixture._tilts(spec, alt.k)
-        log_mixture = _per_value(spec, lambda z: _log_sum_of_tilts(*tilts, z), 1)
+        log_mixture = _per_value(spec, lambda z: _log_sum_of_tilts(*tilts, z))
         return lambda x: (_sum_coordinates(lam * x - a)
                           - log_mixture(_sum_coordinates(x)))
     # pseudo and cond: the ratio to the i.i.d. product at mu0

@@ -284,14 +284,20 @@ class FamilySpec(ABC):
         """lambda(mu) at a checked float mu, for ``natural_from_mean``."""
 
     def mean_from_natural(self, lam: float) -> float:
-        """Mean parameter A'(lambda).  A lambda whose mean rounds out of the
-        open mean space is refused by name; so is every lambda outside the
-        natural space, whose mean leaves the mean space in every family but
-        beta, and beta refuses it itself."""
+        """Mean parameter A'(lambda).  A lambda outside the open natural
+        space (NaN included) is refused by name before the law runs, and so
+        is a lambda inside it whose mean rounds out of the open mean
+        space."""
         lam = float(lam)
+        lo, hi = self.natural_space
+        if not lo < lam < hi:
+            raise MeanDomainError(
+                f"canonical parameter {lam!r} outside ({lo}, {hi}) for family "
+                f"'{self.family_id}'"
+            )
         try:
             mu = self._mean_from_natural(lam)
-        except ArithmeticError:  # past the largest float, or 1 / 0 at lambda = 0
+        except ArithmeticError:  # past the largest float
             mu = math.inf
         lo, hi = self.mean_space
         if not lo < mu < hi:
@@ -303,7 +309,8 @@ class FamilySpec(ABC):
 
     @abstractmethod
     def _mean_from_natural(self, lam: float) -> float:
-        """A'(lambda) at a float lambda, for ``mean_from_natural`` to check."""
+        """A'(lambda) at a float lambda inside the natural space, for
+        ``mean_from_natural`` to check."""
 
     @abstractmethod
     def log_partition(self, lam) -> float:
@@ -798,12 +805,6 @@ class BetaFixedAlpha(FamilySpec):
         return b
 
     def _mean_from_natural(self, lam):
-        lo, hi = self.natural_space
-        if not lo < lam < hi:  # a negative shape's psi-gap may lie in the mean space
-            raise MeanDomainError(
-                f"canonical parameter {lam!r} outside ({lo}, {hi}) for family "
-                f"'{self.family_id}'"
-            )
         return self._psi_gap(0, lam)
 
     def _psi_gap(self, m: int, b: float) -> float:
