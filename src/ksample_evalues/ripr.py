@@ -298,6 +298,9 @@ _REFINE_TOP = 500
 # Both searches run on a z grid of at most this many nodes; certificates use
 # the n_z grid.
 _SEARCH_NZ = 400
+# A grid's tilt rows are shifted at each z by the largest tilt over this many
+# of its certification means, spread evenly over the window, ends included.
+_SHIFT_MEANS = 100
 
 
 class _SumGrid:
@@ -310,6 +313,14 @@ class _SumGrid:
     Both ends must lie in the mean space with lo <= hi; lo == hi is a single
     point.  The z grid resolves the alternative, whose sum density weights
     every integral over it, and both ends.
+
+    Every density the grid holds, the tilt rows and the mixtures built from
+    them, is scaled at node z by e^(-s(z)), with s(z) = ``shift`` the largest
+    tilt lam0 * z - k * A(lam0) at z over ``_SHIFT_MEANS`` certification
+    means, so the rows stay finite where the tilts themselves overflow.  The
+    factor cancels in every ratio of densities (``expectations``, ``sup``,
+    ``check_edges`` and both searches' tables), and ``kl`` takes it out
+    through ``alt_self_term``.
     """
 
     def __init__(self, spec: FamilySpec, alt: Alternative, count: int = 1000,
@@ -343,21 +354,31 @@ class _SumGrid:
         keep = wm > wm.max() * 1e-280
         self.z = z[keep]
         self.wm = wm[keep]
+        pick = np.linspace(0, count - 1, min(count, _SHIFT_MEANS)).astype(np.intp)
+        lam0, la0 = spec._natural_params(self.mu0s[pick])
+        self.shift = np.max(np.multiply.outer(lam0, self.z) - self.k * la0[:, None],
+                            axis=0)
         lams, las = spec._natural_params(alt.mu)
-        # E_alt[log p_alt(X^k)] w.r.t. the base measure
-        self.alt_self_term = float(np.sum(lams * np.array(alt.mu) - las))
+        # E_alt[log p_alt(X^k)] w.r.t. the base measure, less E_alt[s(Z)]
+        self.alt_self_term = (float(np.sum(lams * np.array(alt.mu) - las))
+                              - float(self.shift @ self.wm))
         self._cert_rows = None
 
     def tilt_rows(self, mu0s) -> np.ndarray:
-        """Rows of exp(lam0 * z - k * A(lam0)) for each null mean."""
+        """Rows of exp(lam0 * z - k * A(lam0) - s(z)) for each null mean,
+        built in place in one array."""
         lam, la = self.spec._natural_params(np.atleast_1d(np.asarray(mu0s, dtype=float)))
-        return np.exp(lam[:, None] * self.z[None, :] - self.k * la[:, None])
+        rows = np.multiply.outer(lam, self.z)
+        rows -= self.k * la[:, None]
+        rows -= self.shift
+        return np.exp(rows, out=rows)
 
     def cert_rows(self) -> np.ndarray:
         """``tilt_rows(mu0s) * wm``, built once: row i dotted with 1/d is the
         null expectation at mu0s[i] of the ratio against mixture density d."""
         if self._cert_rows is None:
-            self._cert_rows = self.tilt_rows(self.mu0s) * self.wm[None, :]
+            self._cert_rows = self.tilt_rows(self.mu0s)
+            self._cert_rows *= self.wm
         return self._cert_rows
 
     def mixture(self, ws, mus) -> np.ndarray:

@@ -88,6 +88,31 @@ class TestEvaluate:
             res = ev.log_evalue(spec, alt, blk, "cond")
             assert (row["log_evalue"], row["evalue"]) == (res.log_evalue, res.evalue)
 
+    @pytest.mark.parametrize("kind", ["pseudo", "gro_iid", "cond", "gro_m"])
+    def test_data_rows_are_the_statistic_and_its_certificate(self, capsys, tmp_path,
+                                                             kind):
+        # equal values, a repeat and a near-integer among lattice blocks
+        data = tmp_path / "blocks.csv"
+        data.write_text("1,0,1\n1,1,1\n0,0,0\n1,0,1\n1.0000000001,0,0\n0,1,1\n",
+                        encoding="utf-8")
+        spec = make_family("bernoulli")
+        alt = Alternative.from_means(spec, [0.6, 0.4, 0.3])
+        mix = write_mixture(tmp_path / "mix.json", "bernoulli", [0.6, 0.4, 0.3])
+        extra = ["--mixture", mix] if kind == "gro_m" else []
+        code, out, _ = run(capsys, "evaluate", "--family", "bernoulli", "--mu",
+                           "0.6,0.4,0.3", "--kind", kind, "--data", str(data), *extra)
+        payload = json.loads(out)
+        mixture = ripr.MixtureNull.from_json_dict(json.loads(Path(mix).read_text()))
+        total = 0.0
+        for row in payload["results"]:
+            res = ev.log_evalue(spec, alt, row["block"], kind,
+                                mixture if kind == "gro_m" else None)
+            assert (row["log_evalue"], row["evalue"]) == (res.log_evalue, res.evalue)
+            assert row.get("certificate") == res.certificate
+            total += res.log_evalue
+        assert code == 0 and payload["total_log_evalue"] == total
+        assert len(payload["results"]) == 6
+
     def test_gro_m_without_mixture_points_to_project(self, capsys):
         with pytest.raises(SystemExit, match="project"):
             main([

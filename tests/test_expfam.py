@@ -142,6 +142,20 @@ class TestParameterMaps:
         with pytest.raises(MeanDomainError, match=match):
             spec.mean_from_natural(lam)
 
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    def test_lambda_outside_the_natural_space_refused_with_one_message(self, name):
+        # NaN and every lambda past a finite end, before the family's law runs
+        spec = make_family(name)
+        lo, hi = spec.natural_space
+        lams = [math.nan]
+        lams += [lo, lo - 1.0, -math.inf] if math.isfinite(lo) else []
+        lams += [hi, hi + 1.0, math.inf] if math.isfinite(hi) else []
+        for lam in lams:
+            msg = (f"canonical parameter {lam!r} outside ({lo}, {hi}) for family "
+                   f"'{name}'")
+            with pytest.raises(MeanDomainError, match=f"^{re.escape(msg)}$"):
+                spec.mean_from_natural(lam)
+
     def test_known_natural_values(self):
         assert make_family("bernoulli").natural_from_mean(0.5) == pytest.approx(0.0)
         assert make_family("poisson").natural_from_mean(1.0) == pytest.approx(0.0)
@@ -915,12 +929,12 @@ class TestBetaGeneralAlpha:
         with pytest.raises(MeanDomainError, match=r"mu=-1e-310 "):
             spec.natural_from_mean(-1e-310)
 
-    @pytest.mark.parametrize("alpha", [0.3, 2.5])
-    @pytest.mark.parametrize("mu", [-1e-12, -1e-14, -1e-16, -1e-300, -5e-324])
+    @pytest.mark.parametrize("alpha, mu", [
+        (0.3, -5e-324), (2.5, -5e-324), (1e-12, -2e-14)])
     def test_mean_map_refuses_unresolved_digamma_difference(self, alpha, mu):
-        # the root of the rounded digamma difference was off by 1.3e-4
-        # relative at alpha = 2.5, mu = -1e-12, and ~7e14 for every smaller
-        # |mu|; at -5e-324 the shape b itself would overflow
+        # at -5e-324 the shape b itself would overflow; at alpha = 1e-12, mu
+        # = -2e-14 the root b ~ 50 lies where the mean map takes the digamma
+        # difference, whose rounding exceeds |mu| there
         spec = make_family("beta_fixed_alpha", alpha=alpha)
         with pytest.raises(MeanDomainError, match=rf"mu={mu!r} "):
             spec.natural_from_mean(mu)
@@ -933,8 +947,14 @@ class TestBetaGeneralAlpha:
         assert spec.mean_from_natural(spec.natural_from_mean(mu)) == pytest.approx(
             mu, rel=1e-13)
 
-    @pytest.mark.parametrize("alpha, mu", [(2.0, -1e-300), (0.3, -1e-6), (2.5, -1e-6)])
+    @pytest.mark.parametrize("alpha, mu", [
+        (2.0, -1e-300), (0.3, -1e-6), (2.5, -1e-6), (0.001, -1e-6),
+        *[(alpha, mu) for alpha in (0.3, 2.5, 0.001)
+          for mu in (-1e-9, -1e-12, -1e-14, -1e-16, -1e-300)]])
     def test_mean_map_near_zero_matches_mpmath(self, alpha, mu):
+        # past b = 100 the non-integer mean map is the psi-gap series, which
+        # takes no digamma difference; a guard on that difference refused
+        # these means of a non-integer alpha from -1e-12 on
         spec = make_family("beta_fixed_alpha", alpha=alpha)
         # t = b (-mu) is of order alpha at every scale of mu; 400 digits
         # resolve the digamma difference at |mu| = 1e-300

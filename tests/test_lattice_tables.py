@@ -3,10 +3,12 @@ every block keeps the bits it has when scored alone.
 
 ``evariables._per_value`` evaluates the value-only terms of a statistic
 (``gro_iid``'s per-coordinate mixture, ``cond``'s sum-density ratio,
-``gro_m``'s mixture of sums) once per integer in [min, max] of a batch and
-gathers the results.  The table is taken only for more than one block of
-exact integers with fewer integers in range than values; anything else,
-near-integers and a single block among them, takes the direct path.
+``gro_m``'s mixture of sums) once per integer in [min, max] of its input and
+gathers the results.  The table is taken only for exact integers with fewer
+integers in range than values, so it is always smaller than its input; a
+single value, values that differ more than their count and near-integers
+take the direct path.  Bernoulli's sums follow the same rule as every other
+lattice.
 """
 
 import numpy as np
@@ -125,3 +127,85 @@ def test_sum_table_spans_the_sums_of_a_batch(monkeypatch):
     got = score(x)
     assert shapes == [(3,)]
     assert np.array_equal(got, [score(block) for block in x])
+
+
+def test_one_block_of_equal_values_gathers_from_a_one_entry_table(monkeypatch):
+    score = ev._statistic(POISSON, POISSON_ALT, "gro_iid")
+    shapes = recorded_terms(monkeypatch)
+    got = score(np.array([3.0, 3.0]))
+    assert shapes == [(1,)]
+    # the same block among values that differ more than their count: direct
+    direct = score(np.array([[3.0, 3.0], [0.0, 50.0]]))[0]
+    assert shapes == [(1,), (2, 2)]
+    assert got == direct and np.signbit(got) == np.signbit(direct)
+
+
+BERNOULLI = make_family("bernoulli")
+BERNOULLI_MEANS = {2: (0.6, 0.4), 3: (0.6, 0.4, 0.3),
+                   9: (0.7, 0.2, 0.5, 0.6, 0.3, 0.4, 0.5, 0.45, 0.55)}
+
+
+@pytest.mark.parametrize("k", sorted(BERNOULLI_MEANS))
+def test_bernoulli_sum_ratio_is_the_whole_support_table(k):
+    # the table over every sum 0..k that bernoulli once kept: each sum alone,
+    # each range of sums as a table, and a near-integer give its bits
+    alt = Alternative.from_means(BERNOULLI, list(BERNOULLI_MEANS[k]))
+    mu0 = alt.mu0_star
+    zs = np.arange(k + 1.0)
+    table = (BERNOULLI._sum_density(list(alt.mu))(zs)
+             - BERNOULLI._sum_density([mu0] * k)(zs))
+    ratio = ev._log_sum_ratio(BERNOULLI, alt, mu0)
+    for z in zs:
+        assert ratio(np.array(z)) == table[int(z)]
+    for lo in range(k + 1):
+        for hi in range(lo, k + 1):
+            z = np.repeat(np.arange(lo, hi + 1.0), 2)
+            assert np.array_equal(ratio(z), table[z.astype(int)])
+    near = np.array([0.0, 1.0 + 1e-10, 1.0, 1.0])
+    assert np.array_equal(ratio(near), table[[0, 1, 1, 1]])
+
+
+def bernoulli_batch(k: int, case: str) -> np.ndarray:
+    """40 blocks of k bernoulli values for one case of the sum table."""
+    x = np.random.default_rng(k).integers(0, 2, (40, k)).astype(float)
+    if case == "whole-support":  # sums 0 and k, and whatever lies between
+        x[0], x[1] = 0.0, 1.0
+    elif case == "misses-zero":
+        x[x.sum(axis=1) == 0, 0] = 1.0
+    elif case == "near-integer":
+        x[3, 0] = x[7, k - 1] = 1.0 + 1e-10
+        x[3, 1:] = 1.0
+    elif case == "equal-values":
+        x[:5], x[5:8] = 1.0, 0.0
+    return x
+
+
+_BERNOULLI_MIXTURES = {}
+
+
+def bernoulli_statistic(k, kind):
+    """A fresh statistic of bernoulli at k, with Li's mixture for gro_m."""
+    alt = Alternative.from_means(BERNOULLI, list(BERNOULLI_MEANS[k]))
+    mixture = None
+    if kind == "gro_m":
+        if k not in _BERNOULLI_MIXTURES:
+            _BERNOULLI_MIXTURES[k] = ripr.li_approximate(BERNOULLI, alt, max_iters=3)[0]
+        mixture = _BERNOULLI_MIXTURES[k]
+    return ev._statistic(BERNOULLI, alt, kind, mixture)
+
+
+@pytest.mark.parametrize("case", ["whole-support", "misses-zero", "near-integer",
+                                  "equal-values"])
+@pytest.mark.parametrize("k, kind", [(k, kind) for k in (2, 3, 9)
+                                     for kind in ("gro_iid", "cond")]
+                         + [(2, "gro_m"), (3, "gro_m")])
+def test_bernoulli_block_alone_equals_batch_and_passes(monkeypatch, k, kind, case):
+    x = BERNOULLI.check_support(bernoulli_batch(k, case))
+    if case == "whole-support":
+        assert {0.0, float(k)} <= set(x.sum(axis=1))
+    elif case == "misses-zero":
+        assert x.sum(axis=1).min() >= 1.0
+    alone = [bernoulli_statistic(k, kind)(block) for block in x]
+    assert np.array_equal(bernoulli_statistic(k, kind)(x), alone)
+    monkeypatch.setattr(ev, "_CHUNK_ELEMENTS", 3 * k)  # passes of three blocks
+    assert np.array_equal(bernoulli_statistic(k, kind)(x), alone)

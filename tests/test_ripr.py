@@ -2,6 +2,7 @@ import logging
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,54 @@ class TestWorstCaseExpectation:
         mean, se = ev.null_expectation_mc(spec, alt, "gro_m", argmax, n=10**6,
                                           seed=2, mixture=mix)
         assert sup == pytest.approx(mean, abs=max(4 * se, 3e-3))
+
+
+class TestShiftedTiltRows:
+    """A grid's rows are scaled at each z by e^(-s(z)), s the largest tilt at
+    z over ``_SHIFT_MEANS`` certification means: they stay finite where the
+    tilts overflow, and the factor cancels in every ratio and in ``kl``."""
+
+    @pytest.mark.parametrize("mus, search, window", [
+        ((95.633, 0.573), "point", {}), ((95.633, 0.573), "li", {}),
+        ((300.7, 0.282, 2.02), "point", {}), ((300.7, 0.282, 2.02), "li", {}),
+        ((5.0, 0.1), "point", {"lo": 10.0, "hi": 200.0}),
+        ((30.0, 0.5, 2.0), "li", {}),
+    ])
+    def test_poisson_tilts_past_the_largest_float_certify(self, mus, search, window):
+        # each overflowed in exp and was then refused as degenerate
+        spec = make_family("poisson")
+        alt = Alternative.from_means(spec, list(mus))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if search == "point":
+                mix = ripr.point_mixture(spec, alt, alt.mu0_star, **window)
+            else:
+                mix, _ = ripr.li_approximate(spec, alt)
+        assert mix.components == ((1.0, alt.mu0_star),)
+        assert 1.0 <= mix.certificate.sup_expectation < 1.0 + 1e-9
+
+    @pytest.mark.parametrize("name, mus", [
+        ("exponential", (0.5, 0.25)), ("poisson", (2.0, 1.0, 3.0)),
+        ("bernoulli", (0.6, 0.4)), ("gaussian_variance", (0.5, 0.25)),
+    ])
+    def test_shift_cancels_in_every_ratio_and_in_kl(self, name, mus):
+        spec = make_family(name)
+        alt = Alternative.from_means(spec, list(mus))
+        grid = ripr._SumGrid(spec, alt, 250)
+        lam, la = spec._natural_params(grid.mu0s)
+        raw = np.exp(np.multiply.outer(lam, grid.z) - alt.k * la[:, None])
+        rows = grid.tilt_rows(grid.mu0s)
+        np.testing.assert_allclose(rows * np.exp(grid.shift), raw, rtol=1e-12)
+        assert np.all(rows.max(axis=0) >= 1.0)
+        ws, comps = [0.3, 0.7], [grid.lo, alt.mu0_star]
+        d = grid.mixture(ws, comps)
+        lam_c, la_c = spec._natural_params(comps)
+        d_raw = np.exp(np.multiply.outer(lam_c, grid.z) - alt.k * la_c[:, None]).T @ ws
+        np.testing.assert_allclose(grid.expectations(d), (raw * grid.wm) @ (1.0 / d_raw),
+                                   rtol=1e-12)
+        lams, las = spec._natural_params(alt.mu)
+        kl_raw = float(np.sum(lams * np.array(alt.mu) - las)) - np.log(d_raw) @ grid.wm
+        assert grid.kl(d) == pytest.approx(kl_raw, rel=1e-10, abs=1e-12)
 
 
 class TestKLToMixture:
