@@ -355,21 +355,24 @@ class _SumGrid:
         self.z = z[keep]
         self.wm = wm[keep]
         pick = np.linspace(0, count - 1, min(count, _SHIFT_MEANS)).astype(np.intp)
-        lam0, la0 = spec._natural_params(self.mu0s[pick])
-        self.shift = np.max(np.multiply.outer(lam0, self.z) - self.k * la0[:, None],
-                            axis=0)
+        self.shift = self._log_tilts(self.mu0s[pick]).max(axis=0)
         lams, las = spec._natural_params(alt.mu)
         # E_alt[log p_alt(X^k)] w.r.t. the base measure, less E_alt[s(Z)]
         self.alt_self_term = (float(np.sum(lams * np.array(alt.mu) - las))
                               - float(self.shift @ self.wm))
         self._cert_rows = None
 
-    def tilt_rows(self, mu0s) -> np.ndarray:
-        """Rows of exp(lam0 * z - k * A(lam0) - s(z)) for each null mean,
-        built in place in one array."""
+    def _log_tilts(self, mu0s) -> np.ndarray:
+        """Rows of lam0 * z - k * A(lam0) for each null mean, in one array."""
         lam, la = self.spec._natural_params(np.atleast_1d(np.asarray(mu0s, dtype=float)))
         rows = np.multiply.outer(lam, self.z)
         rows -= self.k * la[:, None]
+        return rows
+
+    def tilt_rows(self, mu0s) -> np.ndarray:
+        """Rows of exp(lam0 * z - k * A(lam0) - s(z)) for each null mean,
+        built in place in one array."""
+        rows = self._log_tilts(mu0s)
         rows -= self.shift
         return np.exp(rows, out=rows)
 

@@ -953,8 +953,8 @@ class TestBetaGeneralAlpha:
           for mu in (-1e-9, -1e-12, -1e-14, -1e-16, -1e-300)]])
     def test_mean_map_near_zero_matches_mpmath(self, alpha, mu):
         # past b = 100 the non-integer mean map is the psi-gap series, which
-        # takes no digamma difference; a guard on that difference refused
-        # these means of a non-integer alpha from -1e-12 on
+        # takes no digamma difference; a guard on that difference once
+        # refused most of these means
         spec = make_family("beta_fixed_alpha", alpha=alpha)
         # t = b (-mu) is of order alpha at every scale of mu; 400 digits
         # resolve the digamma difference at |mu| = 1e-300
