@@ -139,20 +139,11 @@ def _multiplicities(args) -> list[int] | None:
 
 
 def _load_mixture(path: str) -> ripr.MixtureNull:
-    """Read a mixture file, refusing one with no ``config``: the problem it
-    was certified for would be unknown.  The statistic refuses the mixture
-    unless that problem is the run's (``evariables._check_mixture``), with
-    means compared after the --beta-means conversion and, when blocks carry
-    multiplicities, after their expansion."""
+    """Read a mixture file, naming it in a refusal.  The statistic refuses it
+    unless its problem is the run's (``evariables._check_mixture``), means
+    compared after the --beta-means conversion and any multiplicity expansion."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    config = payload.get("config") if isinstance(payload, dict) else None
-    if not isinstance(config, dict) or not {"family", "mean_params"} <= set(config):
-        raise SystemExit(
-            f"{path}: mixture file has no 'config' with family and mean_params, "
-            "so the problem it was certified for is unknown; produce it with "
-            "'ksev project'"
-        )
     try:
         return ripr.MixtureNull.from_json_dict(payload)
     except ValueError as exc:
@@ -244,11 +235,9 @@ def cmd_project(args) -> int:
             spec, alt, max_iters=args.max_iters, mu_lo=args.mu_lo, mu_hi=args.mu_hi
         )
     else:
-        mixture = ripr.brute_force_two_component(
+        mixture, trace = ripr.brute_force_two_component(
             spec, alt, mu_lo=args.mu_lo, mu_hi=args.mu_hi
         )
-        trace = [{"iter": 1, "kl": ripr.kl_to_mixture(spec, alt, mixture),
-                  "sup_expectation": mixture.certificate.sup_expectation}]
     _report(args, mixture.to_json_dict(), cfg)
     if args.trace:
         path, fields = _out_dir(args) / args.trace, ["iter", "kl", "sup_expectation"]

@@ -161,7 +161,6 @@ def _check_mixture(spec: FamilySpec, alt: Alternative, mixture) -> None:
         )
     if not isinstance(mixture, MixtureNull):
         raise TypeError("mixture must be a ripr.MixtureNull")
-    mixture.require_certificate()
     mixture.require_problem(spec, alt.mu)
 
 

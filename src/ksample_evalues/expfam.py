@@ -88,13 +88,11 @@ class ComputationError(RuntimeError):
 
 def _require_at_least(least: int, **sizes) -> None:
     """The one check of a size, count or seed argument: each value must be an
-    integer (``operator.index`` accepts it, so 2.0 and 2.5 are refused) of at
-    least ``least``.  The refusal names the argument and the value."""
+    integer other than a bool (2.0 and 2.5 are refused) of at least
+    ``least``.  The refusal names the argument and the value."""
     for name, value in sizes.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
@@ -1303,6 +1301,8 @@ def problem_from_config(cfg: dict) -> tuple[FamilySpec, list[float]]:
     that key with a ``ValueError``, as it does a config with no family or
     fewer than two means.
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, got {cfg!r}")
     missing = [key for key in ("family", "mean_params") if key not in cfg]
     if missing:
         raise ValueError("config needs 'family' and 'mean_params', missing "

@@ -7,9 +7,9 @@ RIPr rarely has a closed form, so this module approximates it by finite
 mixtures and *certifies* the result: a mixture is shipped together with the
 worst-case null expectation of the induced likelihood ratio over a documented
 grid of null means.  A certified value c makes the ratio a (c-1)-approximate
-e-value.
+e-value; a certificate never comes without its problem (``MixtureNull.config``).
 
-Two searches are provided:
+Two searches are provided, and both return ``(mixture, trace)``:
 
 * ``li_approximate`` -- greedy mixture growth: each step adds one component,
   choosing the convex weight and the new null mean that minimize the KL
@@ -28,8 +28,8 @@ quadrature edge check refuses the pooled-mean point of exponential
 stop rule, are computed on the ``n_z`` grid.
 
 Both searches run on one search object (``_Search``): it builds the grids and
-the candidates' tilts once, takes every weight step through one table and
-certifies and logs the result.  For a density p and each candidate density q
+the candidates' tilts once, takes every weight step through one table, writes
+each trace row and certifies.  For a density p and each candidate density q
 on the z grid, the table finds the convex weight a on a grid minimizing an
 objective of a * p + (1 - a) * q: for Li the KL divergence from the
 alternative, p the current mixture and q a new component; for the brute force
@@ -111,6 +111,11 @@ class Certificate:
         _require_at_least(1, mu0_grid_size=self.mu0_grid_size)
         if not isinstance(self.method, str):
             raise ValueError(f"certificate method must be a string, got {self.method!r}")
+        lo, hi, argmax = self.mu0_lo, self.mu0_hi, self.argmax_mu0
+        if lo > hi:
+            raise ValueError(f"certificate needs mu0_lo <= mu0_hi, got {lo!r} > {hi!r}")
+        if not lo <= argmax <= hi:
+            raise ValueError(f"certificate argmax_mu0={argmax!r} lies outside [{lo!r}, {hi!r}]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,9 +135,9 @@ class MixtureNull:
 
     ``config`` names the problem the certificate was computed for, as
     ``spec.to_config(means)``: family, fixed params and one mean per block
-    coordinate (after any multiplicity expansion).  The searches set it, and
-    ``require_problem`` refuses any other problem.  A mixture built by hand
-    has none and is taken on trust.
+    coordinate (after any multiplicity expansion), stored as ``to_config``
+    writes it.  The searches set it; a certificate without it is refused, and
+    ``require_problem`` refuses any other problem.
     """
 
     components: tuple[tuple[float, float], ...]
@@ -152,7 +157,13 @@ class MixtureNull:
             raise ValueError("mixture weights must lie in [0, 1]")
         if abs(ws.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {ws.sum()!r}, not 1")
+        if self.config is not None:
+            spec, means = problem_from_config(self.config)
+            object.__setattr__(self, "config", spec.to_config(means))
         if self.certificate is not None:
+            if self.config is None:
+                raise CertificationError("certified mixture has no config, so its problem is "
+                                         "unknown; give config=spec.to_config(means)")
             if self.certificate.sup_expectation < 1.0 - 1e-6:
                 raise ValueError(
                     "certificate below 1 is impossible for a correct search "
@@ -161,21 +172,17 @@ class MixtureNull:
 
     def require_certificate(self) -> Certificate:
         if self.certificate is None:
-            raise CertificationError(
-                "mixture is not certified; obtain it from li_approximate or "
-                "brute_force_two_component (or attach a worst_case_expectation "
-                "certificate)"
-            )
+            raise CertificationError("mixture is not certified; obtain it from li_approximate, "
+                                     "brute_force_two_component or point_mixture")
         return self.certificate
 
     def certificate_dict(self) -> dict:
         return self.require_certificate().to_dict()
 
     def require_problem(self, spec: FamilySpec, means: Sequence[float]) -> None:
-        """Refuse use on a problem other than the one the mixture was
-        certified for, naming both."""
-        if self.config is None:
-            return
+        """Refuse an uncertified mixture, and use on a problem other than the
+        one the mixture was certified for, naming both."""
+        self.require_certificate()
         used = spec.to_config(means)
         if used != self.config:
             raise CertificationError(
@@ -195,7 +202,8 @@ class MixtureNull:
         """Log mixture product density w.r.t. the base measure.
 
         A mixture of i.i.d. products depends on the block only through the
-        coordinate sum z, as sum_c w_c exp(lam_c z - k A(lam_c)).
+        coordinate sum z, as sum_c w_c exp(lam_c z - k A(lam_c)).  Only the
+        benchmark's tracer names it, so it stays until the benchmark changes.
         """
         return _log_sum_of_tilts(*self._tilts(spec, k), z)
 
@@ -218,8 +226,7 @@ class MixtureNull:
     @classmethod
     def from_json_dict(cls, d: dict) -> "MixtureNull":
         """Inverse of ``to_json_dict``; also reads a ``ksev project`` file,
-        whose ``config`` may omit default fixed params and give beta means of
-        the observation (``beta_means``)."""
+        whose ``config`` the constructor resolves."""
         _check_keys("mixture", d, ("components",), ("certificate", "config"))
         if not isinstance(d["components"], list):
             raise ValueError(f"mixture components must be a list, got {d['components']!r}")
@@ -231,11 +238,7 @@ class MixtureNull:
             _check_keys("mixture certificate", d["certificate"],
                         [f.name for f in fields(Certificate)])
             cert = Certificate(**d["certificate"])
-        config = None
-        if "config" in d:
-            spec, means = problem_from_config(d["config"])
-            config = spec.to_config(means)
-        return cls(comps, cert, config)
+        return cls(comps, cert, d.get("config"))
 
 
 def _log_sum_of_tilts(lams, offsets, z) -> np.ndarray:
@@ -398,17 +401,18 @@ class _SumGrid:
         per row when d is two-dimensional)."""
         return self.alt_self_term - np.log(np.maximum(d, 1e-300)) @ self.wm
 
-    def sup(self, d) -> tuple[float, float]:
+    def sup(self, d) -> tuple[float, int]:
         """Largest null expectation on ``mu0s`` of the ratio against mixture
-        density d, and the null mean attaining it."""
+        density d, and the index of the null mean attaining it."""
         vals = self.expectations(d)
         i = int(np.argmax(vals))
-        return float(vals[i]), float(self.mu0s[i])
+        return float(vals[i]), i
 
-    def check_edges(self, d, mu0) -> None:
-        """Refuse a null expectation at mu0 whose quadrature is degenerate or
-        carries mass at the ends of the z grid."""
-        integrand = self.tilt_rows([mu0])[0] * self.wm / d
+    def check_edges(self, d, i) -> None:
+        """Refuse a null expectation at mu0 = ``mu0s[i]`` (row i of ``cert_rows``
+        over d) whose quadrature is degenerate or has mass at the z grid's ends."""
+        mu0 = float(self.mu0s[i])
+        integrand = self.cert_rows()[i] / d
         total = integrand.sum()
         if total <= 0 or not np.isfinite(total):
             raise ComputationError(
@@ -426,9 +430,9 @@ class _SumGrid:
         """``sup`` for the mixture (ws, mus), with the quadrature checked at
         the maximizing null mean."""
         d = self.mixture(ws, mus)
-        sup, argmax = self.sup(d)
-        self.check_edges(d, argmax)
-        return sup, argmax
+        sup, i = self.sup(d)
+        self.check_edges(d, i)
+        return sup, float(self.mu0s[i])
 
 
 def _certify(grid: _SumGrid, ws, mus, method: str) -> MixtureNull:
@@ -436,9 +440,7 @@ def _certify(grid: _SumGrid, ws, mus, method: str) -> MixtureNull:
     grid's problem."""
     sup, argmax = grid.worst(ws, mus)
     cert = Certificate(sup, grid.mu0s.size, grid.lo, grid.hi, method, argmax)
-    return MixtureNull(
-        tuple(zip(ws, mus)), cert, grid.spec.to_config(grid.alt.mu)
-    )
+    return MixtureNull(tuple(zip(ws, mus)), cert, grid.spec.to_config(grid.alt.mu))
 
 
 def worst_case_expectation(
@@ -515,7 +517,7 @@ def _ranked(rows, ai, objective) -> np.ndarray:
 
 
 class _Search:
-    """Setup, weight table and certify-and-log of both searches: the search
+    """Setup, weight table, trace rows and result of both searches: the search
     ``grid`` of ``min(n_z, _SEARCH_NZ)`` nodes and the n_z-node ``cert`` grid
     (one grid for a discrete family, whose lattice ignores the node count,
     or when n_z <= _SEARCH_NZ), the ``mu_count`` candidate means ``mus``,
@@ -568,17 +570,25 @@ class _Search:
                     future.result()
         return ai, vals, f"{len(starts)} chunks on {workers} workers"
 
-    def certify(self, name: str, ws, mus, method: str, steps: str) -> MixtureNull:
-        """The mixture (ws, mus) certified on ``cert``, in one DEBUG record with
-        both grids' node counts, the search's steps and the wall time of search
-        (from setup, so with both grids and Li's trace) and certification."""
+    def trace_row(self, it: int, d) -> dict:
+        """Row ``it`` of a trace: KL divergence from the alternative (0 at delta
+        = 0) and worst-case null expectation of mixture density d on ``cert``."""
+        sup, _ = self.cert.sup(d)
+        kl = float(self.cert.kl(d)) if self.cert.alt.delta else 0.0
+        return {"iter": it, "kl": kl, "sup_expectation": sup}
+
+    def result(self, name: str, ws, mus, method: str, steps: str,
+               trace: list[dict]) -> tuple[MixtureNull, list[dict]]:
+        """A search's result: the mixture (ws, mus) certified on ``cert`` and
+        ``trace``, in one DEBUG record with both grids' node counts, the steps
+        and the wall time of search (from setup) and certification."""
         t_cert = time.perf_counter()
         mix = _certify(self.cert, ws, mus, method)
         _log.debug("%s: search grid %d nodes, certification grid %d nodes, %s, "
                    "search %.3f s, certification %.3f s", name, self.grid.z.size,
                    self.cert.z.size, steps, t_cert - self.t_start,
                    time.perf_counter() - t_cert)
-        return mix
+        return mix, trace
 
 
 def li_approximate(
@@ -607,8 +617,8 @@ def li_approximate(
     records, per iteration, the KL divergence and the worst-case null
     expectation of the current ratio, and iteration stops early once that
     certificate is within 1e-6 of 1 (for families whose projection is a
-    single point this happens immediately).  The returned mixture is
-    certified on that grid too.
+    single point this happens immediately).  The mixture is certified on
+    that grid too.
     """
     _require_at_least(1, max_iters=max_iters)
     _require_at_least(2, n_alpha=n_alpha)
@@ -624,13 +634,11 @@ def li_approximate(
     d_cert = cert.tilt_rows([alt.mu0_star])[0].copy()
     # at delta = 0 the pooled mean is the alternative itself
     kl = float(grid.kl(d)) if alt.delta else 0.0
-    sup, _ = cert.sup(d_cert)
-    trace = [{"iter": 1, "kl": float(cert.kl(d_cert)) if alt.delta else 0.0,
-              "sup_expectation": sup}]
+    trace = [search.trace_row(1, d_cert)]
 
     rows = np.arange(mu_count)
     for it in range(2, max_iters + 1):
-        if sup <= _STOP_SUP:
+        if trace[-1]["sup_expectation"] <= _STOP_SUP:
             break
 
         ai, kls, _ = search.table(grid.kl, d[None, :], rows)
@@ -646,16 +654,13 @@ def li_approximate(
         d = a * d + (1.0 - a) * search.u[j]
         kl = kl_new
         d_cert = a * d_cert + (1.0 - a) * cert.tilt_rows([mu_new])[0]
-        sup, _ = cert.sup(d_cert)
-        trace.append({"iter": it, "kl": float(cert.kl(d_cert)),
-                      "sup_expectation": sup})
+        trace.append(search.trace_row(it, d_cert))
 
     comps = sorted(((w, mu) for mu, w in weights.items() if w > 0), key=lambda t: -t[0])
     total = sum(w for w, _ in comps)
     ws = [w / total for w, _ in comps]
-    mix = search.certify("li_approximate", ws, [m for _, m in comps], "li",
-                         f"{len(trace)} iterations")
-    return mix, trace
+    return search.result("li_approximate", ws, [m for _, m in comps], "li",
+                         f"{len(trace)} iterations", trace)
 
 
 def brute_force_two_component(
@@ -667,7 +672,7 @@ def brute_force_two_component(
     mu_hi: float | None = None,
     mu0_count: int = 1000,
     n_z: int = 3000,
-) -> MixtureNull:
+) -> tuple[MixtureNull, list[dict]]:
     """Two-component grid search minimizing the worst-case expectation.
 
     Candidates are (weight a, mu01, mu02) on equally spaced grids; the
@@ -683,7 +688,7 @@ def brute_force_two_component(
     each weight is the exhaustive sweep's grid point.  The table's chunks of
     a fixed number of pairs run on a thread per usable CPU (at most one per
     chunk, and on the calling thread when that is one), so the result does
-    not depend on the worker count.
+    not depend on the worker count.  Its trace is one row, on that mixture.
     """
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, mu0_count=mu0_count)
@@ -707,5 +712,7 @@ def brute_force_two_component(
         ws, mus = [1.0], [float(search.mus[j if a == 0.0 else i])]
     else:
         ws, mus = [a, 1.0 - a], [float(search.mus[i]), float(search.mus[j])]
-    return search.certify("brute_force_two_component", ws, mus, "brute_force_2",
-                          f"{pi.size} candidates ranked in {ran}, {top.size} re-ranked")
+    trace = [search.trace_row(1, search.cert.mixture(ws, mus))]
+    return search.result("brute_force_two_component", ws, mus, "brute_force_2",
+                         f"{pi.size} candidates ranked in {ran}, {top.size} re-ranked",
+                         trace)

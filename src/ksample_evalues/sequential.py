@@ -121,7 +121,7 @@ class StreamState:
         """Append one observation to stream ``group`` (1-based).
 
         A group that is no integer in 1..k (a float such as 1.5 or 1.0, a
-        string) and an out-of-support value are refused with a
+        bool, a string) and an out-of-support value are refused with a
         ``ValueError``, the state unchanged.
         Completes as many blocks as the buffers allow.  After a drain some
         buffer is short of its multiplicity, so a block can complete only
@@ -129,7 +129,8 @@ class StreamState:
         multiplicity.
         """
         try:
-            buf = self._buffers[group - 1] if 1 <= group <= self.k else None
+            buf = (self._buffers[group - 1]
+                   if not isinstance(group, bool) and 1 <= group <= self.k else None)
         except TypeError:  # no order against 1 ("1") or no list index (1.5)
             buf = None
         if buf is None:

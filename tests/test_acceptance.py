@@ -55,7 +55,7 @@ def table_searches():
         spec = make_family(name)
         alt = Alternative.from_means(spec, list(mus))
         t0 = time.time()
-        mix = ripr.brute_force_two_component(spec, alt)
+        mix, _ = ripr.brute_force_two_component(spec, alt)
         out.append((name, mus, published, published_sup, mix, time.time() - t0))
     return out
 
@@ -127,7 +127,7 @@ def test_criterion_1_beta_row_invariant_level():
     mus = [spec.mean_from_beta_mean(0.5), spec.mean_from_beta_mean(0.25)]
     alt = Alternative.from_means(spec, mus)
     t0 = time.time()
-    mix = ripr.brute_force_two_component(spec, alt)
+    mix, _ = ripr.brute_force_two_component(spec, alt)
     dt = time.time() - t0
     sup = mix.certificate.sup_expectation
     ok = 1.0 - 1e-6 <= sup <= 1.01 and dt <= 600.0

@@ -66,18 +66,19 @@ def no_work(monkeypatch):
     monkeypatch.setattr(Alternative, "from_means", classmethod(forbidden))
 
 
-@pytest.mark.parametrize("value", [2.5, "below"])
+@pytest.mark.parametrize("value", [2.5, True, "below"])
 @pytest.mark.parametrize("func, args, kwargs, name, least", SIZES,
                          ids=[f"{f.__name__}-{name}" for f, _, _, name, _ in SIZES])
 def test_sizes_and_seeds_refused_by_name(no_work, func, args, kwargs, name,
                                          least, value):
     # 2.5 was once truncated (count=10.7 certified over 10 points) or used
-    # as is (k), or failed inside numpy or scipy without naming the argument
+    # as is (k), or failed inside numpy or scipy without naming the argument;
+    # True once passed as 1
     if value == "below":
         value = least - 1
         match = f"^{name} must be at least {least}, got {value}$"
     else:
-        match = f"^{name} must be an integer, got 2.5$"
+        match = f"^{name} must be an integer, got {value}$"
     with pytest.raises(ValueError, match=match):
         func(*args, **{**kwargs, name: value})
 
@@ -86,6 +87,13 @@ def test_integral_float_size_refused():
     # 2.0 once passed simulate's own loop and then failed in np.empty
     with pytest.raises(ValueError, match="^trials must be an integer, got 2.0$"):
         sq.simulate(SPEC, ALT, "cond", 0.05, "threshold", trials=2.0, seed=0)
+
+
+def test_bool_size_refused():
+    # True once passed every check and then failed in np.empty with an
+    # unnamed "TypeError: an integer is required"
+    with pytest.raises(ValueError, match="^trials must be an integer, got True$"):
+        sq.simulate(SPEC, ALT, "cond", 0.05, "threshold", True, 0, max_blocks=5)
 
 
 @pytest.mark.parametrize("seed", [np.random.default_rng(0), 1.5])

@@ -224,6 +224,30 @@ class TestProject:
         payload = json.loads((tmp_path / "mix.json").read_text())
         assert payload["components"] == [{"w": 1.0, "mu0": 0.4}]
 
+    @pytest.mark.parametrize("family, mu, grids", [
+        ("exponential", "0.5,0.25", 2), ("geometric", "3.3333333333333335,1.25", 1)])
+    @pytest.mark.parametrize("method", ["li", "brute2"])
+    def test_search_builds_only_its_own_grids(self, capsys, tmp_path, monkeypatch,
+                                              family, mu, grids, method):
+        # brute2's trace row once came from a third grid, built by
+        # kl_to_mixture; both searches now return their trace
+        built = []
+        init = ripr._SumGrid.__init__
+
+        def counted(grid, *args, **kwargs):
+            built.append(args)
+            init(grid, *args, **kwargs)
+
+        monkeypatch.setattr(ripr._SumGrid, "__init__", counted)
+        monkeypatch.setattr(ripr, "kl_to_mixture",
+                            lambda *a: pytest.fail("kl_to_mixture called"))
+        code, _, _ = run(capsys, "--out-dir", str(tmp_path), "project",
+                         "--family", family, "--mu", mu, "--method", method,
+                         "--max-iters", "2", "--out", "mix.json", "--trace", "t.csv")
+        assert code == 0 and len(built) == grids
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert rows[0] == "iter,kl,sup_expectation" and len(rows) >= 2
+
     def test_evaluate_with_projected_mixture(self, capsys, tmp_path):
         run(
             capsys,
@@ -243,12 +267,14 @@ class TestProject:
 
 
 def write_mixture(path, family, means, fixed=None, beta_means=False, config=True):
-    """A one-component mixture file as 'ksev project' lays it out."""
+    """A one-component mixture file as 'ksev project' lays it out (with
+    ``config=False``, without its config)."""
     spec = make_family(family, **(fixed or {}))
     mus = [spec.mean_from_beta_mean(m) for m in means] if beta_means else means
     alt = Alternative.from_means(spec, mus)
     cert = ripr.Certificate(1.0, 1000, min(mus), max(mus), "point", alt.mu0_star)
-    payload = ripr.MixtureNull(((1.0, alt.mu0_star),), cert).to_json_dict()
+    payload = {"components": [{"w": 1.0, "mu0": alt.mu0_star}],
+               "certificate": cert.to_dict()}
     if config:
         payload["config"] = {"family": family, "fixed_params": fixed or {},
                              "mean_params": list(means)}
@@ -287,15 +313,28 @@ class TestMixtureConfig:
 
     @pytest.mark.parametrize("config", [None, {"family": "exponential"}])
     def test_file_without_config_refused(self, tmp_path, config):
+        # the library's refusal, the one message for a certificate without
+        # its problem, with the file's path
         mix = write_mixture(tmp_path / "mix.json", "exponential", [0.5, 0.25],
                             config=False)
+        payload = json.loads((tmp_path / "mix.json").read_text())
         if config is not None:
-            payload = json.loads((tmp_path / "mix.json").read_text())
             payload["config"] = config
             (tmp_path / "mix.json").write_text(json.dumps(payload))
-        with pytest.raises(SystemExit, match="no 'config'"):
+        with pytest.raises(ValueError) as library:
+            ripr.MixtureNull.from_json_dict(payload)
+        if config is None:
+            cert = ripr.Certificate(**payload["certificate"])
+            with pytest.raises(ripr.CertificationError) as built:
+                ripr.MixtureNull(((1.0, 0.375),), cert)
+            assert str(built.value) == str(library.value)
+            assert "config=spec.to_config(means)" in str(library.value)
+        else:
+            assert "needs 'family' and 'mean_params'" in str(library.value)
+        with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--family", "exponential", "--mu", "0.5,0.25",
                   "--kind", "gro_m", "--block", "0.7,0.4", "--mixture", mix])
+        assert str(exc.value) == f"{mix}: {library.value}"
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda p: p.pop("components"), "mixture is missing 'components'"),
@@ -328,13 +367,15 @@ class TestMixtureConfig:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"{mix}: {reason}\n"
 
-    @pytest.mark.parametrize("text", ['[{"components": []}]',
-                                      '{"components": [], "config": 5}'])
-    def test_file_without_config_object_refused(self, tmp_path, text):
+    @pytest.mark.parametrize("text, reason", [
+        ('[{"components": []}]', """mixture must be a JSON object, got [{'components': []}]"""),
+        ('{"components": [{"w": 1.0, "mu0": 0.3}], "config": 5}',
+         "config must be a JSON object, got 5")])
+    def test_file_without_config_object_refused(self, tmp_path, text, reason):
         # these once ended in an AttributeError and a TypeError traceback
         mix = tmp_path / "mix.json"
         mix.write_text(text)
-        with pytest.raises(SystemExit, match=f"^{re.escape(str(mix))}: .*no 'config'"):
+        with pytest.raises(SystemExit, match=f"^{re.escape(f'{mix}: {reason}')}$"):
             main(["evaluate", *EXPO, "--kind", "gro_m", "--block", "0.7,0.4",
                   "--mixture", str(mix)])
 

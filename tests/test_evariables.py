@@ -205,13 +205,17 @@ class TestGroM:
 
     @pytest.mark.parametrize("bound", [True, False], ids=["bound", "by-hand"])
     def test_certificate_attached_to_result(self, bound):
-        # a mixture built by hand has no config and is taken on trust
+        # a mixture built by hand carries its problem like a searched one;
+        # without it, it was once taken on trust and is now refused
         spec = make_family("exponential")
         alt = Alternative.from_means(spec, [0.5, 0.25])
         mix = ripr.point_mixture(spec, alt, alt.mu0_star)
         want = ev.log_evalue(spec, alt, [0.7, 0.4], "gro_m", mixture=mix).log_evalue
         if not bound:
-            mix = ripr.MixtureNull(mix.components, mix.certificate)
+            with pytest.raises(ripr.CertificationError, match="has no config"):
+                ripr.MixtureNull(mix.components, mix.certificate)
+            mix = ripr.MixtureNull(mix.components, mix.certificate,
+                                   {"family": "exponential", "mean_params": [0.5, 0.25]})
         res = ev.log_evalue(spec, alt, [0.7, 0.4], "gro_m", mixture=mix)
         assert res.log_evalue == want
         assert res.certificate == mix.certificate.to_dict()

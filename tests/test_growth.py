@@ -166,7 +166,7 @@ class TestGrowthRates:
         # computable e-values, all up to quadrature/certificate tolerance
         spec = make_family("gaussian_variance")
         alt = Alternative.from_means(spec, [0.5, 0.25])
-        mix = ripr.brute_force_two_component(
+        mix, _ = ripr.brute_force_two_component(
             spec, alt, n_alpha=40, mu_count=40, mu0_count=300
         )
         tol = 3e-6

@@ -1,5 +1,7 @@
+import json
 import logging
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +18,10 @@ from ksample_evalues import growth as gr
 from ksample_evalues import ripr
 
 
+# the problem of the hand-built certificates below
+EXPO_CONFIG = {"family": "exponential", "fixed_params": {}, "mean_params": [0.5, 0.25]}
+
+
 @pytest.fixture(scope="module")
 def expo():
     spec = make_family("exponential")
@@ -26,9 +32,10 @@ def expo():
 def expo_pair(expo):
     """A certified two-component mixture for exponential (0.5, 0.25)."""
     spec, alt = expo
-    return ripr.brute_force_two_component(
+    mix, _ = ripr.brute_force_two_component(
         spec, alt, n_alpha=30, mu_count=30, mu0_count=200
     )
+    return mix
 
 
 @pytest.fixture
@@ -72,7 +79,7 @@ class TestMixtureNullValidation:
     def test_certificate_cannot_sit_below_one(self):
         cert = ripr.Certificate(0.95, 100, 0.1, 1.0, "li", 0.5)
         with pytest.raises(ValueError, match="below 1"):
-            ripr.MixtureNull(((1.0, 0.3),), cert)
+            ripr.MixtureNull(((1.0, 0.3),), cert, EXPO_CONFIG)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_or_mean_refused(self, bad):
@@ -94,7 +101,7 @@ class TestMixtureNullValidation:
         with pytest.raises(ValueError, match=msg):
             ripr.Certificate(**{**good, field: bad})
         cert = ripr.Certificate(**good)
-        payload = ripr.MixtureNull(((1.0, 0.3),), cert).to_json_dict()
+        payload = ripr.MixtureNull(((1.0, 0.3),), cert, EXPO_CONFIG).to_json_dict()
         payload["certificate"][field] = bad
         with pytest.raises(ValueError, match=msg):
             ripr.MixtureNull.from_json_dict(payload)
@@ -136,20 +143,55 @@ class TestMixtureNullValidation:
     ])
     def test_malformed_file_refused_by_key(self, edit, match):
         cert = ripr.Certificate(1.0005, 100, 0.1, 1.0, "li", 0.5)
-        payload = ripr.MixtureNull(((1.0, 0.3),), cert).to_json_dict()
+        payload = ripr.MixtureNull(((1.0, 0.3),), cert, EXPO_CONFIG).to_json_dict()
         edit(payload)
         with pytest.raises(ValueError, match=match):
             ripr.MixtureNull.from_json_dict(payload)
 
     def test_json_roundtrip(self):
         cert = ripr.Certificate(1.0005, 1000, 0.1, 1.0, "brute_force_2", 0.4)
-        problem = {"family": "exponential", "fixed_params": {},
-                   "mean_params": [0.5, 0.25]}
-        for config in (None, problem):
-            mix = ripr.MixtureNull(((0.6, 0.3), (0.4, 0.45)), cert, config)
+        for certificate, config in ((None, None), (None, EXPO_CONFIG),
+                                    (cert, EXPO_CONFIG)):
+            mix = ripr.MixtureNull(((0.6, 0.3), (0.4, 0.45)), certificate, config)
             back = ripr.MixtureNull.from_json_dict(mix.to_json_dict())
             assert back == mix
             assert back.config == config
+
+    def test_certificate_without_config_refused(self):
+        # a certified mixture without its problem was once taken on trust
+        cert = ripr.Certificate(1.0005, 1000, 0.1, 1.0, "brute_force_2", 0.4)
+        comps = ((0.6, 0.3), (0.4, 0.45))
+        msg = ("certified mixture has no config, so its problem is unknown; "
+               "give config=spec.to_config(means)")
+        with pytest.raises(ripr.CertificationError, match=f"^{re.escape(msg)}$"):
+            ripr.MixtureNull(comps, cert)
+        payload = {"components": [{"w": w, "mu0": m} for w, m in comps],
+                   "certificate": cert.to_dict()}
+        with pytest.raises(ripr.CertificationError, match=f"^{re.escape(msg)}$"):
+            ripr.MixtureNull.from_json_dict(payload)
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"mu0_lo": 1.0, "mu0_hi": 0.1},
+         r"^certificate needs mu0_lo <= mu0_hi, got 1\.0 > 0\.1$"),
+        ({"argmax_mu0": 1.5},
+         r"^certificate argmax_mu0=1\.5 lies outside \[0\.1, 1\.0\]$"),
+        ({"argmax_mu0": 0.05}, r"^certificate argmax_mu0=0\.05 lies outside "),
+        ({"mu0_lo": 0.3, "mu0_hi": 0.3, "argmax_mu0": 0.3000001},
+         r"^certificate argmax_mu0=0\.3000001 lies outside "),
+    ], ids=["window-reversed", "argmax-above", "argmax-below", "one-point"])
+    def test_certificate_window_refused(self, edit, match):
+        # a mixture file could state either; _SumGrid refused the first only
+        # once a grid was built
+        good = {"sup_expectation": 1.0005, "mu0_grid_size": 100, "mu0_lo": 0.1,
+                "mu0_hi": 1.0, "method": "li", "argmax_mu0": 0.5}
+        with pytest.raises(ValueError, match=match):
+            ripr.Certificate(**{**good, **edit})
+        payload = {"components": [{"w": 1.0, "mu0": 0.3}],
+                   "certificate": {**good, **edit}, "config": EXPO_CONFIG}
+        with pytest.raises(ValueError, match=match):
+            ripr.MixtureNull.from_json_dict(payload)
+        one_point = {**good, "mu0_lo": 0.3, "mu0_hi": 0.3, "argmax_mu0": 0.3}
+        assert ripr.Certificate(**one_point).argmax_mu0 == 0.3
 
 
 class TestProblemBinding:
@@ -157,7 +199,7 @@ class TestProblemBinding:
         spec, alt = expo
         want = {"family": "exponential", "fixed_params": {}, "mean_params": [0.5, 0.25]}
         li, _ = ripr.li_approximate(spec, alt, max_iters=2, n_z=400)
-        brute = ripr.brute_force_two_component(
+        brute, _ = ripr.brute_force_two_component(
             spec, alt, n_alpha=5, mu_count=6, mu0_count=40, n_z=400)
         point = ripr.point_mixture(spec, alt, alt.mu0_star)
         for mix in (li, brute, point):
@@ -179,14 +221,37 @@ class TestProblemBinding:
         # a 'ksev project' file may omit default fixed params and give beta
         # means of the observation
         cert = ripr.Certificate(1.0, 100, -2.0, -0.1, "li", -1.0)
-        payload = ripr.MixtureNull(((1.0, -1.0),), cert).to_json_dict()
-        payload["config"] = {"family": "beta", "mean_params": [0.5, 0.25],
-                             "beta_means": True}
+        config = {"family": "beta", "mean_params": [0.5, 0.25], "beta_means": True}
+        payload = {"components": [{"w": 1.0, "mu0": -1.0}],
+                   "certificate": cert.to_dict(), "config": config}
         mix = ripr.MixtureNull.from_json_dict(payload)
         spec = make_family("beta_fixed_alpha")
         means = [spec.mean_from_beta_mean(m) for m in (0.5, 0.25)]
         assert mix.config == spec.to_config(means)
         mix.require_problem(spec, means)
+
+    def test_hand_built_config_equals_the_file(self, tmp_path):
+        # the constructor resolves a config as a file read does: the same
+        # problem stated by hand and read back from a file compares equal
+        cert = ripr.Certificate(1.0, 100, -2.0, -0.1, "li", -1.0)
+        config = {"family": "beta", "mean_params": [0.5, 0.25], "beta_means": True}
+        by_hand = ripr.MixtureNull(((1.0, -1.0),), cert, config)
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps({"components": [{"w": 1.0, "mu0": -1.0}],
+                                    "certificate": cert.to_dict(),
+                                    "config": config}))
+        from_file = ripr.MixtureNull.from_json_dict(json.loads(path.read_text()))
+        assert by_hand == from_file
+        assert by_hand.config == from_file.config == {
+            "family": "beta_fixed_alpha", "fixed_params": {"alpha": 1.0},
+            "mean_params": from_file.config["mean_params"]}
+        assert ripr.MixtureNull.from_json_dict(by_hand.to_json_dict()) == by_hand
+        # an uncertified mixture's config is resolved alike
+        assert ripr.MixtureNull(((1.0, -1.0),), None, config).config == by_hand.config
+
+    def test_config_that_is_no_object_refused(self):
+        with pytest.raises(ValueError, match=r"^config must be a JSON object, got 5$"):
+            ripr.MixtureNull(((1.0, 0.3),), None, 5)
 
     def test_beta_means_on_another_family_refused(self):
         payload = ripr.MixtureNull(((1.0, 0.4),)).to_json_dict()
@@ -339,7 +404,7 @@ class TestKLToMixture:
 
     def test_two_components_beat_best_single(self, expo):
         spec, alt = expo
-        mix2 = ripr.brute_force_two_component(
+        mix2, _ = ripr.brute_force_two_component(
             spec, alt, n_alpha=40, mu_count=40, mu0_count=300
         )
         kl2 = ripr.kl_to_mixture(spec, alt, mix2)
@@ -424,7 +489,8 @@ class TestBruteForce:
         spec = make_family("beta_fixed_alpha", alpha=2.0)
         alt = Alternative.from_means(spec, [-3.0, -1.5])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            mix = ripr.brute_force_two_component(spec, alt, mu_count=50, mu0_count=400)
+            mix, _ = ripr.brute_force_two_component(spec, alt, mu_count=50,
+                                                    mu0_count=400)
         assert mix.certificate.sup_expectation < 1.005
 
     def test_callers_errstate_holds_in_the_workers(self):
@@ -447,7 +513,7 @@ class TestBruteForce:
         mixtures = []
         for cpus in ({0}, set(range(8))):
             monkeypatch.setattr(ripr.os, "sched_getaffinity", lambda pid, c=cpus: c)
-            mixtures.append(ripr.brute_force_two_component(spec, alt).to_json_dict())
+            mixtures.append(ripr.brute_force_two_component(spec, alt)[0].to_json_dict())
         assert mixtures[0] == mixtures[1]
         logged = [r.getMessage() for r in caplog.records
                   if r.name == "ksample_evalues.ripr"]
@@ -556,7 +622,7 @@ class TestDegenerateGrids:
 
     def test_smallest_grids_accepted(self, expo):
         spec, alt = expo
-        mix = ripr.brute_force_two_component(
+        mix, _ = ripr.brute_force_two_component(
             spec, alt, n_alpha=2, mu_count=1, mu0_count=1, n_z=400)
         assert len(mix.components) == 1
         mix, _ = ripr.li_approximate(spec, alt, max_iters=3, n_alpha=2,
@@ -718,8 +784,8 @@ class TestSearchesMatchFullSweep:
     def test_brute2(self, name, fixed, mus):
         spec, alt = _oracle_problem(name, fixed, mus)
         want, sups = _brute2_sweep(spec, alt, mu_count=20, mu0_count=200)
-        got = ripr.brute_force_two_component(spec, alt, mu_count=20,
-                                             mu0_count=200)
+        got, _ = ripr.brute_force_two_component(spec, alt, mu_count=20,
+                                                mu0_count=200)
         assert got.to_json_dict() == want.to_json_dict()
         _assert_discretely_convex(sups)
 
@@ -745,8 +811,8 @@ class TestSearchGridResolution:
         spec, alt = _oracle_problem(name, fixed, mus)
         want, _ = _brute2_sweep(spec, alt, mu_count=20, mu0_count=200,
                                 search_nz=3000)
-        got = ripr.brute_force_two_component(spec, alt, mu_count=20,
-                                             mu0_count=200)
+        got, _ = ripr.brute_force_two_component(spec, alt, mu_count=20,
+                                                mu0_count=200)
         assert got.to_json_dict() == want.to_json_dict()
 
     @pytest.mark.parametrize("name,fixed,mus", _ORACLE_ROWS)
@@ -772,6 +838,75 @@ class TestSearchGridResolution:
         assert mix.certificate.sup_expectation == trace[0]["sup_expectation"]
         with pytest.raises(ripr.ComputationError, match="edge mass fraction"):
             ripr.li_approximate(spec, alt, max_iters=1, n_z=ripr._SEARCH_NZ)
+
+
+class TestSearchResult:
+    """Both searches return (mixture, trace) through ``_Search.result``, and
+    ``_Search.trace_row`` writes every trace row on the certification grid."""
+
+    @pytest.mark.parametrize("name, mus", [
+        ("exponential", [0.5, 0.25]), ("geometric", [10.0 / 3, 1.25]),
+        ("gaussian_variance", [0.5, 0.25])])
+    def test_brute2_row_is_kl_to_mixture_and_the_certificate(self, name, mus):
+        # at default windows brute2's certification grid is the grid of
+        # kl_to_mixture, which once wrote this row in 'ksev project'
+        spec = make_family(name)
+        alt = Alternative.from_means(spec, mus)
+        mix, trace = ripr.brute_force_two_component(spec, alt, n_alpha=20, mu_count=20)
+        assert trace == [{"iter": 1, "kl": ripr.kl_to_mixture(spec, alt, mix),
+                          "sup_expectation": mix.certificate.sup_expectation}]
+
+    @pytest.mark.parametrize("name, mus", [
+        ("exponential", [0.5, 0.25]), ("geometric", [10.0 / 3, 1.25]),
+        ("exponential", [0.4, 0.4])])
+    def test_both_traces_share_keys_and_end_at_the_certificate(self, name, mus):
+        spec = make_family(name)
+        alt = Alternative.from_means(spec, mus)
+        li, li_trace = ripr.li_approximate(spec, alt, max_iters=4)
+        bf, bf_trace = ripr.brute_force_two_component(spec, alt, n_alpha=20,
+                                                      mu_count=20)
+        assert [list(row) for row in li_trace + bf_trace] == \
+            [["iter", "kl", "sup_expectation"]] * (len(li_trace) + 1)
+        assert bf_trace[-1]["sup_expectation"] == bf.certificate.sup_expectation
+        # Li's rows are on its running density, the certified components
+        # summed in another order
+        assert li_trace[-1]["sup_expectation"] == pytest.approx(
+            li.certificate.sup_expectation, rel=1e-12, abs=0.0)
+        if not alt.delta:
+            assert li_trace[0]["kl"] == bf_trace[0]["kl"] == 0.0
+
+
+class TestCertRows:
+    @pytest.mark.parametrize("name, fixed, mus", [
+        ("geometric", {}, [10.0 / 3, 1.25]), ("gaussian_variance", {}, [0.5, 0.25]),
+        ("exponential", {}, [0.5, 0.25]), ("poisson", {}, [5.0, 0.1]),
+        ("beta_fixed_alpha", {"alpha": 2.0}, [-1.0, -0.5]),
+        ("beta_fixed_alpha", {"alpha": 2.5}, [-1.0, -0.5]),
+    ])
+    def test_stored_row_is_the_rebuilt_tilt_row(self, name, fixed, mus):
+        # check_edges reads its integrand from cert_rows(); a tilt row built
+        # for one mean, times wm, has the same bits
+        spec = make_family(name, **fixed)
+        alt = Alternative.from_means(spec, mus)
+        grid = ripr._SumGrid(spec, alt)
+        rows = grid.cert_rows()
+        for i in range(0, grid.mu0s.size, 37):
+            assert np.array_equal(grid.tilt_rows([grid.mu0s[i]])[0] * grid.wm, rows[i])
+
+    def test_edge_check_builds_no_tilt_row(self, expo, monkeypatch):
+        spec, alt = expo
+        grid = ripr._SumGrid(spec, alt, 200)
+        d = grid.mixture([0.5, 0.5], [0.3, 0.45])
+        sup, i = grid.sup(d)
+        assert sup == float(grid.expectations(d)[i])
+        monkeypatch.setattr(grid, "tilt_rows", lambda *a: pytest.fail("tilt row built"))
+        grid.check_edges(d, i)
+        coarse = ripr._SumGrid(spec, alt, 200, n_z=ripr._SEARCH_NZ)
+        point = coarse.mixture([1.0], [alt.mu0_star])
+        _, i = coarse.sup(point)
+        with pytest.raises(ripr.ComputationError,
+                           match=f"not converged at mu0={float(coarse.mu0s[i])}: "):
+            coarse.check_edges(point, i)
 
 
 class TestLogging:
@@ -834,7 +969,7 @@ class TestCertificateReproduces:
         if search == "li":
             mix, _ = ripr.li_approximate(spec, alt, max_iters=4)
         else:
-            mix = ripr.brute_force_two_component(
+            mix, _ = ripr.brute_force_two_component(
                 spec, alt, n_alpha=10, mu_count=10, mu0_count=200
             )
         cert = mix.certificate

@@ -144,8 +144,9 @@ class TestIngest:
         assert st.pending() == (0, 1)
         assert st.blocks_completed == 1
 
-    @pytest.mark.parametrize("group", [3, 0, -1, 1.5, 1.0, "1", None, math.nan],
-                             ids=repr)
+    # True was once filed under group 1
+    @pytest.mark.parametrize("group", [3, 0, -1, 1.5, 1.0, "1", None, math.nan,
+                                       True, False], ids=repr)
     def test_bad_group_refused_by_name(self, state, group):
         state.ingest(1, 1)
         with pytest.raises(ValueError) as excinfo:
