@@ -370,7 +370,7 @@ class TestMixtureConfig:
     @pytest.mark.parametrize("text, reason", [
         ('[{"components": []}]', """mixture must be a JSON object, got [{'components': []}]"""),
         ('{"components": [{"w": 1.0, "mu0": 0.3}], "config": 5}',
-         "config must be a JSON object, got 5")])
+         "config must be a JSON object, got 5")], ids=["file", "config"])
     def test_file_without_config_object_refused(self, tmp_path, text, reason):
         # these once ended in an AttributeError and a TypeError traceback
         mix = tmp_path / "mix.json"
