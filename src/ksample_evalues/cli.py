@@ -77,9 +77,49 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _spec_alt(cfg):
+def _problem(args, kinds):
+    """The run's configuration, family, alternative and ``--mixture``.
+
+    A ``--mixture`` file is refused by name, unopened, unless one of
+    ``kinds`` is ``gro_m``, and otherwise read naming its path in a refusal.
+    The statistic refuses it unless its problem is the run's
+    (``evariables._check_mixture``), means compared after the --beta-means
+    conversion and any multiplicity expansion."""
+    path = getattr(args, "mixture", None)
+    if path and ev.EValueKind.GRO_M not in kinds:
+        raise ValueError(f"--mixture {path} is read by kind gro_m only, not by "
+                         f"{', '.join(k.value for k in kinds)}")
+    cfg = _load_config(args)
     spec, means = problem_from_config(cfg)
-    return spec, Alternative.from_means(spec, means)
+    mixture = None
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        try:
+            mixture = ripr.MixtureNull.from_json_dict(payload)
+        except ValueError as exc:
+            raise SystemExit(f"{path}: {exc}")
+    return cfg, spec, Alternative.from_means(spec, means), mixture
+
+
+def _lines(path: str):
+    """("path:line", text) for each line of the file at ``path`` that is
+    neither blank nor a '#' comment, stripped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield f"{path}:{ln}", line
+
+
+def _stream_line(line: str) -> tuple[int, float]:
+    """The group and value of a 'group,value' line, refused by name otherwise."""
+    try:
+        group_txt, value_txt = line.split(",", 1)
+        return int(group_txt), float(value_txt)
+    except ValueError:
+        raise ValueError("a stream line must be 'group,value' with an integer group "
+                         f"and a number, got {line!r}") from None
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -101,10 +141,10 @@ def _report(args, payload: dict, cfg: dict) -> None:
         sys.stdout.write(text)
 
 
-def _evalue(log_evalue: float) -> float | None:
-    """e^log_evalue for a JSON report, as ``EValueResult.evalue``, or None
-    (null) where it overflows a double: JSON has no infinity."""
-    value = ev._exp(log_evalue)
+def _json_float(value: float) -> float | None:
+    """``value`` for a JSON report, or None (null) where it is infinite: JSON
+    has no infinity.  An e-value e^log_evalue (``evariables._exp``) or a
+    Type-I bound factor c^B is inf once it leaves the double range."""
     return None if math.isinf(value) else value
 
 
@@ -138,43 +178,24 @@ def _multiplicities(args) -> list[int] | None:
     return _parse_ints("--multiplicities", args.multiplicities)
 
 
-def _load_mixture(path: str) -> ripr.MixtureNull:
-    """Read a mixture file, naming it in a refusal.  The statistic refuses it
-    unless its problem is the run's (``evariables._check_mixture``), means
-    compared after the --beta-means conversion and any multiplicity expansion."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        return ripr.MixtureNull.from_json_dict(payload)
-    except ValueError as exc:
-        raise SystemExit(f"{path}: {exc}")
-
-
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    spec, alt = _spec_alt(cfg)
     kind = ev.EValueKind(args.kind)
-    mixture = _load_mixture(args.mixture) if args.mixture else None
+    cfg, spec, alt, mixture = _problem(args, [kind])
     if args.stream:
         return _evaluate_stream(args, cfg, spec, alt, kind, mixture)
     blocks = []
     if args.block:
         blocks.append(("--block", _parse_floats("--block", args.block)))
     if args.data:
-        with open(args.data, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                where = f"{args.data}:{ln}"
-                try:
-                    blocks.append((where, _parse_floats("a block", line)))
-                except ValueError as exc:
-                    raise SystemExit(f"{where}: {exc}")
+        for where, line in _lines(args.data):
+            try:
+                blocks.append((where, _parse_floats("a block", line)))
+            except ValueError as exc:
+                raise SystemExit(f"{where}: {exc}")
     if not blocks:
         raise SystemExit("nothing to evaluate: give --block, --data or --stream")
     log_statistic = ev._statistic(spec, alt, kind, mixture)
-    cert = mixture.certificate_dict() if kind is ev.EValueKind.GRO_M else None
+    cert = mixture.certificate_dict() if mixture is not None else None
     results = []
     total = 0.0
     for where, blk in blocks:
@@ -184,7 +205,7 @@ def cmd_evaluate(args) -> int:
             raise SystemExit(f"{where}: {exc}")
         total += log_evalue
         row = {"block": blk, "kind": kind.value, "log_evalue": log_evalue,
-               "evalue": _evalue(log_evalue)}
+               "evalue": _json_float(ev._exp(log_evalue))}
         if cert is not None:
             row["certificate"] = cert
         results.append(row)
@@ -198,20 +219,17 @@ def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
         spec, alt, kind, alpha=args.alpha, multiplicities=_multiplicities(args),
         mixture=mixture,
     )
-    with open(args.stream, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("group"):
-                continue
-            try:
-                group_txt, value_txt = line.split(",", 1)
-                state.ingest(int(group_txt), float(value_txt))
-            except (ValueError, ComputationError) as exc:
-                raise SystemExit(f"{args.stream}:{ln}: {exc}")
+    for where, line in _lines(args.stream):
+        if line.lower().startswith("group"):  # a header
+            continue
+        try:
+            state.ingest(*_stream_line(line))
+        except (ValueError, ComputationError) as exc:
+            raise SystemExit(f"{where}: {exc}")
     payload = {
         "blocks_completed": state.blocks_completed,
         "log_evalue": state.log_evalue,
-        "evalue": _evalue(state.log_evalue),
+        "evalue": _json_float(ev._exp(state.log_evalue)),
         "decision": state.decide().value,
         "pending": list(state.pending()),
         "kind": kind.value,
@@ -219,17 +237,14 @@ def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
     }
     caveat = state.validity_caveat()
     if caveat is not None:
-        # null where c^B overflows, as for the e-value: JSON has no infinity
-        factor = caveat["type1_bound_factor"]
         payload["validity_caveat"] = {
-            **caveat, "type1_bound_factor": None if math.isinf(factor) else factor}
+            **caveat, "type1_bound_factor": _json_float(caveat["type1_bound_factor"])}
     _report(args, payload, cfg)
     return 0
 
 
 def cmd_project(args) -> int:
-    cfg = _load_config(args)
-    spec, alt = _spec_alt(cfg)
+    cfg, spec, alt, _ = _problem(args, [])
     if args.method == "li":
         mixture, trace = ripr.li_approximate(
             spec, alt, max_iters=args.max_iters, mu_lo=args.mu_lo, mu_hi=args.mu_hi
@@ -247,10 +262,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    cfg = _load_config(args)
-    spec, alt = _spec_alt(cfg)
     kinds = _parse_kinds(args.kinds)
-    mixture = _load_mixture(args.mixture) if args.mixture else None
+    cfg, spec, alt, mixture = _problem(args, kinds)
     report = gr.growth_report(
         spec,
         alt,
@@ -307,10 +320,8 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    spec, alt = _spec_alt(cfg)
+    cfg, spec, alt, mixture = _problem(args, [ev.EValueKind(args.kind)])
     mult = _multiplicities(args)
-    mixture = _load_mixture(args.mixture) if args.mixture else None
     summary = sq.simulate(
         spec,
         alt,

@@ -426,11 +426,13 @@ def null_expectation_profile(
 
 
 def _mc_draws(spec: FamilySpec, means, n: int, rng) -> np.ndarray:
-    """n blocks (shape [n, k]) from ``rng``, coordinate i drawn at means[i]."""
+    """n blocks (shape [n, k]) from ``rng``, coordinate i drawn at means[i],
+    checked once against the support (``check_support``), so a built
+    statistic scores them as they are."""
     x = np.empty((n, len(means)))
     for i, m in enumerate(means):
         x[:, i] = spec.sample(m, n, rng)
-    return x
+    return spec.check_support(x)
 
 
 def _mean_stderr(v) -> tuple[float, float]:
@@ -451,7 +453,7 @@ def null_expectation_mc(
     n >= 2 blocks."""
     _require_at_least(2, n=n)
     x = _mc_draws(spec, [mu0] * alt.k, n, as_generator(seed))
-    return _mean_stderr(np.exp(_log_statistic(spec, alt, x, kind, mixture)))
+    return _mean_stderr(np.exp(_statistic(spec, alt, kind, mixture)(x)))
 
 
 def log_evalue(

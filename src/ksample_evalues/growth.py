@@ -189,8 +189,7 @@ def growth_report(
     if alt.delta == 0.0:
         entries = {kind: GrowthEntry(kind, 0.0, 0.0, method) for kind in kinds}
     elif method == "mc":
-        x = spec.check_support(
-            ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, 0)))
+        x = ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, 0))
         entries = {kind: GrowthEntry(kind, *ev._mean_stderr(ev._statistic(
             spec, alt, kind, mixture)(x)), method) for kind in kinds}
     else:
@@ -381,8 +380,7 @@ def heatmap(
         try:
             alt = Alternative.from_means(spec, [mus[i], mus[j]])
             if method == "mc":
-                x = spec.check_support(
-                    ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, i, j)))
+                x = ev._mc_draws(spec, alt.mu, mc_n, spawn_generator(seed, i, j))
                 gap[i, j], se[i, j] = ev._mean_stderr(
                     ev._statistic(spec, alt, kind_a)(x)
                     - ev._statistic(spec, alt, kind_b)(x))

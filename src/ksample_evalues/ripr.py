@@ -39,7 +39,10 @@ the exhaustive sweep's grid point, ties going to the lowest index.  The
 table's fixed-size chunks run on a thread per usable CPU, at most one per
 chunk, or on the calling thread when that is one (Li at default sizes), so no
 result depends on the worker count.  Both searches rank the table by one rule
-(``_ranked``): lowest objective, then weight, then candidate.
+(``_ranked``): lowest objective, then weight, then candidate.  A trace row is
+computed on the components of the mixture the certificate takes at that step,
+by the certificate's own computation, so a trace's last row equals its
+certificate bit for bit.
 
 Every null expectation here reduces to a one-dimensional integral: a mixture
 of i.i.d. product nulls depends on the block only through the sum z of the
@@ -570,9 +573,12 @@ class _Search:
                     future.result()
         return ai, vals, f"{len(starts)} chunks on {workers} workers"
 
-    def trace_row(self, it: int, d) -> dict:
+    def trace_row(self, it: int, ws, mus) -> dict:
         """Row ``it`` of a trace: KL divergence from the alternative (0 at delta
-        = 0) and worst-case null expectation of mixture density d on ``cert``."""
+        = 0) and worst-case null expectation of the mixture (ws, mus) on
+        ``cert``, its density built as ``_certify`` builds it, so a row on
+        the certified components carries the certificate's value."""
+        d = self.cert.mixture(ws, mus)
         sup, _ = self.cert.sup(d)
         kl = float(self.cert.kl(d)) if self.cert.alt.delta else 0.0
         return {"iter": it, "kl": kl, "sup_expectation": sup}
@@ -612,29 +618,29 @@ def li_approximate(
     sizes (one chunk); ties go to the lowest KL, then the lowest a, then the
     lowest candidate.  Keeping a = 1 is always available (``n_alpha >= 2``),
     so the search grid's KL is nonincreasing.  The steps run on the search
-    grid of at most ``_SEARCH_NZ`` nodes; the current mixture is also kept on
-    the n_z-node certification grid, with the same update.  There the trace
-    records, per iteration, the KL divergence and the worst-case null
-    expectation of the current ratio, and iteration stops early once that
-    certificate is within 1e-6 of 1 (for families whose projection is a
-    single point this happens immediately).  The mixture is certified on
-    that grid too.
+    grid of at most ``_SEARCH_NZ`` nodes.  The trace records, per iteration,
+    the KL divergence and the worst-case null expectation of the current
+    ratio on the n_z-node certification grid, each row computed on the
+    mixture the certificate would take at that step (``_Search.trace_row``
+    of the current components, normalized and sorted as the result is), so
+    the last row is the certificate's own value.  Iteration stops early once
+    that value is within 1e-6 of 1 (for families whose projection is a
+    single point this happens immediately).
     """
     _require_at_least(1, max_iters=max_iters)
     _require_at_least(2, n_alpha=n_alpha)
     _require_at_least(1, mu_count=mu_count, cert_count=cert_count)
     search = _Search(spec, alt, cert_count, mu_lo, mu_hi, n_z, mu_count, n_alpha)
-    grid, cert = search.grid, search.cert
+    grid = search.grid
 
     # first component: the single-point projection has the closed-form
     # minimizer at the pooled mean, no grid search needed.  d and kl are on
-    # the search grid, d_cert on the certification grid.
+    # the search grid; each trace row is on the certification grid.
     weights = {float(alt.mu0_star): 1.0}
     d = grid.tilt_rows([alt.mu0_star])[0].copy()
-    d_cert = cert.tilt_rows([alt.mu0_star])[0].copy()
     # at delta = 0 the pooled mean is the alternative itself
     kl = float(grid.kl(d)) if alt.delta else 0.0
-    trace = [search.trace_row(1, d_cert)]
+    trace = [search.trace_row(1, *_components(weights))]
 
     rows = np.arange(mu_count)
     for it in range(2, max_iters + 1):
@@ -653,14 +659,18 @@ def li_approximate(
         weights[mu_new] = weights.get(mu_new, 0.0) + (1.0 - a)
         d = a * d + (1.0 - a) * search.u[j]
         kl = kl_new
-        d_cert = a * d_cert + (1.0 - a) * cert.tilt_rows([mu_new])[0]
-        trace.append(search.trace_row(it, d_cert))
+        trace.append(search.trace_row(it, *_components(weights)))
 
+    return search.result("li_approximate", *_components(weights), "li",
+                         f"{len(trace)} iterations", trace)
+
+
+def _components(weights: dict) -> tuple[list[float], list[float]]:
+    """Li's mixture {mu: weight} as (ws, mus): positive weights, heaviest
+    first, normalized to sum 1."""
     comps = sorted(((w, mu) for mu, w in weights.items() if w > 0), key=lambda t: -t[0])
     total = sum(w for w, _ in comps)
-    ws = [w / total for w, _ in comps]
-    return search.result("li_approximate", ws, [m for _, m in comps], "li",
-                         f"{len(trace)} iterations", trace)
+    return [w / total for w, _ in comps], [m for _, m in comps]
 
 
 def brute_force_two_component(
@@ -712,7 +722,7 @@ def brute_force_two_component(
         ws, mus = [1.0], [float(search.mus[j if a == 0.0 else i])]
     else:
         ws, mus = [a, 1.0 - a], [float(search.mus[i]), float(search.mus[j])]
-    trace = [search.trace_row(1, search.cert.mixture(ws, mus))]
+    trace = [search.trace_row(1, ws, mus)]
     return search.result("brute_force_two_component", ws, mus, "brute_force_2",
                          f"{pi.size} candidates ranked in {ran}, {top.size} re-ranked",
                          trace)

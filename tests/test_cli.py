@@ -197,6 +197,19 @@ class TestEvaluate:
                 "--stream", str(stream),
             ])
 
+    @pytest.mark.parametrize("line", ["2", "1.0,0.5", "1,x"],
+                             ids=["no-value", "float-group", "word-value"])
+    def test_malformed_stream_line_named_by_path_and_line(self, tmp_path, line):
+        # once Python's own text: "not enough values to unpack (expected 2,
+        # got 1)", "invalid literal for int() with base 10: '1.0'" and
+        # "could not convert string to float: 'x'"
+        stream = tmp_path / "s.csv"
+        stream.write_text(f"group,value\n1,0.7\n{line}\n", encoding="utf-8")
+        reason = (f"{stream}:3: a stream line must be 'group,value' with an integer "
+                  f"group and a number, got {line!r}")
+        with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+            main(["evaluate", *EXPO, "--stream", str(stream)])
+
 
 class TestProject:
     def test_li_writes_mixture_and_trace(self, capsys, tmp_path):
@@ -248,6 +261,21 @@ class TestProject:
         rows = (tmp_path / "t.csv").read_text().splitlines()
         assert rows[0] == "iter,kl,sup_expectation" and len(rows) >= 2
 
+    @pytest.mark.parametrize("family, mu", [
+        ("exponential", "0.5,0.25"), ("geometric", "3.3333333333333335,1.25"),
+        ("gaussian_variance", "3.3333333333333335,1.25")])
+    @pytest.mark.parametrize("method", ["li", "brute2"])
+    def test_last_trace_row_is_the_certificate(self, capsys, tmp_path, family, mu,
+                                               method):
+        # Li's last row once came from its running density and read
+        # 1.0017614012011868 on exponential (0.5, 0.25), against the
+        # certificate's 1.001761401201187
+        run(capsys, "--out-dir", str(tmp_path), "project", "--family", family,
+            "--mu", mu, "--method", method, "--out", "mix.json", "--trace", "t.csv")
+        cert = json.loads((tmp_path / "mix.json").read_text())["certificate"]
+        last = (tmp_path / "t.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[2]) == cert["sup_expectation"]
+
     def test_evaluate_with_projected_mixture(self, capsys, tmp_path):
         run(
             capsys,
@@ -285,6 +313,40 @@ def write_mixture(path, family, means, fixed=None, beta_means=False, config=True
 
 
 class TestMixtureConfig:
+    @pytest.mark.parametrize("argv, kinds", [
+        (["evaluate", "--block", "0.7,0.4"], "cond"),
+        (["evaluate", "--kind", "pseudo", "--data", "DATA"], "pseudo"),
+        (["evaluate", "--kind", "gro_iid", "--stream", "STREAM"], "gro_iid"),
+        (["growth"], "pseudo, gro_iid, cond"),
+        (["simulate", "--kind", "cond", "--trials", "10"], "cond"),
+    ], ids=["block", "data", "stream", "growth", "simulate"])
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_mixture_without_gro_m_refused(self, tmp_path, monkeypatch, argv, kinds,
+                                           exists):
+        # the file was read and then ignored, or failed with [Errno 2]
+        # when missing, whatever problem it named
+        path = tmp_path / "mix.json"
+        if exists:
+            write_mixture(path, "poisson", [5.0, 0.1])
+        files = {"DATA": tmp_path / "d.csv", "STREAM": tmp_path / "s.csv"}
+        files["DATA"].write_text("0.7,0.4\n", encoding="utf-8")
+        write_stream(files["STREAM"])
+        argv = [str(files.get(a, a)) for a in argv]
+        monkeypatch.setattr(ripr.MixtureNull, "from_json_dict",
+                            lambda d: pytest.fail("mixture file read"))
+        reason = (f"ksev {argv[0]}: --mixture {path} is read by kind gro_m only, "
+                  f"not by {kinds}")
+        with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+            main(["--out-dir", str(tmp_path), *argv, *EXPO, "--mixture", str(path)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["d.csv", "s.csv"] + ["mix.json"] * exists)
+
+    def test_mixture_read_when_a_kind_is_gro_m(self, capsys, tmp_path):
+        mix = write_mixture(tmp_path / "mix.json", "exponential", [0.5, 0.25])
+        code, out, _ = run(capsys, "growth", *EXPO, "--kinds", "pseudo,gro_m",
+                           "--mixture", mix)
+        assert code == 0 and set(json.loads(out)["growth"]) == {"pseudo", "gro_m"}
+
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--kind", "gro_m", "--block", "3,0"],
         ["growth", "--kinds", "gro_m", "--method", "mc", "--mc-n", "1000"],

@@ -668,24 +668,33 @@ class TestConvexArgmin:
 def _li_sweep(spec, alt, n_alpha=100, mu_count=100, cert_count=1000,
               max_iters=15, search_nz=ripr._SEARCH_NZ):
     """``li_approximate`` with every step's weight found by sweeping all of
-    ``alphas`` on a ``search_nz``-node grid, the current mixture also kept on
-    the 3000-node certification grid for the trace and the certificate;
-    returns the mixture, the trace and each step's (n_alpha, mu_count) KL
-    objectives."""
+    ``alphas`` on a ``search_nz``-node grid, each trace row and the
+    certificate taken on the 3000-node certification grid from the density
+    of the current components, normalized and heaviest first; returns the
+    mixture, the trace and each step's (n_alpha, mu_count) KL objectives."""
     search = ripr._SumGrid(spec, alt, cert_count, n_z=search_nz)
     cert = ripr._SumGrid(spec, alt, cert_count)
     cand_mus = np.linspace(search.lo, search.hi, mu_count)
     alphas = np.linspace(0.0, 1.0, n_alpha)
-    u, u_cert = search.tilt_rows(cand_mus), cert.tilt_rows(cand_mus)
+    u = search.tilt_rows(cand_mus)
+
+    def components(weights):
+        comps = sorted(((w, mu) for mu, w in weights.items() if w > 0),
+                       key=lambda t: -t[0])
+        total = sum(w for w, _ in comps)
+        return [w / total for w, _ in comps], [m for _, m in comps]
+
+    def row(it, weights):
+        d_cert = cert.mixture(*components(weights))
+        kl = float(cert.kl(d_cert)) if alt.delta else 0.0
+        return {"iter": it, "kl": kl, "sup_expectation": cert.sup(d_cert)[0]}
+
     weights = {float(alt.mu0_star): 1.0}
     d = search.tilt_rows([alt.mu0_star])[0].copy()
-    d_cert = cert.tilt_rows([alt.mu0_star])[0].copy()
-    kl_cert = float(cert.kl(d_cert)) if alt.delta else 0.0
-    sup, _ = cert.sup(d_cert)
-    trace = [{"iter": 1, "kl": kl_cert, "sup_expectation": sup}]
+    trace = [row(1, weights)]
     objectives = []
     for it in range(2, max_iters + 1):
-        if sup <= ripr._STOP_SUP:
+        if trace[-1]["sup_expectation"] <= ripr._STOP_SUP:
             break
         best = (np.inf, None, None)
         objs = []
@@ -701,15 +710,8 @@ def _li_sweep(spec, alt, n_alpha=100, mu_count=100, cert_count=1000,
         mu_new = float(cand_mus[j])
         weights[mu_new] = weights.get(mu_new, 0.0) + (1.0 - a)
         d = a * d + (1.0 - a) * u[j]
-        d_cert = a * d_cert + (1.0 - a) * u_cert[j]
-        sup, _ = cert.sup(d_cert)
-        trace.append({"iter": it, "kl": float(cert.kl(d_cert)),
-                      "sup_expectation": sup})
-    comps = sorted(((w, mu) for mu, w in weights.items() if w > 0),
-                   key=lambda t: -t[0])
-    total = sum(w for w, _ in comps)
-    mix = ripr._certify(cert, [w / total for w, _ in comps],
-                        [m for _, m in comps], "li")
+        trace.append(row(it, weights))
+    mix = ripr._certify(cert, *components(weights), "li")
     return mix, trace, objectives
 
 
@@ -867,11 +869,9 @@ class TestSearchResult:
                                                       mu_count=20)
         assert [list(row) for row in li_trace + bf_trace] == \
             [["iter", "kl", "sup_expectation"]] * (len(li_trace) + 1)
+        # both last rows are computed on the certified components
         assert bf_trace[-1]["sup_expectation"] == bf.certificate.sup_expectation
-        # Li's rows are on its running density, the certified components
-        # summed in another order
-        assert li_trace[-1]["sup_expectation"] == pytest.approx(
-            li.certificate.sup_expectation, rel=1e-12, abs=0.0)
+        assert li_trace[-1]["sup_expectation"] == li.certificate.sup_expectation
         if not alt.delta:
             assert li_trace[0]["kl"] == bf_trace[0]["kl"] == 0.0
 

@@ -16,19 +16,31 @@ each export's ``src`` with one BLAS thread:
 * with ``--mixture`` set to each of those mixtures from the same export,
   ``evaluate --kind gro_m`` over a data file and over a stream file,
   ``growth --kinds gro_m`` and a seeded ``simulate --kind gro_m`` with its
-  ``--trace``.
+  ``--trace``;
+* without a mixture, on the exponential, poisson and bernoulli rows:
+  ``evaluate`` over the data file and over the stream file for each of
+  ``cond``, ``gro_iid`` and ``pseudo``, ``growth`` by quadrature and by
+  seeded Monte Carlo, and a seeded ``simulate --kind cond`` with its
+  ``--trace``;
+* a seeded exponential ``heatmap --n 5`` with its ``--slices``.
 
 The data and stream files are drawn once, by a fixed seed, and both exports
 read the same ones.  Every output file is compared byte for byte (``cmp``)
-with the other export's.  The tool prints one line per file that differs or
-that only one side wrote, and a count of identical files.  It exits 1 when a
-file differs, a command failed or its output is missing, and 0 otherwise.
+with the other export's.  The tool prints one line per file that differs,
+with the largest absolute and relative move over its numbers (JSON leaves,
+or CSV cells, matched by position; ``largest_move``) or that its shapes
+differ, one line per file that only one side wrote, and a count of identical
+files.  It exits 1 when a file differs, a command failed or its output is
+missing, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -53,6 +65,9 @@ ROWS = [
     ("bernoulli", "bernoulli", None, (0.5, 0.25), False),
 ]
 METHODS = ("li", "brute2")
+# rows whose statistics without a mixture are also run, and those statistics
+PLAIN_ROWS = ("exponential", "poisson", "bernoulli")
+PLAIN_KINDS = ("cond", "gro_iid", "pseudo")
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
@@ -113,7 +128,87 @@ def commands(inputs: Path) -> list[list[str]]:
                  "--seed", "1", "--out", f"{name}_simulate.json",
                  "--trace", f"{name}_simulate_trace.csv"],
             ]
+        if label not in PLAIN_ROWS:
+            continue
+        for kind in PLAIN_KINDS:
+            name = f"{label}_{kind}"
+            out += [
+                ["evaluate", *flags, "--kind", kind, "--data", str(inputs / f"{label}.data"),
+                 "--out", f"{name}_data.json"],
+                ["evaluate", *flags, "--kind", kind,
+                 "--stream", str(inputs / f"{label}.stream"), "--out", f"{name}_stream.json"],
+            ]
+        out += [
+            ["growth", *flags, "--out", f"{label}_growth.json"],
+            ["growth", *flags, "--method", "mc", "--mc-n", "20000", "--seed", "1",
+             "--out", f"{label}_growth_mc.json"],
+            ["simulate", *flags, "--kind", "cond", "--trials", "200", "--max-blocks", "50",
+             "--seed", "1", "--out", f"{label}_cond_simulate.json",
+             "--trace", f"{label}_cond_simulate_trace.csv"],
+        ]
+    out.append(["heatmap", "--family", "exponential", "--kinds", "groiid,cond", "--n", "5",
+                "--seed", "1", "--out", "heatmap_exponential.csv",
+                "--slices", "heatmap_exponential_slices.csv"])
     return out
+
+
+def _values(path: Path) -> list[tuple]:
+    """(position, value) for every JSON leaf or CSV cell of the file at
+    ``path``, in order; a CSV cell that parses as a float is that float."""
+    if path.suffix == ".json":
+        def leaves(obj, at):
+            if isinstance(obj, dict):
+                for key in sorted(obj):
+                    yield from leaves(obj[key], at + (key,))
+            elif isinstance(obj, list):
+                for i, item in enumerate(obj):
+                    yield from leaves(item, at + (i,))
+            else:
+                yield at, obj
+        return list(leaves(json.loads(path.read_text(encoding="utf-8")), ()))
+
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [((r, c), cell(text)) for r, row in enumerate(csv.reader(fh))
+                for c, text in enumerate(row)]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def largest_move(parent: Path, change: Path) -> tuple[float, float] | None:
+    """The largest absolute and relative move |y - x| and |y - x| / |x| over
+    the numbers x of ``parent`` and y at the same position in ``change``
+    (inf where x is 0, or one side alone is NaN); None when the files differ
+    in shape (positions) or in a value that is no number."""
+    a, b = _values(parent), _values(change)
+    if [at for at, _ in a] != [at for at, _ in b]:
+        return None
+    absolute = relative = 0.0
+    for (_, x), (_, y) in zip(a, b):
+        if not (_is_number(x) and _is_number(y)):
+            if x != y:
+                return None
+            continue
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        move = abs(y - x)
+        move = math.inf if math.isnan(move) else move
+        absolute = max(absolute, move)
+        relative = max(relative, move / abs(x) if x else math.inf)
+    return absolute, relative
+
+
+def describe_move(parent: Path, change: Path) -> str:
+    move = largest_move(parent, change)
+    if move is None:
+        return "shapes differ"
+    return f"largest move {move[0]:.3g} absolute, {move[1]:.3g} relative"
 
 
 def run_all(tree: Path, out: Path, inputs: Path) -> list[str]:
@@ -156,17 +251,18 @@ def main(argv=None) -> int:
             outs[side] = workdir / f"{side}-out"
             failed += [f"{side}: {f}" for f in run_all(tree, outs[side], inputs)]
         names = {side: {p.name for p in out.iterdir()} for side, out in outs.items()}
-        differ = sorted(n for n in names["parent"] & names["change"]
-                        if not filecmp.cmp(outs["parent"] / n, outs["change"] / n,
-                                           shallow=False))
+        differ = {n: describe_move(outs["parent"] / n, outs["change"] / n)
+                  for n in sorted(names["parent"] & names["change"])
+                  if not filecmp.cmp(outs["parent"] / n, outs["change"] / n,
+                                     shallow=False)}
         lone = sorted(names["parent"] ^ names["change"])
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
     for line in failed:
         print(f"failed {line}", file=sys.stderr)
-    for name in differ:
-        print(f"differs {name}")
+    for name, move in differ.items():
+        print(f"differs {name}: {move}")
     for name in lone:
         print(f"only one side wrote {name}")
     same = len(names["parent"] & names["change"]) - len(differ)
