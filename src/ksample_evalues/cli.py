@@ -51,8 +51,12 @@ def _parse_floats(what: str, text: str) -> list[float]:
 
 
 def _json_object(what: str, text: str) -> dict:
-    """Parse ``text`` as JSON, refusing anything but an object by name."""
-    obj = json.loads(text)
+    """Parse ``text`` as JSON, refusing text that is no JSON and anything but
+    an object by name."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {obj!r}")
     return obj
@@ -81,7 +85,8 @@ def _problem(args, kinds):
     """The run's configuration, family, alternative and ``--mixture``.
 
     A ``--mixture`` file is refused by name, unopened, unless one of
-    ``kinds`` is ``gro_m``, and otherwise read naming its path in a refusal.
+    ``kinds`` is ``gro_m``, and otherwise read naming its path in a refusal,
+    text that is no JSON included.
     The statistic refuses it unless its problem is the run's
     (``evariables._check_mixture``), means compared after the --beta-means
     conversion and any multiplicity expansion."""
@@ -93,10 +98,9 @@ def _problem(args, kinds):
     spec, means = problem_from_config(cfg)
     mixture = None
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
         try:
-            mixture = ripr.MixtureNull.from_json_dict(payload)
+            with open(path, "r", encoding="utf-8") as fh:
+                mixture = ripr.MixtureNull.from_json_dict(json.load(fh))
         except ValueError as exc:
             raise SystemExit(f"{path}: {exc}")
     return cfg, spec, Alternative.from_means(spec, means), mixture
@@ -179,6 +183,13 @@ def _multiplicities(args) -> list[int] | None:
 
 
 def cmd_evaluate(args) -> int:
+    # each mode refuses the flags only the other one reads
+    if args.stream:
+        for flag, value in (("--block", args.block), ("--data", args.data)):
+            if value:
+                raise ValueError(f"{flag} is not read in --stream mode")
+    elif args.multiplicities:
+        raise ValueError("--multiplicities is read in --stream mode only")
     kind = ev.EValueKind(args.kind)
     cfg, spec, alt, mixture = _problem(args, [kind])
     if args.stream:
@@ -194,20 +205,19 @@ def cmd_evaluate(args) -> int:
                 raise SystemExit(f"{where}: {exc}")
     if not blocks:
         raise SystemExit("nothing to evaluate: give --block, --data or --stream")
-    log_statistic = ev._statistic(spec, alt, kind, mixture)
-    cert = mixture.certificate_dict() if mixture is not None else None
+    stat = ev._statistic(spec, alt, kind, mixture)
     results = []
     total = 0.0
     for where, blk in blocks:
         try:
-            log_evalue = float(log_statistic(ev._as_block(spec, alt, blk)))
+            log_evalue = float(stat(ev._as_block(spec, alt, blk)))
         except (ValueError, ComputationError) as exc:
             raise SystemExit(f"{where}: {exc}")
         total += log_evalue
         row = {"block": blk, "kind": kind.value, "log_evalue": log_evalue,
                "evalue": _json_float(ev._exp(log_evalue))}
-        if cert is not None:
-            row["certificate"] = cert
+        if stat.certificate is not None:
+            row["certificate"] = stat.certificate.to_dict()
         results.append(row)
     _report(args, {"results": results, "total_log_evalue": total}, cfg)
     return 0

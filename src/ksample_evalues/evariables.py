@@ -23,10 +23,12 @@ surface (``EValueResult.evalue``).  All functions are vectorized over leading
 axes of ``block`` and are pure.
 
 Each ``log_s_*`` checks the block, builds the problem's statistic
-(``_statistic``) and calls it.  The built statistic holds every parameter of
-the block function, so a caller scoring many blocks of one problem
-(``StreamState``, ``simulate``, ``ksev evaluate --data``) builds it once and
-calls it on blocks it has checked.
+(``_statistic``) and calls it.  The built statistic is one record,
+``Statistic``: its kind, alternative, admitted mixture and certificate (both
+``None`` but for ``gro_m``), and a block function holding every parameter,
+so a caller scoring many blocks of one problem (``StreamState``,
+``simulate``, ``ksev evaluate --data``) builds it once, calls it on blocks
+it has checked and reads the certificate off it.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .expfam import Alternative, FamilySpec, MeanDomainError, _require_at_least
 from .expfam import _CHUNK_ELEMENTS, _sum_leading, as_generator
-from .ripr import MixtureNull, _log_sum_of_tilts
+from .ripr import Certificate, MixtureNull, _log_sum_of_tilts
 
 
 class EValueKind(str, enum.Enum):
@@ -188,17 +190,43 @@ def _in_chunks(block_map):
     return score
 
 
+@dataclass(frozen=True)
+class Statistic:
+    """The statistic of one problem, built once by ``_statistic``.
+
+    ``kind`` is what it computes, on blocks of ``alt`` (after any
+    multiplicity expansion); ``mixture`` is the certified mixture that
+    ``_check_mixture`` admitted for ``gro_m``, and ``None`` for every other
+    kind, whatever mixture a caller passed.  ``score`` maps checked blocks
+    (shape [..., k]) to the log statistic, and calling the record calls it.
+    """
+
+    kind: EValueKind
+    alt: Alternative
+    mixture: Optional[MixtureNull]
+    score: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def certificate(self) -> Optional[Certificate]:
+        """The admitted mixture's certificate; ``None`` without a mixture."""
+        return None if self.mixture is None else self.mixture.certificate
+
+    def __call__(self, x):
+        return self.score(x)
+
+
 def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
-               mu0: float | None = None):
+               mu0: float | None = None) -> Statistic:
     """The statistic of ``kind`` for one problem, built once.
 
     Building checks what does not depend on the block, before any zero-effect
-    shortcut: a ``gro_m`` mixture must pass ``_check_mixture``, and a
+    shortcut: ``kind`` must name a statistic, a ``gro_m`` mixture must pass
+    ``_check_mixture`` (any other kind drops a mixture it was given), and a
     ``cond`` baseline null mean ``mu0`` (the pooled mean by default) must lie
     in the mean space.  It then computes every parameter of the block
     function: lambda(mu_i) and A(lambda_i), their differences to lambda and A
     at mu0, the sum densities of ``cond`` and a mixture's tilts.  The
-    function it returns maps blocks already checked (``_as_block``; shape
+    record's ``score`` maps blocks already checked (``_as_block``; shape
     [..., k]) to the log statistic, ``_in_chunks``: an input of many blocks
     is scored a fixed number of coordinates at a time, so its temporaries
     stay bounded.  On a lattice, every value-only term (``gro_iid``'s
@@ -218,9 +246,14 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
     one block, and every continuous support, go to the scoring function
     itself.
     """
+    kind = EValueKind(kind)
+    if kind is EValueKind.GRO_M:
+        _check_mixture(spec, alt, mixture)
+    else:
+        mixture = None
     score = _in_chunks(_block_map(spec, alt, kind, mixture, mu0))
     if not spec.support.discrete:
-        return score
+        return Statistic(kind, alt, mixture, score)
     memo: dict[bytes, np.float64] = {}
     room = _CHUNK_ELEMENTS // alt.k
 
@@ -235,14 +268,12 @@ def _statistic(spec: FamilySpec, alt: Alternative, kind, mixture=None,
             if len(memo) < room:
                 memo[key] = value
         return value
-    return lookup
+    return Statistic(kind, alt, mixture, lookup)
 
 
-def _block_map(spec: FamilySpec, alt: Alternative, kind, mixture, mu0):
-    """The block function of ``_statistic``, for any number of blocks."""
-    kind = EValueKind(kind)
-    if kind is EValueKind.GRO_M:
-        _check_mixture(spec, alt, mixture)
+def _block_map(spec: FamilySpec, alt: Alternative, kind: EValueKind, mixture, mu0):
+    """The block function of ``_statistic``, for any number of blocks, of a
+    parsed ``kind`` and an admitted ``mixture``."""
     if alt.delta == 0.0:
         return lambda x: np.zeros(np.shape(x)[:-1])
     lam, a = spec._natural_params(alt.mu)
@@ -463,8 +494,10 @@ def log_evalue(
     kind: EValueKind | str,
     mixture=None,
 ) -> EValueResult:
-    """Evaluate one statistic on one block and package the result."""
-    kind = EValueKind(kind)
-    value = _log_statistic(spec, alt, block, kind, mixture)
-    cert = mixture.certificate_dict() if kind is EValueKind.GRO_M else None
-    return EValueResult(kind, float(np.asarray(value)), cert)
+    """Evaluate one statistic on one block and package the result, with the
+    statistic's certificate (``Statistic.certificate``) as a dict."""
+    x = _as_block(spec, alt, block)
+    stat = _statistic(spec, alt, kind, mixture)
+    cert = stat.certificate
+    return EValueResult(stat.kind, float(stat(x)),
+                        None if cert is None else cert.to_dict())

@@ -339,26 +339,6 @@ class FamilySpec(ABC):
         """d^2 Var / d mu^2."""
         return self._variance_law(self.check_mean(mu))[2]
 
-    def fisher_info(self, mu: float) -> float:
-        """Fisher information for the mean parameter: 1 / Var[X]."""
-        return 1.0 / self.variance(mu)
-
-    def fisher_info_d1(self, mu: float) -> float:
-        """d I / d mu = -Var' / Var^2."""
-        v = self.variance(mu)
-        return -self.variance_d1(mu) / (v * v)
-
-    def central_moment3(self, mu: float) -> float:
-        """E[(X - mu)^3] = Var'(mu) * Var(mu)."""
-        return self.variance_d1(mu) * self.variance(mu)
-
-    def central_moment4(self, mu: float) -> float:
-        """E[(X - mu)^4] = 3 Var^2 + (Var'' Var + Var'^2) Var."""
-        v = self.variance(mu)
-        d1 = self.variance_d1(mu)
-        d2 = self.variance_d2(mu)
-        return 3.0 * v * v + (d2 * v + d1 * d1) * v
-
     # -- densities --------------------------------------------------------
 
     def log_carrier(self, x) -> np.ndarray:
@@ -882,11 +862,6 @@ class BetaFixedAlpha(FamilySpec):
         # E[U] = alpha / (alpha + beta)  =>  beta = alpha (1 - E[U]) / E[U]
         b = self.alpha * (1.0 - mean_u) / mean_u
         return self.mean_from_natural(b)
-
-    def beta_mean_from_mean(self, mu: float) -> float:
-        """Convert the mean of X back to E[U]."""
-        b = self.natural_from_mean(mu)
-        return self.alpha / (self.alpha + b)
 
     def _draw(self, mu, n, rng):
         """X = log(1 - U) in log space: 1 - U = G_b / (G_b + G_alpha) for

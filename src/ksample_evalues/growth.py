@@ -56,7 +56,6 @@ _GAP_NODES = 4096
 class GapKind(str, enum.Enum):
     IID_GAP = "iid_gap"  # pooled-mean vs equal-mixture
     COND_GAP = "cond_gap"  # pooled-mean vs conditional
-    COND_MINUS_IID = "cond_minus_iid"  # conditional vs equal-mixture
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class FourthOrderCoefficient:
     kind: GapKind
 
     def __post_init__(self):
-        if self.kind in (GapKind.IID_GAP, GapKind.COND_GAP) and self.value < -1e-9:
+        if self.value < -1e-9:
             raise ValueError(f"{self.kind} coefficient must be nonnegative")
 
 
@@ -262,17 +261,6 @@ def _cond_second_moment(spec, mu0, k, z, log_gz):
     pr = np.exp(spec.sum_log_pdf([mu0] * (k - 1), t.ravel()).reshape(t.shape))
     num = np.sum(x * x * px * pr * jac, axis=1)
     return num / np.exp(log_gz)
-
-
-def coeff_gap(spec: FamilySpec, mu0: float, kind, k: int = 2) -> FourthOrderCoefficient:
-    kind = GapKind(kind)
-    if kind is GapKind.IID_GAP:
-        return coeff_iid_gap(spec, mu0, k)
-    if kind is GapKind.COND_GAP:
-        return coeff_cond_gap(spec, mu0, k)
-    iid = coeff_iid_gap(spec, mu0, k).value
-    cond = coeff_cond_gap(spec, mu0, k).value
-    return FourthOrderCoefficient(iid - cond, GapKind.COND_MINUS_IID)
 
 
 def signed_fourth_root(x) -> np.ndarray:

@@ -179,9 +179,6 @@ class MixtureNull:
                                      "brute_force_two_component or point_mixture")
         return self.certificate
 
-    def certificate_dict(self) -> dict:
-        return self.require_certificate().to_dict()
-
     def require_problem(self, spec: FamilySpec, means: Sequence[float]) -> None:
         """Refuse an uncertified mixture, and use on a problem other than the
         one the mixture was certified for, naming both."""
@@ -465,19 +462,6 @@ def worst_case_expectation(
     """
     grid = _SumGrid(spec, alt, count, lo, hi)
     return grid.worst(mixture.weights, mixture.means)
-
-
-def expectation_profile(
-    spec: FamilySpec,
-    alt: Alternative,
-    mixture: MixtureNull,
-    count: int = 1000,
-    lo: float | None = None,
-    hi: float | None = None,
-):
-    """The full curve mu0 -> E_null(mu0)[ratio] on the certification grid."""
-    grid = _SumGrid(spec, alt, count, lo, hi)
-    return grid.mu0s, grid.expectations(grid.mixture(mixture.weights, mixture.means))
 
 
 def kl_to_mixture(spec: FamilySpec, alt: Alternative, mixture: MixtureNull) -> float:

@@ -114,8 +114,8 @@ class StreamState:
 
     def _evaluate_block(self, block) -> float:
         """Log e-value of one completed block, whose values were checked as
-        they were ingested."""
-        return float(self._statistic(block))
+        they were ingested, from the statistic's block function itself."""
+        return float(self._statistic.score(block))
 
     def ingest(self, group: int, value: float) -> "StreamState":
         """Append one observation to stream ``group`` (1-based).
@@ -208,11 +208,13 @@ class StreamState:
 
         A per-block certificate c bounds each block's null expectation, so
         after B blocks the rejection probability is at most alpha * c^B.
-        The factor c^B is inf once it leaves the double range.
+        The factor c^B is inf once it leaves the double range.  ``None``
+        when the statistic has no certificate (``Statistic.certificate``).
         """
-        if self.kind is not ev.EValueKind.GRO_M:
+        cert = self._statistic.certificate
+        if cert is None:
             return None
-        c = self.mixture.require_certificate().sup_expectation
+        c = cert.sup_expectation
         try:
             factor = c**self.blocks_completed
         except OverflowError:

@@ -31,7 +31,6 @@ SIZES = [
     (ripr.li_approximate, (SPEC, ALT), {}, "n_z", 1),
     (ripr.brute_force_two_component, (SPEC, ALT), {}, "n_z", 1),
     (ripr.worst_case_expectation, (SPEC, ALT, MIX), {}, "count", 1),
-    (ripr.expectation_profile, (SPEC, ALT, MIX), {}, "count", 1),
     (gr.growth_rate, (SPEC, ALT, "pseudo"), {"method": "mc"}, "mc_n", 2),
     (gr.growth_rate, (SPEC, ALT, "pseudo"), {"method": "mc", "mc_n": 100}, "seed", 0),
     (gr.heatmap, (SPEC, KINDS), {}, "n", 2),

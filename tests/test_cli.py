@@ -152,7 +152,8 @@ class TestEvaluate:
             raise TypeError("broken")
 
         if mode == "block":
-            monkeypatch.setattr(ev, "_statistic", lambda *args, **kw: broken)
+            monkeypatch.setattr(ev, "_statistic", lambda spec, alt, kind, *args:
+                                ev.Statistic(kind, alt, None, broken))
             argv = ["--block", "0.7,0.4"]
         else:
             monkeypatch.setattr(sq.StreamState, "ingest", broken)
@@ -795,6 +796,70 @@ def test_unparseable_data_line_named_by_path_and_line(tmp_path):
     reason = f"{data}:2: a block must be comma- or space-separated numbers, got '0.1,x'"
     with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
         main(["evaluate", *EXPO, "--data", str(data)])
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--stream", "STREAM", "--block", "9,9"], "--block is not read in --stream mode"),
+    (["--stream", "STREAM", "--data", "MISSING"], "--data is not read in --stream mode"),
+    (["--block", "0.7,0.4", "--multiplicities", "2,1"],
+     "--multiplicities is read in --stream mode only"),
+    (["--data", "MISSING", "--multiplicities", "2,1"],
+     "--multiplicities is read in --stream mode only"),
+], ids=["block-with-stream", "data-with-stream", "multiplicities-with-block",
+        "multiplicities-with-data"])
+def test_evaluate_refuses_flags_of_the_other_mode(tmp_path, argv, reason):
+    # the stream alone was reported, or the multiplicities went unused, exit 0
+    files = {"STREAM": lambda: write_stream(tmp_path / "s.csv"),
+             "MISSING": lambda: str(tmp_path / "missing.csv")}
+    argv = [files[a]() if a in files else a for a in argv]
+    with pytest.raises(SystemExit, match=f"^{re.escape(f'ksev evaluate: {reason}')}$"):
+        main(["--out-dir", str(tmp_path), "evaluate", *EXPO, *argv])
+
+
+@pytest.mark.parametrize("flag", ["--config", "--mixture"])
+def test_file_that_is_no_json_named(tmp_path, flag):
+    # both once ended in "ksev evaluate: Expecting value: line 1 column 1
+    # (char 0)", naming no file
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json", encoding="utf-8")
+    decode = "Expecting value: line 1 column 1 (char 0)"
+    reason = (f"ksev evaluate: --config {bad}: {decode}" if flag == "--config"
+              else f"{bad}: {decode}")
+    with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+        main(["evaluate", *EXPO, "--kind", "gro_m", "--block", "0.7,0.4", flag, str(bad)])
+
+
+def test_hand_built_certificate_reaches_every_consumer(capsys, tmp_path):
+    # a certificate c = 1.25 that no search gives, so each consumer shows
+    # the statistic's own certificate
+    spec = make_family("exponential")
+    alt = Alternative.from_means(spec, [0.5, 0.25])
+    cert = ripr.Certificate(1.25, 1, 0.375, 0.375, "by hand", 0.375)
+    mix = ripr.MixtureNull(((1.0, 0.375),), cert, spec.to_config(alt.mu))
+    want = cert.to_dict()
+    assert ev.log_evalue(spec, alt, [0.7, 0.4], "gro_m", mix).certificate == want
+    path = tmp_path / "mix.json"
+    path.write_text(canonical_json(mix.to_json_dict()), encoding="utf-8")
+    data = tmp_path / "blocks.csv"
+    data.write_text("0.7,0.4\n0.1,1.5\n2.5,0.01\n", encoding="utf-8")
+    code, out, _ = run(capsys, "evaluate", *EXPO, "--kind", "gro_m", "--data",
+                       str(data), "--mixture", str(path))
+    rows = json.loads(out)["results"]
+    assert code == 0 and [row["certificate"] for row in rows] == [want] * 3
+    caveat = {"certified_sup_expectation": 1.25, "blocks": 2,
+              "type1_bound_factor": 1.5625}
+    st = sq.StreamState(spec, alt, "gro_m", 0.05, mixture=mix)
+    st.ingest_block([0.7, 0.4]).ingest_block([0.1, 1.5])
+    assert st.validity_caveat() == caveat
+    stream = tmp_path / "s.csv"
+    stream.write_text("1,0.7\n2,0.4\n1,0.1\n2,1.5\n", encoding="utf-8")
+    code, out, _ = run(capsys, "evaluate", *EXPO, "--kind", "gro_m", "--stream",
+                       str(stream), "--mixture", str(path))
+    assert code == 0 and json.loads(out)["validity_caveat"] == caveat
+    # a statistic of another kind drops the mixture, and its certificate
+    cond = sq.StreamState(spec, alt, "cond", 0.05, mixture=mix)
+    assert cond.ingest_block([0.7, 0.4]).validity_caveat() is None
+    assert ev.log_evalue(spec, alt, [0.7, 0.4], "cond", mix).certificate is None
 
 
 class TestSimulate:

@@ -222,6 +222,37 @@ class TestGroM:
         assert json.loads(res.to_json())["certificate"] == res.certificate
 
 
+class TestStatisticRecord:
+    @pytest.mark.parametrize("family, means, blocks", [
+        ("exponential", [0.5, 0.25], [[0.7, 0.4], [0.1, 1.5], [2.5, 0.01]]),
+        ("poisson", [5.0, 0.1], [[3, 0], [1, 2], [3, 0]]),
+    ], ids=["continuous", "lattice"])
+    @pytest.mark.parametrize("kind", list(ev.EValueKind), ids=lambda k: k.value)
+    def test_record_carries_kind_alternative_and_admitted_mixture(self, family, means,
+                                                                  blocks, kind):
+        spec = make_family(family)
+        alt = Alternative.from_means(spec, means)
+        mix = ripr.point_mixture(spec, alt, alt.mu0_star)
+        stat = ev._statistic(spec, alt, kind.value, mix)
+        assert isinstance(stat, ev.Statistic)
+        assert stat.kind is kind and stat.alt is alt
+        # only gro_m admits the mixture it is given; every other kind drops it
+        admitted = mix if kind is ev.EValueKind.GRO_M else None
+        assert stat.mixture is admitted
+        assert stat.certificate is (None if admitted is None else mix.certificate)
+        x = np.asarray(blocks, dtype=float)
+        for b in (x, x[0], x[0]):  # many blocks, one, and one seen before
+            assert np.asarray(stat(b)).tobytes() == np.asarray(stat.score(b)).tobytes()
+
+    def test_kind_and_gate_checked_where_the_record_is_built(self):
+        spec = make_family("exponential")
+        alt = Alternative.from_means(spec, [0.5, 0.5])  # zero effect
+        with pytest.raises(ValueError, match="'bogus' is not a valid EValueKind"):
+            ev._statistic(spec, alt, "bogus")
+        with pytest.raises(ValueError, match="needs a certified mixture"):
+            ev._statistic(spec, alt, "gro_m")
+
+
 class TestFCriterion:
     def test_exponential_value(self):
         spec = make_family("exponential")

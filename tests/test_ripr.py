@@ -277,18 +277,17 @@ class TestWorstCaseExpectation:
             oracle, _ = integrate.dblquad(
                 integrand, 0, 40, 0, 40, epsabs=1e-12, epsrel=1e-10
             )
-            mu0s, prof = ripr.expectation_profile(
-                spec, alt, mix, count=1, lo=mu0, hi=mu0
-            )
-            assert prof[0] == pytest.approx(oracle, rel=1e-8)
+            value = ripr.worst_case_expectation(spec, alt, mix, count=1, lo=mu0,
+                                                hi=mu0)[0]
+            assert value == pytest.approx(oracle, rel=1e-8)
 
     def test_matches_monte_carlo(self, expo, expo_pair):
         spec, alt = expo
-        mu0s, prof = ripr.expectation_profile(spec, alt, expo_pair, count=1,
-                                              lo=0.35, hi=0.35)
+        value = ripr.worst_case_expectation(spec, alt, expo_pair, count=1, lo=0.35,
+                                            hi=0.35)[0]
         mean, se = ev.null_expectation_mc(spec, alt, "gro_m", 0.35, n=400_000,
                                           seed=1, mixture=expo_pair)
-        assert prof[0] == pytest.approx(mean, abs=4 * se)
+        assert value == pytest.approx(mean, abs=4 * se)
 
     def test_exact_projection_point_certifies_at_one(self):
         # Gaussian location: the projection is the single pooled-mean point
@@ -582,7 +581,6 @@ class TestDegenerateGrids:
             ("li", {"max_iters": 0}, "max_iters must be at least 1, got 0"),
             ("li", {"max_iters": -2}, "max_iters must be at least 1, got -2"),
             ("worst", {"count": 0}, "count must be at least 1, got 0"),
-            ("profile", {"count": 0}, "count must be at least 1, got 0"),
             ("point", {"count": 0}, "count must be at least 1, got 0"),
         ],
     )
@@ -593,7 +591,6 @@ class TestDegenerateGrids:
             "brute2": lambda: ripr.brute_force_two_component(spec, alt, **kw),
             "li": lambda: ripr.li_approximate(spec, alt, **kw),
             "worst": lambda: ripr.worst_case_expectation(spec, alt, mix, **kw),
-            "profile": lambda: ripr.expectation_profile(spec, alt, mix, **kw),
             "point": lambda: ripr.point_mixture(spec, alt, alt.mu0_star, **kw),
         }[search]
         with pytest.raises(ValueError, match=f"^{message}$"):
