@@ -66,7 +66,11 @@ def _load_config(args) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = _json_object(f"--config {args.config}", fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"--config {args.config}: {exc}") from None
+        cfg = _json_object(f"--config {args.config}", text)
     if getattr(args, "family", None):
         cfg["family"] = args.family
     if getattr(args, "fixed", None):
@@ -106,14 +110,18 @@ def _problem(args, kinds):
     return cfg, spec, Alternative.from_means(spec, means), mixture
 
 
-def _lines(path: str):
-    """("path:line", text) for each line of the file at ``path`` that is
-    neither blank nor a '#' comment, stripped."""
+def _lines(flag: str, path: str):
+    """("path:line", text) for each line of the file at ``path``, given by
+    ``flag``, that is neither blank nor a '#' comment, stripped; a file that
+    is not UTF-8 is refused naming both."""
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield f"{path}:{ln}", line
+        try:
+            for ln, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield f"{path}:{ln}", line
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{flag} {path}: {exc}") from None
 
 
 def _stream_line(line: str) -> tuple[int, float]:
@@ -198,7 +206,7 @@ def cmd_evaluate(args) -> int:
     if args.block:
         blocks.append(("--block", _parse_floats("--block", args.block)))
     if args.data:
-        for where, line in _lines(args.data):
+        for where, line in _lines("--data", args.data):
             try:
                 blocks.append((where, _parse_floats("a block", line)))
             except ValueError as exc:
@@ -229,7 +237,7 @@ def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
         spec, alt, kind, alpha=args.alpha, multiplicities=_multiplicities(args),
         mixture=mixture,
     )
-    for where, line in _lines(args.stream):
+    for where, line in _lines("--stream", args.stream):
         if line.lower().startswith("group"):  # a header
             continue
         try:

@@ -34,15 +34,15 @@ on the z grid, the table finds the convex weight a on a grid minimizing an
 objective of a * p + (1 - a) * q: for Li the KL divergence from the
 alternative, p the current mixture and q a new component; for the brute force
 the coarse worst-case null expectation, p and q a pair's components.  Each
-objective is convex in a, so a ternary search (``_convex_argmin``) returns
-the exhaustive sweep's grid point, ties going to the lowest index.  The
-table's fixed-size chunks run on a thread per usable CPU, at most one per
-chunk, or on the calling thread when that is one (Li at default sizes), so no
-result depends on the worker count.  Both searches rank the table by one rule
-(``_ranked``): lowest objective, then weight, then candidate.  A trace row is
-computed on the components of the mixture the certificate takes at that step,
-by the certificate's own computation, so a trace's last row equals its
-certificate bit for bit.
+objective is convex in a, so a Fibonacci bracket (``_convex_argmin``, 11 of
+100 weights per candidate) returns the exhaustive sweep's grid point, ties
+going to the lowest index.  The table's fixed-size chunks run on a thread per
+usable CPU, at most one per chunk, or on the calling thread when that is one
+(Li at default sizes), so no result depends on the worker count.  Both
+searches rank the table by one rule (``_ranked``): lowest objective, then
+weight, then candidate.  A trace row is computed on the components of the
+mixture the certificate takes at that step, by the certificate's own
+computation, so a trace's last row equals its certificate bit for bit.
 
 Every null expectation here reduces to a one-dimensional integral: a mixture
 of i.i.d. product nulls depends on the block only through the sum z of the
@@ -476,25 +476,46 @@ def _convex_argmin(f, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     over each full row gives.
 
     ``f`` maps an integer array of grid indices, one row per objective and at
-    most three columns, to the objectives at those indices.  Each ternary step
-    compares m1 = lo + w//3 with m2 = lo + w - w//3 in the bracket
-    [lo, lo + w].  By convexity the lowest minimizer lies right of m1 when
-    f(m1) > f(m2), and left of m2 otherwise, so either way the bracket keeps
-    w - w//3 - 1 of its width and every row keeps the same width.  n = 100
-    takes 19 evaluations per row.
+    most two columns, to the objectives at those indices.  A Fibonacci
+    bracket (Kiefer 1953) [lo, lo + F_k], F_k the smallest Fibonacci number
+    of at least n - 1 and 3, compares m1 = lo + F_{k-2} with
+    m2 = lo + F_{k-1}; an index past n - 1 reads +inf, which moves no
+    minimizer.  When f(m1) > f(m2), f falls past m1, so the lowest minimizer
+    lies in [m1, lo + F_k].  Otherwise, a tie included, it lies in [lo, m2]:
+    by convexity f does not fall past m2, so a minimizer past m2 leaves f
+    flat from m1 on and m1 attains the minimum too.  A NaN compares false and
+    keeps [lo, m2].  Either way every row keeps width F_{k-1} and one of the
+    two points just compared, as its new m1 or m2, so each step evaluates
+    one new column.  At width 2 one more column evaluates the endpoint not
+    yet evaluated, and the lowest of the three indices attaining their
+    minimum, the lowest minimizer, is returned.  n = 100 takes 11
+    evaluations per row.
     """
+    def at(*cols):
+        idx = np.stack(cols, axis=1)
+        return np.where(idx < n, f(np.minimum(idx, n - 1)), np.inf).T
+
+    fib = [1, 2, 3]
+    while fib[-1] < n - 1:
+        fib.append(fib[-1] + fib[-2])
+    k = len(fib) - 1
     lo = np.zeros(rows, dtype=np.intp)
-    w = n - 1
-    while w > 2:
-        third = w // 3
-        vals = f(np.stack([lo + third, lo + w - third], axis=1))
-        lo = np.where(vals[:, 0] > vals[:, 1], lo + third + 1, lo)
-        w -= third + 1
-    idx = lo[:, None] + np.arange(w + 1)
-    vals = f(idx)
+    v1, v2 = at(lo + fib[k - 2], lo + fib[k - 1])
+    while True:
+        right = v1 > v2
+        lo = np.where(right, lo + fib[k - 2], lo)
+        k -= 1
+        if k == 1:
+            break
+        # width fib[k]: the point kept is m1 after a move right, m2 otherwise
+        new, = at(lo + np.where(right, fib[k - 1], fib[k - 2]))
+        v1, v2 = np.where(right, v2, new), np.where(right, new, v1)
+    # width 2: v1 and v2 sit at offsets 0, 1 after a move right, else 1, 2
+    new, = at(lo + np.where(right, 2, 0))
+    vals = np.where(right[:, None], np.stack([v1, v2, new], axis=1),
+                    np.stack([new, v1, v2], axis=1))
     best = np.argmin(vals, axis=1)
-    r = np.arange(rows)
-    return idx[r, best], vals[r, best]
+    return lo + best, vals[np.arange(rows), best]
 
 
 def _ranked(rows, ai, objective) -> np.ndarray:
@@ -523,39 +544,47 @@ class _Search:
     def table(self, objective, p, q) -> tuple[np.ndarray, np.ndarray, str]:
         """Per row r, the lowest index into ``alphas`` minimizing ``objective``
         (one value per density row on the search grid, convex in a) of
-        a * p_r + (1 - a) * u[q[r]], that minimum, and how the table ran; p_r
-        is u[p[r]] for indices p, or p for one density of shape (1, nodes).
-        Chunks write disjoint slices; their size is fixed, whatever the worker
+        a * p_r + (1 - a) * u[q[r]], that minimum, and how the table ran
+        (chunks, workers and ``objective`` evaluations per row); p_r is u[p[r]]
+        for indices p, or p for one density of shape (1, nodes).  Chunks
+        write disjoint slices; their size is fixed, whatever the worker
         count, because the BLAS row shape decides an objective's last bit."""
         u, alphas = self.u, self.alphas
         ai, vals = np.empty(q.size, dtype=np.intp), np.empty(q.size)
-        chunk = max(1, int(1.5e5 // (3 * u.shape[1])))  # ~1.2 MB per (chunk, 3, nodes) tensor
+        # ~0.8 MB per evaluated (chunk, <= 2, nodes) tensor; the divisor is
+        # not 2, because the chunk fixes the BLAS row shape and so each
+        # objective's last bit
+        chunk = max(1, int(1.5e5 // (3 * u.shape[1])))
         starts = range(0, q.size, chunk)
 
         def fill(start):
             part = slice(start, start + chunk)
             dp = (u[p[part]] if p.ndim == 1 else p)[:, None, :]
             dq = u[q[part]][:, None, :]
+            evals = 0
 
             def at(i):
+                nonlocal evals
+                evals += i.shape[1]
                 a = alphas[i][..., None]
                 d = a * dp + (1.0 - a) * dq
                 return objective(d.reshape(-1, d.shape[-1])).reshape(i.shape)
 
             ai[part], vals[part] = _convex_argmin(at, alphas.size, dq.shape[0])
+            return evals
 
         workers = min(len(os.sched_getaffinity(0)), len(starts))
         if workers == 1:
-            for start in starts:
-                fill(start)
+            evals = [fill(start) for start in starts]
         else:
             with ThreadPoolExecutor(workers) as pool:
                 # np.errstate is a context variable: each chunk runs in a copy
                 # of the caller's context, so its error handling holds there
-                for future in [pool.submit(contextvars.copy_context().run, fill, s)
-                               for s in starts]:
-                    future.result()
-        return ai, vals, f"{len(starts)} chunks on {workers} workers"
+                evals = [future.result() for future in
+                         [pool.submit(contextvars.copy_context().run, fill, s)
+                          for s in starts]]
+        return ai, vals, (f"{len(starts)} chunks on {workers} workers, "
+                          f"{max(evals)} evaluations per row")
 
     def trace_row(self, it: int, ws, mus) -> dict:
         """Row ``it`` of a trace: KL divergence from the alternative (0 at delta
@@ -627,11 +656,13 @@ def li_approximate(
     trace = [search.trace_row(1, *_components(weights))]
 
     rows = np.arange(mu_count)
+    tables = "no weight table"
     for it in range(2, max_iters + 1):
         if trace[-1]["sup_expectation"] <= _STOP_SUP:
             break
 
-        ai, kls, _ = search.table(grid.kl, d[None, :], rows)
+        ai, kls, ran = search.table(grid.kl, d[None, :], rows)
+        tables = f"each weight table in {ran}"
         j = int(_ranked(rows, ai, kls)[0])
         kl_new, a = float(kls[j]), search.alphas[ai[j]]
         if kl_new > kl + 1e-12:
@@ -646,7 +677,7 @@ def li_approximate(
         trace.append(search.trace_row(it, *_components(weights)))
 
     return search.result("li_approximate", *_components(weights), "li",
-                         f"{len(trace)} iterations", trace)
+                         f"{len(trace)} iterations, {tables}", trace)
 
 
 def _components(weights: dict) -> tuple[list[float], list[float]]:

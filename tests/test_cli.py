@@ -829,6 +829,20 @@ def test_file_that_is_no_json_named(tmp_path, flag):
         main(["evaluate", *EXPO, "--kind", "gro_m", "--block", "0.7,0.4", flag, str(bad)])
 
 
+@pytest.mark.parametrize("argv", [["--data"], ["--stream"],
+                                  ["--block", "0.7,0.4", "--config"]],
+                         ids=["data", "stream", "config"])
+def test_file_that_is_no_utf8_named(tmp_path, argv):
+    # each once ended in "ksev evaluate: 'utf-8' codec can't decode byte
+    # 0xff ...", naming neither the flag nor the file
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe0.7,0.4\n")
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    reason = f"ksev evaluate: {argv[-1]} {bad}: {decode}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+        main(["evaluate", *EXPO, *argv, str(bad)])
+
+
 def test_hand_built_certificate_reaches_every_consumer(capsys, tmp_path):
     # a certificate c = 1.25 that no search gives, so each consumer shows
     # the statistic's own certificate

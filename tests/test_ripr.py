@@ -635,7 +635,7 @@ class TestConvexArgmin:
 
         def f(idx):
             calls.append(idx.shape[1])
-            assert idx.shape[1] <= 3
+            assert idx.shape[1] <= 2
             return np.take_along_axis(rows, idx, axis=1)
 
         idx, vals = ripr._convex_argmin(f, rows.shape[1], rows.shape[0])
@@ -645,7 +645,9 @@ class TestConvexArgmin:
         idx, vals, _ = self.search([[5, 4, 3, 3, 3, 3, 3, 6]])
         assert idx.tolist() == [2] and vals.tolist() == [3.0]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100])
+    # sizes at and next to Fibonacci numbers pad the bracket past the grid
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 13, 14, 21, 22, 34, 35, 89,
+                                   90, 100, 144, 145])
     def test_matches_full_argmin(self, n):
         x = np.arange(n, dtype=float)
         rows = [np.abs(x - c) for c in np.linspace(-1.0, n, 2 * n + 3)]
@@ -659,7 +661,7 @@ class TestConvexArgmin:
         assert idx.tolist() == np.argmin(rows, axis=1).tolist()
         assert vals.tolist() == rows.min(axis=1).tolist()
         if n == 100:
-            assert evals == 19
+            assert evals == 11
 
 
 def _li_sweep(spec, alt, n_alpha=100, mu_count=100, cert_count=1000,
@@ -777,8 +779,9 @@ _ORACLE_ROWS = [
 
 
 class TestSearchesMatchFullSweep:
-    # the ternary weight search returns the grid point of the full sweep on
-    # the same search grid
+    # the Fibonacci bracket of the weight step returns the grid point of the
+    # full sweep on the same search grid, also at weight grids of a Fibonacci
+    # number of points and one past it, which pad the bracket
     @pytest.mark.parametrize("name,fixed,mus", _ORACLE_ROWS)
     def test_brute2(self, name, fixed, mus):
         spec, alt = _oracle_problem(name, fixed, mus)
@@ -799,6 +802,47 @@ class TestSearchesMatchFullSweep:
         assert trace == want_trace
         for obj in objectives:  # (n_alpha, mu_count): convex down each column
             _assert_discretely_convex(obj.T)
+
+    @pytest.mark.parametrize("n_alpha", [35, 89])
+    @pytest.mark.parametrize("name,fixed,mus", [_ORACLE_ROWS[3], _ORACLE_ROWS[7]])
+    def test_brute2_padded_bracket(self, name, fixed, mus, n_alpha):
+        spec, alt = _oracle_problem(name, fixed, mus)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want, _ = _brute2_sweep(spec, alt, n_alpha, mu_count=20, mu0_count=200)
+            got, _ = ripr.brute_force_two_component(spec, alt, n_alpha=n_alpha, mu_count=20,
+                                                    mu0_count=200)
+        assert got.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("n_alpha", [35, 89])
+    @pytest.mark.parametrize("name,fixed,mus", [_ORACLE_ROWS[3], _ORACLE_ROWS[7]])
+    def test_li_padded_bracket(self, name, fixed, mus, n_alpha):
+        spec, alt = _oracle_problem(name, fixed, mus)
+        want, want_trace, _ = _li_sweep(spec, alt, n_alpha, mu_count=20,
+                                        cert_count=200)
+        got, trace = ripr.li_approximate(spec, alt, n_alpha=n_alpha, mu_count=20,
+                                         cert_count=200)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert trace == want_trace
+
+
+class TestTieRuleOnRealObjectives:
+    # every NaN-free KL and coarse-sup row the two sweeps record is convex only
+    # up to rounding, so equal and near-equal neighbours occur; the bracket
+    # still returns np.argmin's index and value on each.  NaN rows are
+    # skipped, as _assert_discretely_convex skips their NaN samples
+    @pytest.mark.parametrize("name,fixed,mus", _ORACLE_ROWS)
+    def test_bracket_returns_full_argmin(self, name, fixed, mus):
+        spec, alt = _oracle_problem(name, fixed, mus)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            _, _, objectives = _li_sweep(spec, alt, mu_count=20, cert_count=200)
+            _, sups = _brute2_sweep(spec, alt, mu_count=20, mu0_count=200)
+        rows = np.concatenate([obj.T for obj in objectives] + [sups])
+        rows = rows[~np.isnan(rows).any(axis=1)]
+        assert rows.shape[0] >= 190  # brute2's pairs i < j at least
+        idx, vals = ripr._convex_argmin(
+            lambda i: np.take_along_axis(rows, i, axis=1), rows.shape[1], rows.shape[0])
+        assert idx.tolist() == np.argmin(rows, axis=1).tolist()
+        assert vals.tolist() == rows.min(axis=1).tolist()
 
 
 class TestSearchGridResolution:
@@ -940,10 +984,19 @@ class TestLogging:
             assert msg.startswith(f"{name}: search grid 400 nodes, "
                                   "certification grid 600 nodes, ")
             assert "search " in msg and " s, certification " in msg
-        assert "2 iterations" in records[0].getMessage()
-        # 5 means give 15 pairs, one chunk, so one worker whatever the host
-        assert ", 15 candidates ranked in 1 chunks on 1 workers, 15 re-ranked, " \
-            in records[1].getMessage()
+        # 5 candidates, one chunk, so one worker whatever the host; 100
+        # weights take 11 evaluations per row, 5 take 4 (a bracket of width 5)
+        assert ", 2 iterations, each weight table in 1 chunks on 1 workers, " \
+            "11 evaluations per row, " in records[0].getMessage()
+        # 5 means give 15 pairs, one chunk
+        assert ", 15 candidates ranked in 1 chunks on 1 workers, " \
+            "4 evaluations per row, 15 re-ranked, " in records[1].getMessage()
+
+    def test_li_without_a_weight_step_names_no_table(self, expo, caplog):
+        spec, alt = expo
+        caplog.set_level(logging.DEBUG, logger="ksample_evalues")
+        ripr.li_approximate(spec, alt, max_iters=1, mu_count=5, cert_count=20)
+        assert ", 1 iterations, no weight table, " in caplog.records[-1].getMessage()
 
 
 class TestCertificateReproduces:
