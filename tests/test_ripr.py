@@ -809,8 +809,8 @@ class TestSearchesMatchFullSweep:
         spec, alt = _oracle_problem(name, fixed, mus)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             want, _ = _brute2_sweep(spec, alt, n_alpha, mu_count=20, mu0_count=200)
-            got, _ = ripr.brute_force_two_component(spec, alt, n_alpha=n_alpha, mu_count=20,
-                                                    mu0_count=200)
+            got, _ = ripr.brute_force_two_component(spec, alt, n_alpha=n_alpha,
+                                                    mu_count=20, mu0_count=200)
         assert got.to_json_dict() == want.to_json_dict()
 
     @pytest.mark.parametrize("n_alpha", [35, 89])
