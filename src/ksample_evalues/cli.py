@@ -1,12 +1,11 @@
 """Command-line interface: evaluate / project / growth / heatmap / simulate.
 
-Every subcommand is driven by a run configuration (flags or a JSON config
-file) and emits JSON reports that embed the full configuration for
-provenance.  The ones that draw (growth by Monte Carlo, heatmap, simulate)
-honor --seed for bit-reproducible output; evaluate and project draw nothing.
-CSV output uses header rows, UTF-8 and '.' as the decimal separator.  The default output
-directory is taken from $KSEV_OUTPUT_DIR (falling back to the working
-directory).
+One table, ``_COMMANDS``, states the flags each mode of a subcommand reads;
+a flag given to a mode that does not read it is refused, and --seed makes
+every draw bit-reproducible.  JSON reports embed the run configuration for
+provenance.  CSV output uses header rows, UTF-8 and '.' as the decimal
+separator.  The default output directory is taken from $KSEV_OUTPUT_DIR
+(falling back to the working directory).
 """
 
 from __future__ import annotations
@@ -176,28 +175,18 @@ def _parse_kinds(text: str) -> list[ev.EValueKind]:
     return kinds
 
 
-def _parse_ints(flag: str, text: str) -> list[int]:
-    """Comma-separated integers for ``flag``, refused by name otherwise."""
+def _parse_ints(flag: str, text: str | None) -> list[int] | None:
+    """Comma-separated integers for ``flag``, refused by name otherwise, and
+    None for an omitted flag."""
+    if text is None:
+        return None
     try:
         return [int(t) for t in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _multiplicities(args) -> list[int] | None:
-    if not args.multiplicities:
-        return None
-    return _parse_ints("--multiplicities", args.multiplicities)
-
-
 def cmd_evaluate(args) -> int:
-    # each mode refuses the flags only the other one reads
-    if args.stream:
-        for flag, value in (("--block", args.block), ("--data", args.data)):
-            if value:
-                raise ValueError(f"{flag} is not read in --stream mode")
-    elif args.multiplicities:
-        raise ValueError("--multiplicities is read in --stream mode only")
     kind = ev.EValueKind(args.kind)
     cfg, spec, alt, mixture = _problem(args, [kind])
     if args.stream:
@@ -234,7 +223,8 @@ def cmd_evaluate(args) -> int:
 def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
     """Ingest 'group,value' lines into a sequential state and report it."""
     state = sq.StreamState(
-        spec, alt, kind, alpha=args.alpha, multiplicities=_multiplicities(args),
+        spec, alt, kind, alpha=args.alpha,
+        multiplicities=_parse_ints("--multiplicities", args.multiplicities),
         mixture=mixture,
     )
     for where, line in _lines("--stream", args.stream):
@@ -304,8 +294,14 @@ def cmd_growth(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    if not args.slices and args.slice_offsets is not None:
+        raise ValueError("--slice-offsets is not read without --slices")
+    offsets = (_parse_ints("--slice-offsets", args.slice_offsets) or [0]
+               if args.slices else [])
+    for off in offsets:
+        if abs(off) >= args.n:
+            raise ValueError(f"--slice-offsets {off}: no cell on an n={args.n} grid")
     spec = family_from_config(_load_config(args))
-    offsets = _parse_ints("--slice-offsets", args.slice_offsets) if args.slices else []
     result = gr.heatmap(
         spec,
         _parse_kinds(args.kinds),
@@ -339,7 +335,7 @@ def cmd_heatmap(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, spec, alt, mixture = _problem(args, [ev.EValueKind(args.kind)])
-    mult = _multiplicities(args)
+    mult = _parse_ints("--multiplicities", args.multiplicities)
     summary = sq.simulate(
         spec,
         alt,
@@ -371,7 +367,66 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# argparse keywords of every flag, written once; a flag's defaults are in _COMMANDS
+_FLAGS = {
+    "--config": dict(help="JSON run configuration"),
+    "--family": dict(help="family id (bernoulli, gaussian_mean, gaussian_variance, "
+                     "poisson, exponential, geometric, beta_fixed_alpha)"),
+    "--fixed": dict(help="fixed parameters as JSON, e.g. '{\"sigma2\": 2.0}'"),
+    "--mu": dict(help="comma-separated group means"),
+    "--beta-means": dict(action="store_true", help="--mu gives beta means E[U]"),
+    "--kind": dict(choices=[k.value for k in ev.EValueKind]),
+    "--block": dict(help="one block, comma-separated, one value per group"),
+    "--data": dict(help="CSV file, one block per line"),
+    "--stream": dict(help="CSV file of 'group,value' lines for a sequential e-process"),
+    "--alpha": dict(type=float, help="significance level"),
+    "--multiplicities": dict(help="comma-separated m_j per stream"),
+    "--mixture": dict(help="certified mixture JSON (for kind gro_m)"),
+    "--out": dict(help="output filename"),
+    "--trace": dict(help="per-iteration or per-trial CSV trace filename"),
+    "--kinds": dict(help="comma-separated statistics, e.g. groiid,cond"),
+    "--std-lo": dict(type=float, help="grid start in the standard parameterization"),
+    "--slices": dict(help="also write diagonal slices to this CSV"),
+    "--slice-offsets": dict(help="comma-separated anti-diagonal offsets (default 0)"),
+    "--strict": dict(action="store_true", help="nonzero exit if any cell fails"),
+    "--policy": dict(choices=sq.POLICIES),
+    "--truth": dict(choices=["null", "alt"]),
+    **dict.fromkeys("--seed --max-iters --mc-n --n --trials --max-blocks".split(),
+                    dict(type=int)),
+    **dict.fromkeys("--mu-lo --mu-hi --std-hi --null-mu".split(), dict(type=float)),
+}
+_PROBLEM = dict.fromkeys("--config --family --fixed --mu --beta-means --out".split())
+
+# subcommand: (function, help, mode selector, flags every mode reads, flags no
+# mode reads, {mode: the flags it reads besides}), each flag with its value when
+# omitted (... when required); the first mode is the default.
+_COMMANDS = {
+    "evaluate": (cmd_evaluate, "e-value of blocks or a stream", "--stream",
+                 {**_PROBLEM, "--kind": "cond", "--mixture": None}, ("--seed",),
+                 {"--block/--data": {"--block": None, "--data": None}, "--stream": {
+                     "--stream": None, "--alpha": 0.05, "--multiplicities": None}}),
+    "project": (cmd_project, "approximate the reverse information projection and "
+                "certify it", "--method", {**_PROBLEM, "--mu-lo": None, "--mu-hi": None,
+                                           "--out": "mixture.json", "--trace": None},
+                ("--seed",), {"li": {"--max-iters": 15}, "brute2": {}}),
+    "growth": (cmd_growth, "growth rates and pairwise gaps", "--method",
+               {**_PROBLEM, "--kinds": "pseudo,gro_iid,cond", "--mixture": None}, (),
+               {"quadrature": {}, "mc": {"--mc-n": 10**6, "--seed": 0}}),
+    "heatmap": (cmd_heatmap, "growth-gap grid over two-group alternatives", "--method",
+                {"--family": ..., "--fixed": None, "--kinds": ..., "--n": 50,
+                 "--std-lo": None, "--std-hi": None, "--out": None, "--slices": None,
+                 "--slice-offsets": None, "--strict": None}, (),
+                {"quadrature": {}, "mc": {"--mc-n": 10**5, "--seed": 0}}),
+    "simulate": (cmd_simulate, "seeded sequential-testing campaign", None,
+                 {**_PROBLEM, "--kind": "cond", "--seed": 0, "--alpha": 0.05,
+                  "--policy": "threshold", "--trials": 1000, "--max-blocks": 200,
+                  "--truth": "null", "--null-mu": None, "--multiplicities": None,
+                  "--mixture": None, "--trace": None}, (), {"simulate": {}}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ksev`` parser of ``_COMMANDS``, where an omitted flag reads None."""
     p = argparse.ArgumentParser(
         prog="ksev",
         description=(
@@ -382,103 +437,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="output directory "
                    "(default: $KSEV_OUTPUT_DIR or '.')")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_model_flags(sp, with_kind=True):
-        sp.add_argument("--config", help="JSON run configuration")
-        sp.add_argument("--family", help="family id (bernoulli, gaussian_mean, "
-                        "gaussian_variance, poisson, exponential, geometric, "
-                        "beta_fixed_alpha)")
-        sp.add_argument("--fixed", help="fixed parameters as JSON, e.g. "
-                        "'{\"sigma2\": 2.0}'")
-        sp.add_argument("--mu", help="comma-separated group means")
-        sp.add_argument("--beta-means", action="store_true", dest="beta_means",
-                        help="interpret --mu as beta-observation means E[U]")
-        sp.add_argument("--seed", type=int, default=0)
-        if with_kind:
-            sp.add_argument("--kind", default="cond",
-                            choices=[k.value for k in ev.EValueKind])
-
-    sp = sub.add_parser("evaluate", help="e-value of blocks or a stream")
-    add_model_flags(sp)
-    sp.add_argument("--block", help="one block, comma-separated, one value per group")
-    sp.add_argument("--data", help="CSV file, one block per line")
-    sp.add_argument("--stream", help="CSV file of 'group,value' lines, ingested "
-                    "sequentially into an anytime-valid e-process")
-    sp.add_argument("--alpha", type=float, default=0.05,
-                    help="significance level for --stream mode")
-    sp.add_argument("--multiplicities",
-                    help="comma-separated m_j per stream (--stream mode)")
-    sp.add_argument("--mixture", help="certified mixture JSON (for kind gro_m)")
-    sp.add_argument("--out", help="write the JSON report here")
-    sp.set_defaults(func=cmd_evaluate)
-
-    sp = sub.add_parser("project", help="approximate the reverse information "
-                        "projection and certify it")
-    add_model_flags(sp, with_kind=False)
-    sp.add_argument("--method", choices=["li", "brute2"], default="li")
-    sp.add_argument("--max-iters", type=int, default=15)
-    sp.add_argument("--mu-lo", type=float, default=None)
-    sp.add_argument("--mu-hi", type=float, default=None)
-    sp.add_argument("--out", default="mixture.json",
-                    help="mixture JSON filename (default mixture.json)")
-    sp.add_argument("--trace", help="per-iteration CSV trace filename")
-    sp.set_defaults(func=cmd_project)
-
-    sp = sub.add_parser("growth", help="growth rates and pairwise gaps")
-    add_model_flags(sp, with_kind=False)
-    sp.add_argument("--kinds", default="pseudo,gro_iid,cond")
-    sp.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
-    sp.add_argument("--mc-n", type=int, default=10**6)
-    sp.add_argument("--mixture", help="certified mixture JSON (for gro_m)")
-    sp.add_argument("--out", help="write the JSON report here")
-    sp.set_defaults(func=cmd_growth)
-
-    sp = sub.add_parser("heatmap", help="growth-gap grid over two-group "
-                        "alternatives")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--fixed", help="fixed parameters as JSON")
-    sp.add_argument("--kinds", required=True, help="two statistics, e.g. groiid,cond")
-    sp.add_argument("--n", type=int, default=50)
-    sp.add_argument("--std-lo", type=float, default=None,
-                    help="grid start in the standard parameterization")
-    sp.add_argument("--std-hi", type=float, default=None)
-    sp.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
-    sp.add_argument("--mc-n", type=int, default=10**5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="CSV filename")
-    sp.add_argument("--slices", help="also write diagonal slices to this CSV")
-    sp.add_argument("--slice-offsets", default="0", dest="slice_offsets",
-                    help="anti-diagonal offsets to extract (comma-separated)")
-    sp.add_argument("--strict", action="store_true",
-                    help="nonzero exit if any cell fails")
-    sp.set_defaults(func=cmd_heatmap)
-
-    sp = sub.add_parser("simulate", help="seeded sequential-testing campaign")
-    add_model_flags(sp)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--policy", default="threshold",
-                    choices=sq.POLICIES)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--max-blocks", type=int, default=200)
-    sp.add_argument("--truth", choices=["null", "alt"], default="null")
-    sp.add_argument("--null-mu", type=float, default=None)
-    sp.add_argument("--multiplicities", help="comma-separated m_j per stream")
-    sp.add_argument("--mixture", help="certified mixture JSON (for gro_m)")
-    sp.add_argument("--trace", help="per-trial CSV filename")
-    sp.add_argument("--out", help="write the JSON summary here")
-    sp.set_defaults(func=cmd_simulate)
+    for command, (run, text, selector, common, unread, modes) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        sp.set_defaults(func=run)
+        if selector == "--method":
+            sp.add_argument("--method", choices=list(modes))
+        for flag, default in {**common, **dict.fromkeys(unread), **{
+                f: d for reads in modes.values() for f, d in reads.items()}}.items():
+            sp.add_argument(flag, default=None, required=default is ..., **_FLAGS[flag])
     return p
 
 
+def _read_flags(args) -> None:
+    """Select the mode (--method by name, --stream when given), refuse a flag it
+    does not read, naming both, and fill each flag it reads from ``_COMMANDS``."""
+    _, _, selector, common, unread, modes = _COMMANDS[args.command]
+    given = {"--" + dest.replace("_", "-"): value for dest, value in vars(args).items()}
+    mode = name = next(iter(modes))
+    if selector == "--method":
+        mode = args.method = args.method or mode
+        name = f"--method {mode}"
+    elif selector and given[selector] is not None:
+        mode = name = selector
+    reads = {**common, **modes[mode]}
+    for flag in [*unread, *(f for other in modes.values() for f in other)]:
+        if flag not in reads and given[flag] is not None:
+            raise ValueError(f"{flag} is not read in {name} mode")
+    for flag, default in reads.items():
+        if given[flag] is None:
+            setattr(args, flag[2:].replace("-", "_"), default)
+
+
 def main(argv=None) -> int:
-    """Run one subcommand.  An input it refuses (a ``ValueError``, which
-    includes ``MeanDomainError``, ``SupportError`` and ``CertificationError``),
-    a file it cannot read or write (``OSError``) or a computation that fails
-    on it (``ComputationError``) exits nonzero with one line naming the
-    subcommand and the reason."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  A flag its mode does not read, an input it refuses
+    (a ``ValueError``, which includes ``MeanDomainError``, ``SupportError`` and
+    ``CertificationError``), a file it cannot read or write (``OSError``) or a
+    computation that fails on it (``ComputationError``) exits nonzero with one
+    line naming the subcommand and the reason."""
+    args = build_parser().parse_args(argv)
     try:
+        _read_flags(args)
         return args.func(args)
     except (ValueError, ComputationError, OSError) as exc:
         raise SystemExit(f"ksev {args.command}: {exc}") from None

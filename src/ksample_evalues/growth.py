@@ -175,16 +175,18 @@ def growth_report(
     """E under the alternative of log S for every kind, by quadrature or
     seeded Monte Carlo.
 
-    Before any zero-effect shortcut it refuses what ``_check_method``
-    refuses and a ``gro_m`` mixture that ``evariables._check_mixture``
-    refuses (in both methods).  Monte Carlo draws mc_n blocks once, from
-    ``spawn_generator(seed, 0)``, checks them once and scores every kind on
-    those draws with its built statistic.
+    Before any zero-effect shortcut it refuses a statistic named twice,
+    what ``_check_method`` refuses and, by building the ``gro_m`` statistic,
+    a mixture that it refuses (in both methods).  Monte Carlo draws mc_n
+    blocks once, from ``spawn_generator(seed, 0)``, checks them once and
+    scores every kind on those draws with its built statistic.
     """
     kinds = [ev.EValueKind(k) for k in kinds]
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"a statistic is named twice: {[k.value for k in kinds]}")
     _check_method(method, mc_n, seed)
     if ev.EValueKind.GRO_M in kinds:
-        ev._check_mixture(spec, alt, mixture)
+        ev._statistic(spec, alt, ev.EValueKind.GRO_M, mixture)
     if alt.delta == 0.0:
         entries = {kind: GrowthEntry(kind, 0.0, 0.0, method) for kind in kinds}
     elif method == "mc":
@@ -338,7 +340,7 @@ def heatmap(
     refused: a certified mixture is bound to one alternative, not to every
     grid cell.  Before any cell it also refuses
     n < 2 (no pair of distinct groups), what ``_check_method`` refuses and
-    ``kinds`` other than exactly two statistics.
+    ``kinds`` other than exactly two distinct statistics.
     """
     _require_at_least(2, n=n)
     _check_method(method, mc_n, seed)
@@ -347,6 +349,8 @@ def heatmap(
         raise ValueError(f"heatmap needs exactly two statistics, got "
                          f"{[k.value for k in kinds]}")
     kind_a, kind_b = kinds
+    if kind_a is kind_b:
+        raise ValueError(f"a statistic is named twice: {[k.value for k in kinds]}")
     if ev.EValueKind.GRO_M in kinds:
         raise ValueError("heatmap cannot score gro_m: a certified mixture is "
                          "bound to one alternative, not to every grid cell")
@@ -373,9 +377,7 @@ def heatmap(
                     ev._statistic(spec, alt, kind_a)(x)
                     - ev._statistic(spec, alt, kind_b)(x))
             else:
-                ea, eb = (growth_rate(spec, alt, kind, method=method)
-                          for kind in (kind_a, kind_b))
-                gap[i, j] = ea.rate - eb.rate
+                gap[i, j] = growth_report(spec, alt, kinds).gap(kind_a, kind_b)
         except (ValueError, ComputationError) as exc:  # a refused cell is data
             failures.append({"i": i, "j": j, "mu1": mus[i], "mu2": mus[j], "error": str(exc)})
     if method == "quadrature":

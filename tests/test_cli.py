@@ -1,5 +1,7 @@
+import argparse
 import json
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -13,7 +15,7 @@ from ksample_evalues import evariables as ev
 from ksample_evalues import growth as gr
 from ksample_evalues import ripr
 from ksample_evalues import sequential as sq
-from ksample_evalues.cli import canonical_json, main
+from ksample_evalues.cli import _COMMANDS, build_parser, canonical_json, main
 
 
 def run(capsys, *argv):
@@ -244,7 +246,8 @@ class TestProject:
     def test_search_builds_only_its_own_grids(self, capsys, tmp_path, monkeypatch,
                                               family, mu, grids, method):
         # brute2's trace row once came from a third grid, built by
-        # kl_to_mixture; both searches now return their trace
+        # kl_to_mixture; both searches now return their trace.  Only li reads
+        # --max-iters
         built = []
         init = ripr._SumGrid.__init__
 
@@ -255,9 +258,10 @@ class TestProject:
         monkeypatch.setattr(ripr._SumGrid, "__init__", counted)
         monkeypatch.setattr(ripr, "kl_to_mixture",
                             lambda *a: pytest.fail("kl_to_mixture called"))
+        iters = ["--max-iters", "2"] if method == "li" else []
         code, _, _ = run(capsys, "--out-dir", str(tmp_path), "project",
                          "--family", family, "--mu", mu, "--method", method,
-                         "--max-iters", "2", "--out", "mix.json", "--trace", "t.csv")
+                         *iters, "--out", "mix.json", "--trace", "t.csv")
         assert code == 0 and len(built) == grids
         rows = (tmp_path / "t.csv").read_text().splitlines()
         assert rows[0] == "iter,kl,sup_expectation" and len(rows) >= 2
@@ -802,9 +806,9 @@ def test_unparseable_data_line_named_by_path_and_line(tmp_path):
     (["--stream", "STREAM", "--block", "9,9"], "--block is not read in --stream mode"),
     (["--stream", "STREAM", "--data", "MISSING"], "--data is not read in --stream mode"),
     (["--block", "0.7,0.4", "--multiplicities", "2,1"],
-     "--multiplicities is read in --stream mode only"),
+     "--multiplicities is not read in --block/--data mode"),
     (["--data", "MISSING", "--multiplicities", "2,1"],
-     "--multiplicities is read in --stream mode only"),
+     "--multiplicities is not read in --block/--data mode"),
 ], ids=["block-with-stream", "data-with-stream", "multiplicities-with-block",
         "multiplicities-with-data"])
 def test_evaluate_refuses_flags_of_the_other_mode(tmp_path, argv, reason):
@@ -814,6 +818,121 @@ def test_evaluate_refuses_flags_of_the_other_mode(tmp_path, argv, reason):
     argv = [files[a]() if a in files else a for a in argv]
     with pytest.raises(SystemExit, match=f"^{re.escape(f'ksev evaluate: {reason}')}$"):
         main(["--out-dir", str(tmp_path), "evaluate", *EXPO, *argv])
+
+
+POIS = ["--family", "poisson", "--mu", "1,2"]
+# poisson cells below mean 0 fail, so --strict changes the exit code
+GRID = ["--family", "poisson", "--kinds", "groiid,cond", "--n", "3",
+        "--std-lo", "-0.2", "--std-hi", "0.5"]
+# a small command in each mode of each subcommand
+MODE_ARGV = {
+    ("evaluate", "--block/--data"): ["evaluate", *POIS, "--block", "1,3"],
+    ("evaluate", "--stream"): ["evaluate", *POIS, "--stream", "STREAM"],
+    ("project", "li"): ["project", *EXPO, "--max-iters", "2"],
+    ("project", "brute2"): ["project", "--family", "bernoulli", "--mu", "0.5,0.25",
+                            "--method", "brute2"],
+    ("growth", "quadrature"): ["growth", *POIS],
+    ("growth", "mc"): ["growth", *POIS, "--method", "mc", "--mc-n", "100"],
+    ("heatmap", "quadrature"): ["heatmap", *GRID],
+    ("heatmap", "mc"): ["heatmap", *GRID, "--method", "mc", "--mc-n", "100"],
+    ("simulate", "simulate"): ["simulate", *POIS, "--trials", "3", "--max-blocks", "3",
+                               "--trace", "trials.csv"],
+}
+# for every flag, a value other than its default and than MODE_ARGV's; None
+# for a switch
+OTHER = {
+    "--config": "CONFIG", "--family": "geometric", "--fixed": '{"bogus": 1}',
+    "--mu": "0.5,0.3", "--beta-means": None, "--out": "other.out", "--kind": "pseudo",
+    "--mixture": "MISSING", "--block": "2,5", "--data": "DATA", "--stream": "STREAM2",
+    "--alpha": "0.5", "--multiplicities": "2,1", "--mu-lo": "0.4", "--mu-hi": "0.6",
+    "--trace": "t.csv", "--max-iters": "1", "--kinds": "cond,pseudo", "--mc-n": "200",
+    "--seed": "7", "--n": "4", "--std-lo": "0.1", "--std-hi": "0.9",
+    "--slices": "s.csv", "--slice-offsets": "1", "--strict": None, "--policy": "fixed",
+    "--trials": "4", "--max-blocks": "4", "--truth": "alt", "--null-mu": "1.2",
+}
+
+
+def mode_flags():
+    """(subcommand, mode, flag, read) for every flag the parser gives a
+    subcommand, in every mode of the table, and whether the mode reads it;
+    a mode selector that selects another mode is left out."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, (_, _, selector, common, _, modes) in _COMMANDS.items():
+        flags = [a.option_strings[0] for a in sub.choices[command]._actions
+                 if a.option_strings[0] != "-h"]
+        for mode, reads in modes.items():
+            for flag in flags:
+                if flag != selector or flag in reads:
+                    yield command, mode, flag, flag in common or flag in reads
+
+
+def outcome(tmp_path, capsys, argv):
+    """Exit code or refusal, stdout and every file written, of one run."""
+    files = {"STREAM": "1,1\n2,3\n", "STREAM2": "1,2\n2,2\n1,0\n",
+             "DATA": "1,3\n2,2\n", "CONFIG": '{"fixed_params": {}}'}
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir(exist_ok=True)
+    for name, text in files.items():
+        (inputs / name).write_text(text, encoding="utf-8")
+    argv = [str(inputs / a) if a in files or a == "MISSING" else a for a in argv]
+    try:
+        code = main(["--out-dir", str(out), *argv])
+    except SystemExit as exc:
+        code = str(exc)
+    written = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    shutil.rmtree(out, ignore_errors=True)
+    return code, capsys.readouterr().out, written
+
+
+@pytest.mark.parametrize("command, mode, flag, read", list(mode_flags()),
+                         ids=lambda v: str(v))
+def test_every_flag_is_read_or_refused(tmp_path, capsys, command, mode, flag, read):
+    # evaluate --alpha, project --seed, brute2 --max-iters, growth and
+    # heatmap --seed by quadrature, and heatmap --slice-offsets without
+    # --slices were each accepted and ignored, exit 0
+    argv = MODE_ARGV[command, mode]
+    given = [flag] + ([] if OTHER[flag] is None else [OTHER[flag]])
+    changed = outcome(tmp_path, capsys, argv + given)
+    if read:
+        assert changed != outcome(tmp_path, capsys, argv)
+    else:
+        name = f"--method {mode}" if _COMMANDS[command][2] == "--method" else mode
+        assert changed == (f"ksev {command}: {flag} is not read in {name} mode", "", {})
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", *POIS, "--kinds", "cond,cond"],
+    ["heatmap", "--family", "exponential", "--kinds", "cond,cond", "--n", "3"],
+    ["heatmap", "--family", "exponential", "--kinds", "groiid,gro_iid", "--n", "3"],
+], ids=["growth", "heatmap", "heatmap-alias"])
+def test_statistic_named_twice_refused(tmp_path, argv):
+    # growth reported a cond-cond gap of 0.0 and heatmap an all-zero grid, exit 0
+    kind = "gro_iid" if "groiid,gro_iid" in argv else "cond"
+    reason = f"ksev {argv[0]}: a statistic is named twice: {[kind, kind]}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+        main(["--out-dir", str(tmp_path), *argv])
+    assert not list(tmp_path.iterdir())
+
+
+def test_slice_offset_off_the_grid_refused_before_any_cell(capsys, tmp_path, monkeypatch):
+    # --n 3 --slice-offsets 9,-7 wrote two header-only slice files, exit 0
+    heatmap = ["heatmap", "--family", "exponential", "--kinds", "groiid,cond", "--n", "3",
+               "--slices", "s.csv", "--slice-offsets"]
+    code, _, _ = run(capsys, "--out-dir", str(tmp_path), *heatmap, "2,-2")
+    assert code == 0
+    for off in (2, -2):  # the corner cells
+        assert len((tmp_path / f"{off}_s.csv").read_text().splitlines()) == 2
+    cells = []
+    monkeypatch.setattr(gr.Alternative, "from_means",
+                        classmethod(lambda cls, spec, mus: cells.append(mus)))
+    with pytest.raises(SystemExit, match=r"^ksev heatmap: --slice-offsets 9: no cell "
+                       r"on an n=3 grid$"):
+        main(["--out-dir", str(tmp_path / "off"), *heatmap, "9,-7"])
+    with pytest.raises(SystemExit, match="^ksev heatmap: --slice-offsets is not read "
+                       "without --slices$"):
+        main(["--out-dir", str(tmp_path / "off"), *heatmap[:-3], "--slice-offsets", "1"])
+    assert not cells and not (tmp_path / "off").exists()
 
 
 @pytest.mark.parametrize("flag", ["--config", "--mixture"])

@@ -370,7 +370,7 @@ class TestHeatmap:
         def broken(*args, **kwargs):
             raise TypeError("broken cell")
 
-        monkeypatch.setattr(gr, "growth_rate", broken)
+        monkeypatch.setattr(gr, "growth_report", broken)  # a quadrature cell's call
         with pytest.raises(TypeError, match="^broken cell$"):
             gr.heatmap(make_family("exponential"), ("gro_iid", "cond"), n=3)
 
