@@ -387,7 +387,7 @@ _FLAGS = {
     "--kinds": dict(help="comma-separated statistics, e.g. groiid,cond"),
     "--std-lo": dict(type=float, help="grid start in the standard parameterization"),
     "--slices": dict(help="also write diagonal slices to this CSV"),
-    "--slice-offsets": dict(help="comma-separated anti-diagonal offsets (default 0)"),
+    "--slice-offsets": dict(help="comma-separated offsets of --slices (default 0)"),
     "--strict": dict(action="store_true", help="nonzero exit if any cell fails"),
     "--policy": dict(choices=sq.POLICIES),
     "--truth": dict(choices=["null", "alt"]),
@@ -395,22 +395,22 @@ _FLAGS = {
                     dict(type=int)),
     **dict.fromkeys("--mu-lo --mu-hi --std-hi --null-mu".split(), dict(type=float)),
 }
-_PROBLEM = dict.fromkeys("--config --family --fixed --mu --beta-means --out".split())
 
-# subcommand: (function, help, mode selector, flags every mode reads, flags no
-# mode reads, {mode: the flags it reads besides}), each flag with its value when
-# omitted (... when required); the first mode is the default.
+# subcommand: (function, help, mode selector, flags every mode reads (_SHARED in
+# all but heatmap), flags no mode reads, {mode: the flags it reads besides}), each
+# flag with its value when omitted (... if required); the first mode is the default.
+_SHARED = dict.fromkeys("--config --family --fixed --mu --beta-means --out".split())
 _COMMANDS = {
     "evaluate": (cmd_evaluate, "e-value of blocks or a stream", "--stream",
-                 {**_PROBLEM, "--kind": "cond", "--mixture": None}, ("--seed",),
+                 {**_SHARED, "--kind": "cond", "--mixture": None}, ("--seed",),
                  {"--block/--data": {"--block": None, "--data": None}, "--stream": {
                      "--stream": None, "--alpha": 0.05, "--multiplicities": None}}),
     "project": (cmd_project, "approximate the reverse information projection and "
-                "certify it", "--method", {**_PROBLEM, "--mu-lo": None, "--mu-hi": None,
+                "certify it", "--method", {**_SHARED, "--mu-lo": None, "--mu-hi": None,
                                            "--out": "mixture.json", "--trace": None},
                 ("--seed",), {"li": {"--max-iters": 15}, "brute2": {}}),
     "growth": (cmd_growth, "growth rates and pairwise gaps", "--method",
-               {**_PROBLEM, "--kinds": "pseudo,gro_iid,cond", "--mixture": None}, (),
+               {**_SHARED, "--kinds": "pseudo,gro_iid,cond", "--mixture": None}, (),
                {"quadrature": {}, "mc": {"--mc-n": 10**6, "--seed": 0}}),
     "heatmap": (cmd_heatmap, "growth-gap grid over two-group alternatives", "--method",
                 {"--family": ..., "--fixed": None, "--kinds": ..., "--n": 50,
@@ -418,7 +418,7 @@ _COMMANDS = {
                  "--slice-offsets": None, "--strict": None}, (),
                 {"quadrature": {}, "mc": {"--mc-n": 10**5, "--seed": 0}}),
     "simulate": (cmd_simulate, "seeded sequential-testing campaign", None,
-                 {**_PROBLEM, "--kind": "cond", "--seed": 0, "--alpha": 0.05,
+                 {**_SHARED, "--kind": "cond", "--seed": 0, "--alpha": 0.05,
                   "--policy": "threshold", "--trials": 1000, "--max-blocks": 200,
                   "--truth": "null", "--null-mu": None, "--multiplicities": None,
                   "--mixture": None, "--trace": None}, (), {"simulate": {}}),
