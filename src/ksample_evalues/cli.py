@@ -105,7 +105,7 @@ def _problem(args, kinds):
             with open(path, "r", encoding="utf-8") as fh:
                 mixture = ripr.MixtureNull.from_json_dict(json.load(fh))
         except ValueError as exc:
-            raise SystemExit(f"{path}: {exc}")
+            raise ValueError(f"{path}: {exc}") from None
     return cfg, spec, Alternative.from_means(spec, means), mixture
 
 
@@ -171,7 +171,8 @@ def _parse_kinds(text: str) -> list[ev.EValueKind]:
             kinds.append(ev.EValueKind(_KIND_ALIASES.get(name, name)))
         except ValueError:
             valid = ", ".join([k.value for k in ev.EValueKind] + list(_KIND_ALIASES))
-            raise SystemExit(f"--kinds: unknown statistic {name!r}; choose from {valid}")
+            raise ValueError(f"--kinds: unknown statistic {name!r}; choose from {valid}") \
+                from None
     return kinds
 
 
@@ -199,9 +200,9 @@ def cmd_evaluate(args) -> int:
             try:
                 blocks.append((where, _parse_floats("a block", line)))
             except ValueError as exc:
-                raise SystemExit(f"{where}: {exc}")
+                raise ValueError(f"{where}: {exc}") from None
     if not blocks:
-        raise SystemExit("nothing to evaluate: give --block, --data or --stream")
+        raise ValueError("nothing to evaluate: give --block, --data or --stream")
     stat = ev._statistic(spec, alt, kind, mixture)
     results = []
     total = 0.0
@@ -209,7 +210,7 @@ def cmd_evaluate(args) -> int:
         try:
             log_evalue = float(stat(ev._as_block(spec, alt, blk)))
         except (ValueError, ComputationError) as exc:
-            raise SystemExit(f"{where}: {exc}")
+            raise ValueError(f"{where}: {exc}") from None
         total += log_evalue
         row = {"block": blk, "kind": kind.value, "log_evalue": log_evalue,
                "evalue": _json_float(ev._exp(log_evalue))}
@@ -233,7 +234,7 @@ def _evaluate_stream(args, cfg, spec, alt, kind, mixture) -> int:
         try:
             state.ingest(*_stream_line(line))
         except (ValueError, ComputationError) as exc:
-            raise SystemExit(f"{where}: {exc}")
+            raise ValueError(f"{where}: {exc}") from None
     payload = {
         "blocks_completed": state.blocks_completed,
         "log_evalue": state.log_evalue,
@@ -298,9 +299,11 @@ def cmd_heatmap(args) -> int:
         raise ValueError("--slice-offsets is not read without --slices")
     offsets = (_parse_ints("--slice-offsets", args.slice_offsets) or [0]
                if args.slices else [])
-    for off in offsets:
+    for i, off in enumerate(offsets):
         if abs(off) >= args.n:
             raise ValueError(f"--slice-offsets {off}: no cell on an n={args.n} grid")
+        if off in offsets[:i]:
+            raise ValueError(f"--slice-offsets {off} is given twice")
     spec = family_from_config(_load_config(args))
     result = gr.heatmap(
         spec,

@@ -272,9 +272,12 @@ def simulate(
     derived at once (``spawn_keys``), and one Philox is reset to trial t's key
     with counter 0 before the trial draws.  Trials are drawn into one reused
     buffer and scored as many at a time as ``evariables._CHUNK_ELEMENTS``
-    holds (one trial at least), so only the per-block log e-values of all
-    trials are held at once.  Every block value depends on its own block
-    alone, so the chunk size changes no output.
+    holds (one trial at least); each chunk's running sums are decided by the
+    policy as soon as it is scored, so only per-trial outputs outlive their
+    chunk and memory grows with the chunk and the trial count, never with
+    trials x blocks.  Every block value depends on its own block alone, and
+    every trial's decision on its own trace, so the chunk size changes no
+    output.
 
     ``policy`` is "threshold", "fixed" or "budget" (evaluated vectorized), or
     any object with ``should_stop(block_log_values, alpha)``, consulted after
@@ -314,40 +317,31 @@ def simulate(
     fresh = bit_generator.state
     chunk = min(trials, max(1, ev._CHUNK_ELEMENTS // (max_blocks * kprime)))
     blocks = np.empty((chunk, max_blocks, kprime))
-    logs = np.empty((trials, max_blocks))
-    budgets = np.zeros(trials, dtype=int)
+    # "fixed" keeps max_blocks; "budget" draws each trial's stop time below
+    stop_times = np.full(trials, max_blocks, dtype=int)
+    finals = np.empty(trials)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         for t in range(start, stop):
             fresh["state"]["key"] = keys[t]
             bit_generator.state = fresh
             if policy == "budget":
-                budgets[t] = int(rng.integers(1, max_blocks + 1))
+                stop_times[t] = int(rng.integers(1, max_blocks + 1))
             for j, m in enumerate(draw_means):
                 blocks[t - start, :, j] = spec._draw(m, max_blocks, rng)
-        logs[start:stop] = log_statistic(blocks[:stop - start])
-    running = np.cumsum(logs, axis=1)
-
-    if policy == "threshold":
-        crossed = running >= log_thresh
-        any_cross = crossed.any(axis=1)
-        stop_times = np.where(
-            any_cross, crossed.argmax(axis=1) + 1, max_blocks
-        ).astype(int)
-    elif policy == "fixed":
-        stop_times = np.full(trials, max_blocks, dtype=int)
-    elif policy == "budget":
-        stop_times = budgets
-    else:
-        # custom policy objects: pure function of the trace prefix
-        pol = policy
-        stop_times = np.full(trials, max_blocks, dtype=int)
-        for t in range(trials):
-            for b in range(1, max_blocks + 1):
-                if pol.should_stop(logs[t, :b], alpha):
-                    stop_times[t] = b
-                    break
-    finals = running[np.arange(trials), stop_times - 1]
+        logs = log_statistic(blocks[:stop - start])
+        running = np.cumsum(logs, axis=1)
+        times = stop_times[start:stop]
+        if policy == "threshold":
+            crossed = running >= log_thresh
+            times[:] = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1,
+                                max_blocks)
+        elif not isinstance(policy, str):
+            # custom policy objects: pure function of the trace prefix
+            for i, trace in enumerate(logs):
+                times[i] = next((b for b in range(1, max_blocks + 1)
+                                 if policy.should_stop(trace[:b], alpha)), max_blocks)
+        finals[start:stop] = running[np.arange(stop - start), times - 1]
     rejected = finals >= log_thresh
     rate = float(rejected.mean())
     se = float(math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials))

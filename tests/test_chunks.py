@@ -19,6 +19,7 @@ from ksample_evalues import expfam
 from ksample_evalues import evariables as ev
 from ksample_evalues import growth as gr
 from ksample_evalues import sequential as sq
+from ksample_evalues.expfam import spawn_generator
 
 TRIALS, MAX_BLOCKS = 11, 9
 
@@ -140,6 +141,70 @@ def test_simulate_draws_trials_in_chunks_of_the_budget(monkeypatch, name):
     assert shapes == [(n, MAX_BLOCKS, kprime) for n in pass_sizes(TRIALS, chunk)]
 
 
+def whole_run_reference(spec, flat, kind, blocks, policy, trials, seed, max_blocks):
+    """stop_times and finals of a campaign from all its blocks at once: the
+    trials x blocks log values and running sums, then each policy."""
+    logs = ev._statistic(spec, flat, kind)(blocks)
+    running = np.cumsum(logs, axis=1)
+    log_thresh = -np.log(0.05)
+    if policy == "threshold":
+        crossed = running >= log_thresh
+        stop_times = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, max_blocks)
+    elif policy == "fixed":
+        stop_times = np.full(trials, max_blocks)
+    elif policy == "budget":
+        stop_times = np.array([spawn_generator(seed, t).integers(1, max_blocks + 1)
+                               for t in range(trials)])
+    else:
+        stop_times = np.full(trials, max_blocks)
+        for t in range(trials):
+            for b in range(1, max_blocks + 1):
+                if policy.should_stop(logs[t, :b], 0.05):
+                    stop_times[t] = b
+                    break
+    return stop_times, running[np.arange(trials), stop_times - 1]
+
+
+# trial counts around a chunk of CHUNK trials, and max_blocks of 1
+CHUNK = 4
+DECISION_SIZES = [(n, max_blocks) for max_blocks in (6, 1)
+                  for n in (1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3)]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("trials, max_blocks", DECISION_SIZES,
+                         ids=[f"trials{n}-blocks{b}" for n, b in DECISION_SIZES])
+@pytest.mark.parametrize("family, means, kind", [
+    ("exponential", (1.0, 0.5), "cond"), ("poisson", (2.0, 1.0), "gro_iid")])
+def test_chunk_decisions_equal_the_whole_run_reference(monkeypatch, family, means,
+                                                       kind, trials, max_blocks,
+                                                       policy):
+    spec = make_family(family)
+    alt = Alternative.from_means(spec, list(means))
+    seen = []
+    build = ev._statistic
+
+    def recording(*args, **kwargs):
+        statistic = build(*args, **kwargs)
+        return lambda x: seen.append(x.copy()) or statistic(x)
+
+    monkeypatch.setattr(ev, "_statistic", recording)
+    monkeypatch.setattr(ev, "_CHUNK_ELEMENTS", CHUNK * max_blocks * alt.k)
+    seed = 11
+    s = sq.simulate(spec, alt, kind, 0.05,
+                    StopAtOne() if policy == "custom" else policy, trials, seed,
+                    max_blocks=max_blocks, truth="alt")
+    monkeypatch.setattr(ev, "_statistic", build)
+    assert [len(x) for x in seen] == pass_sizes(trials, CHUNK)
+    stop_times, finals = whole_run_reference(
+        spec, alt, kind, np.concatenate(seen), StopAtOne() if policy == "custom" else policy,
+        trials, seed, max_blocks)
+    assert np.array_equal(s.stop_times, stop_times)
+    assert s.stop_times.dtype == stop_times.dtype
+    assert np.array_equal(s.final_log_evalues, finals)
+    assert np.array_equal(s.rejected, finals >= -np.log(0.05))
+
+
 @pytest.mark.parametrize("name", BUDGETS)
 def test_statistic_passes_hold_at_most_the_budget(monkeypatch, name):
     k, x = 3, np.arange(5 * 7 * 3, dtype=float).reshape(5, 7, 3)
@@ -228,16 +293,18 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_campaign_peak_memory_is_bounded_by_its_log_values():
-    # 10^4 trials of 200 blocks: logs hold 16 MB; all blocks at once held 32
-    # MB and their temporaries ~260 MB
+@pytest.mark.parametrize("trials, max_blocks", [(10**4, 200), (2000, 5000)])
+def test_campaign_peak_memory_is_bounded_by_its_chunk_and_trials(trials, max_blocks):
+    # a chunk of trials is drawn, scored and decided at once, and only the
+    # per-trial outputs and Philox keys outlive it: whole-run log values and
+    # running sums of trials x blocks held 33 MB at (10^4, 200) and 163 MB at
+    # (2000, 5000); chunk by chunk the peaks are ~3 MB
     spec = make_family("poisson")
     alt = Alternative.from_means(spec, [2.0, 1.0])
-    trials, max_blocks = 10**4, 200
     peak = traced_peak(lambda: sq.simulate(
         spec, alt, "gro_iid", 0.05, "threshold", trials=trials, seed=1,
         max_blocks=max_blocks, truth="alt"))
-    assert peak <= 3 * trials * max_blocks * 8
+    assert peak <= 6 * ev._CHUNK_ELEMENTS * 8 + 64 * trials
 
 
 def test_monte_carlo_growth_peak_memory_is_bounded_by_its_draws():

@@ -26,7 +26,7 @@ def run(capsys, *argv):
 
 class TestEvaluate:
     def test_nothing_to_evaluate_refused(self):
-        with pytest.raises(SystemExit, match="^nothing to evaluate: give --block, "
+        with pytest.raises(SystemExit, match="^ksev evaluate: nothing to evaluate: give --block, "
                            "--data or --stream$"):
             main(["evaluate", "--family", "exponential", "--mu", "0.5,0.25"])
 
@@ -63,14 +63,14 @@ class TestEvaluate:
             ])
 
     def test_block_refusals_name_their_source(self, tmp_path):
-        with pytest.raises(SystemExit, match="^--block: block has 3 entries"):
+        with pytest.raises(SystemExit, match="^ksev evaluate: --block: block has 3 entries"):
             main(["evaluate", *EXPO, "--block", "0.7,0.4,0.1"])
         data = tmp_path / "blocks.csv"
         data.write_text("0.7,0.4\n\n0.1,-1.5\n", encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", *EXPO, "--data", str(data)])
         msg = str(exc.value)
-        assert msg.startswith(f"{data}:3: ") and "[-1.5] outside support" in msg
+        assert msg.startswith(f"ksev evaluate: {data}:3: ") and "[-1.5] outside support" in msg
 
     def test_data_file_scored_with_one_statistic(self, capsys, tmp_path, monkeypatch):
         data = tmp_path / "blocks.csv"
@@ -208,7 +208,8 @@ class TestEvaluate:
         # "could not convert string to float: 'x'"
         stream = tmp_path / "s.csv"
         stream.write_text(f"group,value\n1,0.7\n{line}\n", encoding="utf-8")
-        reason = (f"{stream}:3: a stream line must be 'group,value' with an integer "
+        reason = (f"ksev evaluate: {stream}:3: a stream line must be 'group,value' "
+                  "with an integer "
                   f"group and a number, got {line!r}")
         with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
             main(["evaluate", *EXPO, "--stream", str(stream)])
@@ -401,7 +402,7 @@ class TestMixtureConfig:
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--family", "exponential", "--mu", "0.5,0.25",
                   "--kind", "gro_m", "--block", "0.7,0.4", "--mixture", mix])
-        assert str(exc.value) == f"{mix}: {library.value}"
+        assert str(exc.value) == f"ksev evaluate: {mix}: {library.value}"
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda p: p.pop("components"), "mixture is missing 'components'"),
@@ -426,13 +427,14 @@ class TestMixtureConfig:
         mix.write_text(json.dumps(payload))
         argv = ["evaluate", *EXPO, "--kind", "gro_m", "--block", "0.7,0.4",
                 "--mixture", str(mix)]
-        with pytest.raises(SystemExit, match=f"^{re.escape(f'{mix}: {reason}')}$"):
+        with pytest.raises(SystemExit,
+                           match=f"^{re.escape(f'ksev evaluate: {mix}: {reason}')}$"):
             main(argv)
         src = str(Path(ripr.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "ksample_evalues.cli", *argv],
                               cwd=src, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr == f"{mix}: {reason}\n"
+        assert proc.stderr == f"ksev evaluate: {mix}: {reason}\n"
 
     @pytest.mark.parametrize("text, reason", [
         ('[{"components": []}]', """mixture must be a JSON object, got [{'components': []}]"""),
@@ -442,7 +444,8 @@ class TestMixtureConfig:
         # these once ended in an AttributeError and a TypeError traceback
         mix = tmp_path / "mix.json"
         mix.write_text(text)
-        with pytest.raises(SystemExit, match=f"^{re.escape(f'{mix}: {reason}')}$"):
+        with pytest.raises(SystemExit,
+                           match=f"^{re.escape(f'ksev evaluate: {mix}: {reason}')}$"):
             main(["evaluate", *EXPO, "--kind", "gro_m", "--block", "0.7,0.4",
                   "--mixture", str(mix)])
 
@@ -473,7 +476,7 @@ class TestMixtureConfig:
         with pytest.raises(SystemExit) as exc:
             main(run_args + ["--mixture", str(mix)])
         msg = str(exc.value)
-        assert msg.startswith(str(mix)) and "beta_means" in msg and "exponential" in msg
+        assert msg.startswith(f"ksev evaluate: {mix}") and "beta_means" in msg and "exponential" in msg
         with pytest.raises(SystemExit) as exc:
             main(run_args + ["--beta-means"])
         msg = str(exc.value)
@@ -797,7 +800,8 @@ def test_float_list_flag_named(tmp_path, argv, flag, text):
 def test_unparseable_data_line_named_by_path_and_line(tmp_path):
     data = tmp_path / "blocks.csv"
     data.write_text("0.7,0.4\n0.1,x\n", encoding="utf-8")
-    reason = f"{data}:2: a block must be comma- or space-separated numbers, got '0.1,x'"
+    reason = (f"ksev evaluate: {data}:2: a block must be comma- or space-separated "
+              "numbers, got '0.1,x'")
     with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
         main(["evaluate", *EXPO, "--data", str(data)])
 
@@ -935,6 +939,32 @@ def test_slice_offset_off_the_grid_refused_before_any_cell(capsys, tmp_path, mon
     assert not cells and not (tmp_path / "off").exists()
 
 
+def test_repeated_slice_offset_refused_before_any_cell(tmp_path, monkeypatch):
+    # --slice-offsets 1,1 wrote 1_s.csv twice, exit 0
+    cells = []
+    monkeypatch.setattr(gr.Alternative, "from_means",
+                        classmethod(lambda cls, spec, mus: cells.append(mus)))
+    with pytest.raises(SystemExit, match=r"^ksev heatmap: --slice-offsets 1 is given "
+                       r"twice$"):
+        main(["--out-dir", str(tmp_path / "out"), "heatmap", "--family", "exponential",
+              "--kinds", "groiid,cond", "--n", "3", "--slices", "s.csv",
+              "--slice-offsets", "1,-1,1"])
+    assert not cells and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", *POIS, "--kinds", "cond,foo"],
+    ["heatmap", "--family", "exponential", "--kinds", "foo,cond", "--n", "3"],
+], ids=["growth", "heatmap"])
+def test_unknown_statistic_refused_with_the_subcommand(tmp_path, argv):
+    # once "--kinds: unknown statistic 'foo'; ...", naming no subcommand
+    valid = "pseudo, gro_m, gro_iid, cond, groiid, grom"
+    reason = f"ksev {argv[0]}: --kinds: unknown statistic 'foo'; choose from {valid}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
+        main(["--out-dir", str(tmp_path), *argv])
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--config", "--mixture"])
 def test_file_that_is_no_json_named(tmp_path, flag):
     # both once ended in "ksev evaluate: Expecting value: line 1 column 1
@@ -943,7 +973,7 @@ def test_file_that_is_no_json_named(tmp_path, flag):
     bad.write_text("not json", encoding="utf-8")
     decode = "Expecting value: line 1 column 1 (char 0)"
     reason = (f"ksev evaluate: --config {bad}: {decode}" if flag == "--config"
-              else f"{bad}: {decode}")
+              else f"ksev evaluate: {bad}: {decode}")
     with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
         main(["evaluate", *EXPO, "--kind", "gro_m", "--block", "0.7,0.4", flag, str(bad)])
 

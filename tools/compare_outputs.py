@@ -20,9 +20,12 @@ each export's ``src`` with one BLAS thread:
 * without a mixture, on the exponential, poisson and bernoulli rows:
   ``evaluate`` over the data file and over the stream file for each of
   ``cond``, ``gro_iid`` and ``pseudo``, ``growth`` by quadrature and by
-  seeded Monte Carlo, and a seeded ``simulate --kind cond`` with its
-  ``--trace``;
+  seeded Monte Carlo, and four seeded ``simulate --kind cond`` campaigns,
+  each with its ``--trace``: the default (threshold policy, null truth),
+  ``--policy fixed``, ``--policy budget`` and ``--truth alt``;
 * an exponential quadrature ``heatmap --n 5`` with its ``--slices``.
+
+That is 162 output files a side.
 
 The data and stream files are drawn once, by a fixed seed, and both exports
 read the same ones.  Every output file is compared byte for byte (``cmp``)
@@ -68,6 +71,10 @@ METHODS = ("li", "brute2")
 # rows whose statistics without a mixture are also run, and those statistics
 PLAIN_ROWS = ("exponential", "poisson", "bernoulli")
 PLAIN_KINDS = ("cond", "gro_iid", "pseudo")
+# file-name suffix and flags of each plain simulate campaign: every policy
+# and truth of the campaign loop
+SIMULATE_VARIANTS = [("", []), ("_fixed", ["--policy", "fixed"]),
+                     ("_budget", ["--policy", "budget"]), ("_alt", ["--truth", "alt"])]
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
@@ -142,10 +149,12 @@ def commands(inputs: Path) -> list[list[str]]:
             ["growth", *flags, "--out", f"{label}_growth.json"],
             ["growth", *flags, "--method", "mc", "--mc-n", "20000", "--seed", "1",
              "--out", f"{label}_growth_mc.json"],
-            ["simulate", *flags, "--kind", "cond", "--trials", "200", "--max-blocks", "50",
-             "--seed", "1", "--out", f"{label}_cond_simulate.json",
-             "--trace", f"{label}_cond_simulate_trace.csv"],
         ]
+        for variant, extra in SIMULATE_VARIANTS:
+            name = f"{label}_cond_simulate{variant}"
+            out.append(["simulate", *flags, "--kind", "cond", "--trials", "200",
+                        "--max-blocks", "50", "--seed", "1", *extra,
+                        "--out", f"{name}.json", "--trace", f"{name}_trace.csv"])
     out.append(["heatmap", "--family", "exponential", "--kinds", "groiid,cond", "--n", "5",
                 "--out", "heatmap_exponential.csv",
                 "--slices", "heatmap_exponential_slices.csv"])
