@@ -171,8 +171,8 @@ def _parse_kinds(text: str) -> list[ev.EValueKind]:
             kinds.append(ev.EValueKind(_KIND_ALIASES.get(name, name)))
         except ValueError:
             valid = ", ".join([k.value for k in ev.EValueKind] + list(_KIND_ALIASES))
-            raise ValueError(f"--kinds: unknown statistic {name!r}; choose from {valid}") \
-                from None
+            raise ValueError(
+                f"--kinds: unknown statistic {name!r}; choose from {valid}") from None
     return kinds
 
 

@@ -191,14 +191,13 @@ def test_chunk_decisions_equal_the_whole_run_reference(monkeypatch, family, mean
     monkeypatch.setattr(ev, "_statistic", recording)
     monkeypatch.setattr(ev, "_CHUNK_ELEMENTS", CHUNK * max_blocks * alt.k)
     seed = 11
-    s = sq.simulate(spec, alt, kind, 0.05,
-                    StopAtOne() if policy == "custom" else policy, trials, seed,
-                    max_blocks=max_blocks, truth="alt")
+    s = sq.simulate(spec, alt, kind, 0.05, StopAtOne() if policy == "custom" else policy,
+                    trials, seed, max_blocks=max_blocks, truth="alt")
     monkeypatch.setattr(ev, "_statistic", build)
     assert [len(x) for x in seen] == pass_sizes(trials, CHUNK)
     stop_times, finals = whole_run_reference(
-        spec, alt, kind, np.concatenate(seen), StopAtOne() if policy == "custom" else policy,
-        trials, seed, max_blocks)
+        spec, alt, kind, np.concatenate(seen),
+        StopAtOne() if policy == "custom" else policy, trials, seed, max_blocks)
     assert np.array_equal(s.stop_times, stop_times)
     assert s.stop_times.dtype == stop_times.dtype
     assert np.array_equal(s.final_log_evalues, finals)

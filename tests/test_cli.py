@@ -26,8 +26,8 @@ def run(capsys, *argv):
 
 class TestEvaluate:
     def test_nothing_to_evaluate_refused(self):
-        with pytest.raises(SystemExit, match="^ksev evaluate: nothing to evaluate: give --block, "
-                           "--data or --stream$"):
+        with pytest.raises(SystemExit, match="^ksev evaluate: nothing to evaluate: "
+                           "give --block, --data or --stream$"):
             main(["evaluate", "--family", "exponential", "--mu", "0.5,0.25"])
 
     def test_single_block_matches_library(self, capsys):
@@ -63,14 +63,16 @@ class TestEvaluate:
             ])
 
     def test_block_refusals_name_their_source(self, tmp_path):
-        with pytest.raises(SystemExit, match="^ksev evaluate: --block: block has 3 entries"):
+        with pytest.raises(SystemExit,
+                           match="^ksev evaluate: --block: block has 3 entries"):
             main(["evaluate", *EXPO, "--block", "0.7,0.4,0.1"])
         data = tmp_path / "blocks.csv"
         data.write_text("0.7,0.4\n\n0.1,-1.5\n", encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", *EXPO, "--data", str(data)])
         msg = str(exc.value)
-        assert msg.startswith(f"ksev evaluate: {data}:3: ") and "[-1.5] outside support" in msg
+        assert msg.startswith(f"ksev evaluate: {data}:3: ")
+        assert "[-1.5] outside support" in msg
 
     def test_data_file_scored_with_one_statistic(self, capsys, tmp_path, monkeypatch):
         data = tmp_path / "blocks.csv"
@@ -209,8 +211,7 @@ class TestEvaluate:
         stream = tmp_path / "s.csv"
         stream.write_text(f"group,value\n1,0.7\n{line}\n", encoding="utf-8")
         reason = (f"ksev evaluate: {stream}:3: a stream line must be 'group,value' "
-                  "with an integer "
-                  f"group and a number, got {line!r}")
+                  f"with an integer group and a number, got {line!r}")
         with pytest.raises(SystemExit, match=f"^{re.escape(reason)}$"):
             main(["evaluate", *EXPO, "--stream", str(stream)])
 
@@ -476,7 +477,8 @@ class TestMixtureConfig:
         with pytest.raises(SystemExit) as exc:
             main(run_args + ["--mixture", str(mix)])
         msg = str(exc.value)
-        assert msg.startswith(f"ksev evaluate: {mix}") and "beta_means" in msg and "exponential" in msg
+        assert msg.startswith(f"ksev evaluate: {mix}")
+        assert "beta_means" in msg and "exponential" in msg
         with pytest.raises(SystemExit) as exc:
             main(run_args + ["--beta-means"])
         msg = str(exc.value)
